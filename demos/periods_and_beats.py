@@ -21,8 +21,7 @@ def single_mode_periods():
 
     # measure the lab period from the curve itself
     t = np.linspace(2.0, 11.0, 181)
-    vals = np.asarray([od.survival_boosted(modes, ctx, float(ti)).P_p for ti in t])
-    y = np.exp(t / float(ctx.gamma_minus[0])) * vals
+    y = np.exp(t / float(ctx.gamma_minus[0])) * od.BoostedLaw(modes, ctx)(t).P_p
     idx, _ = find_peaks(y, prominence=0.05 * (y.max() - y.min()))
     spacing = float(np.mean(np.diff(t[idx])))
     print("  measured peak spacing =", round(spacing, 4),

@@ -31,7 +31,7 @@ def main():
         lo, hi = win.union_lab[0]
         start = max(lo, min(10.0 / (cfg["M"] - cfg["Omega"]), 0.1))
         t = np.linspace(start, hi, 300)
-        phi = np.array([od.phi_p(modes, ctx, float(tt)) for tt in t])
+        phi = od.phi_p(modes, ctx, t)
         series = od.CurveSeries(t=t, values=phi, frame="boosted", kind="timemap")
         fit = od.linearity_fit(series, win, ctx)
         name = "p%.0f_M%.0f" % (cfg["p"], cfg["M"])
@@ -49,10 +49,10 @@ def main():
     print()
     print("lab time t -> rest clock phi_p(t), p=200, M=80:")
     print(f"{'t':>6} {'phi_p':>9} {'t/gamma':>9} {'residual':>10}")
-    for t in np.linspace(3.0, 27.0, 9):
-        phi = od.phi_p(modes, ctx, float(t))
-        print(f"{t:6.2f} {phi:9.4f} {t / ctx.gamma:9.4f}"
-              f" {phi - t / ctx.gamma:10.3e}")
+    t = np.linspace(3.0, 27.0, 9)
+    for ti, phi in zip(t, od.phi_p(modes, ctx, t)):
+        print(f"{ti:6.2f} {phi:9.4f} {ti / ctx.gamma:9.4f}"
+              f" {phi - ti / ctx.gamma:10.3e}")
 
 
 if __name__ == "__main__":

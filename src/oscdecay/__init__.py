@@ -44,6 +44,7 @@ from .specfun import (  # noqa: F401
 from .boost import (  # noqa: F401
     BoostDomainError,
     BoostedEvaluation,
+    BoostedLaw,
     boosted_split,
     k_fn,
     phi_fn,

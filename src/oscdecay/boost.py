@@ -9,17 +9,18 @@ over modes is the survival probability at momentum p.
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .kinematics import BoostContext, RestModeSet
 from .restframe import amplitude_rest, survival_rest, survival_rest_split
-from .specfun import upsilon, xi_fn
+from .specfun import bessel_j1, bessel_y1, struve_h1, upsilon, xi_fn, xi_mass_factor
 
 __all__ = [
     "BoostDomainError",
     "BoostedEvaluation",
+    "BoostedLaw",
     "P_ZERO_REL",
     "UNITY_EXCESS_TOL",
     "VALIDITY_THRESHOLD",
@@ -44,12 +45,13 @@ class BoostDomainError(ValueError):
 
 @dataclass(frozen=True)
 class BoostedEvaluation:
-    """One evaluation of the boosted survival probability at lab time t.
+    """The boosted survival probability at lab time t (a float or an array).
 
     K_sum = sum_j w_j K_j, Phi_term = i sum_j w_j (p Gamma_j/(pi M^2)) Phi_j
     and P_p = |K_sum + Phi_term|^2. in_validity_domain records whether
     every mode satisfies t > 1/(10 Gamma_j) or (M - Omega_max) t >= 10;
     exceeds_unity flags a tolerated overshoot of 1 (at most 1e-6 in-domain).
+    Evaluated on an array of times, every field is an array of that shape.
     """
 
     t: float
@@ -100,71 +102,118 @@ def phi_fn(M: float, p: float, Omega: float, a: float, t: float) -> complex:
     return out
 
 
-def _in_validity_domain(modes: RestModeSet, t: float) -> bool:
-    # per-mode condition (t > 1/(10 Gamma_j)) or ((M - Omega_max) t >= 10);
-    # the second clause is mode independent and the first is weakest at the
-    # smallest width, so the conjunction over modes collapses to two tests.
-    if (modes.M - float(modes.Omega.max())) * t >= VALIDITY_THRESHOLD:
-        return True
-    return t > 0.1 / float(modes.Gamma[0])
+@dataclass(frozen=True, eq=False)
+class BoostedLaw:
+    """The boosted survival law of one (modes, ctx) pair, compiled for grids.
+
+    Construction computes everything that depends only on the mode set and
+    the momentum: the 3N pole exponents -upsilon/2 at the masses M and
+    M -/+ Omega_j with weights w_j (1-a_j), w_j a_j/2, w_j a_j/2; the
+    branch-cut prefactor p/(pi M^2); and the constants C_A, C_B of
+
+        sum_j w_j Gamma_j phi_fn_j = C_A A(pt) + C_B B(pt),
+        A = (pi/2)(H1 - i J1) - 1,   B = 1 + (pi/2)(Y1 - H1),
+
+    which holds because xi_fn depends on the mass only through
+    xi_mass_factor. Calling the law on lab times evaluates one J1/Y1/H1
+    triple per time, whatever the mode count, and returns a
+    BoostedEvaluation: of floats for a scalar time, of arrays for an array.
+
+    Momenta below P_ZERO_REL * M take the exact rest-frame branch (the
+    closed form's p -> 0 limit). Times must be finite and >= 0, and > 0
+    when p > 0. An in-domain probability above 1 + UNITY_EXCESS_TOL
+    raises BoostDomainError naming the first such point; smaller
+    overshoot is flagged per point.
+    """
+
+    modes: RestModeSet
+    ctx: BoostContext
+    at_rest: bool = field(init=False)
+    weights: np.ndarray = field(init=False, repr=False)
+    exponents: np.ndarray = field(init=False, repr=False)
+    prefactor: float = field(init=False)
+    C_A: float = field(init=False)
+    C_B: float = field(init=False)
+
+    def __post_init__(self):
+        modes, p = self.modes, self.ctx.p
+        M = modes.M
+        weights, exponents = [], []
+        C_A = C_B = 0.0
+        at_rest = p < P_ZERO_REL * M
+        if not at_rest:
+            for wj, Gj, Oj, aj in zip(modes.w, modes.Gamma, modes.Omega, modes.a):
+                weights += [wj * (1.0 - aj), 0.5 * wj * aj, 0.5 * wj * aj]
+                exponents += [-0.5 * upsilon(m, Gj, p) for m in (M, M - Oj, M + Oj)]
+                rm2 = (1.0 - Oj / M) ** 2
+                rp2 = (1.0 + Oj / M) ** 2
+                C_A += wj * Gj * ((1.0 - aj) + 0.5 * aj * (1.0 / rm2 + 1.0 / rp2))
+                C_B += wj * Gj * ((1.0 - aj) * xi_mass_factor(M, p) + 0.5 * aj * (
+                    xi_mass_factor(M - Oj, p) / rm2 + xi_mass_factor(M + Oj, p) / rp2))
+        computed = {
+            "at_rest": at_rest,
+            "weights": np.array(weights, dtype=float),
+            "exponents": np.array(exponents, dtype=complex),
+            "prefactor": p / (math.pi * M * M),
+            "C_A": float(C_A),
+            "C_B": float(C_B),
+        }
+        for name, value in computed.items():
+            object.__setattr__(self, name, value)
+
+    def __call__(self, t) -> BoostedEvaluation:
+        tt = np.atleast_1d(np.asarray(t, dtype=float))
+        bad = ~(np.isfinite(tt) & (tt >= 0.0))
+        if bad.any():
+            raise BoostDomainError("time must be finite and >= 0, got %r" % float(tt[bad][0]))
+        modes = self.modes
+        M = modes.M
+
+        if self.at_rest:
+            amp = amplitude_rest(modes, tt)
+            K_sum = np.exp(-1j * M * tt) * amp
+            Phi_term = np.zeros_like(K_sum)
+            P_p = amp * amp
+            valid = np.ones(tt.shape, dtype=bool)
+        else:
+            if (tt == 0.0).any():
+                raise BoostDomainError("t = 0 is outside the moving-frame closed form (p > 0)")
+            K_sum = np.exp(np.multiply.outer(tt, self.exponents)) @ self.weights
+            z = self.ctx.p * tt
+            h1 = struve_h1(z)
+            A = (0.5 * math.pi * h1 - 1.0) - 1j * (0.5 * math.pi * bessel_j1(z))
+            B = 1.0 + 0.5 * math.pi * (bessel_y1(z) - h1)
+            Phi_term = 1j * self.prefactor * (self.C_A * A + self.C_B * B)
+            amp = K_sum + Phi_term
+            P_p = amp.real * amp.real + amp.imag * amp.imag
+            # every mode needs t > 1/(10 Gamma_j) or (M - Omega_max) t >= 10;
+            # the first clause is weakest at the smallest width
+            valid = ((M - float(modes.Omega.max())) * tt >= VALIDITY_THRESHOLD) \
+                | (tt > 0.1 / float(modes.Gamma[0]))
+            over = valid & (P_p > 1.0 + UNITY_EXCESS_TOL)
+            if over.any():
+                raise BoostDomainError(
+                    "in-domain probability %r exceeds 1 beyond the %g tolerance"
+                    % (float(P_p[over][0]), UNITY_EXCESS_TOL)
+                )
+
+        if np.ndim(t) == 0:
+            return BoostedEvaluation(
+                t=float(tt[0]), K_sum=complex(K_sum[0]), Phi_term=complex(Phi_term[0]),
+                P_p=float(P_p[0]), in_validity_domain=bool(valid[0]),
+                exceeds_unity=bool(P_p[0] > 1.0),
+            )
+        return BoostedEvaluation(t=tt, K_sum=K_sum, Phi_term=Phi_term, P_p=P_p,
+                                 in_validity_domain=valid, exceeds_unity=P_p > 1.0)
 
 
 def survival_boosted(modes: RestModeSet, ctx: BoostContext, t) -> BoostedEvaluation:
     """Boosted survival probability at a single lab time.
 
-    Momenta below P_ZERO_REL * M route to the exact rest-frame branch
-    (the closed form's p -> 0 limit). Otherwise the full pole plus
-    branch-cut combination is evaluated; a probability above 1 + 1e-6
-    inside the validity domain raises, smaller overshoot is flagged.
+    The one-point case of BoostedLaw(modes, ctx); evaluate grids with the
+    law itself. Raises BoostDomainError where the law does.
     """
-    t = float(t)
-    if not math.isfinite(t) or t < 0.0:
-        raise BoostDomainError("time must be finite and >= 0, got %r" % t)
-    M = modes.M
-    p = ctx.p
-
-    if p < P_ZERO_REL * M:
-        amp = float(amplitude_rest(modes, t))
-        return BoostedEvaluation(
-            t=t,
-            K_sum=cmath.exp(-1j * M * t) * amp,
-            Phi_term=0j,
-            P_p=amp * amp,
-            in_validity_domain=True,
-            exceeds_unity=amp * amp > 1.0,
-        )
-
-    if t == 0.0:
-        raise BoostDomainError("t = 0 is outside the moving-frame closed form (p > 0)")
-
-    pref = p / (math.pi * M * M)
-    K_sum = 0j
-    Phi_sum = 0j
-    for j in range(modes.N):
-        wj = float(modes.w[j])
-        Gj = float(modes.Gamma[j])
-        Oj = float(modes.Omega[j])
-        aj = float(modes.a[j])
-        K_sum += wj * k_fn(M, Gj, p, Oj, aj, t)
-        Phi_sum += wj * Gj * phi_fn(M, p, Oj, aj, t)
-    Phi_term = 1j * pref * Phi_sum
-
-    amp = K_sum + Phi_term
-    P_p = amp.real * amp.real + amp.imag * amp.imag
-    valid = _in_validity_domain(modes, t)
-    if valid and P_p > 1.0 + UNITY_EXCESS_TOL:
-        raise BoostDomainError(
-            "in-domain probability %r exceeds 1 beyond the %g tolerance"
-            % (P_p, UNITY_EXCESS_TOL)
-        )
-    return BoostedEvaluation(
-        t=t,
-        K_sum=K_sum,
-        Phi_term=Phi_term,
-        P_p=P_p,
-        in_validity_domain=valid,
-        exceeds_unity=P_p > 1.0,
-    )
+    return BoostedLaw(modes, ctx)(float(t))
 
 
 def _mask_modes(modes: RestModeSet, active_modes) -> RestModeSet:

@@ -20,7 +20,9 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import __version__
-from .boost import BoostDomainError, P_ZERO_REL, survival_boosted
+# survival_boosted is unused here but stays bound: perfbench/spans.py
+# traces calls through this module attribute
+from .boost import BoostDomainError, BoostedLaw, P_ZERO_REL, survival_boosted  # noqa: F401
 from .kinematics import ModeValidationError, shifted_kinematics, validate_modes
 from .oracle import OracleConvergenceError, QuadratureSpec, direct_survival, oracle_compare
 from .restframe import CurveSeries, decay_rate_rest, survival_rest, survival_rest_split
@@ -256,12 +258,11 @@ def cmd_curve(config, args):
         ctx = shifted_kinematics(modes, p)
         if p >= P_ZERO_REL * modes.M and t[0] <= 0.0:
             raise ConfigError("boosted curves need t_min > 0 when p > 0")
-        evs = _map_points(lambda ti: survival_boosted(modes, ctx, float(ti)), t, args.parallel)
+        ev = BoostedLaw(modes, ctx)(t)
         header = "t,gamma_t,value,valid"
         rows = [
-            (_fmt(ev.t), _fmt(gamma1 * ev.t), _fmt(ev.P_p),
-             "true" if ev.in_validity_domain else "false")
-            for ev in evs
+            (_fmt(ti), _fmt(gamma1 * ti), _fmt(pv), "true" if valid else "false")
+            for ti, pv, valid in zip(ev.t, ev.P_p, ev.in_validity_domain)
         ]
     else:
         raise ConfigError("unknown curve kind %r" % which)
@@ -310,8 +311,7 @@ def cmd_phi(config, args):
     if p >= P_ZERO_REL * modes.M and t[0] <= 0.0:
         raise ConfigError("phi needs t_min > 0 when p > 0")
 
-    values = _map_points(lambda ti: phi_p(modes, ctx, float(ti)), t, args.parallel)
-    values = np.asarray(values)
+    values = phi_p(modes, ctx, t)
     reference = t / ctx.gamma
     rows = [
         (_fmt(ti), _fmt(vi), _fmt(ri), _fmt(vi - ri))
@@ -351,9 +351,7 @@ def cmd_compare(config, args):
     if p >= P_ZERO_REL * modes.M and t[0] <= 0.0:
         raise ConfigError("compare needs t_min > 0 when p > 0")
 
-    closed_vals = np.asarray(
-        [survival_boosted(modes, ctx, float(ti)).P_p for ti in t]
-    )
+    closed_vals = BoostedLaw(modes, ctx)(t).P_p
     direct_vals = np.asarray(
         _map_points(lambda ti: direct_survival(modes, p, float(ti), spec), t, args.parallel)
     )
@@ -398,7 +396,7 @@ def _parse_args(argv):
     common.add_argument("--config", required=True, help="path to the JSON run config")
     common.add_argument("--out", default=None, help="output path (default: stdout)")
     common.add_argument("--parallel", type=int, default=0, metavar="N",
-                        help="evaluate grid points on N threads")
+                        help="run compare's quadrature oracle on N threads")
     common.add_argument("--seed", type=int, default=None,
                         help="reserved; accepted for interface stability")
     common.add_argument("--quiet", action="store_true", help="suppress progress notes")

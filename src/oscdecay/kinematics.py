@@ -186,16 +186,16 @@ def lorentz_factor(M: float, p: float) -> float:
     p = float(p)
     if M <= 0.0:
         raise ValueError("lorentz_factor requires M > 0, got %r" % M)
-    if p < 0.0:
-        raise ValueError("lorentz_factor requires p >= 0, got %r" % p)
+    if not (math.isfinite(p) and p >= 0.0):
+        raise ValueError("lorentz_factor requires finite p >= 0, got %r" % p)
     return math.hypot(1.0, p / M)
 
 
 def shifted_kinematics(modes: RestModeSet, p: float) -> BoostContext:
     """Per-mode shifted masses, Lorentz factors and rescaled widths at momentum p."""
     p = float(p)
-    if p < 0.0:
-        raise ValueError("shifted_kinematics requires p >= 0, got %r" % p)
+    if not (math.isfinite(p) and p >= 0.0):
+        raise ValueError("shifted_kinematics requires finite p >= 0, got %r" % p)
     gamma = lorentz_factor(modes.M, p)
     M_minus = modes.M - modes.Omega
     M_plus = modes.M + modes.Omega

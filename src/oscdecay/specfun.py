@@ -1,4 +1,4 @@
-"""Scalar special functions underlying the boosted survival amplitude.
+"""Special functions underlying the boosted survival amplitude.
 
 Double precision implementations of the order-one Bessel functions J1 and
 Y1 (rational approximations from the Cephes library, public domain), the
@@ -11,8 +11,9 @@ zeros, on [1e-8, 1e4]. The test suite checks this against frozen
 arbitrary-precision references.
 """
 
-import cmath
 import math
+
+import numpy as np
 
 __all__ = [
     "SpecialFunctionDomainError",
@@ -22,6 +23,7 @@ __all__ = [
     "lambda_pm",
     "upsilon",
     "xi_fn",
+    "xi_mass_factor",
 ]
 
 SQ2OPI = 7.9788456080286535587989e-1   # sqrt(2/pi)
@@ -158,73 +160,90 @@ H1Y1_CHEB = [
 ]
 
 
+def _piecewise(x, seam, small, large):
+    # small() on x <= seam, large() beyond; each branch sees only its points
+    lo = x <= seam
+    out = np.empty_like(x)
+    if lo.any():
+        out[lo] = small(x[lo])
+    if not lo.all():
+        out[~lo] = large(x[~lo])
+    return out
+
+
+def _checked(x, ok, requirement):
+    """x as a 1-d float array; raises unless ok(x) holds at every point."""
+    xx = np.atleast_1d(np.asarray(x, dtype=float))
+    bad = ~ok(xx)
+    if bad.any():
+        raise SpecialFunctionDomainError("%s, got %r" % (requirement, float(xx[bad][0])))
+    return xx
+
+
+def _maybe_scalar(result, x):
+    return float(result[0]) if np.ndim(x) == 0 else result
+
+
 def _j1_small(x):
     z = x * x
     w = _polevl(z, RP1) / _p1evl(z, RQ1)
     return w * x * (z - Z1) * (z - Z2)
 
 
-def _j1_large(x):
+def _modulus_phase(x):
+    # shared x > 5 fit: (P, w Q, x - 3 pi/4, sqrt(2/(pi x)))
     w = BESSEL_SEAM / x
     z = w * w
     p = _polevl(z, PP1) / _polevl(z, PQ1)
     q = _polevl(z, QP1) / _p1evl(z, QQ1)
-    xn = x - THPIO4
-    p = p * math.cos(xn) - w * q * math.sin(xn)
-    return p * SQ2OPI / math.sqrt(x)
+    return p, w * q, x - THPIO4, SQ2OPI / np.sqrt(x)
 
 
-def bessel_j1(x: float) -> float:
-    """Bessel function of the first kind, order one, for x >= 0."""
-    x = float(x)
-    if not x >= 0.0:
-        raise SpecialFunctionDomainError("bessel_j1 requires x >= 0, got %r" % x)
-    if x <= BESSEL_SEAM:
-        return _j1_small(x)
-    return _j1_large(x)
+def _j1_large(x):
+    p, wq, xn, scale = _modulus_phase(x)
+    return (p * np.cos(xn) - wq * np.sin(xn)) * scale
+
+
+def bessel_j1(x):
+    """Bessel function of the first kind, order one, for x >= 0.
+
+    Accepts a scalar (returns a float) or an array (returns an array).
+    """
+    xx = _checked(x, lambda v: v >= 0.0, "bessel_j1 requires x >= 0")
+    return _maybe_scalar(_piecewise(xx, BESSEL_SEAM, _j1_small, _j1_large), x)
 
 
 def _y1_small(x):
     z = x * x
     w = x * _polevl(z, YP1) / _p1evl(z, YQ1)
-    return w + TWOOPI * (_j1_small(x) * math.log(x) - 1.0 / x)
+    return w + TWOOPI * (_j1_small(x) * np.log(x) - 1.0 / x)
 
 
 def _y1_large(x):
-    w = BESSEL_SEAM / x
-    z = w * w
-    p = _polevl(z, PP1) / _polevl(z, PQ1)
-    q = _polevl(z, QP1) / _p1evl(z, QQ1)
-    xn = x - THPIO4
-    p = p * math.sin(xn) + w * q * math.cos(xn)
-    return p * SQ2OPI / math.sqrt(x)
+    p, wq, xn, scale = _modulus_phase(x)
+    return (p * np.sin(xn) + wq * np.cos(xn)) * scale
 
 
-def bessel_y1(x: float) -> float:
-    """Bessel function of the second kind, order one, for x > 0."""
-    x = float(x)
-    if not x > 0.0:
-        raise SpecialFunctionDomainError("bessel_y1 requires x > 0, got %r" % x)
-    if x <= BESSEL_SEAM:
-        return _y1_small(x)
-    return _y1_large(x)
+def bessel_y1(x):
+    """Bessel function of the second kind, order one, for x > 0.
+
+    Accepts a scalar (returns a float) or an array (returns an array).
+    """
+    xx = _checked(x, lambda v: v > 0.0, "bessel_y1 requires x > 0")
+    return _maybe_scalar(_piecewise(xx, BESSEL_SEAM, _y1_small, _y1_large), x)
+
+
+# H1(x) = q sum_k c_k q^k with q = x^2/4 and
+# c_k = (-1)^k / (Gamma(k+3/2) Gamma(k+5/2)), listed highest power first
+# as _polevl takes them. A fixed 28 terms reach 1e-22 at the seam x = 9,
+# where the largest term is ~3e2.
+H1_SERIES = [(-1.0) ** k / (math.gamma(k + 1.5) * math.gamma(k + 2.5))
+             for k in range(27, -1, -1)]
 
 
 def _h1_series(x):
-    # H1(x) = sum_k (-1)^k (x/2)^{2k+2} / (Gamma(k+3/2) Gamma(k+5/2));
-    # at x = 9 the largest term is ~2e2, so exact summation keeps the
-    # cancellation error near 1e-12 absolute.
     q = 0.25 * x * x
-    term = q * 8.0 / (3.0 * math.pi)
-    terms = [term]
-    k = 0
-    while abs(term) > 1e-22:
-        term = -term * q / ((k + 1.5) * (k + 2.5))
-        terms.append(term)
-        k += 1
-        if k > 200:
-            break
-    return math.fsum(terms)
+    return q * _polevl(q, H1_SERIES)
 
 
 def _h1_large(x):
@@ -238,14 +257,13 @@ def _h1_large(x):
     return _y1_large(x) + (b0 - b1 * t)
 
 
-def struve_h1(x: float) -> float:
-    """Struve function of order one, for x >= 0."""
-    x = float(x)
-    if not x >= 0.0:
-        raise SpecialFunctionDomainError("struve_h1 requires x >= 0, got %r" % x)
-    if x <= STRUVE_SEAM:
-        return _h1_series(x)
-    return _h1_large(x)
+def struve_h1(x):
+    """Struve function of order one, for x >= 0.
+
+    Accepts a scalar (returns a float) or an array (returns an array).
+    """
+    xx = _checked(x, lambda v: v >= 0.0, "struve_h1 requires x >= 0")
+    return _maybe_scalar(_piecewise(xx, STRUVE_SEAM, _h1_series, _h1_large), x)
 
 
 def lambda_pm(M: float, Gamma: float, p: float) -> tuple:
@@ -289,12 +307,18 @@ def upsilon(M: float, Gamma: float, p: float) -> complex:
     return complex(lam_minus, lam_plus)
 
 
+def xi_mass_factor(M, p):
+    """c = (1 - p^2/M^2) / (1 + p^2/M^2)^2, the only way xi_fn depends on M."""
+    r = (p / M) ** 2
+    return (1.0 - r) / (1.0 + r) ** 2
+
+
 def xi_fn(M: float, p: float, t: float) -> complex:
     """Oscillatory tail kernel of the boosted survival amplitude.
 
     xi = (pi/2) (H1(pt) - i J1(pt)) - 1
          + c (1 + (pi/2) (Y1(pt) - H1(pt))),
-    c = (1 - p^2/M^2) / (1 + p^2/M^2)^2.
+    c = xi_mass_factor(M, p).
 
     Both p = 0 and t = 0 are rejected: Y1 is singular at zero argument and
     the p -> 0 limit is handled upstream by a dedicated branch.
@@ -309,8 +333,7 @@ def xi_fn(M: float, p: float, t: float) -> complex:
             "xi_fn requires p > 0 and t > 0, got p=%r t=%r" % (p, t)
         )
     z = p * t
-    r = (p / M) ** 2
-    c = (1.0 - r) / (1.0 + r) ** 2
+    c = xi_mass_factor(M, p)
     h1 = struve_h1(z)
     j1 = bessel_j1(z)
     y1 = bessel_y1(z)

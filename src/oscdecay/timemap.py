@@ -7,15 +7,15 @@ window the map is close to the line t / gamma, and linearity_fit
 quantifies how close.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .boost import survival_boosted
+# survival_boosted and survival_rest are unused here but stay bound:
+# perfbench/spans.py traces calls through these module attributes
+from .boost import BoostedLaw, survival_boosted  # noqa: F401
 from .kinematics import BoostContext, RestModeSet
-from .restframe import CurveSeries, amplitude_rest, survival_rest
+from .restframe import CurveSeries, amplitude_rest, decay_rate_rest, survival_rest  # noqa: F401
 from .window import TimeWindow
 
 __all__ = [
@@ -33,6 +33,13 @@ INVERT_REL_TOL = 1e-12
 TAIL_CAP_OVER_GAMMA1 = 1e4
 # below this target the inversion works on log P0 to keep conditioning
 _LOG_SWITCH = 1e-2
+# Newton stops after a step below this fraction of the root; bisection
+# once the bracket is below the second one
+_NEWTON_LAST_STEP = 1e-10
+_BRACKET_REL_TOL = 4.0 * np.finfo(float).eps
+_TINY = np.finfo(float).tiny
+# bisection alone needs ~55 halvings from a doubling bracket
+_MAX_ITER = 100
 
 
 class TimeMapError(ValueError):
@@ -52,81 +59,140 @@ class LinearityFit:
     n_points: int
 
 
-def invert_survival_rest(modes: RestModeSet, r: float) -> float:
-    """The time at which the rest-frame survival equals r.
+def _gap(modes, t, r, log_r, use_log):
+    """Signed gap P0(t) - r (2 log amplitude - log r where use_log) and its slope.
 
-    Brackets the root by doubling from 1/Gamma_1, then refines with a
-    safeguarded bracketing solver; for r < 1e-2 the solve runs on
-    2 log(amplitude) instead of the probability itself, which keeps the
-    deep tail conditioned and immune to squaring underflow. The result
-    satisfies |P0(t) - r| <= 1e-12 r.
+    The slope comes from decay_rate_rest; in log space it is dP0/dt / P0,
+    which loses its digits where P0 is subnormal: it is NaN there, and the
+    caller bisects.
     """
-    r = float(r)
-    if not 0.0 < r <= 1.0:
-        raise TimeMapError("target probability must lie in (0, 1], got %r" % r)
-    if r == 1.0:
-        return 0.0
+    amp = amplitude_rest(modes, t)
+    rate = decay_rate_rest(modes, t)
+    p0 = amp * amp
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gap = np.where(use_log, 2.0 * np.log(amp) - log_r, p0 - r)
+        slope = np.where(use_log, rate / np.where(p0 >= _TINY, p0, np.nan), rate)
+    return gap, slope
 
+
+def _solve(modes, r):
+    # roots of P0(t) = r for every r in (0, 1), all points at once: bracket
+    # by doubling from 1/Gamma_1, start where the log gap interpolates to 0,
+    # then rtsafe (Newton steps kept inside the bracket, bisection when a
+    # step leaves it or fails to halve the one before last). Each point
+    # iterates only until its own step converges, so its root does not
+    # depend on the rest of the array.
     gamma1 = float(modes.Gamma[0])
     cap = TAIL_CAP_OVER_GAMMA1 / gamma1
-    log_r = math.log(r)
+    log_r = np.log(r)
+    use_log = r < _LOG_SWITCH
 
-    def log_gap(t):
-        # 2 log amplitude - log r; amplitude is a positive sum, so the log
-        # exists wherever exp(-Gamma t / 2) has not underflowed
-        return 2.0 * math.log(float(amplitude_rest(modes, t))) - log_r
-
-    lo = 0.0
-    hi = 1.0 / gamma1
-    while log_gap(hi) > 0.0:
-        lo = hi
-        hi *= 2.0
-        if hi > cap:
+    # the bracket runs on the log gap, immune to squaring underflow
+    lo = np.zeros_like(r)
+    hi = np.full_like(r, 1.0 / gamma1)
+    gap_lo = -log_r
+    gap_hi = np.empty_like(r)
+    up = np.arange(len(r))
+    while len(up):
+        with np.errstate(divide="ignore"):
+            gap_hi[up] = 2.0 * np.log(amplitude_rest(modes, hi[up])) - log_r[up]
+        up = up[gap_hi[up] > 0.0]
+        lo[up] = hi[up]
+        gap_lo[up] = gap_hi[up]
+        hi[up] *= 2.0
+        beyond = up[hi[up] > cap]
+        if len(beyond):
             raise TimeMapError(
-                "target %r lies below the representable tail (t beyond %r)" % (r, cap)
+                "target %r lies below the representable tail (t beyond %r)"
+                % (float(r[beyond[0]]), cap)
             )
 
-    if r < _LOG_SWITCH:
-        root = brentq(log_gap, lo, hi, xtol=1e-300, rtol=4.0 * np.finfo(float).eps)
-        resid = abs(log_gap(root))
-        if resid > INVERT_REL_TOL:
-            raise TimeMapError(
-                "inversion residual %r exceeds %r in log space at r=%r"
-                % (resid, INVERT_REL_TOL, r)
-            )
-    else:
-        def gap(t):
-            return float(survival_rest(modes, t)) - r
+    with np.errstate(invalid="ignore"):
+        t = lo + (hi - lo) * (gap_lo / (gap_lo - gap_hi))
+    t = np.where((t > lo) & (t < hi), t, 0.5 * (lo + hi))
+    dx = hi - lo
+    dx_old = dx.copy()
+    active = np.arange(len(r))
+    for _ in range(_MAX_ITER):
+        if not len(active):
+            break
+        a = active
+        gap, slope = _gap(modes, t[a], r[a], log_r[a], use_log[a])
+        # P0 falls strictly: a positive gap puts the root to the right
+        lo[a] = np.where(gap > 0.0, t[a], lo[a])
+        hi[a] = np.where(gap < 0.0, t[a], hi[a])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = np.where(np.isfinite(slope) & (slope < 0.0), gap / slope, np.nan)
+        newton = t[a] - step
+        # a Newton step this small leaves an error of order step^2 (and may
+        # round onto the bracket end): take it and stop
+        done = (np.abs(step) <= _NEWTON_LAST_STEP * t[a]) \
+            | (hi[a] - lo[a] <= _BRACKET_REL_TOL * t[a])
+        bisect = ~done & (~((newton > lo[a]) & (newton < hi[a]))
+                          | ~(np.abs(2.0 * step) < np.abs(dx_old[a])))
+        dx_old[a] = dx[a]
+        dx[a] = np.where(bisect, 0.5 * (hi[a] - lo[a]), step)
+        t[a] = np.where(bisect, lo[a] + dx[a], newton)
+        active = a[~done]
+    return t, _gap(modes, t, r, log_r, use_log)[0], use_log
 
-        root = brentq(gap, lo, hi, xtol=1e-300, rtol=4.0 * np.finfo(float).eps)
-        resid = abs(gap(root))
-        if resid > INVERT_REL_TOL * r:
-            raise TimeMapError(
-                "inversion residual %r exceeds %r at r=%r" % (resid, INVERT_REL_TOL * r, r)
-            )
-    return float(root)
+
+def invert_survival_rest(modes: RestModeSet, r):
+    """The time at which the rest-frame survival equals r (a float or an array).
+
+    Brackets each root by doubling from 1/Gamma_1 up to the tail cap, then
+    refines with safeguarded Newton steps (derivative: decay_rate_rest)
+    and a bisection fallback; for r < 1e-2 the solve runs on
+    2 log(amplitude) instead of the probability itself, which keeps the
+    deep tail conditioned and immune to squaring underflow. Every result
+    satisfies |P0(t) - r| <= 1e-12 r (log residual <= 1e-12 below 1e-2).
+    Errors name the first offending target.
+    """
+    rr = np.atleast_1d(np.asarray(r, dtype=float))
+    bad = ~((rr > 0.0) & (rr <= 1.0))
+    if bad.any():
+        raise TimeMapError("target probability must lie in (0, 1], got %r" % float(rr[bad][0]))
+    out = np.zeros_like(rr)
+    below = np.flatnonzero(rr < 1.0)
+    target = rr[below]
+    root, resid, use_log = _solve(modes, target)
+    tol = np.where(use_log, INVERT_REL_TOL, INVERT_REL_TOL * target)
+    failed = np.flatnonzero(np.abs(resid) > tol)
+    if len(failed):
+        i = failed[0]
+        raise TimeMapError(
+            "inversion residual %r exceeds %r%s at r=%r"
+            % (abs(float(resid[i])), float(tol[i]), " in log space" if use_log[i] else "",
+               float(target[i]))
+        )
+    out[below] = root
+    return float(out[0]) if np.ndim(r) == 0 else out
 
 
-def phi_p(modes: RestModeSet, ctx: BoostContext, t) -> float:
+def phi_p(modes: RestModeSet, ctx: BoostContext, t):
     """Rest-frame time whose survival matches the boosted one at lab time t.
 
-    phi_p(t) = P0^{-1}(P_p(t)). The boosted probability must fall in
-    (0, 1]; rounding-level overshoot above 1 (at most 1e-12) is clamped,
-    anything larger is reported with the offending value.
+    phi_p(t) = P0^{-1}(P_p(t)), for a scalar t (returns a float) or an
+    array of times (returns an array). The boosted probability must fall
+    in (0, 1]; rounding-level overshoot above 1 (at most 1e-12) is
+    clamped, anything larger, and underflow to 0, raises TimeMapError
+    naming the first offending point. BoostedLaw's own domain errors are
+    raised first.
     """
-    ev = survival_boosted(modes, ctx, float(t))
-    r = ev.P_p
-    if r > 1.0:
-        if r <= 1.0 + 1e-12:
-            r = 1.0
-        else:
+    ev = BoostedLaw(modes, ctx)(t)
+    r = np.atleast_1d(ev.P_p)
+    bad = np.flatnonzero((r > 1.0 + 1e-12) | (r <= 0.0))
+    if len(bad):
+        i = bad[0]
+        at = float(np.atleast_1d(ev.t)[i])
+        if r[i] > 1.0:
             raise TimeMapError(
                 "boosted survival %r exceeds 1 at t=%r; the time map is undefined there"
-                % (r, ev.t)
+                % (float(r[i]), at)
             )
-    if r <= 0.0:
-        raise TimeMapError("boosted survival %r underflowed at t=%r" % (r, ev.t))
-    return invert_survival_rest(modes, r)
+        raise TimeMapError("boosted survival %r underflowed at t=%r" % (float(r[i]), at))
+    phi = invert_survival_rest(modes, np.minimum(r, 1.0))
+    return float(phi[0]) if np.ndim(t) == 0 else phi
 
 
 def linearity_fit(series: CurveSeries, window: TimeWindow, ctx: BoostContext) -> LinearityFit:

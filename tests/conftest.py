@@ -3,7 +3,9 @@
 import json
 import os
 
+import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 import oscdecay as od
 
@@ -65,6 +67,32 @@ def heavy_scaling_set():
     modes = make_single_mode(2000.0, 20.0, 0.02)
     ctx = od.shifted_kinematics(modes, 2000.0)
     return modes, ctx
+
+
+@st.composite
+def boosted_grids(draw, max_modes=4, points=40):
+    """A valid mode set of up to max_modes modes, a boost p in [0.5 M, 3 M]
+    and a lab time grid that starts inside the validity domain and runs
+    far enough into the tail to cross P = 1e-2."""
+    n = draw(st.integers(min_value=1, max_value=max_modes))
+    M = draw(st.floats(min_value=50.0, max_value=500.0))
+    gammas = sorted(draw(st.lists(st.floats(min_value=0.2, max_value=2.0),
+                                  min_size=n, max_size=n, unique=True)))
+    raw_w = draw(st.lists(st.floats(min_value=0.1, max_value=1.0), min_size=n, max_size=n))
+    a = draw(st.lists(st.floats(min_value=0.0, max_value=0.45), min_size=n, max_size=n))
+    omega = []
+    for g, aj in zip(gammas, a):
+        # narrow width: Gamma/(M - Omega) <= 0.05; rate positivity:
+        # Gamma > 2 a Omega / sqrt(1 - 2a)
+        cap = M - 20.0 * g
+        if 2.0 * aj * cap > g * np.sqrt(1.0 - 2.0 * aj):
+            cap = g * np.sqrt(1.0 - 2.0 * aj) / (2.0 * aj)
+        omega.append(0.99 * cap * draw(st.floats(min_value=0.0, max_value=1.0)))
+    modes = od.validate_modes({"M": M, "w": list(np.array(raw_w) / sum(raw_w)),
+                               "Gamma": gammas, "Omega": omega, "a": a})
+    ctx = od.shifted_kinematics(modes, draw(st.floats(min_value=0.5, max_value=3.0)) * M)
+    t = np.linspace(0.5 / gammas[0], 12.0 * ctx.gamma / gammas[0], points)
+    return modes, ctx, t
 
 
 # one printed line per acceptance check, flushed after the test summary so

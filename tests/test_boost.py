@@ -5,12 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import oscdecay as od
 from oscdecay.boost import BoostDomainError, k_fn, phi_fn
 from oscdecay.specfun import upsilon
 
-from conftest import make_boosted, make_single_mode
+from conftest import boosted_grids, make_boosted, make_single_mode
 
 
 def test_k_single_term_when_no_oscillation():
@@ -179,6 +180,51 @@ def test_boosted_spot_against_frozen_background(frozen_spots):
     amp = K + 1j * (200.0 * 1.0 / (math.pi * 80.0 ** 2)) * phi
     assert ev.P_p == pytest.approx(abs(amp) ** 2, rel=1e-12)
     assert ev.K_sum == pytest.approx(K, rel=1e-13)
+
+
+@settings(max_examples=40, deadline=None)
+@given(boosted_grids())
+def test_law_matches_per_mode_reference(case):
+    # the compiled grid law against sum_j w_j (k_fn + i p Gamma_j/(pi M^2) phi_fn)
+    modes, ctx, t = case
+    M, p = modes.M, ctx.p
+    ev = od.BoostedLaw(modes, ctx)(t)
+    assert ev.P_p.min() < 1e-2 < ev.P_p.max()
+    for i, ti in enumerate(t):
+        ref = sum(
+            w * (k_fn(M, g, p, om, a, ti)
+                 + 1j * (p * g / (math.pi * M * M)) * phi_fn(M, p, om, a, ti))
+            for w, g, om, a in zip(modes.w, modes.Gamma, modes.Omega, modes.a)
+        )
+        p_ref = abs(ref) ** 2
+        assert abs(ev.K_sum[i] + ev.Phi_term[i] - ref) <= 1e-12 * abs(ref)
+        assert abs(ev.P_p[i] - p_ref) <= 1e-12 * p_ref
+        valid = all(ti > 0.1 / g or (M - modes.Omega.max()) * ti >= 10.0 for g in modes.Gamma)
+        assert ev.in_validity_domain[i] == valid
+        assert ev.exceeds_unity[i] == (p_ref > 1.0)
+
+
+def test_law_scalar_call_is_one_point_of_grid(mode_p200_m80):
+    # same arithmetic; vectorised exp/sin/cos may differ from the one-point
+    # call in the last bit
+    modes, ctx = mode_p200_m80
+    t = np.linspace(0.05, 15.0, 31)
+    grid = od.BoostedLaw(modes, ctx)(t)
+    for i, ti in enumerate(t):
+        ev = od.survival_boosted(modes, ctx, ti)
+        assert type(ev.P_p) is float and type(ev.K_sum) is complex
+        assert type(ev.in_validity_domain) is bool
+        assert ev.P_p == pytest.approx(grid.P_p[i], rel=1e-14)
+        assert ev.K_sum == pytest.approx(grid.K_sum[i], rel=1e-14)
+        assert ev.in_validity_domain == grid.in_validity_domain[i]
+
+
+def test_law_rejects_bad_times_anywhere_on_grid(mode_p200_m80):
+    modes, ctx = mode_p200_m80
+    law = od.BoostedLaw(modes, ctx)
+    for bad in (np.array([1.0, 0.0, 2.0]), np.array([1.0, -1.0]), np.array([1.0, np.nan])):
+        with pytest.raises(BoostDomainError):
+            law(bad)
 
 
 def test_validity_domain_flags():

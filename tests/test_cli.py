@@ -2,11 +2,14 @@
 
 import csv
 import json
+import os
 import shutil
 import subprocess
+import sys
 
 import pytest
 
+import oscdecay
 from oscdecay.cli import main
 
 
@@ -242,3 +245,14 @@ def test_console_script_is_installed(tmp_path):
     header, rows = read_csv(str(out))
     assert header == "t,gamma_t,value"
     assert len(rows) == 6
+
+
+def test_cli_import_loads_no_scipy():
+    # the runtime depends on numpy alone; scipy is a test-only dependency
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(os.path.abspath(oscdecay.__file__)))
+    code = "import sys, oscdecay.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

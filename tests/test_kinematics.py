@@ -1,6 +1,7 @@
 """Kinematics: Lorentz factors, shifted-mode quantities, model validation."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -30,6 +31,27 @@ def test_lorentz_factor_rejects_nonpositive_mass():
         od.lorentz_factor(0.0, 10.0)
     with pytest.raises(Exception):
         od.lorentz_factor(-5.0, 10.0)
+
+
+@pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf])
+def test_nonfinite_momentum_rejected(p):
+    modes = make_single_mode(80.0, 10.0, 0.04)
+    with pytest.raises(ValueError):
+        od.lorentz_factor(80.0, p)
+    with pytest.raises(ValueError):
+        od.shifted_kinematics(modes, p)
+
+
+def test_large_finite_momentum_accepted():
+    modes = make_single_mode(80.0, 10.0, 0.04)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        gamma = od.lorentz_factor(80.0, 1e300)
+        ctx = od.shifted_kinematics(modes, 1e300)
+    assert gamma == pytest.approx(1e300 / 80.0, rel=1e-15)
+    assert ctx.gamma == gamma
+    for arr in (ctx.gamma_minus, ctx.gamma_plus, ctx.Gamma_minus, ctx.Gamma_plus):
+        assert np.all(np.isfinite(arr)) and np.all(arr > 0.0)
 
 
 @settings(max_examples=300, deadline=None)

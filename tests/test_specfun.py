@@ -23,31 +23,45 @@ def _max_rel_err(got, ref):
     return float(np.max(np.abs(got - ref) / np.maximum(np.abs(ref), 1e-300)))
 
 
-def test_j1_against_reference_table(specfun_table):
-    x = specfun_table["x"]
-    got = [bessel_j1(v) for v in x]
+def _per_point(fn, x):
+    return np.array([fn(v) for v in x])
+
+
+def _whole_array(fn, x):
+    return fn(np.asarray(x))
+
+
+# each table test runs once scalar by scalar and once on the whole table
+evaluations = pytest.mark.parametrize(
+    "evaluate", [_per_point, _whole_array], ids=["per_point", "array"])
+
+
+@evaluations
+def test_j1_against_reference_table(specfun_table, evaluate):
+    got = evaluate(bessel_j1, specfun_table["x"])
     assert _max_rel_err(got, specfun_table["j1"]) <= 1e-10
 
 
-def test_y1_against_reference_table(specfun_table):
-    x = specfun_table["x"]
-    got = [bessel_y1(v) for v in x]
+@evaluations
+def test_y1_against_reference_table(specfun_table, evaluate):
+    got = evaluate(bessel_y1, specfun_table["x"])
     assert _max_rel_err(got, specfun_table["y1"]) <= 1e-10
 
 
-def test_h1_against_reference_table(specfun_table):
-    x = specfun_table["x"]
-    got = [struve_h1(v) for v in x]
+@evaluations
+def test_h1_against_reference_table(specfun_table, evaluate):
+    got = evaluate(struve_h1, specfun_table["x"])
     assert _max_rel_err(got, specfun_table["h1"]) <= 1e-10
 
 
-def test_envelope_relative_error_tighter(specfun_table):
+@evaluations
+def test_envelope_relative_error_tighter(specfun_table, evaluate):
     # away from zeros the oscillation envelope sqrt(2/(pi x)) is the
     # natural scale; against it the table agreement is ~1e-13
     x = np.array(specfun_table["x"])
     for name, fn in (("j1", bessel_j1), ("y1", bessel_y1)):
         ref = np.array(specfun_table[name])
-        got = np.array([fn(v) for v in x])
+        got = evaluate(fn, x)
         env = np.sqrt(2.0 / (np.pi * np.maximum(x, 1e-300)))
         scale = np.maximum(np.abs(ref), np.where(x > 1, env, np.abs(ref)))
         assert np.max(np.abs(got - ref) / scale) <= 1e-12

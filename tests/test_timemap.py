@@ -4,11 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import oscdecay as od
 from oscdecay.timemap import TimeMapError
 
-from conftest import make_boosted, make_single_mode
+from conftest import boosted_grids, make_boosted, make_single_mode
 
 
 def test_invert_full_probability_is_zero():
@@ -67,6 +68,54 @@ def test_invert_domain_is_total_down_to_subnormal_floor():
     log_p = 2.0 * math.log(od.amplitude_rest(modes, t))
     assert abs(log_p - math.log(5e-324)) <= 1e-12
     assert t < od.timemap.TAIL_CAP_OVER_GAMMA1 / modes.Gamma[0]
+
+
+def test_invert_array_keeps_every_contract():
+    # one call over targets spanning r = 1, both solve spaces and the
+    # subnormal floor; each point meets its own residual contract
+    modes = od.validate_modes(
+        {"M": 100.0, "w": [0.7, 0.3], "Gamma": [1.0, 2.5],
+         "Omega": [10.0, 0.0], "a": [0.04, 0.0]}
+    )
+    r = np.array([1.0, 0.999999, 0.5, 1e-2, 0.00999, 1e-6, 1e-100, 5e-324])
+    t = od.invert_survival_rest(modes, r)
+    assert t[0] == 0.0
+    for ti, ri in zip(t[1:], r[1:]):
+        if ri >= 1e-2:
+            assert abs(od.survival_rest(modes, ti) - ri) <= 1e-12 * ri
+        else:
+            assert abs(2.0 * math.log(od.amplitude_rest(modes, ti)) - math.log(ri)) <= 1e-12
+        assert ti == pytest.approx(od.invert_survival_rest(modes, float(ri)), rel=1e-12)
+
+
+def test_invert_array_rejects_any_bad_target():
+    modes = make_single_mode(100.0, 10.0, 0.04)
+    with pytest.raises(TimeMapError, match="1.5"):
+        od.invert_survival_rest(modes, np.array([0.5, 1.5, 0.0]))
+
+
+@settings(max_examples=25, deadline=None)
+@given(boosted_grids())
+def test_phi_array_matches_per_point(case):
+    modes, ctx, t = case
+    phi = od.phi_p(modes, ctx, t)
+    r = od.BoostedLaw(modes, ctx)(t).P_p
+    assert r.min() < 1e-2 < r.max()
+    for ti, phi_i, ri in zip(t, phi, r):
+        assert abs(od.phi_p(modes, ctx, ti) - phi_i) <= 1e-12 * phi_i
+        if ri >= 1e-2:
+            assert abs(od.survival_rest(modes, phi_i) - ri) <= 1e-12 * ri
+        else:
+            assert abs(2.0 * math.log(od.amplitude_rest(modes, phi_i)) - math.log(ri)) <= 1e-12
+
+
+def test_phi_array_reports_first_bad_point(mode_p200_m80):
+    # small t with p > 0 leaves (0, 1]: the array call raises like the
+    # first failing scalar call
+    modes, ctx = mode_p200_m80
+    t = np.array([5.0, 1e-8, 1e-9])
+    with pytest.raises(TimeMapError, match="t=1e-08"):
+        od.phi_p(modes, ctx, t)
 
 
 def test_phi_identity_frame():
