@@ -9,10 +9,11 @@ over modes is the survival probability at momentum p.
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from ._points import as_points, maybe_scalar
 from .kinematics import BoostContext, RestModeSet
 from .restframe import amplitude_rest, survival_rest, survival_rest_split
 from .specfun import bessel_j1, bessel_y1, struve_h1, upsilon, xi_fn, xi_mass_factor
@@ -102,7 +103,6 @@ def phi_fn(M: float, p: float, Omega: float, a: float, t: float) -> complex:
     return out
 
 
-@dataclass(frozen=True, eq=False)
 class BoostedLaw:
     """The boosted survival law of one (modes, ctx) pair, compiled for grids.
 
@@ -126,22 +126,15 @@ class BoostedLaw:
     overshoot is flagged per point.
     """
 
-    modes: RestModeSet
-    ctx: BoostContext
-    at_rest: bool = field(init=False)
-    weights: np.ndarray = field(init=False, repr=False)
-    exponents: np.ndarray = field(init=False, repr=False)
-    prefactor: float = field(init=False)
-    C_A: float = field(init=False)
-    C_B: float = field(init=False)
-
-    def __post_init__(self):
-        modes, p = self.modes, self.ctx.p
-        M = modes.M
+    def __init__(self, modes: RestModeSet, ctx: BoostContext):
+        self.modes = modes
+        self.ctx = ctx
+        p, M = ctx.p, modes.M
+        self.at_rest = p < P_ZERO_REL * M
+        self.prefactor = p / (math.pi * M * M)
         weights, exponents = [], []
         C_A = C_B = 0.0
-        at_rest = p < P_ZERO_REL * M
-        if not at_rest:
+        if not self.at_rest:
             for wj, Gj, Oj, aj in zip(modes.w, modes.Gamma, modes.Omega, modes.a):
                 weights += [wj * (1.0 - aj), 0.5 * wj * aj, 0.5 * wj * aj]
                 exponents += [-0.5 * upsilon(m, Gj, p) for m in (M, M - Oj, M + Oj)]
@@ -150,22 +143,14 @@ class BoostedLaw:
                 C_A += wj * Gj * ((1.0 - aj) + 0.5 * aj * (1.0 / rm2 + 1.0 / rp2))
                 C_B += wj * Gj * ((1.0 - aj) * xi_mass_factor(M, p) + 0.5 * aj * (
                     xi_mass_factor(M - Oj, p) / rm2 + xi_mass_factor(M + Oj, p) / rp2))
-        computed = {
-            "at_rest": at_rest,
-            "weights": np.array(weights, dtype=float),
-            "exponents": np.array(exponents, dtype=complex),
-            "prefactor": p / (math.pi * M * M),
-            "C_A": float(C_A),
-            "C_B": float(C_B),
-        }
-        for name, value in computed.items():
-            object.__setattr__(self, name, value)
+        self.weights = np.array(weights, dtype=float)
+        self.exponents = np.array(exponents, dtype=complex)
+        self.C_A = float(C_A)
+        self.C_B = float(C_B)
 
     def __call__(self, t) -> BoostedEvaluation:
-        tt = np.atleast_1d(np.asarray(t, dtype=float))
-        bad = ~(np.isfinite(tt) & (tt >= 0.0))
-        if bad.any():
-            raise BoostDomainError("time must be finite and >= 0, got %r" % float(tt[bad][0]))
+        tt = as_points(t, lambda v: np.isfinite(v) & (v >= 0.0), "time must be finite and >= 0",
+                       BoostDomainError)
         modes = self.modes
         M = modes.M
 
@@ -197,14 +182,9 @@ class BoostedLaw:
                     % (float(P_p[over][0]), UNITY_EXCESS_TOL)
                 )
 
-        if np.ndim(t) == 0:
-            return BoostedEvaluation(
-                t=float(tt[0]), K_sum=complex(K_sum[0]), Phi_term=complex(Phi_term[0]),
-                P_p=float(P_p[0]), in_validity_domain=bool(valid[0]),
-                exceeds_unity=bool(P_p[0] > 1.0),
-            )
-        return BoostedEvaluation(t=tt, K_sum=K_sum, Phi_term=Phi_term, P_p=P_p,
-                                 in_validity_domain=valid, exceeds_unity=P_p > 1.0)
+        fields = dict(t=tt, K_sum=K_sum, Phi_term=Phi_term, P_p=P_p,
+                      in_validity_domain=valid, exceeds_unity=P_p > 1.0)
+        return BoostedEvaluation(**{k: maybe_scalar(v, t) for k, v in fields.items()})
 
 
 def survival_boosted(modes: RestModeSet, ctx: BoostContext, t) -> BoostedEvaluation:

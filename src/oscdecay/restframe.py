@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._points import as_points, maybe_scalar
 from ._quad import adaptive_gauss
 from .kinematics import RestModeSet
 
@@ -87,16 +88,7 @@ class DecayRateCoefficients:
 
 
 def _check_times(t):
-    arr = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(arr < 0.0) or not np.all(np.isfinite(arr)):
-        raise ValueError("times must be finite and >= 0")
-    return arr
-
-
-def _maybe_scalar(result, t):
-    if np.isscalar(t) or (isinstance(t, np.ndarray) and t.ndim == 0):
-        return float(result[0])
-    return result
+    return as_points(t, lambda v: np.isfinite(v) & (v >= 0.0), "times must be finite and >= 0")
 
 
 def amplitude_rest(modes: RestModeSet, t):
@@ -105,7 +97,7 @@ def amplitude_rest(modes: RestModeSet, t):
     damp = np.exp(-0.5 * np.outer(modes.Gamma, tt))
     osc = (1.0 - modes.a)[:, None] + modes.a[:, None] * np.cos(np.outer(modes.Omega, tt))
     out = (modes.w[:, None] * damp * osc).sum(axis=0)
-    return _maybe_scalar(out, t)
+    return maybe_scalar(out, t)
 
 
 def survival_rest(modes: RestModeSet, t):
@@ -149,7 +141,7 @@ def survival_rest_split(modes: RestModeSet, t):
     )
     osc_part = ((ww * a[:, None])[:, :, None] * e_jl * bracket).sum(axis=(0, 1))
 
-    return _maybe_scalar(exp_part, t), _maybe_scalar(osc_part, t)
+    return maybe_scalar(exp_part, t), maybe_scalar(osc_part, t)
 
 
 def decay_rate_coefficients(modes: RestModeSet) -> DecayRateCoefficients:
@@ -161,16 +153,23 @@ def decay_rate_coefficients(modes: RestModeSet) -> DecayRateCoefficients:
     return DecayRateCoefficients(lam1=lam1, lam2=lam2, beta=beta)
 
 
-def decay_rate_rest(modes: RestModeSet, t):
-    """dP0/dt in closed form; nonpositive for every valid mode set."""
-    tt = _check_times(t)
+def rate_over_amplitude(modes: RestModeSet, tt):
+    """-dP0/dt / sqrt(P0) = -2 d sqrt(P0)/dt on a 1-d array of checked times.
+
+    Finite wherever the amplitude is, so -rate_over_amplitude / amplitude
+    gives d log P0 / dt to full precision even where P0 itself is subnormal.
+    """
     coeff = decay_rate_coefficients(modes)
     damp = np.exp(-0.5 * np.outer(modes.Gamma, tt))
     phase = np.cos(np.outer(modes.Omega, tt) - coeff.beta[:, None])
-    inner = (modes.w[:, None] * damp * (coeff.lam1[:, None] + coeff.lam2[:, None] * phase)).sum(axis=0)
-    amp = np.atleast_1d(amplitude_rest(modes, tt))
-    out = -amp * inner
-    return _maybe_scalar(out, t)
+    return (modes.w[:, None] * damp * (coeff.lam1[:, None] + coeff.lam2[:, None] * phase)).sum(axis=0)
+
+
+def decay_rate_rest(modes: RestModeSet, t):
+    """dP0/dt in closed form; nonpositive for every valid mode set."""
+    tt = _check_times(t)
+    out = -amplitude_rest(modes, tt) * rate_over_amplitude(modes, tt)
+    return maybe_scalar(out, t)
 
 
 def _lorentz(x, Gamma):
@@ -205,7 +204,7 @@ def mdd_analytic(modes: RestModeSet, m):
             term = term + 0.5 * aj * (_lorentz(xx - oj, g) + _lorentz(xx + oj, g))
         total += float(modes.w[j]) * term
     out = np.abs(total) / math.pi
-    return _maybe_scalar(out, m)
+    return maybe_scalar(out, m)
 
 
 def mdd_numeric(modes: RestModeSet, m, t_cut: float = None,
@@ -251,4 +250,4 @@ def mdd_numeric(modes: RestModeSet, m, t_cut: float = None,
 
     mm = np.atleast_1d(np.asarray(m, dtype=float))
     out = np.array([density_at(mi) for mi in mm])
-    return _maybe_scalar(out, m)
+    return maybe_scalar(out, m)

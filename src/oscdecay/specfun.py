@@ -15,6 +15,8 @@ import math
 
 import numpy as np
 
+from ._points import as_points, maybe_scalar
+
 __all__ = [
     "SpecialFunctionDomainError",
     "bessel_j1",
@@ -171,19 +173,6 @@ def _piecewise(x, seam, small, large):
     return out
 
 
-def _checked(x, ok, requirement):
-    """x as a 1-d float array; raises unless ok(x) holds at every point."""
-    xx = np.atleast_1d(np.asarray(x, dtype=float))
-    bad = ~ok(xx)
-    if bad.any():
-        raise SpecialFunctionDomainError("%s, got %r" % (requirement, float(xx[bad][0])))
-    return xx
-
-
-def _maybe_scalar(result, x):
-    return float(result[0]) if np.ndim(x) == 0 else result
-
-
 def _j1_small(x):
     z = x * x
     w = _polevl(z, RP1) / _p1evl(z, RQ1)
@@ -209,8 +198,8 @@ def bessel_j1(x):
 
     Accepts a scalar (returns a float) or an array (returns an array).
     """
-    xx = _checked(x, lambda v: v >= 0.0, "bessel_j1 requires x >= 0")
-    return _maybe_scalar(_piecewise(xx, BESSEL_SEAM, _j1_small, _j1_large), x)
+    xx = as_points(x, lambda v: v >= 0.0, "bessel_j1 requires x >= 0", SpecialFunctionDomainError)
+    return maybe_scalar(_piecewise(xx, BESSEL_SEAM, _j1_small, _j1_large), x)
 
 
 def _y1_small(x):
@@ -229,8 +218,8 @@ def bessel_y1(x):
 
     Accepts a scalar (returns a float) or an array (returns an array).
     """
-    xx = _checked(x, lambda v: v > 0.0, "bessel_y1 requires x > 0")
-    return _maybe_scalar(_piecewise(xx, BESSEL_SEAM, _y1_small, _y1_large), x)
+    xx = as_points(x, lambda v: v > 0.0, "bessel_y1 requires x > 0", SpecialFunctionDomainError)
+    return maybe_scalar(_piecewise(xx, BESSEL_SEAM, _y1_small, _y1_large), x)
 
 
 # H1(x) = q sum_k c_k q^k with q = x^2/4 and
@@ -262,8 +251,8 @@ def struve_h1(x):
 
     Accepts a scalar (returns a float) or an array (returns an array).
     """
-    xx = _checked(x, lambda v: v >= 0.0, "struve_h1 requires x >= 0")
-    return _maybe_scalar(_piecewise(xx, STRUVE_SEAM, _h1_series, _h1_large), x)
+    xx = as_points(x, lambda v: v >= 0.0, "struve_h1 requires x >= 0", SpecialFunctionDomainError)
+    return maybe_scalar(_piecewise(xx, STRUVE_SEAM, _h1_series, _h1_large), x)
 
 
 def lambda_pm(M: float, Gamma: float, p: float) -> tuple:

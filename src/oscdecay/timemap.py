@@ -11,11 +11,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._points import as_points, maybe_scalar
+
 # survival_boosted and survival_rest are unused here but stay bound:
 # perfbench/spans.py traces calls through these module attributes
 from .boost import BoostedLaw, survival_boosted  # noqa: F401
 from .kinematics import BoostContext, RestModeSet
-from .restframe import CurveSeries, amplitude_rest, decay_rate_rest, survival_rest  # noqa: F401
+from .restframe import CurveSeries, amplitude_rest, rate_over_amplitude, survival_rest  # noqa: F401
 from .window import TimeWindow
 
 __all__ = [
@@ -37,7 +39,6 @@ _LOG_SWITCH = 1e-2
 # once the bracket is below the second one
 _NEWTON_LAST_STEP = 1e-10
 _BRACKET_REL_TOL = 4.0 * np.finfo(float).eps
-_TINY = np.finfo(float).tiny
 # bisection alone needs ~55 halvings from a doubling bracket
 _MAX_ITER = 100
 
@@ -62,16 +63,15 @@ class LinearityFit:
 def _gap(modes, t, r, log_r, use_log):
     """Signed gap P0(t) - r (2 log amplitude - log r where use_log) and its slope.
 
-    The slope comes from decay_rate_rest; in log space it is dP0/dt / P0,
-    which loses its digits where P0 is subnormal: it is NaN there, and the
-    caller bisects.
+    In log space the slope d log P0/dt comes from the amplitude and
+    rate_over_amplitude, both finite where P0 itself is subnormal; in
+    probability space it is decay_rate_rest's dP0/dt.
     """
     amp = amplitude_rest(modes, t)
-    rate = decay_rate_rest(modes, t)
-    p0 = amp * amp
+    k = rate_over_amplitude(modes, t)
     with np.errstate(divide="ignore", invalid="ignore"):
-        gap = np.where(use_log, 2.0 * np.log(amp) - log_r, p0 - r)
-        slope = np.where(use_log, rate / np.where(p0 >= _TINY, p0, np.nan), rate)
+        gap = np.where(use_log, 2.0 * np.log(amp) - log_r, amp * amp - r)
+        slope = np.where(use_log, -k / amp, -amp * k)
     return gap, slope
 
 
@@ -124,15 +124,15 @@ def _solve(modes, r):
         with np.errstate(divide="ignore", invalid="ignore"):
             step = np.where(np.isfinite(slope) & (slope < 0.0), gap / slope, np.nan)
         newton = t[a] - step
-        # a Newton step this small leaves an error of order step^2 (and may
-        # round onto the bracket end): take it and stop
+        inside = (newton > lo[a]) & (newton < hi[a])
+        # a Newton step this small leaves an error of order step^2: take it
+        # if it stays inside the bracket, and stop
         done = (np.abs(step) <= _NEWTON_LAST_STEP * t[a]) \
             | (hi[a] - lo[a] <= _BRACKET_REL_TOL * t[a])
-        bisect = ~done & (~((newton > lo[a]) & (newton < hi[a]))
-                          | ~(np.abs(2.0 * step) < np.abs(dx_old[a])))
+        bisect = ~done & (~inside | ~(np.abs(2.0 * step) < np.abs(dx_old[a])))
         dx_old[a] = dx[a]
         dx[a] = np.where(bisect, 0.5 * (hi[a] - lo[a]), step)
-        t[a] = np.where(bisect, lo[a] + dx[a], newton)
+        t[a] = np.where(bisect, lo[a] + dx[a], np.where(inside, newton, t[a]))
         active = a[~done]
     return t, _gap(modes, t, r, log_r, use_log)[0], use_log
 
@@ -141,17 +141,16 @@ def invert_survival_rest(modes: RestModeSet, r):
     """The time at which the rest-frame survival equals r (a float or an array).
 
     Brackets each root by doubling from 1/Gamma_1 up to the tail cap, then
-    refines with safeguarded Newton steps (derivative: decay_rate_rest)
-    and a bisection fallback; for r < 1e-2 the solve runs on
-    2 log(amplitude) instead of the probability itself, which keeps the
-    deep tail conditioned and immune to squaring underflow. Every result
+    refines with safeguarded Newton steps (derivative: the closed-form
+    dP0/dt of decay_rate_rest) and a bisection fallback; for r < 1e-2 the
+    solve runs on 2 log(amplitude) and its exact slope instead of the
+    probability itself, which keeps the deep tail conditioned and immune
+    to squaring underflow, down to subnormal targets. Every result
     satisfies |P0(t) - r| <= 1e-12 r (log residual <= 1e-12 below 1e-2).
     Errors name the first offending target.
     """
-    rr = np.atleast_1d(np.asarray(r, dtype=float))
-    bad = ~((rr > 0.0) & (rr <= 1.0))
-    if bad.any():
-        raise TimeMapError("target probability must lie in (0, 1], got %r" % float(rr[bad][0]))
+    rr = as_points(r, lambda v: (v > 0.0) & (v <= 1.0), "target probability must lie in (0, 1]",
+                   TimeMapError)
     out = np.zeros_like(rr)
     below = np.flatnonzero(rr < 1.0)
     target = rr[below]
@@ -166,7 +165,7 @@ def invert_survival_rest(modes: RestModeSet, r):
                float(target[i]))
         )
     out[below] = root
-    return float(out[0]) if np.ndim(r) == 0 else out
+    return maybe_scalar(out, r)
 
 
 def phi_p(modes: RestModeSet, ctx: BoostContext, t):
@@ -192,7 +191,7 @@ def phi_p(modes: RestModeSet, ctx: BoostContext, t):
             )
         raise TimeMapError("boosted survival %r underflowed at t=%r" % (float(r[i]), at))
     phi = invert_survival_rest(modes, np.minimum(r, 1.0))
-    return float(phi[0]) if np.ndim(t) == 0 else phi
+    return maybe_scalar(phi, t)
 
 
 def linearity_fit(series: CurveSeries, window: TimeWindow, ctx: BoostContext) -> LinearityFit:

@@ -88,6 +88,26 @@ def test_invert_array_keeps_every_contract():
         assert ti == pytest.approx(od.invert_survival_rest(modes, float(ri)), rel=1e-12)
 
 
+SUBNORMAL_TARGETS = [1e-310, 3e-320, 1e-315, 5e-324]
+TWO_MODE = {"M": 100.0, "w": [0.7, 0.3], "Gamma": [1.0, 2.5],
+            "Omega": [10.0, 0.0], "a": [0.04, 0.0]}
+
+
+@pytest.mark.parametrize("cfg", [
+    {"M": 100.0, "w": [1.0], "Gamma": [1.0], "Omega": [10.0], "a": [0.04]}, TWO_MODE,
+], ids=["one_mode", "two_mode"])
+def test_invert_subnormal_targets_scalar_and_array(cfg):
+    # P0 itself is subnormal at these roots; the amplitude and the log
+    # slope are not, so every point converges to its log-residual contract
+    modes = od.validate_modes(cfg)
+    t_arr = od.invert_survival_rest(modes, np.array(SUBNORMAL_TARGETS + [0.5]))
+    for ri, ti in zip(SUBNORMAL_TARGETS, t_arr):
+        t = od.invert_survival_rest(modes, ri)
+        assert type(t) is float and math.isfinite(t)
+        assert abs(2.0 * math.log(od.amplitude_rest(modes, t)) - math.log(ri)) <= 1e-12
+        assert ti == pytest.approx(t, rel=1e-12)
+
+
 def test_invert_array_rejects_any_bad_target():
     modes = make_single_mode(100.0, 10.0, 0.04)
     with pytest.raises(TimeMapError, match="1.5"):
