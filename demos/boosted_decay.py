@@ -25,11 +25,12 @@ def main():
     spec = QuadratureSpec(abs_tol=1e-8, rel_tol=1e-6)
     t = np.linspace(2.0, 11.0, 10)
     ev = law(t)
+    # the oracle too takes the whole grid in one call
+    direct = direct_survival(modes, 200.0, t, spec)
     print(f"{'t':>5} {'closed form':>13} {'quadrature':>13} {'rel dev':>10} {'valid':>6}")
-    for ti, p_closed, valid in zip(t, ev.P_p, ev.in_validity_domain):
-        direct = direct_survival(modes, 200.0, float(ti), spec)
-        rel = abs(p_closed - direct) / direct
-        print(f"{ti:5.2f} {p_closed:13.6e} {direct:13.6e} {rel:10.2e}"
+    for ti, p_closed, p_direct, valid in zip(t, ev.P_p, direct, ev.in_validity_domain):
+        rel = abs(p_closed - p_direct) / p_direct
+        print(f"{ti:5.2f} {p_closed:13.6e} {p_direct:13.6e} {rel:10.2e}"
               f" {str(valid):>6}")
 
     # the re-exponentiated curve exposes the dilated beat; its peaks sit

@@ -15,7 +15,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -115,10 +114,15 @@ def _grid(config):
     raise ConfigError("grid spacing must be 'linear' or 'log', got %r" % spacing)
 
 
-def _window_params(config) -> WindowParams:
-    raw = config.get("window", {})
+def _section(config, name) -> dict:
+    raw = config.get(name, {})
     if not isinstance(raw, dict):
-        raise ConfigError("'window' section must be an object")
+        raise ConfigError("'%s' section must be an object" % name)
+    return raw
+
+
+def _window_params(config) -> WindowParams:
+    raw = _section(config, "window")
     try:
         return WindowParams(**{k: float(v) for k, v in raw.items()})
     except TypeError as exc:
@@ -126,21 +130,18 @@ def _window_params(config) -> WindowParams:
 
 
 def _quad_spec(config) -> QuadratureSpec:
-    raw = dict(config.get("oracle", {}))
-    if not isinstance(raw, dict):
-        raise ConfigError("'oracle' section must be an object")
+    raw = _section(config, "oracle")
     try:
         return QuadratureSpec(**raw)
     except (TypeError, ValueError) as exc:
         raise ConfigError("bad oracle parameters: %s" % exc)
 
 
-def _map_points(fn, items, parallel):
-    if parallel and parallel > 1:
-        with ThreadPoolExecutor(max_workers=parallel) as pool:
-            # executor.map preserves input order, keeping output deterministic
-            return list(pool.map(fn, items))
-    return [fn(x) for x in items]
+def _bound(config) -> float:
+    bound = float(_section(config, "compare").get("max_rel_deviation", 1e-2))
+    if not (math.isfinite(bound) and bound > 0.0):
+        raise ConfigError("compare.max_rel_deviation must be finite and > 0, got %r" % bound)
+    return bound
 
 
 def _emit_text(text, out_path):
@@ -347,14 +348,12 @@ def cmd_compare(config, args):
     ctx = shifted_kinematics(modes, p)
     t = _grid(config)
     spec = _quad_spec(config)
-    bound = float(config.get("compare", {}).get("max_rel_deviation", 1e-2))
+    bound = _bound(config)
     if p >= P_ZERO_REL * modes.M and t[0] <= 0.0:
         raise ConfigError("compare needs t_min > 0 when p > 0")
 
     closed_vals = BoostedLaw(modes, ctx)(t).P_p
-    direct_vals = np.asarray(
-        _map_points(lambda ti: direct_survival(modes, p, float(ti), spec), t, args.parallel)
-    )
+    direct_vals = direct_survival(modes, p, t, spec)
     closed = CurveSeries(t=t, values=closed_vals, frame="boosted", kind="probability",
                          label="closed-form")
     direct = CurveSeries(t=t, values=direct_vals, frame="boosted", kind="probability",
@@ -396,7 +395,7 @@ def _parse_args(argv):
     common.add_argument("--config", required=True, help="path to the JSON run config")
     common.add_argument("--out", default=None, help="output path (default: stdout)")
     common.add_argument("--parallel", type=int, default=0, metavar="N",
-                        help="run compare's quadrature oracle on N threads")
+                        help="accepted for interface stability; does nothing")
     common.add_argument("--seed", type=int, default=None,
                         help="reserved; accepted for interface stability")
     common.add_argument("--quiet", action="store_true", help="suppress progress notes")

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._points import as_points, maybe_scalar
 from ._quad import QuadratureConvergenceError, adaptive_gauss
 from .kinematics import RestModeSet
 from .restframe import CurveSeries, mdd_analytic
@@ -30,6 +31,11 @@ __all__ = [
 # away from the truncation edges
 _COVERAGE_HALFWIDTHS = 40.0
 _MAX_PHASE_BREAKPOINTS = 500000
+# a block of times shares one partition while its largest time is at most
+# this multiple of its smallest
+_BLOCK_RATIO = 2.0
+# phase factors advanced by recurrence take an exact exp at least this often
+_RESYNC = 32
 
 
 class OracleConvergenceError(RuntimeError):
@@ -184,53 +190,117 @@ def _breakpoints(modes: RestModeSet, p, t, lo, hi):
     return merged
 
 
+def _blocks(times):
+    """(start, stop) ranges of the sorted times, each spanning a factor <= _BLOCK_RATIO."""
+    blocks = []
+    start = 0
+    for i in range(1, len(times) + 1):
+        if i == len(times) or times[i] > _BLOCK_RATIO * times[start]:
+            blocks.append((start, i))
+            start = i
+    return blocks
+
+
+def _runs(times):
+    """(start, stop) ranges of the sorted times whose steps agree to rounding.
+
+    Steps as np.linspace gives them agree to a few ulp of the largest
+    time; a run holds at most _RESYNC steps.
+    """
+    steps = np.diff(times)
+    tol = 8.0 * np.finfo(float).eps * times[-1]
+    runs = []
+    start = 0
+    for i in range(1, len(times) + 1):
+        if (i == len(times) or i - start > _RESYNC
+                or (i > start + 1 and abs(steps[i - 1] - steps[start]) > tol)):
+            runs.append((start, i))
+            start = i
+    return runs
+
+
+def _phase_factors(energy, times, runs, scale):
+    """scale * e^{-i energy t}, one row per sorted time.
+
+    Each run of three or more equal steps starts from an exact exp and
+    advances by one multiply with e^{-i energy dt}; shorter runs are
+    exact at every time.
+    """
+    out = np.empty((len(times), energy.size), dtype=complex)
+    for start, stop in runs:
+        if stop - start < 3:
+            for i in range(start, stop):
+                np.multiply(scale, np.exp(-1j * energy * times[i]), out=out[i])
+            continue
+        np.multiply(scale, np.exp(-1j * energy * times[start]), out=out[start])
+        dt = (times[stop - 1] - times[start]) / (stop - 1 - start)
+        step = np.exp(-1j * energy * dt)
+        for i in range(start + 1, stop):
+            np.multiply(out[i - 1], step, out=out[i])
+    return out
+
+
 def direct_boosted_amplitude(modes: RestModeSet, p, t, spec: QuadratureSpec = None,
                              return_error=False):
     """Survival amplitude at momentum p by direct mass quadrature.
 
     Integrates the analytic density times e^{-i sqrt(p^2+m^2) t} over the
     truncated domain, splitting at every phase half-period and along a
-    width ladder around each Lorentzian center. With return_error the
-    result comes back as (value, error) where error adds the analytic
-    out-of-domain mass bound to the quadrature estimate.
+    width ladder around each Lorentzian center. t is one time or an array
+    of times (results in input order). The sorted times are grouped into
+    blocks whose largest time is at most twice the smallest; each block
+    shares the partition of its largest time, which resolves the phase of
+    every smaller time more finely, and one adaptive Gauss-Kronrod loop in
+    which every time meets its own budget. With return_error the result
+    comes back as (value, error) where error adds the analytic out-of-domain
+    mass bound to the quadrature estimate. OracleConvergenceError names
+    the earliest time that misses its budget.
     """
     if spec is None:
         spec = QuadratureSpec()
     p = float(p)
-    t = float(t)
-    if p < 0.0:
-        raise ValueError("momentum must be >= 0, got %r" % p)
-    if t < 0.0 or not math.isfinite(t):
-        raise ValueError("time must be finite and >= 0, got %r" % t)
+    if not (math.isfinite(p) and p >= 0.0):
+        raise ValueError("momentum must be finite and >= 0, got %r" % p)
+    tt = as_points(t, lambda x: np.isfinite(x) & (x >= 0.0), "time must be finite and >= 0")
 
     lo, hi = _domain(modes, spec)
-    pts = _breakpoints(modes, p, t, lo, hi)
+    times, where = np.unique(tt, return_inverse=True)
+    amp = np.empty(len(times), dtype=complex)
+    err = np.empty(len(times))
+    for start, stop in _blocks(times):
+        block = times[start:stop]
+        runs = _runs(block)
 
-    def integrand(m):
-        dens = mdd_analytic(modes, m)
-        phase = np.sqrt(p * p + m * m) * t
-        return dens * np.exp(-1j * phase)
+        def integrand(m):
+            energy = np.sqrt(p * p + m * m)
+            return _phase_factors(energy, block, runs, mdd_analytic(modes, m))
 
-    try:
-        value, quad_err = adaptive_gauss(
-            integrand, pts, abs_tol=spec.abs_tol, rel_tol=spec.rel_tol,
-            max_segments=spec.max_segments, max_rounds=spec.max_rounds,
-        )
-    except QuadratureConvergenceError as exc:
-        raise OracleConvergenceError(
-            str(exc), value=exc.value, error_estimate=exc.error_estimate
-        ) from exc
+        try:
+            value, quad_err = adaptive_gauss(
+                integrand, _breakpoints(modes, p, float(block[-1]), lo, hi),
+                abs_tol=spec.abs_tol, rel_tol=spec.rel_tol,
+                max_segments=spec.max_segments, max_rounds=spec.max_rounds,
+            )
+        except QuadratureConvergenceError as exc:
+            i = int(np.flatnonzero(~exc.converged)[0])
+            raise OracleConvergenceError(
+                "%s at t=%r" % (exc, float(block[i])),
+                value=complex(exc.value[i]), error_estimate=float(exc.error_estimate[i]),
+            ) from exc
+        amp[start:stop] = value
+        err[start:stop] = quad_err
 
-    value = complex(value)
+    amp = amp[where]
     if return_error:
-        return value, float(quad_err) + _tail_bound(modes, spec, lo, hi)
-    return value
+        err = err[where] + _tail_bound(modes, spec, lo, hi)
+        return maybe_scalar(amp, t), maybe_scalar(err, t)
+    return maybe_scalar(amp, t)
 
 
-def direct_survival(modes: RestModeSet, p, t, spec: QuadratureSpec = None) -> float:
-    """|direct_boosted_amplitude|^2."""
-    amp = direct_boosted_amplitude(modes, p, t, spec)
-    return float(amp.real * amp.real + amp.imag * amp.imag)
+def direct_survival(modes: RestModeSet, p, t, spec: QuadratureSpec = None):
+    """|direct_boosted_amplitude|^2, at one time or on an array of times."""
+    amp = np.atleast_1d(direct_boosted_amplitude(modes, p, t, spec))
+    return maybe_scalar(amp.real * amp.real + amp.imag * amp.imag, t)
 
 
 def oracle_compare(closed: CurveSeries, direct: CurveSeries) -> ComparisonReport:

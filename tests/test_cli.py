@@ -231,6 +231,36 @@ def test_compare_exit_codes(tmp_path):
                  str(tmp_path / "cmp2.out"), "--quiet"]) == 1
 
 
+@pytest.mark.parametrize("section", [
+    {"compare": 5},
+    {"compare": {"max_rel_deviation": float("nan")}},
+    {"compare": {"max_rel_deviation": -1.0}},
+    {"oracle": []},
+], ids=["compare_not_object", "bound_nan", "bound_negative", "oracle_not_object"])
+def test_compare_rejects_malformed_sections(tmp_path, capsys, section):
+    extra = {"grid": {"t_min": 2.0, "t_max": 6.0, "points": 5},
+             "oracle": {"abs_tol": 1e-7, "rel_tol": 1e-5}}
+    extra.update(section)
+    cfg = write_config(tmp_path, "badcmp.json", extra)
+    assert main(["compare", "--config", cfg, "--out", str(tmp_path / "bad.out"),
+                 "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "invalid config" in err and list(section)[0] in err
+
+
+def test_compare_parallel_flag_is_a_no_op(tmp_path):
+    cfg = write_config(tmp_path, "cmppar.json", {
+        "grid": {"t_min": 2.0, "t_max": 6.0, "points": 9},
+        "oracle": {"abs_tol": 1e-7, "rel_tol": 1e-5},
+    })
+    outs = []
+    for name, extra in (("s.json", []), ("p.json", ["--parallel", "2"])):
+        out = tmp_path / name
+        assert main(["compare", "--config", cfg, "--out", str(out), "--quiet"] + extra) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+
 def test_console_script_is_installed(tmp_path):
     exe = shutil.which("oscdecay")
     assert exe is not None

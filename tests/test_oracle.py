@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import oscdecay as od
+from oscdecay._quad import adaptive_gauss
 from oscdecay.oracle import (
     OracleConvergenceError,
     QuadratureSpec,
@@ -106,6 +107,21 @@ def test_rejects_negative_inputs(mode_p200_m80):
         direct_boosted_amplitude(modes, 200.0, -1.0, FAST)
 
 
+@pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf])
+def test_rejects_non_finite_momentum(mode_p200_m80, p):
+    modes, _ = mode_p200_m80
+    with pytest.raises(ValueError, match="momentum.*%s" % p):
+        direct_boosted_amplitude(modes, p, 1.0, FAST)
+
+
+def test_accepts_large_finite_momentum(mode_p200_m80):
+    modes, _ = mode_p200_m80
+    p = 3.0 * modes.M
+    got = direct_survival(modes, p, 2.0, FAST)
+    want = od.survival_boosted(modes, od.shifted_kinematics(modes, p), 2.0).P_p
+    assert abs(got - want) <= 1e-2 * want
+
+
 def test_nonconvergence_carries_best_estimate(mode_p200_m80):
     modes, _ = mode_p200_m80
     starved = QuadratureSpec(abs_tol=1e-14, rel_tol=1e-14,
@@ -114,6 +130,69 @@ def test_nonconvergence_carries_best_estimate(mode_p200_m80):
         direct_boosted_amplitude(modes, 200.0, 5.0, starved)
     assert info.value.value is not None
     assert info.value.error_estimate is not None
+
+
+THREE_MODES = {"M": 80.0, "w": [0.5, 0.3, 0.2], "Gamma": [1.0, 1.5, 2.0],
+               "Omega": [10.0, 5.0, 2.5], "a": [0.04, 0.04, 0.04]}
+
+ORACLE_GRIDS = {
+    # more than 64 equal steps: the phase recurrence resyncs several times
+    "linspace": np.linspace(2.0, 11.0, 70),
+    # over a decade: several blocks, and unequal steps take exact phases
+    "geomspace": np.geomspace(0.5, 12.0, 25),
+    # unsorted, with a duplicate and t = 0
+    "unsorted": np.array([6.0, 2.5, 0.0, 4.1, 2.5, 3.3, 9.0, 5.2]),
+}
+
+
+def _oracle_modes(case):
+    if case == "three_mode":
+        return od.validate_modes(THREE_MODES)
+    return make_single_mode(80.0, 10.0, 0.04)
+
+
+@pytest.mark.parametrize("grid", sorted(ORACLE_GRIDS))
+@pytest.mark.parametrize("case", ["curve_b", "three_mode"])
+def test_grid_call_matches_per_point_calls(case, grid):
+    # one call shares a partition per block of times; each time still
+    # meets its own budget, so it lands on the per-point value
+    modes = _oracle_modes(case)
+    t = ORACLE_GRIDS[grid]
+    got = direct_survival(modes, 200.0, t, FAST)
+    want = np.array([direct_survival(modes, 200.0, float(ti), FAST) for ti in t])
+    assert got.shape == t.shape
+    assert np.all(np.abs(got - want) <= 1e-9 * want)
+    assert np.array_equal(direct_survival(modes, 200.0, t, FAST), got)
+
+
+def test_grid_nonconvergence_names_a_grid_time(mode_p200_m80):
+    modes, _ = mode_p200_m80
+    t = ORACLE_GRIDS["linspace"]
+    starved = QuadratureSpec(abs_tol=1e-14, rel_tol=1e-14,
+                             max_segments=64, max_rounds=2)
+    with pytest.raises(OracleConvergenceError) as info:
+        direct_survival(modes, 200.0, t, starved)
+    named = float(str(info.value).rsplit("t=", 1)[1])
+    assert named in t
+    # the estimate carried is that time's own
+    assert abs(info.value.value - direct_boosted_amplitude(modes, 200.0, named, FAST)) <= 1e-4
+    assert info.value.error_estimate > 0.0
+
+
+def test_kronrod_rule_exactness_and_shared_nodes():
+    # QK15 is exact through degree 23 on one panel; the G7 error
+    # estimate vanishes through degree 13
+    value, err = adaptive_gauss(lambda x: x**13, [0.0, 1.0], 1e-3, 0.0)
+    assert value == pytest.approx(1.0 / 14.0, rel=1e-14)
+    assert err <= 1e-16
+    value, _ = adaptive_gauss(lambda x: x**23 + x**22, [0.0, 1.0], 1.0, 0.0)
+    assert value == pytest.approx(1.0 / 24.0 + 1.0 / 23.0, rel=1e-14)
+    # two integrands on the same nodes: the oscillating one forces
+    # refinement, and each meets its own budget
+    values, errs = adaptive_gauss(lambda x: np.stack([x * x, np.cos(200.0 * x)]),
+                                  [0.0, 1.0], 1e-12, 1e-12)
+    assert values == pytest.approx([1.0 / 3.0, math.sin(200.0) / 200.0], rel=1e-11, abs=1e-13)
+    assert np.all(errs <= np.maximum(1e-12, 1e-12 * np.abs(values)))
 
 
 def _series(t, values, label):
