@@ -13,10 +13,8 @@ __version__ = "0.1.0"
 
 from .kinematics import (  # noqa: F401
     BoostContext,
-    ConsolidatedModes,
     ModeValidationError,
     RestModeSet,
-    consolidate_modes,
     lorentz_factor,
     shifted_kinematics,
     validate_modes,

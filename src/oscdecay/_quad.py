@@ -5,8 +5,8 @@ panels with the nested Gauss-Kronrod 7/15 rule (QUADPACK's QK15; Piessens
 et al., 1983): the 15-point Kronrod sum is the estimate, and its
 difference against the 7-point Gauss rule on the same nodes is the error.
 Panels whose error exceeds their share of the budget are bisected, all at
-once, and a round evaluates only the panels it creates. The integrand may
-return n values per abscissa, so n integrands share the nodes while each
+once, and a round evaluates only the panels it creates. The integrand
+returns n values per abscissa, so n integrands share the nodes while each
 meets its own budget. Panels are evaluated in fixed-size chunks, in
 position order, so memory does not grow with the node count and the
 summation order is a pure function of the inputs.
@@ -51,9 +51,8 @@ _CHUNK_PANELS = 128
 class QuadratureConvergenceError(RuntimeError):
     """Quadrature did not reach the requested tolerance within budget.
 
-    value and error_estimate hold the best estimates: scalars for one
-    integrand, arrays of n for n integrands, with converged marking the
-    integrands that met their budget.
+    value and error_estimate hold the best estimates, arrays of n for n
+    integrands, with converged marking the integrands that met their budget.
     """
 
     def __init__(self, message, value=None, error_estimate=None, converged=None):
@@ -64,11 +63,9 @@ class QuadratureConvergenceError(RuntimeError):
 
 
 def _panel_estimates(f, lo, hi):
-    """(n, panels) Kronrod estimates and error estimates, chunk by chunk,
-    and whether f returned one value per abscissa."""
+    """(n, panels) Kronrod estimates and error estimates, chunk by chunk."""
     vals = []
     errs = []
-    one = True
     for start in range(0, len(lo), _CHUNK_PANELS):
         a = lo[start:start + _CHUNK_PANELS]
         b = hi[start:start + _CHUNK_PANELS]
@@ -76,19 +73,15 @@ def _panel_estimates(f, lo, hi):
         half = 0.5 * (b - a)
         x = mid[:, None] + half[:, None] * _NODES[None, :]
         fx = np.asarray(f(x.ravel()))
-        one = fx.ndim == 1
         sums = (fx.reshape(-1, len(_NODES)) @ _RULE).reshape(-1, len(mid), 2)
         vals.append(half * sums[..., 0])
         errs.append(half * np.abs(sums[..., 1]))
-    return np.concatenate(vals, axis=1), np.concatenate(errs, axis=1), one
+    return np.concatenate(vals, axis=1), np.concatenate(errs, axis=1)
 
 
-def _failure(reason, totals, total_errs, budgets, converged, one):
+def _failure(reason, totals, total_errs, budgets, converged):
     i = int(np.flatnonzero(~converged)[0])
     message = "%s: error estimate %g > tolerance %g" % (reason, total_errs[i], budgets[i])
-    if one:
-        return QuadratureConvergenceError(message, value=totals[0],
-                                          error_estimate=float(total_errs[0]))
     return QuadratureConvergenceError(message, value=totals, error_estimate=total_errs,
                                       converged=converged)
 
@@ -96,21 +89,20 @@ def _failure(reason, totals, total_errs, budgets, converged, one):
 def adaptive_gauss(f, breakpoints, abs_tol, rel_tol, max_segments=40000, max_rounds=40):
     """Integrate f over [breakpoints[0], breakpoints[-1]].
 
-    f maps a flat ndarray of abscissas to values (real or complex): one
-    value per abscissa, or an (n, size) array of n integrands. Each
+    f maps a flat ndarray of abscissas to an (n, size) array of n
+    integrands (real or complex); a 1-d result counts as n = 1. Each
     integrand must reach error <= max(abs_tol, rel_tol |I|); a panel is
     bisected when its error exceeds its share of that budget for any
-    integrand that has not. Returns (value, error_estimate), scalars for
-    one integrand and arrays of n otherwise. Raises
-    QuadratureConvergenceError, carrying the best values and estimates, if
-    max_segments or max_rounds runs out.
+    integrand that has not. Returns (value, error_estimate), arrays of n.
+    Raises QuadratureConvergenceError, carrying the best values and
+    estimates, if max_segments or max_rounds runs out.
     """
     pts = np.asarray(breakpoints, dtype=float)
     if pts.ndim != 1 or len(pts) < 2 or not np.all(np.diff(pts) > 0):
         raise ValueError("breakpoints must be a strictly increasing 1-d sequence")
     lo = pts[:-1].copy()
     hi = pts[1:].copy()
-    vals, errs, one = _panel_estimates(f, lo, hi)
+    vals, errs = _panel_estimates(f, lo, hi)
 
     for round_ in range(max_rounds + 1):
         totals = vals.sum(axis=1)
@@ -118,12 +110,9 @@ def adaptive_gauss(f, breakpoints, abs_tol, rel_tol, max_segments=40000, max_rou
         budgets = np.maximum(abs_tol, rel_tol * np.abs(totals))
         converged = total_errs <= budgets
         if converged.all():
-            if one:
-                return totals[0], float(total_errs[0])
             return totals, total_errs
         if round_ == max_rounds:
-            raise _failure("round budget exhausted", totals, total_errs, budgets,
-                           converged, one)
+            raise _failure("round budget exhausted", totals, total_errs, budgets, converged)
         # bisect every panel holding more than its share of some open budget
         share = 0.5 * budgets[~converged] / len(lo)
         ratio = (errs[~converged] / share[:, None]).max(axis=0)
@@ -133,10 +122,9 @@ def adaptive_gauss(f, breakpoints, abs_tol, rel_tol, max_segments=40000, max_rou
             if not split.any():
                 continue  # non-finite error estimates: nothing to refine
         if len(lo) + split.sum() > max_segments:
-            raise _failure("segment budget exhausted", totals, total_errs, budgets,
-                           converged, one)
+            raise _failure("segment budget exhausted", totals, total_errs, budgets, converged)
         mid = 0.5 * (lo[split] + hi[split])
-        new_vals, new_errs, _ = _panel_estimates(f, np.concatenate([lo[split], mid]),
+        new_vals, new_errs = _panel_estimates(f, np.concatenate([lo[split], mid]),
                                               np.concatenate([mid, hi[split]]))
         new_lo = np.concatenate([lo[~split], lo[split], mid])
         # keep panels ordered by position so the summation order is stable

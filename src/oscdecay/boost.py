@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._points import as_points, maybe_scalar
-from .kinematics import BoostContext, RestModeSet
+from .kinematics import BoostContext, RestModeSet, mode_terms
 from .restframe import amplitude_rest, survival_rest, survival_rest_split
 from .specfun import bessel_j1, bessel_y1, struve_h1, upsilon, xi_fn, xi_mass_factor
 
@@ -107,9 +107,10 @@ class BoostedLaw:
     """The boosted survival law of one (modes, ctx) pair, compiled for grids.
 
     Construction computes everything that depends only on the mode set and
-    the momentum: the 3N pole exponents -upsilon/2 at the masses M and
-    M -/+ Omega_j with weights w_j (1-a_j), w_j a_j/2, w_j a_j/2; the
-    branch-cut prefactor p/(pi M^2); and the constants C_A, C_B of
+    the momentum: one pole exponent -upsilon(mass, width, p)/2 per term of
+    kinematics.mode_terms, with that term's weight; the branch-cut
+    prefactor p/(pi M^2); and the constants C_A = sum weight width scale,
+    C_B = sum weight width scale xi_mass_factor(mass, p) of
 
         sum_j w_j Gamma_j phi_fn_j = C_A A(pt) + C_B B(pt),
         A = (pi/2)(H1 - i J1) - 1,   B = 1 + (pi/2)(Y1 - H1),
@@ -132,21 +133,13 @@ class BoostedLaw:
         p, M = ctx.p, modes.M
         self.at_rest = p < P_ZERO_REL * M
         self.prefactor = p / (math.pi * M * M)
-        weights, exponents = [], []
-        C_A = C_B = 0.0
-        if not self.at_rest:
-            for wj, Gj, Oj, aj in zip(modes.w, modes.Gamma, modes.Omega, modes.a):
-                weights += [wj * (1.0 - aj), 0.5 * wj * aj, 0.5 * wj * aj]
-                exponents += [-0.5 * upsilon(m, Gj, p) for m in (M, M - Oj, M + Oj)]
-                rm2 = (1.0 - Oj / M) ** 2
-                rp2 = (1.0 + Oj / M) ** 2
-                C_A += wj * Gj * ((1.0 - aj) + 0.5 * aj * (1.0 / rm2 + 1.0 / rp2))
-                C_B += wj * Gj * ((1.0 - aj) * xi_mass_factor(M, p) + 0.5 * aj * (
-                    xi_mass_factor(M - Oj, p) / rm2 + xi_mass_factor(M + Oj, p) / rp2))
-        self.weights = np.array(weights, dtype=float)
-        self.exponents = np.array(exponents, dtype=complex)
-        self.C_A = float(C_A)
-        self.C_B = float(C_B)
+        # unused on the rest-frame branch
+        mass, width, weight, scale = mode_terms(modes)
+        self.weights = weight
+        self.exponents = np.array([-0.5 * upsilon(m, g, p) for m, g in zip(mass, width)],
+                                  dtype=complex)
+        self.C_A = float(np.sum(weight * width * scale))
+        self.C_B = float(np.sum(weight * width * scale * xi_mass_factor(mass, p)))
 
     def __call__(self, t) -> BoostedEvaluation:
         tt = as_points(t, lambda v: np.isfinite(v) & (v >= 0.0), "time must be finite and >= 0",

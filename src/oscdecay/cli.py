@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 # survival_boosted is unused here but stays bound: perfbench/spans.py
 # traces calls through this module attribute
-from .boost import BoostDomainError, BoostedLaw, P_ZERO_REL, survival_boosted  # noqa: F401
+from .boost import BoostDomainError, BoostedLaw, survival_boosted  # noqa: F401
 from .kinematics import ModeValidationError, shifted_kinematics, validate_modes
 from .oracle import OracleConvergenceError, QuadratureSpec, direct_survival, oracle_compare
 from .restframe import CurveSeries, decay_rate_rest, survival_rest, survival_rest_split
@@ -256,10 +256,7 @@ def cmd_curve(config, args):
             for ti, ei, oi in zip(t, exp_part, osc_part)
         ]
     elif which == "boosted":
-        ctx = shifted_kinematics(modes, p)
-        if p >= P_ZERO_REL * modes.M and t[0] <= 0.0:
-            raise ConfigError("boosted curves need t_min > 0 when p > 0")
-        ev = BoostedLaw(modes, ctx)(t)
+        ev = BoostedLaw(modes, shifted_kinematics(modes, p))(t)
         header = "t,gamma_t,value,valid"
         rows = [
             (_fmt(ti), _fmt(gamma1 * ti), _fmt(pv), "true" if valid else "false")
@@ -309,8 +306,7 @@ def cmd_phi(config, args):
     p = _momentum(config)
     ctx = shifted_kinematics(modes, p)
     t = _grid(config)
-    if p >= P_ZERO_REL * modes.M and t[0] <= 0.0:
-        raise ConfigError("phi needs t_min > 0 when p > 0")
+    params = _window_params(config)
 
     values = phi_p(modes, ctx, t)
     reference = t / ctx.gamma
@@ -322,7 +318,7 @@ def cmd_phi(config, args):
 
     fit_report = _report_skeleton(config)
     try:
-        window = exponential_windows(modes, ctx, _window_params(config))
+        window = exponential_windows(modes, ctx, params)
         fit_report["window"] = _window_json(window)
         series = CurveSeries(t=t, values=values, frame="boosted", kind="timemap")
         fit = linearity_fit(series, window, ctx)
@@ -349,8 +345,6 @@ def cmd_compare(config, args):
     t = _grid(config)
     spec = _quad_spec(config)
     bound = _bound(config)
-    if p >= P_ZERO_REL * modes.M and t[0] <= 0.0:
-        raise ConfigError("compare needs t_min > 0 when p > 0")
 
     closed_vals = BoostedLaw(modes, ctx)(t).P_p
     direct_vals = direct_survival(modes, p, t, spec)

@@ -16,11 +16,9 @@ __all__ = [
     "ModeValidationError",
     "RestModeSet",
     "BoostContext",
-    "ConsolidatedModes",
     "validate_modes",
     "lorentz_factor",
     "shifted_kinematics",
-    "consolidate_modes",
 ]
 
 # Upper bound on Gamma_j / (M - Omega_j) for the narrow-resonance regime.
@@ -29,7 +27,6 @@ __all__ = [
 NARROW_WIDTH_DEFAULT = 5e-2
 
 WEIGHT_SUM_TOL = 1e-12
-MERGE_REL_TOL = 1e-12
 
 
 class ModeValidationError(ValueError):
@@ -76,23 +73,6 @@ class BoostContext:
     Gamma_plus: np.ndarray
 
 
-@dataclass(frozen=True)
-class ConsolidatedModes:
-    """Boosted mode list after merging coincident terms.
-
-    widths are sorted ascending; weights sum to one; masses are the
-    effective resonance masses paired with each width.
-    """
-
-    widths: np.ndarray
-    weights: np.ndarray
-    masses: np.ndarray
-
-    @property
-    def N(self) -> int:
-        return len(self.widths)
-
-
 def _as_mode_arrays(candidate):
     if isinstance(candidate, RestModeSet):
         return candidate.M, candidate.w, candidate.Gamma, candidate.Omega, candidate.a
@@ -109,8 +89,12 @@ def validate_modes(candidate, narrow_width_threshold: float = NARROW_WIDTH_DEFAU
 
     candidate is a mapping with keys M, w, Gamma, Omega, a (or an existing
     RestModeSet). All violations are collected and raised together as a
-    ModeValidationError, never only the first one.
+    ModeValidationError, never only the first one. A narrow_width_threshold
+    that is not finite and > 0 raises ValueError.
     """
+    if not (0.0 < narrow_width_threshold < math.inf):
+        raise ValueError("narrow_width_threshold must be finite and > 0, got %r"
+                         % narrow_width_threshold)
     M, w, Gamma, Omega, a = _as_mode_arrays(candidate)
     M = float(M)
     w = np.atleast_1d(np.asarray(w, dtype=float))
@@ -215,43 +199,18 @@ def shifted_kinematics(modes: RestModeSet, p: float) -> BoostContext:
     )
 
 
-def consolidate_modes(modes: RestModeSet, ctx: BoostContext) -> ConsolidatedModes:
-    """Flatten each mode into its three boosted terms and merge duplicates.
+def mode_terms(modes: RestModeSet):
+    """Split every mode into its Lorentzian terms of width Gamma_j.
 
-    Each mode j contributes (width, weight, mass) entries
-        (Gamma_minus_j, w_j a_j / 2, M_minus_j gamma_minus_j / gamma),
-        (Gamma_j,       w_j (1-a_j), M),
-        (Gamma_plus_j,  w_j a_j / 2, M_plus_j gamma_plus_j / gamma).
-    Zero-weight entries (a_j = 0) are dropped. Entries whose width and
-    mass both agree within 1e-12 relative merge by weight addition. The
-    result is sorted by width, then mass.
+    Mode j gives weight w_j (1-a_j) at mass M and w_j a_j/2 at each of
+    M - Omega_j and M + Omega_j, in that order; terms of zero weight
+    (a_j = 0) are dropped. Returns the arrays (mass, width, weight, scale)
+    with scale = (M/mass)^2, the factor each term's branch cut carries.
     """
-    entries = []
-    for j in range(modes.N):
-        wj = float(modes.w[j])
-        aj = float(modes.a[j])
-        if aj > 0.0:
-            half = wj * aj / 2.0
-            entries.append((float(ctx.Gamma_minus[j]), half,
-                            float(ctx.M_minus[j] * ctx.gamma_minus[j] / ctx.gamma)))
-            entries.append((float(modes.Gamma[j]), wj * (1.0 - aj), modes.M))
-            entries.append((float(ctx.Gamma_plus[j]), half,
-                            float(ctx.M_plus[j] * ctx.gamma_plus[j] / ctx.gamma)))
-        else:
-            entries.append((float(modes.Gamma[j]), wj, modes.M))
-
-    entries.sort(key=lambda e: (e[0], e[2]))
-    merged = [list(entries[0])]
-    for width, weight, mass in entries[1:]:
-        prev = merged[-1]
-        same_width = abs(width - prev[0]) <= MERGE_REL_TOL * max(abs(width), abs(prev[0]))
-        same_mass = abs(mass - prev[2]) <= MERGE_REL_TOL * max(abs(mass), abs(prev[2]))
-        if same_width and same_mass:
-            prev[1] += weight
-        else:
-            merged.append([width, weight, mass])
-
-    widths = np.array([e[0] for e in merged])
-    weights = np.array([e[1] for e in merged])
-    masses = np.array([e[2] for e in merged])
-    return ConsolidatedModes(widths=widths, weights=weights, masses=masses)
+    M, w, a = modes.M, modes.w, modes.a
+    side = 0.5 * w * a
+    mass = (M + np.outer(modes.Omega, [0.0, -1.0, 1.0])).ravel()
+    weight = np.array([w * (1.0 - a), side, side]).T.ravel()
+    keep = weight > 0.0
+    mass = mass[keep]
+    return mass, np.repeat(modes.Gamma, 3)[keep], weight[keep], (M / mass) ** 2

@@ -15,7 +15,7 @@ import numpy as np
 
 from ._points import as_points, maybe_scalar
 from ._quad import QuadratureConvergenceError, adaptive_gauss
-from .kinematics import RestModeSet
+from .kinematics import RestModeSet, mode_terms
 from .restframe import CurveSeries, mdd_analytic
 
 __all__ = [
@@ -65,15 +65,20 @@ class QuadratureSpec:
     max_rounds: int = 48
 
     def __post_init__(self):
-        if self.halfwidth_multiple <= 0.0:
-            raise ValueError("halfwidth_multiple must be positive, got %r" % self.halfwidth_multiple)
-        if self.abs_tol <= 0.0 or self.rel_tol < 0.0:
+        # written so that NaN fails every check
+        if not (0.0 < self.halfwidth_multiple < math.inf):
+            raise ValueError("halfwidth_multiple must be finite and > 0, got %r"
+                             % self.halfwidth_multiple)
+        if not (0.0 < self.abs_tol < math.inf and 0.0 <= self.rel_tol < math.inf):
             raise ValueError(
-                "tolerances must be positive, got abs_tol=%r, rel_tol=%r"
-                % (self.abs_tol, self.rel_tol)
+                "tolerances must be finite, abs_tol > 0 and rel_tol >= 0, got "
+                "abs_tol=%r, rel_tol=%r" % (self.abs_tol, self.rel_tol)
             )
-        if self.max_segments < 2 or self.max_rounds < 1:
-            raise ValueError("budget caps must allow at least one refinement round")
+        for name, least in (("max_segments", 2), ("max_rounds", 1)):
+            value = getattr(self, name)
+            if not (least <= value < math.inf and value == int(value)):
+                raise ValueError("%s must be an integer >= %d, got %r" % (name, least, value))
+            object.__setattr__(self, name, int(value))
 
 
 @dataclass(frozen=True)
@@ -109,38 +114,13 @@ def _domain(modes: RestModeSet, spec: QuadratureSpec):
     return lo, hi
 
 
-def _components(modes: RestModeSet):
-    """Lorentzian components (center, width, weight) of the analytic density."""
-    out = []
-    for j in range(modes.N):
-        wj = float(modes.w[j])
-        gj = float(modes.Gamma[j])
-        aj = float(modes.a[j])
-        oj = float(modes.Omega[j])
-        out.append((modes.M, gj, wj * (1.0 - aj)))
-        if aj > 0.0:
-            out.append((modes.M - oj, gj, 0.5 * wj * aj))
-            out.append((modes.M + oj, gj, 0.5 * wj * aj))
-    return out
-
-
-def _lorentz_mass(center, width, a, b):
-    half = 0.5 * width
-    upper = math.atan((b - center) / half) if math.isfinite(b) else 0.5 * math.pi
-    lower = math.atan((a - center) / half) if math.isfinite(a) else -0.5 * math.pi
-    return (upper - lower) / math.pi
-
-
 def _tail_bound(modes: RestModeSet, spec: QuadratureSpec, lo, hi):
     """Density mass between the intended support and the truncated domain."""
-    total = 0.0
-    for center, width, weight in _components(modes):
-        if spec.include_negative_mass:
-            intended = 1.0
-        else:
-            intended = _lorentz_mass(center, width, 0.0, math.inf)
-        total += weight * (intended - _lorentz_mass(center, width, lo, hi))
-    return total
+    mass, width, weight, _ = mode_terms(modes)
+    half = 0.5 * width
+    inside = (np.arctan((hi - mass) / half) - np.arctan((lo - mass) / half)) / math.pi
+    intended = 1.0 if spec.include_negative_mass else 0.5 + np.arctan(mass / half) / math.pi
+    return float(np.sum(weight * (intended - inside)))
 
 
 def _phase_side(p, t, lo_abs, hi_abs):
@@ -164,12 +144,9 @@ def _phase_side(p, t, lo_abs, hi_abs):
 def _breakpoints(modes: RestModeSet, p, t, lo, hi):
     pts = [np.array([lo, hi])]
 
-    ladder = []
-    for center, width, _ in _components(modes):
-        ladder.append(center)
-        for s in (1.0, 4.0, 16.0, 64.0):
-            ladder.extend((center - s * width, center + s * width))
-    pts.append(np.asarray(ladder))
+    mass, width, _, _ = mode_terms(modes)
+    steps = np.array([0.0, -1.0, 1.0, -4.0, 4.0, -16.0, 16.0, -64.0, 64.0])
+    pts.append((mass[:, None] + steps * width[:, None]).ravel())
 
     if t > 0.0:
         if lo < 0.0 < hi:

@@ -15,7 +15,7 @@ import numpy as np
 
 from ._points import as_points, maybe_scalar
 from ._quad import adaptive_gauss
-from .kinematics import RestModeSet
+from .kinematics import RestModeSet, mode_terms
 
 __all__ = [
     "CurveSeries",
@@ -172,11 +172,6 @@ def decay_rate_rest(modes: RestModeSet, t):
     return maybe_scalar(out, t)
 
 
-def _lorentz(x, Gamma):
-    half = 0.5 * Gamma
-    return half / (half * half + x * x)
-
-
 def mdd_analytic(modes: RestModeSet, m):
     """Mass distribution density at mass m, in closed form.
 
@@ -188,21 +183,17 @@ def mdd_analytic(modes: RestModeSet, m):
             = (1/2) [ s/(s^2+(x-Omega_j)^2) + s/(s^2+(x+Omega_j)^2) ].
     Writing L(x; Gamma) = (Gamma/2) / ((Gamma/2)^2 + x^2), the density is
         (1/pi) | sum_j w_j [ (1-a_j) L(x; Gamma_j)
-                 + (a_j/2) (L(x-Omega_j; Gamma_j) + L(x+Omega_j; Gamma_j)) ] |.
-    Every term is positive for a valid mode set, so the absolute value is
-    never active; it is kept to match the defining transform.
+                 + (a_j/2) (L(x-Omega_j; Gamma_j) + L(x+Omega_j; Gamma_j)) ] |,
+    one Lorentzian per term of kinematics.mode_terms. Every term is
+    positive for a valid mode set, so the absolute value is never active;
+    it is kept to match the defining transform.
     """
-    x = np.asarray(m, dtype=float) - modes.M
-    xx = np.atleast_1d(x)
-    total = np.zeros_like(xx)
-    for j in range(modes.N):
-        g = float(modes.Gamma[j])
-        aj = float(modes.a[j])
-        oj = float(modes.Omega[j])
-        term = (1.0 - aj) * _lorentz(xx, g)
-        if aj > 0.0:
-            term = term + 0.5 * aj * (_lorentz(xx - oj, g) + _lorentz(xx + oj, g))
-        total += float(modes.w[j]) * term
+    mm = np.atleast_1d(np.asarray(m, dtype=float))
+    total = np.zeros_like(mm)
+    mass, width, weight, _ = mode_terms(modes)
+    for c, half, wt in zip(mass.tolist(), (0.5 * width).tolist(), weight.tolist()):
+        x = mm - c
+        total += (wt * half) / (half * half + x * x)
     out = np.abs(total) / math.pi
     return maybe_scalar(out, m)
 
@@ -246,7 +237,7 @@ def mdd_numeric(modes: RestModeSet, m, t_cut: float = None,
             return amplitude_rest(modes, ts) * np.cos(x * ts)
 
         value, _err = adaptive_gauss(integrand, breakpoints, abs_tol, rel_tol)
-        return abs(value) / math.pi
+        return abs(value[0]) / math.pi
 
     mm = np.atleast_1d(np.asarray(m, dtype=float))
     out = np.array([density_at(mi) for mi in mm])

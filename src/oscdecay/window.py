@@ -52,15 +52,16 @@ class WindowParams:
     warn_ratio: float = 3.0
 
     def __post_init__(self):
-        if not (0.0 < self.zeta_min < self.zeta_max):
+        # written so that NaN fails every check
+        if not (0.0 < self.zeta_min < self.zeta_max < math.inf):
             raise WindowError(
-                "need 0 < zeta_min < zeta_max, got %r, %r" % (self.zeta_min, self.zeta_max)
+                "need 0 < zeta_min < zeta_max < inf, got %r, %r" % (self.zeta_min, self.zeta_max)
             )
-        if self.xi_gate <= 0.0:
-            raise WindowError("xi_gate must be positive, got %r" % self.xi_gate)
-        if not (0.0 < self.warn_ratio <= self.pass_ratio):
+        if not (0.0 < self.xi_gate < math.inf):
+            raise WindowError("xi_gate must be finite and > 0, got %r" % self.xi_gate)
+        if not (0.0 < self.warn_ratio <= self.pass_ratio < math.inf):
             raise WindowError(
-                "need 0 < warn_ratio <= pass_ratio, got %r, %r"
+                "need 0 < warn_ratio <= pass_ratio < inf, got %r, %r"
                 % (self.warn_ratio, self.pass_ratio)
             )
 

@@ -59,11 +59,61 @@ def test_one_point_grid_rejected(tmp_path):
     assert code == 2
 
 
-def test_boosted_grid_must_start_positive(tmp_path):
+@pytest.mark.parametrize("t_min", [0.0, -1.0], ids=["t0", "tneg"])
+@pytest.mark.parametrize("command", [["curve", "--which", "boosted"], ["phi"], ["compare"]],
+                         ids=["curve", "phi", "compare"])
+def test_boosted_grid_must_start_positive(tmp_path, capsys, command, t_min):
     cfg = write_config(tmp_path, "t0.json",
-                       {"grid": {"t_min": 0.0, "t_max": 5.0, "points": 11}})
-    code = main(["curve", "--which", "boosted", "--config", cfg, "--quiet"])
+                       {"grid": {"t_min": t_min, "t_max": 5.0, "points": 11}})
+    out = tmp_path / "out"
+    code = main(command + ["--config", cfg, "--out", str(out), "--quiet"])
     assert code == 2
+    assert "invalid config or model" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _narrow_set(extra):
+    # Gamma/(M - Omega) = 1/2.3 = 0.43, above the default threshold 5e-2
+    cfg = {"modes": {"M": 3.0, "w": [1.0], "Gamma": [1.0], "Omega": [0.7], "a": [0.04]},
+           "grid": {"t_min": 0.0, "t_max": 5.0, "points": 11}}
+    cfg.update(extra)
+    return cfg
+
+
+@pytest.mark.parametrize("extra, code", [
+    ({}, 2),
+    ({"narrow_width_threshold": float("nan")}, 2),
+    ({"narrow_width_threshold": float("inf")}, 2),
+    ({"narrow_width_threshold": 0.5}, 0),
+], ids=["default", "nan", "inf", "loose"])
+def test_curve_narrow_width_threshold(tmp_path, extra, code):
+    cfg = write_config(tmp_path, "narrow.json", _narrow_set(extra))
+    assert main(["curve", "--config", cfg, "--out", str(tmp_path / "c.csv"),
+                 "--quiet"]) == code
+
+
+def _strict_json(text):
+    def refuse(token):
+        raise ValueError("not valid JSON: %s" % token)
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("window, code", [
+    ({"xi_gate": float("nan")}, 2),
+    ({"zeta_max": float("inf")}, 2),
+    ({"pass_ratio": float("inf")}, 2),
+    ({"xi_gate": 1e-2, "zeta_max": 8.0, "pass_ratio": 20.0}, 0),
+], ids=["xi_gate_nan", "zeta_max_inf", "pass_ratio_inf", "finite"])
+@pytest.mark.parametrize("command", ["window", "phi"])
+def test_window_knobs_must_be_finite(tmp_path, window, code, command):
+    cfg = write_config(tmp_path, "knobs.json", {
+        "grid": {"t_min": 0.5, "t_max": 25.0, "points": 40}, "window": window,
+    })
+    out = tmp_path / "knobs.out"
+    assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == code
+    if code == 0:
+        report = out.with_name(out.name + ".fit.json") if command == "phi" else out
+        assert _strict_json(report.read_text())["window"]["zeta_max"] == 8.0
 
 
 def test_rest_curve_csv_contract(tmp_path):
@@ -236,7 +286,10 @@ def test_compare_exit_codes(tmp_path):
     {"compare": {"max_rel_deviation": float("nan")}},
     {"compare": {"max_rel_deviation": -1.0}},
     {"oracle": []},
-], ids=["compare_not_object", "bound_nan", "bound_negative", "oracle_not_object"])
+    {"oracle": {"abs_tol": float("nan")}},
+    {"oracle": {"max_rounds": 2.5}},
+], ids=["compare_not_object", "bound_nan", "bound_negative", "oracle_not_object",
+        "oracle_abs_tol_nan", "oracle_max_rounds_fraction"])
 def test_compare_rejects_malformed_sections(tmp_path, capsys, section):
     extra = {"grid": {"t_min": 2.0, "t_max": 6.0, "points": 5},
              "oracle": {"abs_tol": 1e-7, "rel_tol": 1e-5}}

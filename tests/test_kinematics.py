@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oscdecay as od
-from oscdecay.kinematics import ModeValidationError
+from oscdecay.kinematics import ModeValidationError, mode_terms
 
 from conftest import BOOST_SETS, GAMMA_TABLE, make_single_mode
 
@@ -250,29 +250,25 @@ def test_validate_collects_all_violations():
     assert len(err.value.violations) >= 4
 
 
-def test_consolidate_merges_and_sorts(mode_p200_m80):
-    modes, ctx = mode_p200_m80
-    cons = od.consolidate_modes(modes, ctx)
-    assert cons.N == 3
-    assert np.all(np.diff(cons.widths) > 0)
-    assert cons.weights.sum() == pytest.approx(1.0, abs=1e-12)
+@pytest.mark.parametrize("threshold", [float("nan"), float("inf"), 0.0, -1.0])
+def test_validate_rejects_bad_narrow_width_threshold(threshold):
+    candidate = {"M": 80.0, "w": [1.0], "Gamma": [1.0], "Omega": [10.0], "a": [0.04]}
+    with pytest.raises(ValueError, match="narrow_width_threshold"):
+        od.validate_modes(candidate, narrow_width_threshold=threshold)
+    # any finite positive threshold the set meets is accepted
+    assert od.validate_modes(candidate, narrow_width_threshold=1.0).N == 1
 
 
-def test_consolidate_exponential_mode_stays_single():
-    modes = make_single_mode(100.0, 0.0, 0.0)
-    ctx = od.shifted_kinematics(modes, 210.0)
-    cons = od.consolidate_modes(modes, ctx)
-    assert cons.N == 1
-    assert cons.weights[0] == pytest.approx(1.0, abs=1e-15)
-
-
-def test_consolidate_merges_coincident_terms():
-    # two modes sharing (width, mass) after the boost collapse to one term
+def test_mode_terms_split():
     modes = od.validate_modes(
-        {"M": 100.0, "w": [0.5, 0.5], "Gamma": [1.0, 2.0],
-         "Omega": [0.0, 0.0], "a": [0.0, 0.0]}
+        {"M": 100.0, "w": [0.5, 0.3, 0.2], "Gamma": [1.0, 1.5, 2.0],
+         "Omega": [10.0, 0.0, 5.0], "a": [0.04, 0.1, 0.0]}
     )
-    ctx = od.shifted_kinematics(modes, 210.0)
-    cons = od.consolidate_modes(modes, ctx)
-    assert cons.N == 2
-    assert cons.weights.sum() == pytest.approx(1.0, abs=1e-12)
+    mass, width, weight, scale = mode_terms(modes)
+    # the a = 0 mode keeps only its central term; the Omega = 0 mode keeps
+    # three terms on one centre
+    assert mass.tolist() == [100.0, 90.0, 110.0, 100.0, 100.0, 100.0, 100.0]
+    assert width.tolist() == [1.0, 1.0, 1.0, 1.5, 1.5, 1.5, 2.0]
+    assert weight == pytest.approx([0.48, 0.01, 0.01, 0.27, 0.015, 0.015, 0.2], rel=1e-15)
+    assert weight.sum() == pytest.approx(1.0, abs=1e-15)
+    assert scale == pytest.approx((100.0 / mass) ** 2, rel=1e-15)

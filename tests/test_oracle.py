@@ -182,10 +182,11 @@ def test_grid_nonconvergence_names_a_grid_time(mode_p200_m80):
 def test_kronrod_rule_exactness_and_shared_nodes():
     # QK15 is exact through degree 23 on one panel; the G7 error
     # estimate vanishes through degree 13
-    value, err = adaptive_gauss(lambda x: x**13, [0.0, 1.0], 1e-3, 0.0)
+    # (one value per abscissa is one integrand: arrays of one come back)
+    (value,), (err,) = adaptive_gauss(lambda x: x**13, [0.0, 1.0], 1e-3, 0.0)
     assert value == pytest.approx(1.0 / 14.0, rel=1e-14)
     assert err <= 1e-16
-    value, _ = adaptive_gauss(lambda x: x**23 + x**22, [0.0, 1.0], 1.0, 0.0)
+    (value,), _ = adaptive_gauss(lambda x: x**23 + x**22, [0.0, 1.0], 1.0, 0.0)
     assert value == pytest.approx(1.0 / 24.0 + 1.0 / 23.0, rel=1e-14)
     # two integrands on the same nodes: the oscillating one forces
     # refinement, and each meets its own budget
@@ -193,6 +194,25 @@ def test_kronrod_rule_exactness_and_shared_nodes():
                                   [0.0, 1.0], 1e-12, 1e-12)
     assert values == pytest.approx([1.0 / 3.0, math.sin(200.0) / 200.0], rel=1e-11, abs=1e-13)
     assert np.all(errs <= np.maximum(1e-12, 1e-12 * np.abs(values)))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("halfwidth_multiple", float("nan")), ("halfwidth_multiple", float("inf")),
+    ("abs_tol", float("nan")), ("abs_tol", float("inf")), ("abs_tol", 0.0),
+    ("rel_tol", float("nan")), ("rel_tol", float("inf")), ("rel_tol", -1e-6),
+    ("max_segments", float("nan")), ("max_segments", 100.5), ("max_segments", 1),
+    ("max_rounds", float("nan")), ("max_rounds", 2.5), ("max_rounds", float("inf")),
+])
+def test_quadrature_spec_rejects_bad_values(field, value):
+    with pytest.raises(ValueError, match=field):
+        QuadratureSpec(**{field: value})
+
+
+def test_quadrature_spec_accepts_edge_values():
+    spec = QuadratureSpec(halfwidth_multiple=1e-3, abs_tol=1e300, rel_tol=0.0,
+                          max_segments=2.0, max_rounds=1.0)
+    assert (spec.max_segments, spec.max_rounds) == (2, 1)
+    assert type(spec.max_segments) is int and type(spec.max_rounds) is int
 
 
 def _series(t, values, label):

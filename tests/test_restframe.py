@@ -151,11 +151,20 @@ def test_mdd_nonnegative_without_abs(a, Omega, off):
 
 
 def test_mdd_numeric_matches_analytic():
-    modes = make_single_mode(100.0, 10.0, 0.04)
-    for m in (100.0, 95.0, 103.0, 110.0):
-        num = od.mdd_numeric(modes, m)
-        ana = od.mdd_analytic(modes, m)
-        assert num == pytest.approx(ana, abs=1e-6, rel=1e-6)
+    sets = [
+        make_single_mode(100.0, 10.0, 0.04),
+        # an a = 0 mode has no side terms
+        od.validate_modes({"M": 100.0, "w": [0.6, 0.4], "Gamma": [1.0, 2.0],
+                           "Omega": [10.0, 6.0], "a": [0.04, 0.0]}),
+        # an Omega = 0, a > 0 mode puts its three terms on one centre
+        od.validate_modes({"M": 100.0, "w": [0.5, 0.3, 0.2], "Gamma": [1.0, 1.5, 2.0],
+                           "Omega": [0.0, 5.0, 8.0], "a": [0.1, 0.0, 0.03]}),
+    ]
+    for modes in sets:
+        for m in (100.0, 95.0, 103.0, 110.0, 92.0):
+            num = od.mdd_numeric(modes, m)
+            ana = od.mdd_analytic(modes, m)
+            assert num == pytest.approx(ana, abs=1e-6, rel=1e-6)
 
 
 def test_mdd_numeric_rejects_short_cutoff():

@@ -265,3 +265,18 @@ def test_periods_default_to_window_admitted(mode_p200_m80):
     report = od.periods(modes, ctx, window=win)
     assert report.commensurate
     assert report.Tp == ctx.gamma * report.T0
+
+
+@pytest.mark.parametrize("field, value", [
+    ("zeta_min", float("nan")), ("zeta_max", float("nan")), ("zeta_max", float("inf")),
+    ("xi_gate", float("nan")), ("xi_gate", float("inf")), ("xi_gate", 0.0),
+    ("pass_ratio", float("nan")), ("pass_ratio", float("inf")), ("warn_ratio", float("nan")),
+])
+def test_window_params_reject_non_finite(field, value):
+    with pytest.raises(WindowError, match=field):
+        od.WindowParams(**{field: value})
+
+
+def test_window_params_accept_large_finite():
+    params = od.WindowParams(zeta_max=1e300, xi_gate=1e300, pass_ratio=1e300)
+    assert params.zeta_max == params.xi_gate == params.pass_ratio == 1e300
