@@ -1,9 +1,11 @@
-"""Decay seen from the lab frame: closed form against direct quadrature.
+"""Decay seen from the lab frame: closed form against the exact law.
 
 Single oscillating mode at M = 80, boosted to p = 200 (gamma = 2.69).
-The closed form evaluates in microseconds; the quadrature oracle
-integrates the mass density times the relativistic phase factor and
-should land on the same curve.
+The closed form approximates the branch-cut background with Bessel and
+Struve functions. The oracle evaluates the mass integral of the density
+times the relativistic phase factor exactly, as a pole sum plus a
+steepest-descent background sum; the two should land on the same curve
+to within the closed form's approximation.
 """
 
 import numpy as np
@@ -27,7 +29,7 @@ def main():
     ev = law(t)
     # the oracle too takes the whole grid in one call
     direct = direct_survival(modes, 200.0, t, spec)
-    print(f"{'t':>5} {'closed form':>13} {'quadrature':>13} {'rel dev':>10} {'valid':>6}")
+    print(f"{'t':>5} {'closed form':>13} {'exact':>13} {'rel dev':>10} {'valid':>6}")
     for ti, p_closed, p_direct, valid in zip(t, ev.P_p, direct, ev.in_validity_domain):
         rel = abs(p_closed - p_direct) / p_direct
         print(f"{ti:5.2f} {p_closed:13.6e} {p_direct:13.6e} {rel:10.2e}"

@@ -5,8 +5,8 @@ transformed to the laboratory frame of a system moving with constant
 momentum. The package evaluates both frames in closed form, locates the
 time windows where the transformation reduces to the scaled time t/gamma,
 maps lab-frame time onto rest-frame time through the survival law, and
-verifies every closed form against a direct quadrature of the underlying
-mass distribution.
+verifies the boosted closed form against the exact mass integral of the
+underlying mass distribution, evaluated by steepest descent.
 """
 
 __version__ = "0.1.0"

@@ -120,9 +120,13 @@ class BoostedLaw:
     triple per time, whatever the mode count, and returns a
     BoostedEvaluation: of floats for a scalar time, of arrays for an array.
 
-    Momenta below P_ZERO_REL * M take the exact rest-frame branch (the
-    closed form's p -> 0 limit). Times must be finite and >= 0, and > 0
-    when p > 0. An in-domain probability above 1 + UNITY_EXCESS_TOL
+    Momenta below P_ZERO_REL * M take the rest branch, the paper's P0. The
+    exact law's p -> 0 limit differs: its energy |m| folds the density,
+    adding the background -i int_0^inf rho_s(-i tau) e^{-tau t} dtau. On
+    curve B at t = 1, P0 = 0.31574569, the exact law gives 0.31569009 at
+    p = 0 and 1e-3 and this law 0.31569003 at p = 1e-10: P_p jumps by
+    1.76e-4 relative at the hand-over. Times must be finite and >= 0, and
+    > 0 when p > 0. An in-domain probability above 1 + UNITY_EXCESS_TOL
     raises BoostDomainError naming the first such point; smaller
     overshoot is flagged per point.
     """

@@ -63,6 +63,19 @@ def _py(obj):
     return obj
 
 
+def _non_finite(obj, path="config"):
+    """Path of the first NaN or infinite number in obj, or None."""
+    if isinstance(obj, float):
+        return None if math.isfinite(obj) else path
+    children = (obj.items() if isinstance(obj, dict)
+                else enumerate(obj) if isinstance(obj, list) else ())
+    for key, value in children:
+        found = _non_finite(value, "%s[%r]" % (path, key))
+        if found:
+            return found
+    return None
+
+
 def _load_config(path):
     with open(path, "r") as fh:
         try:
@@ -71,6 +84,10 @@ def _load_config(path):
             raise ConfigError("config %s is not valid JSON: %s" % (path, exc))
     if not isinstance(config, dict):
         raise ConfigError("config root must be a JSON object")
+    # reports echo every section, and strict JSON has no NaN or Infinity
+    where = _non_finite(config)
+    if where:
+        raise ConfigError("%s is not a finite number" % where)
     return config
 
 

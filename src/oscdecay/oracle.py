@@ -1,22 +1,36 @@
-"""Direct-quadrature check of the boosted survival probability.
+"""Exact check of the boosted survival probability, by steepest descent.
 
-Evaluates the survival amplitude as the mass integral of the analytic
-density times the relativistic phase factor e^{-i sqrt(p^2+m^2) t},
-independent of the pole/branch-cut closed forms. Convergence is judged
-on the adaptive quadrature estimate; the mass left outside the truncated
-integration domain is bounded analytically and added to the reported
-error, so truncation is a measured quantity rather than an assumption.
+The amplitude at momentum p is the mass integral of the analytic density
+rho times e^{-i sqrt(p^2+m^2) t}. Folded onto m >= 0 with rho_s(m) =
+rho(m) + rho(-m) and moved onto the steepest-descent path E = p - i tau,
+m(tau) = sqrt(-tau^2 - 2ip tau) in the fourth quadrant, it is exactly
+
+    A(t) = sum_k weight_k e^{-i E_k t}
+         + e^{-ipt} int_0^inf tau^{-1/2} e^{-tau t} G(tau) dtau,
+    G(tau) = rho_s(m(tau)) (-tau - ip) / sqrt(-tau - 2ip),
+
+with E_k = sqrt(p^2 + (c_k - i Gamma_k/2)^2) over the Lorentzian terms of
+kinematics.mode_terms, whose poles the path crosses (Bender & Orszag,
+Advanced Mathematical Methods, ch. 6). The background integral is a
+generalized Gauss-Laguerre sum (alpha = -1/2) where t min(2p, |E_k - p|)
+>= 4; below that G varies faster than e^{-tau t} and a composite
+Gauss-Legendre sum on doubling panels of tau takes over. Nothing here uses
+the closed form's Bessel and Struve functions, so the result checks it
+independently.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._points import as_points, maybe_scalar
-from ._quad import QuadratureConvergenceError, adaptive_gauss
+# adaptive_gauss and mdd_analytic are unused here but stay bound:
+# perfbench/spans.py traces calls through these module attributes
+from ._quad import adaptive_gauss  # noqa: F401
 from .kinematics import RestModeSet, mode_terms
-from .restframe import CurveSeries, mdd_analytic
+from .restframe import CurveSeries, mdd_analytic  # noqa: F401
 
 __all__ = [
     "ComparisonReport",
@@ -27,19 +41,20 @@ __all__ = [
     "oracle_compare",
 ]
 
-# every Lorentzian center must sit at least this many half-widths
-# away from the truncation edges
-_COVERAGE_HALFWIDTHS = 40.0
-_MAX_PHASE_BREAKPOINTS = 500000
-# a block of times shares one partition while its largest time is at most
-# this multiple of its smallest
-_BLOCK_RATIO = 2.0
-# phase factors advanced by recurrence take an exact exp at least this often
-_RESYNC = 32
+_FIRST_NODES = 16
+_MAX_NODES = 512
+# t min(2p, |E_k - p|) at and above which the Laguerre rule serves a time
+_LAGUERRE_MIN = 4.0
+# the composite rule ends the path at tau t = 40 (e^{-40} ~ 4e-18), and
+# starts its first panel no lower than 1e-12 min |E_k - p|, however small p
+_PATH_END = 40.0
+_P_FLOOR = 1e-12
+# times per array operation: bounds the (times, nodes, terms) arrays
+_CHUNK_TIMES = 64
 
 
 class OracleConvergenceError(RuntimeError):
-    """Quadrature failed its tolerance budget; carries the best estimate."""
+    """The oracle missed its tolerance budget; carries the best estimate."""
 
     def __init__(self, message, value=None, error_estimate=None):
         super().__init__(message)
@@ -49,12 +64,16 @@ class OracleConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances and truncation policy for the direct integrals.
+    """Tolerances of the direct evaluation.
 
-    The mass domain is [M - hw, M + hw] with hw = halfwidth_multiple
-    times max(Gamma_N, Omega_max), clipped at zero unless
-    include_negative_mass; phase breakpoints split the integrand at
-    every half-oscillation of e^{-i sqrt(p^2+m^2) t}.
+    The background sum starts at 16 nodes and doubles its node count until,
+    at every time, the change is at most max(abs_tol, rel_tol |A|); that
+    last change is the error return_error reports. max_rounds caps the
+    doublings; a fixed cap of 512 nodes holds besides. include_negative_mass
+    integrates the density over the whole real line (False: over m >= 0
+    only). halfwidth_multiple and max_segments set the truncated domain and
+    partition of the former real-axis quadrature; nothing is truncated now,
+    so both are checked and otherwise ignored.
     """
 
     halfwidth_multiple: float = 60.0
@@ -95,143 +114,83 @@ class ComparisonReport:
     direct_label: str
 
 
-def _domain(modes: RestModeSet, spec: QuadratureSpec):
-    omega_max = float(modes.Omega.max())
-    hw = spec.halfwidth_multiple * max(float(modes.Gamma[-1]), omega_max)
-    for j in range(modes.N):
-        needed = float(modes.Omega[j]) + _COVERAGE_HALFWIDTHS * 0.5 * float(modes.Gamma[j])
-        if hw < needed:
-            raise ValueError(
-                "halfwidth %r does not cover mode %d by %g half-widths (needs %r)"
-                % (hw, j, _COVERAGE_HALFWIDTHS, needed)
-            )
-    lo = modes.M - hw
-    hi = modes.M + hw
-    if not spec.include_negative_mass:
-        # the narrow-width validation keeps M - Omega_j at least 20 Gamma_j,
-        # so clipping at zero never violates the coverage requirement
-        lo = max(lo, 0.0)
-    return lo, hi
+@functools.lru_cache(maxsize=None)
+def _laguerre(n):
+    """n-point Gauss rule for x^{-1/2} e^{-x} on [0, inf) by Golub-Welsch
+    (Math. Comp. 23, 1969): the eigenvalues of the generalized Laguerre
+    Jacobi matrix, and Gamma(1/2) times their squared first components."""
+    k = np.arange(1, n)
+    off = np.sqrt(k * (k - 0.5))
+    x, vectors = np.linalg.eigh(np.diag(2.0 * np.arange(n) + 0.5)
+                                + np.diag(off, 1) + np.diag(off, -1))
+    return x, math.sqrt(math.pi) * vectors[0] ** 2
 
 
-def _tail_bound(modes: RestModeSet, spec: QuadratureSpec, lo, hi):
-    """Density mass between the intended support and the truncated domain."""
-    mass, width, weight, _ = mode_terms(modes)
-    half = 0.5 * width
-    inside = (np.arctan((hi - mass) / half) - np.arctan((lo - mass) / half)) / math.pi
-    intended = 1.0 if spec.include_negative_mass else 0.5 + np.arctan(mass / half) / math.pi
-    return float(np.sum(weight * (intended - inside)))
+class _Path:
+    """Pole sum and background integral of one (modes, p, mass range)."""
+
+    def __init__(self, modes: RestModeSet, p, fold):
+        mass, width, weight, _ = mode_terms(modes)
+        self.p, self.fold, self.weight = p, fold, weight
+        mu = mass + 0.5j * width
+        # E_k of the pole conj(mu_k) = c_k - i Gamma_k/2 that the path crosses
+        self.energy = np.sqrt(p * p + np.conj(mu * mu))
+        # G has poles at i (E_k - p) and a branch point at -2ip
+        self.gap = float(np.min(np.abs(mu * mu) / np.abs(self.energy + p)))
+        self.scale = min(2.0 * p, self.gap)
+        # A(0) = sum_k weight_k (1/2 + arctan(c_k / (Gamma_k/2)) / pi) over m >= 0
+        self.normalization = float(np.sum(weight * (1.0 if fold else 1.0 - np.angle(mu) / math.pi)))
+        # the density is sum_j coef_j / (z - at_j), over mu_k and conj(mu_k):
+        # z = m^2 with the m < 0 half folded in, z = m without it
+        at, coef = (mu * mu, -1j * weight * mu / math.pi) if fold else (mu, weight / (2j * math.pi))
+        self.at = np.concatenate([at, np.conj(at)])
+        self.coef = np.concatenate([coef, np.conj(coef)])
+
+    def poles(self, t):
+        # the path crosses the poles with Re E_k > p: all when Gamma_k/2 < c_k
+        crossed = self.energy.real > self.p
+        return np.exp(-1j * np.multiply.outer(t, self.energy[crossed])) @ self.weight[crossed]
+
+    def integrand(self, tau):
+        # conj(sqrt(-tau + 2ip)) is sqrt(-tau - 2ip) in the fourth quadrant,
+        # also at p = +0.0, where it must be -i sqrt(tau)
+        root = np.conj(np.sqrt(-tau + 2j * self.p))
+        z = -tau * (tau + 2j * self.p) if self.fold else np.sqrt(tau) * root
+        return (1.0 / (z[..., None] - self.at) @ self.coef) * (-tau - 1j * self.p) / root
+
+    def laguerre(self, t, n):
+        """The background integral at times t by the n-point Laguerre rule."""
+        x, w = _laguerre(n)
+        return np.concatenate([self.integrand(x / c[:, None]) @ w for c in _chunks(t)]) / np.sqrt(t)
+
+    def composite(self, t, n, first, last):
+        """The background integral at times t by n-point Gauss-Legendre panels:
+        [0, first] in u = sqrt(tau), which takes the tau^{-1/2} endpoint and
+        any branch point near 0, then [a, 2a] from a = first while a < last."""
+        u, w = np.polynomial.legendre.leggauss(n)
+        u, w = 0.5 * (u + 1.0), 0.5 * w
+        edges = first * 2.0 ** np.arange(max(0, math.ceil(math.log2(last / first))))
+        tau = np.concatenate([first * u * u, np.outer(edges, 1.0 + u).ravel()])
+        weight = np.concatenate([2.0 * math.sqrt(first) * w, np.outer(edges, w).ravel()])
+        weight[len(u):] /= np.sqrt(tau[len(u):])
+        g = self.integrand(tau) * weight
+        return np.concatenate([np.exp(-np.multiply.outer(c, tau)) @ g for c in _chunks(t)])
 
 
-def _phase_side(p, t, lo_abs, hi_abs):
-    # |m| values in (lo_abs, hi_abs) where sqrt(p^2+m^2) t crosses k pi
-    phase_lo = math.hypot(p, lo_abs) * t
-    phase_hi = math.hypot(p, hi_abs) * t
-    kmin = int(math.floor(phase_lo / math.pi)) + 1
-    kmax = int(math.floor(phase_hi / math.pi))
-    if kmax < kmin:
-        return np.empty(0)
-    if kmax - kmin > _MAX_PHASE_BREAKPOINTS:
-        raise ValueError(
-            "phase partition needs %d breakpoints (cap %d); t is too deep for the oracle"
-            % (kmax - kmin, _MAX_PHASE_BREAKPOINTS)
-        )
-    k = np.arange(kmin, kmax + 1, dtype=float)
-    u = np.sqrt(np.maximum((k * math.pi / t) ** 2 - p * p, 0.0))
-    return u[(u > lo_abs) & (u < hi_abs)]
-
-
-def _breakpoints(modes: RestModeSet, p, t, lo, hi):
-    pts = [np.array([lo, hi])]
-
-    mass, width, _, _ = mode_terms(modes)
-    steps = np.array([0.0, -1.0, 1.0, -4.0, 4.0, -16.0, 16.0, -64.0, 64.0])
-    pts.append((mass[:, None] + steps * width[:, None]).ravel())
-
-    if t > 0.0:
-        if lo < 0.0 < hi:
-            pts.append(np.array([0.0]))  # stationary phase point
-            pts.append(-_phase_side(p, t, 0.0, -lo))
-            pts.append(_phase_side(p, t, 0.0, hi))
-        elif lo >= 0.0:
-            pts.append(_phase_side(p, t, lo, hi))
-        else:
-            pts.append(-_phase_side(p, t, -hi, -lo))
-
-    merged = np.concatenate(pts)
-    merged = np.sort(merged[(merged >= lo) & (merged <= hi)])
-    keep = np.concatenate([[True], np.diff(merged) > 1e-12 * (hi - lo)])
-    merged = merged[keep]
-    merged[0] = lo
-    merged[-1] = hi
-    return merged
-
-
-def _blocks(times):
-    """(start, stop) ranges of the sorted times, each spanning a factor <= _BLOCK_RATIO."""
-    blocks = []
-    start = 0
-    for i in range(1, len(times) + 1):
-        if i == len(times) or times[i] > _BLOCK_RATIO * times[start]:
-            blocks.append((start, i))
-            start = i
-    return blocks
-
-
-def _runs(times):
-    """(start, stop) ranges of the sorted times whose steps agree to rounding.
-
-    Steps as np.linspace gives them agree to a few ulp of the largest
-    time; a run holds at most _RESYNC steps.
-    """
-    steps = np.diff(times)
-    tol = 8.0 * np.finfo(float).eps * times[-1]
-    runs = []
-    start = 0
-    for i in range(1, len(times) + 1):
-        if (i == len(times) or i - start > _RESYNC
-                or (i > start + 1 and abs(steps[i - 1] - steps[start]) > tol)):
-            runs.append((start, i))
-            start = i
-    return runs
-
-
-def _phase_factors(energy, times, runs, scale):
-    """scale * e^{-i energy t}, one row per sorted time.
-
-    Each run of three or more equal steps starts from an exact exp and
-    advances by one multiply with e^{-i energy dt}; shorter runs are
-    exact at every time.
-    """
-    out = np.empty((len(times), energy.size), dtype=complex)
-    for start, stop in runs:
-        if stop - start < 3:
-            for i in range(start, stop):
-                np.multiply(scale, np.exp(-1j * energy * times[i]), out=out[i])
-            continue
-        np.multiply(scale, np.exp(-1j * energy * times[start]), out=out[start])
-        dt = (times[stop - 1] - times[start]) / (stop - 1 - start)
-        step = np.exp(-1j * energy * dt)
-        for i in range(start + 1, stop):
-            np.multiply(out[i - 1], step, out=out[i])
-    return out
+def _chunks(t):
+    return np.array_split(t, -(-len(t) // _CHUNK_TIMES))
 
 
 def direct_boosted_amplitude(modes: RestModeSet, p, t, spec: QuadratureSpec = None,
                              return_error=False):
-    """Survival amplitude at momentum p by direct mass quadrature.
+    """Survival amplitude at momentum p by steepest descent (module docstring).
 
-    Integrates the analytic density times e^{-i sqrt(p^2+m^2) t} over the
-    truncated domain, splitting at every phase half-period and along a
-    width ladder around each Lorentzian center. t is one time or an array
-    of times (results in input order). The sorted times are grouped into
-    blocks whose largest time is at most twice the smallest; each block
-    shares the partition of its largest time, which resolves the phase of
-    every smaller time more finely, and one adaptive Gauss-Kronrod loop in
-    which every time meets its own budget. With return_error the result
-    comes back as (value, error) where error adds the analytic out-of-domain
-    mass bound to the quadrature estimate. OracleConvergenceError names
-    the earliest time that misses its budget.
+    t is one time or an array of times (results in input order); t = 0
+    gives the density's total mass exactly. With return_error the result
+    comes back as (value, error), error being each time's change over its
+    last doubling (0 at t = 0). OracleConvergenceError, carrying that time's
+    best value and change, names the earliest time still over its budget
+    when the doublings (QuadratureSpec) run out.
     """
     if spec is None:
         spec = QuadratureSpec()
@@ -240,36 +199,54 @@ def direct_boosted_amplitude(modes: RestModeSet, p, t, spec: QuadratureSpec = No
         raise ValueError("momentum must be finite and >= 0, got %r" % p)
     tt = as_points(t, lambda x: np.isfinite(x) & (x >= 0.0), "time must be finite and >= 0")
 
-    lo, hi = _domain(modes, spec)
-    times, where = np.unique(tt, return_inverse=True)
-    amp = np.empty(len(times), dtype=complex)
-    err = np.empty(len(times))
-    for start, stop in _blocks(times):
-        block = times[start:stop]
-        runs = _runs(block)
+    # + 0.0 maps p = -0.0 to +0.0, whose branch the path takes at p = 0
+    path = _Path(modes, p + 0.0, spec.include_negative_mass)
+    amp = np.full(tt.shape, path.normalization, dtype=complex)
+    err = np.zeros(tt.shape)
+    live = tt > 0.0
+    times = tt[live]
+    poles = path.poles(times)
+    phase = np.exp(-1j * p * times)
+    laguerre = path.fold & (times * path.scale >= _LAGUERRE_MIN)
+    if not laguerre.all():
+        first = min(max(path.scale, _P_FLOOR * path.gap),
+                    _LAGUERRE_MIN / float(times[~laguerre].max()))
+        last = _PATH_END / float(times[~laguerre].min())
 
-        def integrand(m):
-            energy = np.sqrt(p * p + m * m)
-            return _phase_factors(energy, block, runs, mdd_analytic(modes, m))
+    def background(idx, n):
+        out = np.empty(len(idx), dtype=complex)
+        lag = laguerre[idx]
+        if lag.any():
+            out[lag] = path.laguerre(times[idx[lag]], n)
+        if not lag.all():
+            out[~lag] = path.composite(times[idx[~lag]], n, first, last)
+        return out
 
-        try:
-            value, quad_err = adaptive_gauss(
-                integrand, _breakpoints(modes, p, float(block[-1]), lo, hi),
-                abs_tol=spec.abs_tol, rel_tol=spec.rel_tol,
-                max_segments=spec.max_segments, max_rounds=spec.max_rounds,
-            )
-        except QuadratureConvergenceError as exc:
-            i = int(np.flatnonzero(~exc.converged)[0])
-            raise OracleConvergenceError(
-                "%s at t=%r" % (exc, float(block[i])),
-                value=complex(exc.value[i]), error_estimate=float(exc.error_estimate[i]),
-            ) from exc
-        amp[start:stop] = value
-        err[start:stop] = quad_err
+    n = _FIRST_NODES
+    idx = np.arange(len(times))
+    value = background(idx, n)
+    change = np.full(len(times), math.inf)
+    for _ in range(spec.max_rounds):
+        if not len(idx) or 2 * n > _MAX_NODES:
+            break
+        n *= 2
+        new = background(idx, n)
+        change[idx] = np.abs(new - value[idx])
+        value[idx] = new
+        budget = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(poles[idx] + phase[idx] * new))
+        idx = idx[change[idx] > budget]
 
-    amp = amp[where]
+    result = poles + phase * value
+    if len(idx):
+        i = idx[np.argmin(times[idx])]
+        raise OracleConvergenceError(
+            "background sum still changes by %g at %d nodes, at t=%r"
+            % (change[i], n, float(times[i])),
+            value=complex(result[i]), error_estimate=float(change[i]),
+        )
+    amp[live] = result
+    err[live] = change
     if return_error:
-        err = err[where] + _tail_bound(modes, spec, lo, hi)
         return maybe_scalar(amp, t), maybe_scalar(err, t)
     return maybe_scalar(amp, t)
 

@@ -301,6 +301,35 @@ def test_compare_rejects_malformed_sections(tmp_path, capsys, section):
     assert "invalid config" in err and list(section)[0] in err
 
 
+@pytest.mark.parametrize("extra", [
+    {"window": {"xi_gate": float("nan")}},
+    {"window": {"zeta_min": float("-inf")}},
+    {"notes": [1.0, {"x": float("inf")}]},
+], ids=["unread_window_nan", "unread_window_minus_inf", "unknown_section_inf"])
+def test_compare_rejects_non_finite_anywhere(tmp_path, capsys, extra):
+    # compare never reads the window section, but the report echoes it
+    extra = dict(extra, grid={"t_min": 2.0, "t_max": 6.0, "points": 5})
+    cfg = write_config(tmp_path, "nonfinite.json", extra)
+    out = tmp_path / "nonfinite.out"
+    assert main(["compare", "--config", cfg, "--out", str(out), "--quiet"]) == 2
+    assert not out.exists()
+    assert list(extra)[0] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["validate", "window", "compare"])
+def test_reports_are_strict_json(tmp_path, command):
+    cfg = write_config(tmp_path, "strict.json", {
+        "grid": {"t_min": 2.0, "t_max": 6.0, "points": 5},
+        "window": {"zeta_min": 0.05},
+        "oracle": {"abs_tol": 1e-7, "rel_tol": 1e-5},
+        "compare": {"max_rel_deviation": 1e-2},
+    })
+    out = tmp_path / "strict.out"
+    assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    report = _strict_json(out.read_text())
+    assert report["params"]["window"] == {"zeta_min": 0.05}
+
+
 def test_compare_parallel_flag_is_a_no_op(tmp_path):
     cfg = write_config(tmp_path, "cmppar.json", {
         "grid": {"t_min": 2.0, "t_max": 6.0, "points": 9},

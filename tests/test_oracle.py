@@ -1,7 +1,10 @@
-"""Direct-quadrature oracle for the boosted survival law."""
+"""Steepest-descent oracle for the boosted survival law, checked against
+the real-axis quadrature in tests/realaxis.py and 50-digit mpmath spots."""
 
 import cmath
+import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -11,12 +14,15 @@ from oscdecay._quad import adaptive_gauss
 from oscdecay.oracle import (
     OracleConvergenceError,
     QuadratureSpec,
+    _laguerre,
+    _Path,
     direct_boosted_amplitude,
     direct_survival,
     oracle_compare,
 )
 
-from conftest import make_boosted, make_single_mode
+from conftest import DATA, make_boosted, make_single_mode
+from realaxis import realaxis_amplitude
 
 
 FAST = QuadratureSpec(abs_tol=1e-7, rel_tol=1e-5)
@@ -39,15 +45,15 @@ def test_rest_amplitude_matches_analytic_model():
 
 
 def test_rest_amplitude_reality_up_to_global_phase():
-    # on a symmetric all-positive mass domain the density is even about M,
-    # so e^{iMt} A_0(t) is real; the default domain reaches m < 0 where the
-    # energy |m| folds the phase, leaving an imaginary part of order
-    # density(0)/t ~ Gamma/(2 pi M^2 t)
+    # on a symmetric all-positive mass domain of the real-axis quadrature
+    # the density is even about M, so e^{iMt} A_0(t) is real; the whole
+    # line reaches m < 0 where the energy |m| folds the phase, leaving an
+    # imaginary part of order density(0)/t ~ Gamma/(2 pi M^2 t)
     modes = make_single_mode(100.0, 10.0, 0.04)
     positive = QuadratureSpec(abs_tol=1e-10, rel_tol=1e-8,
                               halfwidth_multiple=9.0)
     for t in (1.0, 4.0):
-        amp = complex(direct_boosted_amplitude(modes, 0.0, t, positive))
+        amp = complex(realaxis_amplitude(modes, 0.0, t, positive))
         rotated = amp * cmath.exp(1j * modes.M * t)
         assert abs(rotated.imag) <= 1e-12 * abs(rotated)
 
@@ -74,8 +80,8 @@ def test_boosted_survival_matches_closed_form(mode_p200_m80):
 
 
 def test_negative_mass_region_is_negligible():
-    # heavy narrow mode with the domain pushed below zero: dropping m < 0
-    # moves the answer by < 1e-6
+    # heavy narrow mode: dropping m < 0 moves the answer by < 1e-6
+    # (halfwidth_multiple is a no-op)
     modes = make_single_mode(5000.0, 5.0, 0.04)
     wide = dict(abs_tol=1e-9, rel_tol=1e-7, halfwidth_multiple=1200.0)
     with_neg = direct_boosted_amplitude(
@@ -92,10 +98,22 @@ def test_reported_error_bounds_tolerance_halving(mode_p200_m80):
     modes, _ = mode_p200_m80
     loose = QuadratureSpec(abs_tol=1e-6, rel_tol=1e-4)
     tight = QuadratureSpec(abs_tol=5e-8, rel_tol=5e-6)
-    v1, e1 = direct_boosted_amplitude(modes, 200.0, 5.0, loose, return_error=True)
-    v2 = direct_boosted_amplitude(modes, 200.0, 5.0, tight)
+    for t in (0.05, 5.0):
+        v1, e1 = direct_boosted_amplitude(modes, 200.0, t, loose, return_error=True)
+        v2 = direct_boosted_amplitude(modes, 200.0, t, tight)
+        assert abs(v1 - v2) <= e1
+
+
+def test_realaxis_error_is_dominated_by_tail_bound(mode_p200_m80):
+    # the real-axis quadrature truncates the mass domain: its reported
+    # error bounds the move under a tighter budget, and is dominated by
+    # the analytic tail bound
+    modes, _ = mode_p200_m80
+    loose = QuadratureSpec(abs_tol=1e-6, rel_tol=1e-4)
+    tight = QuadratureSpec(abs_tol=5e-8, rel_tol=5e-6)
+    v1, e1 = realaxis_amplitude(modes, 200.0, 5.0, loose, return_error=True)
+    v2 = realaxis_amplitude(modes, 200.0, 5.0, tight)
     assert abs(v1 - v2) <= e1
-    # the reported error is dominated by the analytic tail bound
     assert e1 > 1e-4
 
 
@@ -122,12 +140,15 @@ def test_accepts_large_finite_momentum(mode_p200_m80):
     assert abs(got - want) <= 1e-2 * want
 
 
+# the steepest-descent sums meet 1e-14 within two doublings at every time,
+# so a starved spec asks for less than the rounding noise of the sums
+STARVED = QuadratureSpec(abs_tol=1e-300, rel_tol=0.0, max_segments=64, max_rounds=2)
+
+
 def test_nonconvergence_carries_best_estimate(mode_p200_m80):
     modes, _ = mode_p200_m80
-    starved = QuadratureSpec(abs_tol=1e-14, rel_tol=1e-14,
-                             max_segments=64, max_rounds=2)
     with pytest.raises(OracleConvergenceError) as info:
-        direct_boosted_amplitude(modes, 200.0, 5.0, starved)
+        direct_boosted_amplitude(modes, 200.0, 5.0, STARVED)
     assert info.value.value is not None
     assert info.value.error_estimate is not None
 
@@ -168,10 +189,8 @@ def test_grid_call_matches_per_point_calls(case, grid):
 def test_grid_nonconvergence_names_a_grid_time(mode_p200_m80):
     modes, _ = mode_p200_m80
     t = ORACLE_GRIDS["linspace"]
-    starved = QuadratureSpec(abs_tol=1e-14, rel_tol=1e-14,
-                             max_segments=64, max_rounds=2)
     with pytest.raises(OracleConvergenceError) as info:
-        direct_survival(modes, 200.0, t, starved)
+        direct_survival(modes, 200.0, t, STARVED)
     named = float(str(info.value).rsplit("t=", 1)[1])
     assert named in t
     # the estimate carried is that time's own
@@ -255,3 +274,119 @@ def test_direct_envelope_stays_bounded(mode_p200_m80):
     for t in (3.0, 8.0, 14.0):
         val = direct_survival(modes, 200.0, t, FAST)
         assert math.exp(t / float(ctx.gamma_minus[0])) * val <= 1.0
+
+
+# sets the closed form is judged on: curve B, the three-mode set above,
+# and a three-mode set with an Omega = 0 mode
+CURVE_B = {"M": 80.0, "w": [1.0], "Gamma": [1.0], "Omega": [10.0], "a": [0.04]}
+SHIFTED_THREE_MODES = {"M": 100.0, "w": [0.5, 0.3, 0.2], "Gamma": [1.0, 1.5, 2.0],
+                       "Omega": [0.0, 5.0, 8.0], "a": [0.1, 0.0, 0.03]}
+TIGHT = QuadratureSpec(abs_tol=1e-11, rel_tol=1e-9)
+
+
+@pytest.mark.parametrize("modes, p", [
+    (CURVE_B, 1.0), (CURVE_B, 5.0), (CURVE_B, 40.0), (CURVE_B, 200.0), (CURVE_B, 400.0),
+    (SHIFTED_THREE_MODES, 150.0), (THREE_MODES, 200.0),
+], ids=["curve_b-p1", "curve_b-p5", "curve_b-p40", "curve_b-p200", "curve_b-p400",
+        "shifted_three_mode-p150", "three_mode-p200"])
+def test_agrees_with_realaxis_quadrature(modes, p):
+    # the tight real-axis quadrature and the steepest-descent sums agree
+    # within the quadrature's own reported error (tail bound included),
+    # and to 1e-6 of the amplitude, far below that bound
+    modes = od.validate_modes(modes)
+    t = np.linspace(2.0, 11.0, 10)
+    want, err = realaxis_amplitude(modes, p, t, TIGHT, return_error=True)
+    got = direct_boosted_amplitude(modes, p, t, TIGHT)
+    assert np.all(np.abs(got - want) <= err)
+    assert np.all(np.abs(got - want) <= 1e-6)
+
+
+def _spots():
+    with open(os.path.join(DATA, "oracle_spots.json")) as f:
+        return json.load(f)
+
+
+@pytest.mark.parametrize("spot", _spots(), ids=lambda s: s["name"])
+def test_matches_mpmath_realaxis_spot(spot):
+    # 50-digit real-axis integrals (tools/gen_oracle_spots.py)
+    modes = od.validate_modes(spot["modes"])
+    spec = QuadratureSpec(abs_tol=1e-14, rel_tol=1e-13,
+                          include_negative_mass=spot["negative_mass"])
+    got = direct_boosted_amplitude(modes, spot["p"], spot["t"], spec)
+    assert abs(got - complex(*spot["amplitude"])) <= 1e-12
+
+
+def test_laguerre_rule_exactness():
+    # the n-point rule integrates x^k x^{-1/2} e^{-x} exactly through
+    # k = 2n - 1: the integral is Gamma(k + 1/2)
+    for n in (16, 32):
+        x, w = _laguerre(n)
+        assert np.all(x > 0.0) and np.all(w >= 0.0)
+        for k in range(12):
+            assert np.sum(w * x ** k) == pytest.approx(math.gamma(k + 0.5), rel=1e-12)
+
+
+@pytest.mark.parametrize("modes, p", [(CURVE_B, 200.0), (CURVE_B, 5.0),
+                                      (SHIFTED_THREE_MODES, 150.0), (THREE_MODES, 200.0)])
+def test_pole_sum_is_closed_form_pole_part(modes, p):
+    modes = od.validate_modes(modes)
+    t = np.linspace(0.5, 20.0, 40)
+    k_sum = od.BoostedLaw(modes, od.shifted_kinematics(modes, p))(t).K_sum
+    assert np.all(np.abs(_Path(modes, p, True).poles(t) - k_sum) <= 1e-14)
+
+
+def test_zero_time_is_exact_normalization():
+    modes = od.validate_modes(SHIFTED_THREE_MODES)
+    for p in (0.0, 150.0):
+        assert direct_boosted_amplitude(modes, p, 0.0) == pytest.approx(1.0, abs=1e-15)
+        mass, width, weight, _ = od.kinematics.mode_terms(modes)
+        half_line = float(np.sum(weight * (0.5 + np.arctan(mass / (0.5 * width)) / math.pi)))
+        got = direct_boosted_amplitude(modes, p, 0.0, QuadratureSpec(include_negative_mass=False))
+        assert got == pytest.approx(half_line, abs=1e-15)
+        assert half_line < 1.0 - 1e-3
+
+
+def test_zero_and_small_momentum():
+    # p = 0 takes m = -i tau on the path; tiny p joins it continuously
+    # (the spots pin p = 0 and p = 1e-3 to mpmath)
+    modes = od.validate_modes(CURVE_B)
+    at_rest = direct_boosted_amplitude(modes, 0.0, 1.0, TIGHT)
+    assert direct_boosted_amplitude(modes, -0.0, 1.0, TIGHT) == at_rest
+    assert abs(direct_boosted_amplitude(modes, 1e-10, 1.0, TIGHT) - at_rest) <= 1e-11
+    assert abs(direct_boosted_amplitude(modes, 1e-3, 1.0, TIGHT) - at_rest) <= 1e-8
+
+
+def test_rest_branch_seam():
+    # the closed form's rest branch is the paper's P0; the exact law at
+    # p = 0 folds the density at |m| instead, which lowers P by 1.76e-4
+    # relative at t = 1 on curve B
+    modes = od.validate_modes(CURVE_B)
+    rest = od.BoostedLaw(modes, od.shifted_kinematics(modes, 0.0))(1.0).P_p
+    assert rest == pytest.approx(od.survival_rest(modes, 1.0), rel=1e-15)
+    for p in (0.0, 1e-10, 1e-3):
+        exact = direct_survival(modes, p, 1.0, TIGHT)
+        assert 1.7e-4 <= (rest - exact) / exact <= 1.8e-4
+
+
+@pytest.mark.parametrize("negative_mass", [True, False])
+@pytest.mark.parametrize("t", [0.02, 0.05, 0.2])
+def test_short_times(t, negative_mass):
+    # below t = 4 / min(2p, |E_k - p|) (0.34 here) the composite rule
+    # serves; it converges and agrees with a wide real-axis quadrature,
+    # over the whole line and over m >= 0 (halfwidth_multiple only sizes
+    # the real-axis domain)
+    modes = od.validate_modes(CURVE_B)
+    spec = QuadratureSpec(abs_tol=1e-11, rel_tol=1e-9, halfwidth_multiple=2000.0,
+                          include_negative_mass=negative_mass)
+    got, err = direct_boosted_amplitude(modes, 200.0, t, spec, return_error=True)
+    want, want_err = realaxis_amplitude(modes, 200.0, t, spec, return_error=True)
+    assert err <= 1e-11
+    assert abs(got - want) <= want_err
+    assert abs(got - want) <= 1e-7
+
+
+def test_starved_spec_names_a_short_grid_time():
+    modes = od.validate_modes(CURVE_B)
+    t = np.array([3.0, 0.2, 0.02, 1.0])
+    with pytest.raises(OracleConvergenceError, match=r"at t=0\.02$"):
+        direct_survival(modes, 200.0, t, STARVED)
