@@ -12,11 +12,9 @@ m(tau) = sqrt(-tau^2 - 2ip tau) in the fourth quadrant, it is exactly
 with E_k = sqrt(p^2 + (c_k - i Gamma_k/2)^2) over the Lorentzian terms of
 kinematics.mode_terms, whose poles the path crosses (Bender & Orszag,
 Advanced Mathematical Methods, ch. 6). The background integral is a
-generalized Gauss-Laguerre sum (alpha = -1/2) where t min(2p, |E_k - p|)
->= 4; below that G varies faster than e^{-tau t} and a composite
-Gauss-Legendre sum on doubling panels of tau takes over. Nothing here uses
-the closed form's Bessel and Struve functions, so the result checks it
-independently.
+composite Gauss-Legendre sum on doubling panels of tau, whose nodes the
+whole time grid shares. Nothing here uses the closed form's Bessel and
+Struve functions, so the result checks it independently.
 """
 
 import functools
@@ -43,14 +41,20 @@ __all__ = [
 
 _FIRST_NODES = 16
 _MAX_NODES = 512
-# t min(2p, |E_k - p|) at and above which the Laguerre rule serves a time
-_LAGUERRE_MIN = 4.0
-# the composite rule ends the path at tau t = 40 (e^{-40} ~ 4e-18), and
-# starts its first panel no lower than 1e-12 min |E_k - p|, however small p
+# the path ends at tau t = 40 for the shortest time (e^{-40} ~ 4e-18); its
+# first panel ends at min(2p, |E_k - p|), G's nearest singularity, but no
+# lower than 1e-12 min |E_k - p| however small p, and no later than
+# tau t = 64 for the longest time, where e^{-tau t} spans >= 1/8 of it in
+# sqrt(tau)
+_FIRST_END = 64.0
 _PATH_END = 40.0
 _P_FLOOR = 1e-12
-# times per array operation: bounds the (times, nodes, terms) arrays
-_CHUNK_TIMES = 64
+# below t max|E_k| = 1e-16 every phase e^{-iEt} rounds to 1, so A(t) = A(0)
+_STILL = 1e-16
+# doubling panels one grid may span (2^160 ~ 1e48 between path ends)
+_MAX_PANELS = 160
+# entries per (times, nodes) array: sizes the chunks of times
+_CHUNK_ENTRIES = 1 << 18
 
 
 class OracleConvergenceError(RuntimeError):
@@ -115,15 +119,10 @@ class ComparisonReport:
 
 
 @functools.lru_cache(maxsize=None)
-def _laguerre(n):
-    """n-point Gauss rule for x^{-1/2} e^{-x} on [0, inf) by Golub-Welsch
-    (Math. Comp. 23, 1969): the eigenvalues of the generalized Laguerre
-    Jacobi matrix, and Gamma(1/2) times their squared first components."""
-    k = np.arange(1, n)
-    off = np.sqrt(k * (k - 0.5))
-    x, vectors = np.linalg.eigh(np.diag(2.0 * np.arange(n) + 0.5)
-                                + np.diag(off, 1) + np.diag(off, -1))
-    return x, math.sqrt(math.pi) * vectors[0] ** 2
+def _legendre(n):
+    """n-point Gauss-Legendre nodes and weights on [0, 1]."""
+    u, w = np.polynomial.legendre.leggauss(n)
+    return 0.5 * (u + 1.0), 0.5 * w
 
 
 class _Path:
@@ -138,6 +137,8 @@ class _Path:
         # G has poles at i (E_k - p) and a branch point at -2ip
         self.gap = float(np.min(np.abs(mu * mu) / np.abs(self.energy + p)))
         self.scale = min(2.0 * p, self.gap)
+        # the largest energy scale, which sets how soon any phase moves
+        self.reach = max(p, float(np.max(np.abs(self.energy))))
         # A(0) = sum_k weight_k (1/2 + arctan(c_k / (Gamma_k/2)) / pi) over m >= 0
         self.normalization = float(np.sum(weight * (1.0 if fold else 1.0 - np.angle(mu) / math.pi)))
         # the density is sum_j coef_j / (z - at_j), over mu_k and conj(mu_k):
@@ -158,27 +159,18 @@ class _Path:
         z = -tau * (tau + 2j * self.p) if self.fold else np.sqrt(tau) * root
         return (1.0 / (z[..., None] - self.at) @ self.coef) * (-tau - 1j * self.p) / root
 
-    def laguerre(self, t, n):
-        """The background integral at times t by the n-point Laguerre rule."""
-        x, w = _laguerre(n)
-        return np.concatenate([self.integrand(x / c[:, None]) @ w for c in _chunks(t)]) / np.sqrt(t)
-
-    def composite(self, t, n, first, last):
+    def composite(self, t, n, first, panels):
         """The background integral at times t by n-point Gauss-Legendre panels:
         [0, first] in u = sqrt(tau), which takes the tau^{-1/2} endpoint and
-        any branch point near 0, then [a, 2a] from a = first while a < last."""
-        u, w = np.polynomial.legendre.leggauss(n)
-        u, w = 0.5 * (u + 1.0), 0.5 * w
-        edges = first * 2.0 ** np.arange(max(0, math.ceil(math.log2(last / first))))
+        any branch point near 0, then [a, 2a] for a = first 2^j, j < panels."""
+        u, w = _legendre(n)
+        edges = first * 2.0 ** np.arange(panels)
         tau = np.concatenate([first * u * u, np.outer(edges, 1.0 + u).ravel()])
         weight = np.concatenate([2.0 * math.sqrt(first) * w, np.outer(edges, w).ravel()])
         weight[len(u):] /= np.sqrt(tau[len(u):])
         g = self.integrand(tau) * weight
-        return np.concatenate([np.exp(-np.multiply.outer(c, tau)) @ g for c in _chunks(t)])
-
-
-def _chunks(t):
-    return np.array_split(t, -(-len(t) // _CHUNK_TIMES))
+        chunks = np.array_split(t, -(-len(t) * len(tau) // _CHUNK_ENTRIES))
+        return np.concatenate([np.exp(-np.multiply.outer(c, tau)) @ g for c in chunks])
 
 
 def direct_boosted_amplitude(modes: RestModeSet, p, t, spec: QuadratureSpec = None,
@@ -186,11 +178,14 @@ def direct_boosted_amplitude(modes: RestModeSet, p, t, spec: QuadratureSpec = No
     """Survival amplitude at momentum p by steepest descent (module docstring).
 
     t is one time or an array of times (results in input order); t = 0
-    gives the density's total mass exactly. With return_error the result
-    comes back as (value, error), error being each time's change over its
-    last doubling (0 at t = 0). OracleConvergenceError, carrying that time's
-    best value and change, names the earliest time still over its budget
-    when the doublings (QuadratureSpec) run out.
+    gives the density's total mass exactly, and so does any time too short
+    for a phase to move in double precision (t max|E_k| < 1e-16). With
+    return_error the result comes back as (value, error), error being each
+    time's change over its last doubling (0 at those times).
+    OracleConvergenceError, carrying that time's best value and change,
+    names the earliest time still over its budget when the doublings
+    (QuadratureSpec) run out, or the shortest time of a grid that spans
+    more than 160 doubling panels of the path.
     """
     if spec is None:
         spec = QuadratureSpec()
@@ -203,34 +198,36 @@ def direct_boosted_amplitude(modes: RestModeSet, p, t, spec: QuadratureSpec = No
     path = _Path(modes, p + 0.0, spec.include_negative_mass)
     amp = np.full(tt.shape, path.normalization, dtype=complex)
     err = np.zeros(tt.shape)
-    live = tt > 0.0
-    times = tt[live]
-    poles = path.poles(times)
-    phase = np.exp(-1j * p * times)
-    laguerre = path.fold & (times * path.scale >= _LAGUERRE_MIN)
-    if not laguerre.all():
-        first = min(max(path.scale, _P_FLOOR * path.gap),
-                    _LAGUERRE_MIN / float(times[~laguerre].max()))
-        last = _PATH_END / float(times[~laguerre].min())
+    live = tt * path.reach >= _STILL
+    if live.any():
+        amp[live], err[live] = _converge(path, tt[live], spec)
+    if return_error:
+        return maybe_scalar(amp, t), maybe_scalar(err, t)
+    return maybe_scalar(amp, t)
 
-    def background(idx, n):
-        out = np.empty(len(idx), dtype=complex)
-        lag = laguerre[idx]
-        if lag.any():
-            out[lag] = path.laguerre(times[idx[lag]], n)
-        if not lag.all():
-            out[~lag] = path.composite(times[idx[~lag]], n, first, last)
-        return out
+
+def _converge(path, times, spec):
+    """Amplitude and last change at times > 0, doubling the panels' nodes."""
+    tmin, tmax = float(times.min()), float(times.max())
+    first = min(max(path.scale, _P_FLOOR * path.gap), _FIRST_END / tmax)
+    # in logs: 40 / tmin overflows for subnormal tmin
+    panels = max(0, math.ceil(math.log2(_PATH_END) - math.log2(tmin) - math.log2(first)))
+    if panels > _MAX_PANELS:
+        raise OracleConvergenceError(
+            "times from t=%r to %r need %d doubling panels of the path, over %d, at t=%r"
+            % (tmin, tmax, panels, _MAX_PANELS, tmin))
+    poles = path.poles(times)
+    phase = np.exp(-1j * path.p * times)
 
     n = _FIRST_NODES
     idx = np.arange(len(times))
-    value = background(idx, n)
+    value = path.composite(times, n, first, panels)
     change = np.full(len(times), math.inf)
     for _ in range(spec.max_rounds):
         if not len(idx) or 2 * n > _MAX_NODES:
             break
         n *= 2
-        new = background(idx, n)
+        new = path.composite(times[idx], n, first, panels)
         change[idx] = np.abs(new - value[idx])
         value[idx] = new
         budget = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(poles[idx] + phase[idx] * new))
@@ -244,11 +241,7 @@ def direct_boosted_amplitude(modes: RestModeSet, p, t, spec: QuadratureSpec = No
             % (change[i], n, float(times[i])),
             value=complex(result[i]), error_estimate=float(change[i]),
         )
-    amp[live] = result
-    err[live] = change
-    if return_error:
-        return maybe_scalar(amp, t), maybe_scalar(err, t)
-    return maybe_scalar(amp, t)
+    return result, change
 
 
 def direct_survival(modes: RestModeSet, p, t, spec: QuadratureSpec = None):
