@@ -12,6 +12,7 @@ model; 3 I/O failure; 4 oracle non-convergence.
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -41,26 +42,18 @@ class ConfigError(ValueError):
     """The config file is structurally or physically unusable."""
 
 
-def _fmt(value) -> str:
-    # shortest decimal that round-trips; repr of a python float is exactly that
-    return repr(float(value))
-
-
-def _py(obj):
-    """Plain-python mirror of obj for json emission."""
-    if isinstance(obj, dict):
-        return {str(k): _py(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_py(v) for v in obj]
+def _json_default(obj):
+    """Plain-python value of a numpy object json cannot encode itself; np.float64
+    is a float subclass and is printed by float.__repr__ without this hook."""
     if isinstance(obj, np.ndarray):
-        return [_py(v) for v in obj.tolist()]
-    if isinstance(obj, (bool, np.bool_)):
+        return obj.tolist()
+    if isinstance(obj, np.bool_):
         return bool(obj)
-    if isinstance(obj, (int, np.integer)):
+    if isinstance(obj, np.integer):
         return int(obj)
-    if isinstance(obj, (float, np.floating)):
+    if isinstance(obj, np.floating):
         return float(obj)
-    return obj
+    raise TypeError("%s is not JSON serializable" % type(obj).__name__)
 
 
 def _non_finite(obj, path="config"):
@@ -114,12 +107,14 @@ def _grid(config):
     try:
         t_min = float(grid["t_min"])
         t_max = float(grid["t_max"])
-        points = int(grid["points"])
+        points = grid["points"]
     except KeyError as exc:
         raise ConfigError("grid lacks key %s" % exc)
     spacing = grid.get("spacing", "linear")
-    if points < 2:
-        raise ConfigError("grid needs at least 2 points, got %d" % points)
+    # like oracle.max_rounds: 3.0 is an integer, 40.7 and "40" are not
+    if not (isinstance(points, (int, float)) and points == int(points) >= 2):
+        raise ConfigError("grid points must be an integer >= 2, got %r" % (points,))
+    points = int(points)
     if not (math.isfinite(t_min) and math.isfinite(t_max)) or t_min >= t_max:
         raise ConfigError("grid needs t_min < t_max, got %r, %r" % (t_min, t_max))
     if spacing == "linear":
@@ -170,7 +165,7 @@ def _emit_text(text, out_path):
 
 
 def _emit_json(report, out_path):
-    _emit_text(json.dumps(_py(report), indent=2) + "\n", out_path)
+    _emit_text(json.dumps(report, indent=2, default=_json_default) + "\n", out_path)
 
 
 def _note(args, message):
@@ -242,9 +237,14 @@ def cmd_validate(config, args):
     return EXIT_OK if ok else EXIT_INVALID
 
 
-def _csv_text(header, rows):
+def _csv_text(header, *columns):
+    """CSV text of equal-length columns. A bool column reads true/false; every
+    other cell is the repr of its double, the shortest decimal that round-trips."""
+    cells = [np.where(col, "true", "false").tolist() if col.dtype == bool
+             else map(repr, col.astype(float, copy=False).tolist())
+             for col in map(np.asarray, columns)]
     lines = [header]
-    lines.extend(",".join(row) for row in rows)
+    lines.extend(map(",".join, zip(*cells)))
     return "\n".join(lines) + "\n"
 
 
@@ -252,38 +252,25 @@ def cmd_curve(config, args):
     modes = _build_modes(config)
     p = _momentum(config)
     t = _grid(config)
-    gamma1 = float(modes.Gamma[0])
+    gamma_t = float(modes.Gamma[0]) * t
     which = args.which
 
     if which == "rest":
-        values = np.atleast_1d(survival_rest(modes, t))
-        header = "t,gamma_t,value"
-        rows = [(_fmt(ti), _fmt(gamma1 * ti), _fmt(vi)) for ti, vi in zip(t, values)]
+        text = _csv_text("t,gamma_t,value", t, gamma_t, survival_rest(modes, t))
     elif which == "rate":
-        values = np.atleast_1d(decay_rate_rest(modes, t))
-        header = "t,gamma_t,value"
-        rows = [(_fmt(ti), _fmt(gamma1 * ti), _fmt(vi)) for ti, vi in zip(t, values)]
+        text = _csv_text("t,gamma_t,value", t, gamma_t, decay_rate_rest(modes, t))
     elif which == "split":
         exp_part, osc_part = survival_rest_split(modes, t)
-        exp_part = np.atleast_1d(exp_part)
-        osc_part = np.atleast_1d(osc_part)
-        header = "t,gamma_t,value,value_exp,value_osc"
-        rows = [
-            (_fmt(ti), _fmt(gamma1 * ti), _fmt(ei + oi), _fmt(ei), _fmt(oi))
-            for ti, ei, oi in zip(t, exp_part, osc_part)
-        ]
+        text = _csv_text("t,gamma_t,value,value_exp,value_osc", t, gamma_t,
+                         exp_part + osc_part, exp_part, osc_part)
     elif which == "boosted":
         ev = BoostedLaw(modes, shifted_kinematics(modes, p))(t)
-        header = "t,gamma_t,value,valid"
-        rows = [
-            (_fmt(ti), _fmt(gamma1 * ti), _fmt(pv), "true" if valid else "false")
-            for ti, pv, valid in zip(ev.t, ev.P_p, ev.in_validity_domain)
-        ]
+        text = _csv_text("t,gamma_t,value,valid", t, gamma_t, ev.P_p, ev.in_validity_domain)
     else:
         raise ConfigError("unknown curve kind %r" % which)
 
-    _emit_text(_csv_text(header, rows), args.out)
-    _note(args, "curve %s: %d rows" % (which, len(rows)))
+    _emit_text(text, args.out)
+    _note(args, "curve %s: %d rows" % (which, len(t)))
     return EXIT_OK
 
 
@@ -327,11 +314,8 @@ def cmd_phi(config, args):
 
     values = phi_p(modes, ctx, t)
     reference = t / ctx.gamma
-    rows = [
-        (_fmt(ti), _fmt(vi), _fmt(ri), _fmt(vi - ri))
-        for ti, vi, ri in zip(t, values, reference)
-    ]
-    _emit_text(_csv_text("t,phi_p,t_over_gamma,residual", rows), args.out)
+    _emit_text(_csv_text("t,phi_p,t_over_gamma,residual", t, values, reference,
+                         values - reference), args.out)
 
     fit_report = _report_skeleton(config)
     try:
@@ -351,7 +335,7 @@ def cmd_phi(config, args):
     except (WindowError, TimeMapError) as exc:
         fit_report["results"]["fit_error"] = str(exc)
     _emit_json(fit_report, args.out + ".fit.json")
-    _note(args, "phi: %d rows, fit sidecar written" % len(rows))
+    _note(args, "phi: %d rows, fit sidecar written" % len(t))
     return EXIT_OK
 
 
@@ -397,7 +381,9 @@ _COMMANDS = {
 }
 
 
-def _parse_args(argv):
+@functools.lru_cache(maxsize=None)
+def _parser():
+    """The argument parser, built on first use and reused by every later call."""
     parser = argparse.ArgumentParser(
         prog="oscdecay",
         description="Decay laws of moving unstable systems with oscillating modes.",
@@ -422,11 +408,11 @@ def _parse_args(argv):
                    help="emit the time map as CSV plus a linearity-fit sidecar")
     sub.add_parser("compare", parents=[common],
                    help="compare the closed form against the direct quadrature")
-    return parser.parse_args(argv)
+    return parser
 
 
 def main(argv=None) -> int:
-    args = _parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         config = _load_config(args.config)
         return _COMMANDS[args.command](config, args)

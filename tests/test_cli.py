@@ -7,9 +7,11 @@ import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import oscdecay
+from oscdecay import cli
 from oscdecay.cli import main
 
 
@@ -57,6 +59,20 @@ def test_one_point_grid_rejected(tmp_path):
                        {"grid": {"t_min": 1.0, "t_max": 2.0, "points": 1}})
     code = main(["curve", "--config", cfg, "--quiet"])
     assert code == 2
+
+
+@pytest.mark.parametrize("points, code", [(40.7, 2), ("40", 2), (3.0, 0)],
+                         ids=["fraction", "string", "integral_float"])
+def test_grid_points_must_be_integral(tmp_path, capsys, points, code):
+    cfg = write_config(tmp_path, "points.json",
+                       {"grid": {"t_min": 1.0, "t_max": 2.0, "points": points}})
+    out = tmp_path / "points.csv"
+    assert main(["curve", "--config", cfg, "--out", str(out), "--quiet"]) == code
+    if code:
+        assert "grid points" in capsys.readouterr().err
+        assert not out.exists()
+    else:
+        assert len(read_csv(str(out))[1]) == 3
 
 
 @pytest.mark.parametrize("t_min", [0.0, -1.0], ids=["t0", "tneg"])
@@ -186,6 +202,98 @@ def test_curve_determinism_including_parallel(tmp_path):
                      "--out", str(out), "--quiet"] + extra) == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1] == outs[2]
+
+
+def test_cached_parser_keeps_no_state_between_calls(tmp_path, capsys):
+    cfg = write_config(tmp_path, "reuse.json", {
+        "grid": {"t_min": 0.5, "t_max": 25.0, "points": 40},
+        "window": {"zeta_min": 0.05},
+    })
+    sequence = [
+        ["curve", "--which", "split"],
+        ["curve"],
+        ["phi"],
+        ["validate"],
+        ["validate", "--quiet"],
+        ["curve", "--no-such-flag"],
+        ["curve", "--which", "boosted"],
+    ]
+
+    def run(n, argv, tag):
+        out = tmp_path / ("%s-%d.out" % (tag, n))
+        try:
+            code = main(argv + ["--config", cfg, "--out", str(out)])
+        except SystemExit as exc:
+            code = exc.code
+        sidecar = out.with_name(out.name + ".fit.json")
+        files = [f.read_bytes() if f.exists() else None for f in (out, sidecar)]
+        return code, files, capsys.readouterr().err
+
+    in_sequence = [run(n, argv, "seq") for n, argv in enumerate(sequence)]
+    alone = []
+    for n, argv in enumerate(sequence):
+        cli._parser.cache_clear()
+        alone.append(run(n, argv, "alone"))
+    assert [r[0] for r in in_sequence] == [0, 0, 0, 0, 0, 2, 0]
+    assert in_sequence[1][1][0].startswith(b"t,gamma_t,value\n")
+    assert in_sequence[3][2] == "validate: ok\n" and in_sequence[4][2] == ""
+    assert in_sequence == alone
+
+
+@pytest.mark.parametrize("column", [
+    [-0.0, 5e-324, 1e-310, 1e300, 0.1 + 0.2],
+    [np.float64(0.1), 0.2, np.float64(-0.0), 5e-324, np.float64(1e300)],
+], ids=["python_floats", "mixed_numpy"])
+def test_csv_cells_are_repr_of_the_double(column):
+    flags = [i % 2 == 1 for i in range(len(column))]
+    text = cli._csv_text("x,x_array,ok", column, np.array(column, dtype=float),
+                         np.array(flags))
+    lines = text.split("\n")
+    assert lines[0] == "x,x_array,ok" and lines[-1] == ""
+    for line, x, flag in zip(lines[1:-1], column, flags):
+        assert line.split(",") == [repr(float(x)), repr(float(x)), "true" if flag else "false"]
+    assert len(lines) == len(column) + 2
+
+
+def test_boosted_validity_column_reads_true_and_false(tmp_path):
+    # CURVE_B is valid where 70 t >= 10 or t > 0.1 (boost.VALIDITY_THRESHOLD)
+    cfg = write_config(tmp_path, "bflags.json", {
+        "grid": {"t_min": 0.02, "t_max": 0.3, "points": 15},
+    })
+    out = tmp_path / "bflags.csv"
+    assert main(["curve", "--which", "boosted", "--config", cfg,
+                 "--out", str(out), "--quiet"]) == 0
+    _, rows = read_csv(str(out))
+    t = np.linspace(0.02, 0.3, 15)
+    assert [row[0] for row in rows] == [repr(float(ti)) for ti in t]
+    assert [row[3] for row in rows] == ["true" if ti > 0.1 else "false" for ti in t]
+
+
+def test_json_reports_encode_numpy_values_as_python(tmp_path):
+    report = {
+        "flag": np.bool_(True),
+        "count": np.int64(7),
+        "value": np.float64(0.1) + np.float64(0.2),
+        "single": np.float32(0.5),
+        "row": np.array([-0.0, 5e-324, 1e300]),
+        "grid": np.array([[1.0, 2.5], [3.0, 4.0]]),
+        "nested": ((1, np.float64(2.0)), [np.int64(3), (np.bool_(False),)]),
+    }
+    twin = {
+        "flag": True,
+        "count": 7,
+        "value": 0.1 + 0.2,
+        "single": 0.5,
+        "row": [-0.0, 5e-324, 1e300],
+        "grid": [[1.0, 2.5], [3.0, 4.0]],
+        "nested": [[1, 2.0], [3, [False]]],
+    }
+    out = tmp_path / "report.json"
+    cli._emit_json(report, str(out))
+    assert out.read_text() == json.dumps(twin, indent=2) + "\n"
+    with pytest.raises(TypeError):
+        cli._emit_json({"params": object()}, str(tmp_path / "bad.json"))
+    assert not (tmp_path / "bad.json").exists()
 
 
 def test_window_report_top_level_keys(tmp_path):
