@@ -26,7 +26,6 @@ from .restframe import (  # noqa: F401
     decay_rate_coefficients,
     decay_rate_rest,
     mdd_analytic,
-    mdd_numeric,
     survival_rest,
     survival_rest_split,
 )

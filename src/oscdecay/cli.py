@@ -16,6 +16,7 @@ import functools
 import json
 import math
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -69,6 +70,15 @@ def _non_finite(obj, path="config"):
     return None
 
 
+def _number(value, path):
+    """value, if it is a JSON number a double can hold (an int or a float, not
+    a bool), else a ConfigError that names its path."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or abs(value) > sys.float_info.max):
+        raise ConfigError("%s must be a number, got %r" % (path, value))
+    return value
+
+
 def _load_config(path):
     with open(path, "r") as fh:
         try:
@@ -87,14 +97,25 @@ def _load_config(path):
 def _build_modes(config):
     if "modes" not in config:
         raise ConfigError("config lacks the 'modes' section")
+    raw = config["modes"]
+    if isinstance(raw, dict):
+        for key in ("M", "w", "Gamma", "Omega", "a"):
+            path = "config['modes'][%r]" % key
+            values = raw.get(key, [])
+            if isinstance(values, list):
+                for i, value in enumerate(values):
+                    _number(value, "%s[%d]" % (path, i))
+            else:
+                _number(values, path)
     kwargs = {}
     if "narrow_width_threshold" in config:
-        kwargs["narrow_width_threshold"] = float(config["narrow_width_threshold"])
-    return validate_modes(config["modes"], **kwargs)
+        kwargs["narrow_width_threshold"] = float(
+            _number(config["narrow_width_threshold"], "config['narrow_width_threshold']"))
+    return validate_modes(raw, **kwargs)
 
 
 def _momentum(config) -> float:
-    p = float(config.get("p", 0.0))
+    p = float(_number(config.get("p", 0.0), "config['p']"))
     if p < 0.0 or not math.isfinite(p):
         raise ConfigError("momentum p must be finite and >= 0, got %r" % p)
     return p
@@ -105,8 +126,8 @@ def _grid(config):
         raise ConfigError("config lacks the 'grid' section")
     grid = config["grid"]
     try:
-        t_min = float(grid["t_min"])
-        t_max = float(grid["t_max"])
+        t_min = float(_number(grid["t_min"], "config['grid']['t_min']"))
+        t_max = float(_number(grid["t_max"], "config['grid']['t_max']"))
         points = grid["points"]
     except KeyError as exc:
         raise ConfigError("grid lacks key %s" % exc)
@@ -136,13 +157,21 @@ def _section(config, name) -> dict:
 def _window_params(config) -> WindowParams:
     raw = _section(config, "window")
     try:
-        return WindowParams(**{k: float(v) for k, v in raw.items()})
+        return WindowParams(**{k: float(_number(v, "config['window'][%r]" % k))
+                               for k, v in raw.items()})
     except TypeError as exc:
         raise ConfigError("bad window parameters: %s" % exc)
 
 
 def _quad_spec(config) -> QuadratureSpec:
     raw = _section(config, "oracle")
+    for key, value in raw.items():
+        path = "config['oracle'][%r]" % key
+        if key == "include_negative_mass":
+            if not isinstance(value, bool):
+                raise ConfigError("%s must be true or false, got %r" % (path, value))
+        elif key in ("abs_tol", "rel_tol", "max_rounds"):
+            _number(value, path)
     try:
         return QuadratureSpec(**raw)
     except (TypeError, ValueError) as exc:
@@ -150,7 +179,8 @@ def _quad_spec(config) -> QuadratureSpec:
 
 
 def _bound(config) -> float:
-    bound = float(_section(config, "compare").get("max_rel_deviation", 1e-2))
+    bound = float(_number(_section(config, "compare").get("max_rel_deviation", 1e-2),
+                          "config['compare']['max_rel_deviation']"))
     if not (math.isfinite(bound) and bound > 0.0):
         raise ConfigError("compare.max_rel_deviation must be finite and > 0, got %r" % bound)
     return bound
@@ -190,13 +220,6 @@ def _window_json(window):
     }
 
 
-def _checks_json(checks):
-    return [
-        {"name": c.name, "value": c.value, "status": c.status, "detail": c.detail}
-        for c in checks
-    ]
-
-
 def _report_skeleton(config):
     return {
         "params": config,
@@ -229,7 +252,7 @@ def cmd_validate(config, args):
         return EXIT_INVALID
 
     report["window"] = _window_json(window)
-    report["constraints"] = _checks_json(checks)
+    report["constraints"] = [asdict(c) for c in checks]
     ok = bool(window.admitted) and all(c.status == "pass" for c in checks)
     report["results"] = {"valid": ok, "violations": violations}
     _emit_json(report, args.out)
@@ -283,17 +306,10 @@ def cmd_window(config, args):
 
     report = _report_skeleton(config)
     report["window"] = _window_json(window)
-    report["constraints"] = _checks_json(checks)
+    report["constraints"] = [asdict(c) for c in checks]
     if window.admitted:
         try:
-            per = periods(modes, ctx, window=window)
-            report["results"]["periods"] = {
-                "T0": per.T0,
-                "Tp": per.Tp,
-                "commensurate": per.commensurate,
-                "omega_max": per.omega_max,
-                "k_values": list(per.k_values) if per.k_values is not None else None,
-            }
+            report["results"]["periods"] = asdict(periods(modes, ctx, window=window))
         except WindowError as exc:
             report["results"]["periods"] = {"unavailable": str(exc)}
     else:
@@ -321,17 +337,8 @@ def cmd_phi(config, args):
     try:
         window = exponential_windows(modes, ctx, params)
         fit_report["window"] = _window_json(window)
-        series = CurveSeries(t=t, values=values, frame="boosted", kind="timemap")
-        fit = linearity_fit(series, window, ctx)
-        fit_report["results"]["fit"] = {
-            "slope": fit.slope,
-            "intercept": fit.intercept,
-            "max_residual": fit.max_residual,
-            "interval": list(fit.interval),
-            "expected_slope": fit.expected_slope,
-            "rel_slope_error": fit.rel_slope_error,
-            "n_points": fit.n_points,
-        }
+        series = CurveSeries(t=t, values=values, kind="timemap")
+        fit_report["results"]["fit"] = asdict(linearity_fit(series, window, ctx))
     except (WindowError, TimeMapError) as exc:
         fit_report["results"]["fit_error"] = str(exc)
     _emit_json(fit_report, args.out + ".fit.json")
@@ -349,24 +356,12 @@ def cmd_compare(config, args):
 
     closed_vals = BoostedLaw(modes, ctx)(t).P_p
     direct_vals = direct_survival(modes, p, t, spec)
-    closed = CurveSeries(t=t, values=closed_vals, frame="boosted", kind="probability",
-                         label="closed-form")
-    direct = CurveSeries(t=t, values=direct_vals, frame="boosted", kind="probability",
-                         label="direct-quadrature")
-    rep = oracle_compare(closed, direct)
+    rep = oracle_compare(CurveSeries(t=t, values=closed_vals, kind="probability"),
+                         CurveSeries(t=t, values=direct_vals, kind="probability"))
 
     within = rep.max_rel_deviation <= bound
     report = _report_skeleton(config)
-    report["results"] = {
-        "interval": list(rep.interval),
-        "n_points": rep.n_points,
-        "max_abs_deviation": rep.max_abs_deviation,
-        "max_rel_deviation": rep.max_rel_deviation,
-        "t_at_max_abs": rep.t_at_max_abs,
-        "t_at_max_rel": rep.t_at_max_rel,
-        "bound": bound,
-        "within_bound": within,
-    }
+    report["results"] = dict(asdict(rep), bound=bound, within_bound=within)
     _emit_json(report, args.out)
     _note(args, "compare: max rel deviation %g (bound %g)" % (rep.max_rel_deviation, bound))
     return EXIT_OK if within else EXIT_BOUND
@@ -393,8 +388,6 @@ def _parser():
     common.add_argument("--out", default=None, help="output path (default: stdout)")
     common.add_argument("--parallel", type=int, default=0, metavar="N",
                         help="accepted for interface stability; does nothing")
-    common.add_argument("--seed", type=int, default=None,
-                        help="reserved; accepted for interface stability")
     common.add_argument("--quiet", action="store_true", help="suppress progress notes")
 
     sub = parser.add_subparsers(dest="command", required=True)

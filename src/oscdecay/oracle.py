@@ -75,33 +75,24 @@ class QuadratureSpec:
     last change is the error return_error reports. max_rounds caps the
     doublings; a fixed cap of 512 nodes holds besides. include_negative_mass
     integrates the density over the whole real line (False: over m >= 0
-    only). halfwidth_multiple and max_segments set the truncated domain and
-    partition of the former real-axis quadrature; nothing is truncated now,
-    so both are checked and otherwise ignored.
+    only).
     """
 
-    halfwidth_multiple: float = 60.0
     include_negative_mass: bool = True
     abs_tol: float = 1e-8
     rel_tol: float = 1e-6
-    max_segments: int = 100000
     max_rounds: int = 48
 
     def __post_init__(self):
         # written so that NaN fails every check
-        if not (0.0 < self.halfwidth_multiple < math.inf):
-            raise ValueError("halfwidth_multiple must be finite and > 0, got %r"
-                             % self.halfwidth_multiple)
         if not (0.0 < self.abs_tol < math.inf and 0.0 <= self.rel_tol < math.inf):
             raise ValueError(
                 "tolerances must be finite, abs_tol > 0 and rel_tol >= 0, got "
                 "abs_tol=%r, rel_tol=%r" % (self.abs_tol, self.rel_tol)
             )
-        for name, least in (("max_segments", 2), ("max_rounds", 1)):
-            value = getattr(self, name)
-            if not (least <= value < math.inf and value == int(value)):
-                raise ValueError("%s must be an integer >= %d, got %r" % (name, least, value))
-            object.__setattr__(self, name, int(value))
+        if not (1 <= self.max_rounds < math.inf and self.max_rounds == int(self.max_rounds)):
+            raise ValueError("max_rounds must be an integer >= 1, got %r" % (self.max_rounds,))
+        object.__setattr__(self, "max_rounds", int(self.max_rounds))
 
 
 @dataclass(frozen=True)
@@ -114,8 +105,6 @@ class ComparisonReport:
     max_rel_deviation: float
     t_at_max_abs: float
     t_at_max_rel: float
-    closed_label: str
-    direct_label: str
 
 
 @functools.lru_cache(maxsize=None)
@@ -270,6 +259,4 @@ def oracle_compare(closed: CurveSeries, direct: CurveSeries) -> ComparisonReport
         max_rel_deviation=float(rel[ir]),
         t_at_max_abs=float(t[ia]),
         t_at_max_rel=float(t[ir]),
-        closed_label=closed.label or "%s/%s" % (closed.frame, closed.kind),
-        direct_label=direct.label or "%s/%s" % (direct.frame, direct.kind),
     )

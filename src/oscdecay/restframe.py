@@ -9,12 +9,11 @@ the mass distribution density whose half-line cosine transform it is.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ._points import as_points, maybe_scalar
-from ._quad import adaptive_gauss
 from .kinematics import RestModeSet, mode_terms
 
 __all__ = [
@@ -26,38 +25,28 @@ __all__ = [
     "decay_rate_coefficients",
     "decay_rate_rest",
     "mdd_analytic",
-    "mdd_numeric",
 ]
 
-FRAMES = ("rest", "boosted")
 KINDS = ("amplitude", "probability", "rate", "timemap")
-
-MDD_TCUT_MIN_OVER_GAMMA1 = 40.0
-MDD_TCUT_DEFAULT_OVER_GAMMA1 = 60.0
 
 
 @dataclass(frozen=True)
 class CurveSeries:
     """A sampled curve: strictly increasing time grid plus values.
 
-    frame is "rest" or "boosted"; kind is one of "amplitude",
-    "probability", "rate", "timemap". Probability values must stay inside
-    [0, 1 + 1e-9].
+    kind is one of "amplitude", "probability", "rate", "timemap".
+    Probability values must stay inside [0, 1 + 1e-9].
     """
 
     t: np.ndarray
     values: np.ndarray
-    frame: str
     kind: str
-    label: str = field(default="")
 
     def __post_init__(self):
         t = np.asarray(self.t, dtype=float)
         values = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "values", values)
-        if self.frame not in FRAMES:
-            raise ValueError("frame must be one of %r, got %r" % (FRAMES, self.frame))
         if self.kind not in KINDS:
             raise ValueError("kind must be one of %r, got %r" % (KINDS, self.kind))
         if t.ndim != 1 or len(t) < 1:
@@ -195,50 +184,4 @@ def mdd_analytic(modes: RestModeSet, m):
         x = mm - c
         total += (wt * half) / (half * half + x * x)
     out = np.abs(total) / math.pi
-    return maybe_scalar(out, m)
-
-
-def mdd_numeric(modes: RestModeSet, m, t_cut: float = None,
-                abs_tol: float = 1e-9, rel_tol: float = 1e-9):
-    """Mass distribution density by direct quadrature of the transform.
-
-    Integrates (1/pi) |Integral_0^{t_cut} sqrt(P0(t)) cos((m-M) t) dt| with
-    subinterval splitting at the cosine half-periods. t_cut defaults to
-    60/Gamma_1 (truncation tail below 2e-9 of the peak) and must be at
-    least 40/Gamma_1.
-    """
-    gamma1 = float(modes.Gamma[0])
-    if t_cut is None:
-        t_cut = MDD_TCUT_DEFAULT_OVER_GAMMA1 / gamma1
-    t_cut = float(t_cut)
-    if t_cut < MDD_TCUT_MIN_OVER_GAMMA1 / gamma1:
-        raise ValueError(
-            "t_cut=%r is below the minimum %r" % (t_cut, MDD_TCUT_MIN_OVER_GAMMA1 / gamma1)
-        )
-
-    def density_at(m_scalar):
-        x = float(m_scalar) - modes.M
-        nodes = [0.0, t_cut]
-        absx = abs(x)
-        if absx > 0.0:
-            n_half = int(t_cut * absx / math.pi)
-            if n_half > 200000:
-                raise ValueError("mass offset %r too far from resonance for quadrature" % x)
-            nodes.extend((k * math.pi / absx) for k in range(1, n_half + 1))
-        # decay-scale ladder so the first panels resolve the exponential
-        scale = 1.0 / float(modes.Gamma[-1])
-        step = 0.25 * scale
-        while step < t_cut:
-            nodes.append(step)
-            step *= 2.0
-        breakpoints = np.unique(np.clip(np.asarray(nodes), 0.0, t_cut))
-
-        def integrand(ts):
-            return amplitude_rest(modes, ts) * np.cos(x * ts)
-
-        value, _err = adaptive_gauss(integrand, breakpoints, abs_tol, rel_tol)
-        return abs(value[0]) / math.pi
-
-    mm = np.atleast_1d(np.asarray(m, dtype=float))
-    out = np.array([density_at(mi) for mi in mm])
     return maybe_scalar(out, m)

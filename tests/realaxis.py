@@ -1,5 +1,6 @@
-"""Real-axis quadrature of the boosted survival amplitude: the first-principles
-check of the steepest-descent oracle.
+"""Real-axis quadratures: the boosted survival amplitude, the first-principles
+check of the steepest-descent oracle, and the mass distribution density,
+the check of its closed form.
 
 Integrates the analytic density times e^{-i sqrt(p^2+m^2) t} over a
 truncated mass domain, splitting at every phase half-period and along a
@@ -7,7 +8,7 @@ width ladder around each Lorentzian center, with the package's adaptive
 Gauss-Kronrod rule. The mass left outside the domain is bounded
 analytically and added to the reported error, so truncation is a measured
 quantity rather than an assumption. Slow, but it shares nothing with the
-oracle beyond the density and the quadrature settings.
+oracle beyond the density and the quadrature tolerances.
 """
 
 import math
@@ -18,7 +19,7 @@ from oscdecay._points import as_points, maybe_scalar
 from oscdecay._quad import QuadratureConvergenceError, adaptive_gauss
 from oscdecay.kinematics import RestModeSet, mode_terms
 from oscdecay.oracle import OracleConvergenceError, QuadratureSpec
-from oscdecay.restframe import mdd_analytic
+from oscdecay.restframe import amplitude_rest, mdd_analytic
 
 # every Lorentzian center must sit at least this many half-widths
 # away from the truncation edges
@@ -30,10 +31,13 @@ _BLOCK_RATIO = 2.0
 # phase factors advanced by recurrence take an exact exp at least this often
 _RESYNC = 32
 
+MDD_TCUT_MIN_OVER_GAMMA1 = 40.0
+MDD_TCUT_DEFAULT_OVER_GAMMA1 = 60.0
 
-def _domain(modes: RestModeSet, spec: QuadratureSpec):
+
+def _domain(modes: RestModeSet, halfwidth_multiple, include_negative_mass):
     omega_max = float(modes.Omega.max())
-    hw = spec.halfwidth_multiple * max(float(modes.Gamma[-1]), omega_max)
+    hw = halfwidth_multiple * max(float(modes.Gamma[-1]), omega_max)
     for j in range(modes.N):
         needed = float(modes.Omega[j]) + _COVERAGE_HALFWIDTHS * 0.5 * float(modes.Gamma[j])
         if hw < needed:
@@ -43,19 +47,19 @@ def _domain(modes: RestModeSet, spec: QuadratureSpec):
             )
     lo = modes.M - hw
     hi = modes.M + hw
-    if not spec.include_negative_mass:
+    if not include_negative_mass:
         # the narrow-width validation keeps M - Omega_j at least 20 Gamma_j,
         # so clipping at zero never violates the coverage requirement
         lo = max(lo, 0.0)
     return lo, hi
 
 
-def _tail_bound(modes: RestModeSet, spec: QuadratureSpec, lo, hi):
+def _tail_bound(modes: RestModeSet, include_negative_mass, lo, hi):
     """Density mass between the intended support and the truncated domain."""
     mass, width, weight, _ = mode_terms(modes)
     half = 0.5 * width
     inside = (np.arctan((hi - mass) / half) - np.arctan((lo - mass) / half)) / math.pi
-    intended = 1.0 if spec.include_negative_mass else 0.5 + np.arctan(mass / half) / math.pi
+    intended = 1.0 if include_negative_mass else 0.5 + np.arctan(mass / half) / math.pi
     return float(np.sum(weight * (intended - inside)))
 
 
@@ -154,11 +158,13 @@ def _phase_factors(energy, times, runs, scale):
 
 
 def realaxis_amplitude(modes: RestModeSet, p, t, spec: QuadratureSpec = None,
-                       return_error=False):
+                       return_error=False, halfwidth_multiple=60.0, max_segments=100000):
     """Survival amplitude at momentum p by real-axis mass quadrature.
 
-    The domain is [M - hw, M + hw] with hw = spec.halfwidth_multiple times
-    max(Gamma_N, Omega_max), clipped at zero unless include_negative_mass.
+    The domain is [M - hw, M + hw] with hw = halfwidth_multiple times
+    max(Gamma_N, Omega_max), clipped at zero unless spec.include_negative_mass;
+    the adaptive rule splits it into at most max_segments panels, and takes
+    its tolerances and max_rounds from spec.
     t is one time or an array of times (results in input order). The
     sorted times are grouped into blocks whose largest time is at most
     twice the smallest; each block shares the partition of its largest
@@ -174,7 +180,7 @@ def realaxis_amplitude(modes: RestModeSet, p, t, spec: QuadratureSpec = None,
     p = float(p)
     tt = as_points(t, lambda x: np.isfinite(x) & (x >= 0.0), "time must be finite and >= 0")
 
-    lo, hi = _domain(modes, spec)
+    lo, hi = _domain(modes, halfwidth_multiple, spec.include_negative_mass)
     times, where = np.unique(tt, return_inverse=True)
     amp = np.empty(len(times), dtype=complex)
     err = np.empty(len(times))
@@ -190,7 +196,7 @@ def realaxis_amplitude(modes: RestModeSet, p, t, spec: QuadratureSpec = None,
             value, quad_err = adaptive_gauss(
                 integrand, _breakpoints(modes, p, float(block[-1]), lo, hi),
                 abs_tol=spec.abs_tol, rel_tol=spec.rel_tol,
-                max_segments=spec.max_segments, max_rounds=spec.max_rounds,
+                max_segments=max_segments, max_rounds=spec.max_rounds,
             )
         except QuadratureConvergenceError as exc:
             i = int(np.flatnonzero(~exc.converged)[0])
@@ -203,6 +209,52 @@ def realaxis_amplitude(modes: RestModeSet, p, t, spec: QuadratureSpec = None,
 
     amp = amp[where]
     if return_error:
-        err = err[where] + _tail_bound(modes, spec, lo, hi)
+        err = err[where] + _tail_bound(modes, spec.include_negative_mass, lo, hi)
         return maybe_scalar(amp, t), maybe_scalar(err, t)
     return maybe_scalar(amp, t)
+
+
+def mdd_numeric(modes: RestModeSet, m, t_cut: float = None,
+                abs_tol: float = 1e-9, rel_tol: float = 1e-9):
+    """Mass distribution density by direct quadrature of the transform.
+
+    Integrates (1/pi) |Integral_0^{t_cut} sqrt(P0(t)) cos((m-M) t) dt| with
+    subinterval splitting at the cosine half-periods. t_cut defaults to
+    60/Gamma_1 (truncation tail below 2e-9 of the peak) and must be at
+    least 40/Gamma_1.
+    """
+    gamma1 = float(modes.Gamma[0])
+    if t_cut is None:
+        t_cut = MDD_TCUT_DEFAULT_OVER_GAMMA1 / gamma1
+    t_cut = float(t_cut)
+    if t_cut < MDD_TCUT_MIN_OVER_GAMMA1 / gamma1:
+        raise ValueError(
+            "t_cut=%r is below the minimum %r" % (t_cut, MDD_TCUT_MIN_OVER_GAMMA1 / gamma1)
+        )
+
+    def density_at(m_scalar):
+        x = float(m_scalar) - modes.M
+        nodes = [0.0, t_cut]
+        absx = abs(x)
+        if absx > 0.0:
+            n_half = int(t_cut * absx / math.pi)
+            if n_half > 200000:
+                raise ValueError("mass offset %r too far from resonance for quadrature" % x)
+            nodes.extend((k * math.pi / absx) for k in range(1, n_half + 1))
+        # decay-scale ladder so the first panels resolve the exponential
+        scale = 1.0 / float(modes.Gamma[-1])
+        step = 0.25 * scale
+        while step < t_cut:
+            nodes.append(step)
+            step *= 2.0
+        breakpoints = np.unique(np.clip(np.asarray(nodes), 0.0, t_cut))
+
+        def integrand(ts):
+            return amplitude_rest(modes, ts) * np.cos(x * ts)
+
+        value, _err = adaptive_gauss(integrand, breakpoints, abs_tol, rel_tol)
+        return abs(value[0]) / math.pi
+
+    mm = np.atleast_1d(np.asarray(m, dtype=float))
+    out = np.array([density_at(mi) for mi in mm])
+    return maybe_scalar(out, m)

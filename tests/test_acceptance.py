@@ -140,8 +140,7 @@ def test_05_time_map_linearity():
         t = np.linspace(max(lo, min(10.0 / (cfg["M"] - cfg["Omega"]), 0.1)),
                         hi, 300)
         phi = np.array([od.phi_p(modes, ctx, float(tt)) for tt in t])
-        series = od.CurveSeries(t=t, values=phi, frame="boosted",
-                                kind="timemap")
+        series = od.CurveSeries(t=t, values=phi, kind="timemap")
         fit = od.linearity_fit(series, win, ctx)
         worst_slope = max(worst_slope, fit.rel_slope_error)
         worst_resid = max(worst_resid, fit.max_residual / (hi - lo))

@@ -101,7 +101,8 @@ def _narrow_set(extra):
     ({"narrow_width_threshold": float("nan")}, 2),
     ({"narrow_width_threshold": float("inf")}, 2),
     ({"narrow_width_threshold": 0.5}, 0),
-], ids=["default", "nan", "inf", "loose"])
+    ({"narrow_width_threshold": "0.5"}, 2),
+], ids=["default", "nan", "inf", "loose", "string"])
 def test_curve_narrow_width_threshold(tmp_path, extra, code):
     cfg = write_config(tmp_path, "narrow.json", _narrow_set(extra))
     assert main(["curve", "--config", cfg, "--out", str(tmp_path / "c.csv"),
@@ -118,16 +119,22 @@ def _strict_json(text):
     ({"xi_gate": float("nan")}, 2),
     ({"zeta_max": float("inf")}, 2),
     ({"pass_ratio": float("inf")}, 2),
+    ({"zeta_min": True}, 2),
+    ({"zeta_min": "0.05"}, 2),
     ({"xi_gate": 1e-2, "zeta_max": 8.0, "pass_ratio": 20.0}, 0),
-], ids=["xi_gate_nan", "zeta_max_inf", "pass_ratio_inf", "finite"])
+], ids=["xi_gate_nan", "zeta_max_inf", "pass_ratio_inf", "zeta_min_bool", "zeta_min_string",
+        "finite"])
 @pytest.mark.parametrize("command", ["window", "phi"])
-def test_window_knobs_must_be_finite(tmp_path, window, code, command):
+def test_window_knobs_must_be_finite(tmp_path, capsys, window, code, command):
     cfg = write_config(tmp_path, "knobs.json", {
         "grid": {"t_min": 0.5, "t_max": 25.0, "points": 40}, "window": window,
     })
     out = tmp_path / "knobs.out"
     assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == code
-    if code == 0:
+    if code:
+        assert "config['window'][%r]" % list(window)[0] in capsys.readouterr().err
+        assert not out.exists()
+    else:
         report = out.with_name(out.name + ".fit.json") if command == "phi" else out
         assert _strict_json(report.read_text())["window"]["zeta_max"] == 8.0
 
@@ -396,17 +403,60 @@ def test_compare_exit_codes(tmp_path):
     {"oracle": []},
     {"oracle": {"abs_tol": float("nan")}},
     {"oracle": {"max_rounds": 2.5}},
+    {"compare": {"max_rel_deviation": "0.01"}},
+    {"oracle": {"max_rounds": True}},
+    {"oracle": {"include_negative_mass": "false"}},
+    {"oracle": {"include_negative_mass": 0}},
+    # settings of the former real-axis quadrature
+    {"oracle": {"halfwidth_multiple": 60}},
+    {"oracle": {"max_segments": 10}},
 ], ids=["compare_not_object", "bound_nan", "bound_negative", "oracle_not_object",
-        "oracle_abs_tol_nan", "oracle_max_rounds_fraction"])
+        "oracle_abs_tol_nan", "oracle_max_rounds_fraction", "bound_string",
+        "oracle_max_rounds_bool", "oracle_negative_mass_string", "oracle_negative_mass_int",
+        "oracle_halfwidth_multiple", "oracle_max_segments"])
 def test_compare_rejects_malformed_sections(tmp_path, capsys, section):
     extra = {"grid": {"t_min": 2.0, "t_max": 6.0, "points": 5},
              "oracle": {"abs_tol": 1e-7, "rel_tol": 1e-5}}
     extra.update(section)
     cfg = write_config(tmp_path, "badcmp.json", extra)
-    assert main(["compare", "--config", cfg, "--out", str(tmp_path / "bad.out"),
-                 "--quiet"]) == 2
+    out = tmp_path / "bad.out"
+    assert main(["compare", "--config", cfg, "--out", str(out), "--quiet"]) == 2
     err = capsys.readouterr().err
-    assert "invalid config" in err and list(section)[0] in err
+    (name, value), = section.items()
+    assert "invalid config" in err and name in err
+    if isinstance(value, dict):
+        assert list(value)[0] in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("extra, path", [
+    ({"p": "200"}, "config['p']"),
+    ({"p": True}, "config['p']"),
+    ({"p": 10**400}, "config['p']"),
+    ({"modes": dict(CURVE_B["modes"], M="80")}, "config['modes']['M']"),
+    ({"modes": dict(CURVE_B["modes"], w=[True])}, "config['modes']['w'][0]"),
+    ({"grid": {"t_min": "2", "t_max": 11.0, "points": 19}}, "config['grid']['t_min']"),
+    ({"grid": {"t_min": 2.0, "t_max": False, "points": 19}}, "config['grid']['t_max']"),
+], ids=["p_string", "p_bool", "p_beyond_double", "mass_string", "weight_bool", "t_min_string",
+        "t_max_bool"])
+def test_config_numbers_must_be_json_numbers(tmp_path, capsys, extra, path):
+    cfg = write_config(tmp_path, "typed.json",
+                       dict({"grid": {"t_min": 2.0, "t_max": 11.0, "points": 19}}, **extra))
+    out = tmp_path / "typed.csv"
+    assert main(["curve", "--which", "boosted", "--config", cfg, "--out", str(out),
+                 "--quiet"]) == 2
+    assert "%s must be a number" % path in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_seed_flag_is_rejected(tmp_path, capsys):
+    cfg = write_config(tmp_path, "seed.json", {"grid": {"t_min": 2.0, "t_max": 11.0, "points": 19}})
+    out = tmp_path / "seed.csv"
+    with pytest.raises(SystemExit) as info:
+        main(["curve", "--config", cfg, "--out", str(out), "--seed", "7"])
+    assert info.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("extra", [

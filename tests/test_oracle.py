@@ -49,10 +49,9 @@ def test_rest_amplitude_reality_up_to_global_phase():
     # line reaches m < 0 where the energy |m| folds the phase, leaving an
     # imaginary part of order density(0)/t ~ Gamma/(2 pi M^2 t)
     modes = make_single_mode(100.0, 10.0, 0.04)
-    positive = QuadratureSpec(abs_tol=1e-10, rel_tol=1e-8,
-                              halfwidth_multiple=9.0)
+    positive = QuadratureSpec(abs_tol=1e-10, rel_tol=1e-8)
     for t in (1.0, 4.0):
-        amp = complex(realaxis_amplitude(modes, 0.0, t, positive))
+        amp = complex(realaxis_amplitude(modes, 0.0, t, positive, halfwidth_multiple=9.0))
         rotated = amp * cmath.exp(1j * modes.M * t)
         assert abs(rotated.imag) <= 1e-12 * abs(rotated)
 
@@ -80,9 +79,8 @@ def test_boosted_survival_matches_closed_form(mode_p200_m80):
 
 def test_negative_mass_region_is_negligible():
     # heavy narrow mode: dropping m < 0 moves the answer by < 1e-6
-    # (halfwidth_multiple is a no-op)
     modes = make_single_mode(5000.0, 5.0, 0.04)
-    wide = dict(abs_tol=1e-9, rel_tol=1e-7, halfwidth_multiple=1200.0)
+    wide = dict(abs_tol=1e-9, rel_tol=1e-7)
     with_neg = direct_boosted_amplitude(
         modes, 500.0, 2.0, QuadratureSpec(**wide))
     without = direct_boosted_amplitude(
@@ -141,7 +139,7 @@ def test_accepts_large_finite_momentum(mode_p200_m80):
 
 # the steepest-descent sums meet 1e-14 within two doublings at every time,
 # so a starved spec asks for less than the rounding noise of the sums
-STARVED = QuadratureSpec(abs_tol=1e-300, rel_tol=0.0, max_segments=64, max_rounds=2)
+STARVED = QuadratureSpec(abs_tol=1e-300, rel_tol=0.0, max_rounds=2)
 
 
 def test_nonconvergence_carries_best_estimate(mode_p200_m80):
@@ -216,10 +214,8 @@ def test_kronrod_rule_exactness_and_shared_nodes():
 
 
 @pytest.mark.parametrize("field, value", [
-    ("halfwidth_multiple", float("nan")), ("halfwidth_multiple", float("inf")),
     ("abs_tol", float("nan")), ("abs_tol", float("inf")), ("abs_tol", 0.0),
     ("rel_tol", float("nan")), ("rel_tol", float("inf")), ("rel_tol", -1e-6),
-    ("max_segments", float("nan")), ("max_segments", 100.5), ("max_segments", 1),
     ("max_rounds", float("nan")), ("max_rounds", 2.5), ("max_rounds", float("inf")),
 ])
 def test_quadrature_spec_rejects_bad_values(field, value):
@@ -228,22 +224,19 @@ def test_quadrature_spec_rejects_bad_values(field, value):
 
 
 def test_quadrature_spec_accepts_edge_values():
-    spec = QuadratureSpec(halfwidth_multiple=1e-3, abs_tol=1e300, rel_tol=0.0,
-                          max_segments=2.0, max_rounds=1.0)
-    assert (spec.max_segments, spec.max_rounds) == (2, 1)
-    assert type(spec.max_segments) is int and type(spec.max_rounds) is int
+    spec = QuadratureSpec(abs_tol=1e300, rel_tol=0.0, max_rounds=1.0)
+    assert spec.max_rounds == 1 and type(spec.max_rounds) is int
 
 
-def _series(t, values, label):
+def _series(t, values):
     return od.CurveSeries(t=np.asarray(t, dtype=float),
-                          values=np.asarray(values, dtype=float),
-                          frame="boosted", kind="probability", label=label)
+                          values=np.asarray(values, dtype=float), kind="probability")
 
 
 def test_compare_identical_series_reports_zero():
     t = np.linspace(1.0, 5.0, 9)
     v = np.exp(-t)
-    rep = oracle_compare(_series(t, v, "a"), _series(t, v, "b"))
+    rep = oracle_compare(_series(t, v), _series(t, v))
     assert rep.max_abs_deviation == 0.0
     assert rep.max_rel_deviation == 0.0
     assert rep.n_points == 9
@@ -253,7 +246,7 @@ def test_compare_rejects_grid_mismatch():
     t = np.linspace(1.0, 5.0, 9)
     v = np.exp(-t)
     with pytest.raises(ValueError):
-        oracle_compare(_series(t, v, "a"), _series(t + 1e-9, v, "b"))
+        oracle_compare(_series(t, v), _series(t + 1e-9, v))
 
 
 def test_compare_locates_injected_deviation():
@@ -261,7 +254,7 @@ def test_compare_locates_injected_deviation():
     v = np.exp(-t)
     bumped = v.copy()
     bumped[4] += 1e-3
-    rep = oracle_compare(_series(t, bumped, "closed"), _series(t, v, "direct"))
+    rep = oracle_compare(_series(t, bumped), _series(t, v))
     assert rep.max_abs_deviation == pytest.approx(1e-3, rel=1e-12)
     assert rep.t_at_max_abs == pytest.approx(t[4])
     assert rep.max_rel_deviation == pytest.approx(1e-3 / v[4], rel=1e-9)
@@ -363,12 +356,12 @@ def test_rest_branch_seam():
 def test_short_times(t, negative_mass):
     # short times stretch the path to tau = 40 / t; the sums converge and
     # agree with a wide real-axis quadrature, over the whole line and over
-    # m >= 0 (halfwidth_multiple only sizes the real-axis domain)
+    # m >= 0
     modes = od.validate_modes(CURVE_B)
-    spec = QuadratureSpec(abs_tol=1e-11, rel_tol=1e-9, halfwidth_multiple=2000.0,
-                          include_negative_mass=negative_mass)
+    spec = QuadratureSpec(abs_tol=1e-11, rel_tol=1e-9, include_negative_mass=negative_mass)
     got, err = direct_boosted_amplitude(modes, 200.0, t, spec, return_error=True)
-    want, want_err = realaxis_amplitude(modes, 200.0, t, spec, return_error=True)
+    want, want_err = realaxis_amplitude(modes, 200.0, t, spec, return_error=True,
+                                        halfwidth_multiple=2000.0)
     assert err <= 1e-11
     assert abs(got - want) <= want_err
     assert abs(got - want) <= 1e-7

@@ -212,8 +212,7 @@ def _fit_for(key_modes, ctx, n_points=150):
     start = max(lo, 0.15)
     t = np.linspace(start, hi, n_points)
     phi = np.array([od.phi_p(key_modes, ctx, float(tt)) for tt in t])
-    series = od.CurveSeries(t=t, values=phi, frame="boosted", kind="timemap",
-                            label="fit")
+    series = od.CurveSeries(t=t, values=phi, kind="timemap")
     return od.linearity_fit(series, win, ctx), win
 
 
@@ -224,8 +223,7 @@ def test_linearity_fit_identity_frame():
     ctx = od.shifted_kinematics(modes, 0.0)
     t = np.linspace(0.1, 10.0, 60)
     phi = np.array([od.phi_p(modes, ctx, float(tt)) for tt in t])
-    series = od.CurveSeries(t=t, values=phi, frame="boosted", kind="timemap",
-                            label="identity")
+    series = od.CurveSeries(t=t, values=phi, kind="timemap")
     win = od.window.TimeWindow(
         admitted=(0,), excluded=(), xi_values=(0.0,),
         intervals_rest=((0.05, 11.0),), intervals_lab=((0.05, 11.0),),
@@ -251,8 +249,7 @@ def test_linearity_fit_requires_coverage(mode_p200_m80):
     win = od.exponential_windows(modes, ctx)
     t = np.linspace(2.0, 20.0, 10)
     phi = np.array([od.phi_p(modes, ctx, float(tt)) for tt in t])
-    series = od.CurveSeries(t=t, values=phi, frame="boosted", kind="timemap",
-                            label="sparse")
+    series = od.CurveSeries(t=t, values=phi, kind="timemap")
     with pytest.raises(TimeMapError):
         od.linearity_fit(series, win, ctx)
 
