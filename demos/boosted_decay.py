@@ -19,7 +19,8 @@ def main():
         "M": 80.0, "w": [1.0], "Gamma": [1.0], "Omega": [10.0], "a": [0.04],
     })
     ctx = od.shifted_kinematics(modes, 200.0)
-    print("gamma =", ctx.gamma, "  gamma_minus =", float(ctx.gamma_minus[0]))
+    gamma_minus = od.lorentz_factor(modes.M - modes.Omega[0], ctx.p)
+    print("gamma =", ctx.gamma, "  gamma_minus =", gamma_minus)
     print()
 
     # the closed form is compiled once and evaluated on whole grids
@@ -39,7 +40,7 @@ def main():
     # gamma * 2 pi / Omega apart
     print()
     t = np.linspace(2.0, 11.0, 181)
-    y = np.exp(t / float(ctx.gamma_minus[0])) * law(t).P_p
+    y = np.exp(t / gamma_minus) * law(t).P_p
     print("expected beat spacing gamma * 2 pi / Omega =",
           ctx.gamma * 2.0 * np.pi / 10.0)
     print("re-exponentiated curve max/min:", y.max(), y.min())

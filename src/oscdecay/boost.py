@@ -16,7 +16,7 @@ import numpy as np
 from ._points import as_points, maybe_scalar
 from .kinematics import BoostContext, RestModeSet, mode_terms
 from .restframe import amplitude_rest, survival_rest, survival_rest_split
-from .specfun import bessel_j1, bessel_y1, struve_h1, upsilon, xi_fn, xi_mass_factor
+from .specfun import branch_cut, upsilon, xi_fn, xi_mass_factor
 
 __all__ = [
     "BoostDomainError",
@@ -113,12 +113,12 @@ class BoostedLaw:
     C_B = sum weight width scale xi_mass_factor(mass, p) of
 
         sum_j w_j Gamma_j phi_fn_j = C_A A(pt) + C_B B(pt),
-        A = (pi/2)(H1 - i J1) - 1,   B = 1 + (pi/2)(Y1 - H1),
 
-    which holds because xi_fn depends on the mass only through
-    xi_mass_factor. Calling the law on lab times evaluates one J1/Y1/H1
-    triple per time, whatever the mode count, and returns a
-    BoostedEvaluation: of floats for a scalar time, of arrays for an array.
+    with (A, B) = specfun.branch_cut(pt), which holds because xi_fn is
+    A + xi_mass_factor B and depends on the mass only through that factor.
+    Calling the law on lab times evaluates one J1/Y1/H1 triple per time,
+    whatever the mode count, and returns a BoostedEvaluation: of floats
+    for a scalar time, of arrays for an array.
 
     Momenta below P_ZERO_REL * M take the rest branch, the paper's P0. The
     exact law's p -> 0 limit differs: its energy |m| folds the density,
@@ -161,10 +161,7 @@ class BoostedLaw:
             if (tt == 0.0).any():
                 raise BoostDomainError("t = 0 is outside the moving-frame closed form (p > 0)")
             K_sum = np.exp(np.multiply.outer(tt, self.exponents)) @ self.weights
-            z = self.ctx.p * tt
-            h1 = struve_h1(z)
-            A = (0.5 * math.pi * h1 - 1.0) - 1j * (0.5 * math.pi * bessel_j1(z))
-            B = 1.0 + 0.5 * math.pi * (bessel_y1(z) - h1)
+            A, B = branch_cut(self.ctx.p * tt)
             Phi_term = 1j * self.prefactor * (self.C_A * A + self.C_B * B)
             amp = K_sum + Phi_term
             P_p = amp.real * amp.real + amp.imag * amp.imag

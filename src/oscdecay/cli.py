@@ -38,6 +38,9 @@ EXIT_INVALID = 2
 EXIT_IO = 3
 EXIT_ORACLE = 4
 
+# largest grid accepted; a 4-mode `curve --which split` needs ~0.9 KB per point
+MAX_GRID_POINTS = 10**6
+
 
 class ConfigError(ValueError):
     """The config file is structurally or physically unusable."""
@@ -135,6 +138,8 @@ def _grid(config):
     # like oracle.max_rounds: 3.0 is an integer, 40.7 and "40" are not
     if not (isinstance(points, (int, float)) and points == int(points) >= 2):
         raise ConfigError("grid points must be an integer >= 2, got %r" % (points,))
+    if points > MAX_GRID_POINTS:
+        raise ConfigError("grid points must be at most %d, got %r" % (MAX_GRID_POINTS, points))
     points = int(points)
     if not (math.isfinite(t_min) and math.isfinite(t_max)) or t_min >= t_max:
         raise ConfigError("grid needs t_min < t_max, got %r, %r" % (t_min, t_max))

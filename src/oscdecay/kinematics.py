@@ -2,9 +2,9 @@
 
 The rest-frame survival amplitude is a weighted sum of damped modes, each
 with width Gamma_j, oscillation frequency Omega_j, oscillation depth a_j
-and weight w_j, around a resonance mass M. A boost with momentum p maps
-each mode onto three effective resonances at masses M, M - Omega_j and
-M + Omega_j, with widths rescaled by the ratio of Lorentz factors.
+and weight w_j, around a resonance mass M. Each mode splits into
+Lorentzian terms at masses M, M - Omega_j and M + Omega_j (mode_terms);
+a boost with momentum p is described by p and the Lorentz factor of M.
 """
 
 import math
@@ -58,19 +58,10 @@ class RestModeSet:
 
 @dataclass(frozen=True)
 class BoostContext:
-    """Boost momentum with the per-mode shifted masses, Lorentz factors
-    and widths: M_minus/M_plus = M -/+ Omega_j, gamma_* their Lorentz
-    factors at momentum p, Gamma_* the rescaled widths (gamma/gamma_*) Gamma_j.
-    """
+    """Boost momentum p and gamma = lorentz_factor(M, p), the Lorentz factor of M."""
 
     p: float
     gamma: float
-    M_minus: np.ndarray
-    M_plus: np.ndarray
-    gamma_minus: np.ndarray
-    gamma_plus: np.ndarray
-    Gamma_minus: np.ndarray
-    Gamma_plus: np.ndarray
 
 
 def _as_mode_arrays(candidate):
@@ -176,27 +167,11 @@ def lorentz_factor(M: float, p: float) -> float:
 
 
 def shifted_kinematics(modes: RestModeSet, p: float) -> BoostContext:
-    """Per-mode shifted masses, Lorentz factors and rescaled widths at momentum p."""
+    """The boost context of the mode set at momentum p: p and gamma(M, p)."""
     p = float(p)
     if not (math.isfinite(p) and p >= 0.0):
         raise ValueError("shifted_kinematics requires finite p >= 0, got %r" % p)
-    gamma = lorentz_factor(modes.M, p)
-    M_minus = modes.M - modes.Omega
-    M_plus = modes.M + modes.Omega
-    gamma_minus = np.hypot(1.0, p / M_minus)
-    gamma_plus = np.hypot(1.0, p / M_plus)
-    Gamma_minus = (gamma / gamma_minus) * modes.Gamma
-    Gamma_plus = (gamma / gamma_plus) * modes.Gamma
-    return BoostContext(
-        p=p,
-        gamma=gamma,
-        M_minus=M_minus,
-        M_plus=M_plus,
-        gamma_minus=gamma_minus,
-        gamma_plus=gamma_plus,
-        Gamma_minus=Gamma_minus,
-        Gamma_plus=Gamma_plus,
-    )
+    return BoostContext(p=p, gamma=lorentz_factor(modes.M, p))
 
 
 def mode_terms(modes: RestModeSet):

@@ -2,9 +2,9 @@
 
 Double precision implementations of the order-one Bessel functions J1 and
 Y1 (rational approximations from the Cephes library, public domain), the
-order-one Struve function H1, and three composite quantities: the complex
-width/phase radicals of the boosted exponential term and the oscillatory
-tail kernel of the boosted amplitude.
+order-one Struve function H1, and the composites of the boosted
+amplitude: the width/phase radicals of its pole terms, the branch-cut
+combinations (A, B) and the oscillatory tail kernel xi.
 
 Accuracy contract for J1, Y1, H1: 1e-10 relative, 1e-12 absolute near
 zeros, on [1e-8, 1e4]. The test suite checks this against frozen
@@ -22,6 +22,7 @@ __all__ = [
     "bessel_j1",
     "bessel_y1",
     "struve_h1",
+    "branch_cut",
     "lambda_pm",
     "upsilon",
     "xi_fn",
@@ -302,11 +303,22 @@ def xi_mass_factor(M, p):
     return (1.0 - r) / (1.0 + r) ** 2
 
 
+def branch_cut(z):
+    """(A, B) of the branch-cut term at z = p t > 0: scalars for a scalar z.
+
+    A = (pi/2) (H1(z) - i J1(z)) - 1 and B = 1 + (pi/2) (Y1(z) - H1(z)); a
+    term of mass m contributes A + xi_mass_factor(m, p) B.
+    """
+    h1 = struve_h1(z)
+    A = (0.5 * math.pi * h1 - 1.0) - 1j * (0.5 * math.pi * bessel_j1(z))
+    B = 1.0 + 0.5 * math.pi * (bessel_y1(z) - h1)
+    return A, B
+
+
 def xi_fn(M: float, p: float, t: float) -> complex:
     """Oscillatory tail kernel of the boosted survival amplitude.
 
-    xi = (pi/2) (H1(pt) - i J1(pt)) - 1
-         + c (1 + (pi/2) (Y1(pt) - H1(pt))),
+    xi = A(pt) + c B(pt), with (A, B) = branch_cut(pt) and
     c = xi_mass_factor(M, p).
 
     Both p = 0 and t = 0 are rejected: Y1 is singular at zero argument and
@@ -321,13 +333,5 @@ def xi_fn(M: float, p: float, t: float) -> complex:
         raise SpecialFunctionDomainError(
             "xi_fn requires p > 0 and t > 0, got p=%r t=%r" % (p, t)
         )
-    z = p * t
-    c = xi_mass_factor(M, p)
-    h1 = struve_h1(z)
-    j1 = bessel_j1(z)
-    y1 = bessel_y1(z)
-    return (
-        (math.pi / 2.0) * complex(h1, -j1)
-        - 1.0
-        + c * (1.0 + (math.pi / 2.0) * (y1 - h1))
-    )
+    A, B = branch_cut(p * t)
+    return A + xi_mass_factor(M, p) * B

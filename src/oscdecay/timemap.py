@@ -4,7 +4,8 @@ The rest-frame survival probability of a valid mode set decreases
 strictly, so it has an inverse. Composing that inverse with the boosted
 survival probability gives the time map phi_p; over the exponential
 window the map is close to the line t / gamma, and linearity_fit
-quantifies how close.
+quantifies how close. The inverse is one Newton solve on
+2 log amplitude_rest - log r, at every target from 1 down to subnormal.
 """
 
 from dataclasses import dataclass
@@ -33,8 +34,6 @@ __all__ = [
 INVERT_REL_TOL = 1e-12
 # targets needing times beyond this multiple of 1/Gamma_1 are rejected
 TAIL_CAP_OVER_GAMMA1 = 1e4
-# below this target the inversion works on log P0 to keep conditioning
-_LOG_SWITCH = 1e-2
 # Newton stops after a step below this fraction of the root; bisection
 # once the bracket is below the second one
 _NEWTON_LAST_STEP = 1e-10
@@ -60,19 +59,15 @@ class LinearityFit:
     n_points: int
 
 
-def _gap(modes, t, r, log_r, use_log):
-    """Signed gap P0(t) - r (2 log amplitude - log r where use_log) and its slope.
+def _gap(modes, t, log_r):
+    """Signed log gap 2 log amplitude_rest(t) - log r and its slope in t.
 
-    In log space the slope d log P0/dt comes from the amplitude and
-    rate_over_amplitude, both finite where P0 itself is subnormal; in
-    probability space it is decay_rate_rest's dP0/dt.
+    The slope d log P0/dt = -rate_over_amplitude / amplitude is finite
+    where P0 itself is subnormal.
     """
     amp = amplitude_rest(modes, t)
-    k = rate_over_amplitude(modes, t)
     with np.errstate(divide="ignore", invalid="ignore"):
-        gap = np.where(use_log, 2.0 * np.log(amp) - log_r, amp * amp - r)
-        slope = np.where(use_log, -k / amp, -amp * k)
-    return gap, slope
+        return 2.0 * np.log(amp) - log_r, -rate_over_amplitude(modes, t) / amp
 
 
 def _solve(modes, r):
@@ -85,9 +80,7 @@ def _solve(modes, r):
     gamma1 = float(modes.Gamma[0])
     cap = TAIL_CAP_OVER_GAMMA1 / gamma1
     log_r = np.log(r)
-    use_log = r < _LOG_SWITCH
 
-    # the bracket runs on the log gap, immune to squaring underflow
     lo = np.zeros_like(r)
     hi = np.full_like(r, 1.0 / gamma1)
     gap_lo = -log_r
@@ -117,7 +110,7 @@ def _solve(modes, r):
         if not len(active):
             break
         a = active
-        gap, slope = _gap(modes, t[a], r[a], log_r[a], use_log[a])
+        gap, slope = _gap(modes, t[a], log_r[a])
         # P0 falls strictly: a positive gap puts the root to the right
         lo[a] = np.where(gap > 0.0, t[a], lo[a])
         hi[a] = np.where(gap < 0.0, t[a], hi[a])
@@ -134,35 +127,31 @@ def _solve(modes, r):
         dx[a] = np.where(bisect, 0.5 * (hi[a] - lo[a]), step)
         t[a] = np.where(bisect, lo[a] + dx[a], np.where(inside, newton, t[a]))
         active = a[~done]
-    return t, _gap(modes, t, r, log_r, use_log)[0], use_log
+    return t, _gap(modes, t, log_r)[0]
 
 
 def invert_survival_rest(modes: RestModeSet, r):
     """The time at which the rest-frame survival equals r (a float or an array).
 
     Brackets each root by doubling from 1/Gamma_1 up to the tail cap, then
-    refines with safeguarded Newton steps (derivative: the closed-form
-    dP0/dt of decay_rate_rest) and a bisection fallback; for r < 1e-2 the
-    solve runs on 2 log(amplitude) and its exact slope instead of the
-    probability itself, which keeps the deep tail conditioned and immune
-    to squaring underflow, down to subnormal targets. Every result
-    satisfies |P0(t) - r| <= 1e-12 r (log residual <= 1e-12 below 1e-2).
-    Errors name the first offending target.
+    refines with safeguarded Newton steps and a bisection fallback. The
+    solve runs on 2 log(amplitude) - log r and its exact slope, which keeps
+    the deep tail conditioned and immune to squaring underflow, down to
+    subnormal targets. Every result has a log residual of at most 1e-12,
+    so |P0(t) - r| <= ~1e-12 r. Errors name the first offending target.
     """
     rr = as_points(r, lambda v: (v > 0.0) & (v <= 1.0), "target probability must lie in (0, 1]",
                    TimeMapError)
     out = np.zeros_like(rr)
     below = np.flatnonzero(rr < 1.0)
     target = rr[below]
-    root, resid, use_log = _solve(modes, target)
-    tol = np.where(use_log, INVERT_REL_TOL, INVERT_REL_TOL * target)
-    failed = np.flatnonzero(np.abs(resid) > tol)
+    root, resid = _solve(modes, target)
+    failed = np.flatnonzero(np.abs(resid) > INVERT_REL_TOL)
     if len(failed):
         i = failed[0]
         raise TimeMapError(
-            "inversion residual %r exceeds %r%s at r=%r"
-            % (abs(float(resid[i])), float(tol[i]), " in log space" if use_log[i] else "",
-               float(target[i]))
+            "inversion residual %r exceeds %r in log space at r=%r"
+            % (abs(float(resid[i])), INVERT_REL_TOL, float(target[i]))
         )
     out[below] = root
     return maybe_scalar(out, r)

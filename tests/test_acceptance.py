@@ -107,8 +107,8 @@ def test_04_period_dilation_from_cli(tmp_path):
     t = np.array([float(r[0]) for r in rows])
     P = np.array([float(r[2]) for r in rows])
 
-    _, ctx = _curve_b()
-    y = np.exp(t / float(ctx.gamma_minus[0])) * P
+    modes, ctx = _curve_b()
+    y = np.exp(t / od.lorentz_factor(modes.M - modes.Omega[0], ctx.p)) * P
     idx, _ = find_peaks(y, prominence=0.05 * (y.max() - y.min()))
     peaks = []
     for i in idx:

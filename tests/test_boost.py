@@ -36,12 +36,13 @@ def test_k_rejects_negative_time():
 
 
 def _three_exp(M, Gamma, Omega, a, t, ctx):
-    g, gm, gp = ctx.gamma, ctx.gamma_minus[0], ctx.gamma_plus[0]
-    return (
-        (a / 2) * cmath.exp(-(t / 2) * (ctx.Gamma_minus[0] / g + 2j * (M - Omega) * gm))
-        + (1 - a) * cmath.exp(-(t / 2) * (Gamma / g + 2j * M * g))
-        + (a / 2) * cmath.exp(-(t / 2) * (ctx.Gamma_plus[0] / g + 2j * (M + Omega) * gp))
-    )
+    # each term decays at Gamma / gamma_m and turns at m gamma_m, with
+    # gamma_m the Lorentz factor of its own mass m
+    def term(m):
+        g = od.lorentz_factor(m, ctx.p)
+        return cmath.exp(-(t / 2) * (Gamma / g + 2j * m * g))
+
+    return (a / 2) * term(M - Omega) + (1 - a) * term(M) + (a / 2) * term(M + Omega)
 
 
 def test_three_exponential_reduction_moderate_mass():
@@ -253,7 +254,7 @@ def test_boosted_probability_bounded_in_domain():
 
 def test_envelope_bounded_on_window():
     modes, ctx = make_boosted("p200_m80")
-    gm = ctx.gamma_minus[0]
+    gm = od.lorentz_factor(modes.M - modes.Omega[0], ctx.p)
     env = [
         math.exp(t / gm) * od.survival_boosted(modes, ctx, float(t)).P_p
         for t in np.linspace(2.0, 15.0, 200)

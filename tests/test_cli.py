@@ -61,8 +61,10 @@ def test_one_point_grid_rejected(tmp_path):
     assert code == 2
 
 
-@pytest.mark.parametrize("points, code", [(40.7, 2), ("40", 2), (3.0, 0)],
-                         ids=["fraction", "string", "integral_float"])
+@pytest.mark.parametrize("points, code",
+                         [(40.7, 2), ("40", 2), (3.0, 0), (1e12, 2), (1000001, 2)],
+                         ids=["fraction", "string", "integral_float", "huge_float",
+                              "above_limit"])
 def test_grid_points_must_be_integral(tmp_path, capsys, points, code):
     cfg = write_config(tmp_path, "points.json",
                        {"grid": {"t_min": 1.0, "t_max": 2.0, "points": points}})

@@ -266,7 +266,7 @@ def test_direct_envelope_stays_bounded(mode_p200_m80):
     modes, ctx = mode_p200_m80
     for t in (3.0, 8.0, 14.0):
         val = direct_survival(modes, 200.0, t, FAST)
-        assert math.exp(t / float(ctx.gamma_minus[0])) * val <= 1.0
+        assert math.exp(t / od.lorentz_factor(modes.M - modes.Omega[0], ctx.p)) * val <= 1.0
 
 
 # sets the closed form is judged on: curve B, the three-mode set above,

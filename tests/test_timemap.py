@@ -44,8 +44,8 @@ def test_invert_round_trip_two_mode():
 
 
 def test_invert_deep_tail():
-    # r = 1e-100: direct P0 would underflow the bracketing; the log-space
-    # path keeps the round trip exact
+    # r = 1e-100: the solve works on log P0, which stays well conditioned
+    # in the deep tail, so the round trip is exact
     modes = make_single_mode(100.0, 10.0, 0.04)
     t = od.invert_survival_rest(modes, 1e-100)
     log_p = 2.0 * math.log(od.amplitude_rest(modes, t))
@@ -71,8 +71,9 @@ def test_invert_domain_is_total_down_to_subnormal_floor():
 
 
 def test_invert_array_keeps_every_contract():
-    # one call over targets spanning r = 1, both solve spaces and the
-    # subnormal floor; each point meets its own residual contract
+    # one call over targets spanning r = 1, both sides of 1e-2 (checked in
+    # probability above it, in log space below) and the subnormal floor;
+    # each point meets its own residual contract
     modes = od.validate_modes(
         {"M": 100.0, "w": [0.7, 0.3], "Gamma": [1.0, 2.5],
          "Omega": [10.0, 0.0], "a": [0.04, 0.0]}
