@@ -8,6 +8,7 @@ purely exponential and oscillating double-sum parts, the decay rate, and
 the mass distribution density whose half-line cosine transform it is.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -80,13 +81,50 @@ def _check_times(t):
     return as_points(t, lambda v: np.isfinite(v) & (v >= 0.0), "times must be finite and >= 0")
 
 
+class _RestLaw:
+    """sqrt(P0) and -dP0/dt / sqrt(P0) of one mode set, on 1-d arrays of checked times.
+
+    The per-mode constants are computed once: the amplitude's on
+    construction, the rate's on the first call that needs them. A call
+    takes one exp per mode and time, shared by the amplitude and the rate.
+    The rate over the amplitude is finite wherever the amplitude is, so
+    -rate / amplitude gives d log P0 / dt to full precision even where P0
+    itself is subnormal.
+    """
+
+    def __init__(self, modes: RestModeSet):
+        self.modes = modes
+        self.Gamma = modes.Gamma[:, None]
+        self.Omega = modes.Omega[:, None]
+        self.w = modes.w[:, None]
+        self.flat = (1.0 - modes.a)[:, None]
+        self.a = modes.a[:, None]
+
+    @functools.cached_property
+    def _rate_terms(self):
+        coeff = decay_rate_coefficients(self.modes)
+        return coeff.lam1[:, None], coeff.lam2[:, None], coeff.beta[:, None]
+
+    def _parts(self, tt):
+        # per mode and time: the weighted damping w_j exp(-Gamma_j t/2), the
+        # phase Omega_j t, and the amplitude summed from them
+        damp = self.w * np.exp(-0.5 * (self.Gamma * tt))
+        phase = self.Omega * tt
+        return damp, phase, (damp * (self.flat + self.a * np.cos(phase))).sum(axis=0)
+
+    def amplitude(self, tt):
+        return self._parts(tt)[2]
+
+    def __call__(self, tt):
+        """(amplitude, rate over amplitude) at tt."""
+        damp, phase, amp = self._parts(tt)
+        lam1, lam2, beta = self._rate_terms
+        return amp, (damp * (lam1 + lam2 * np.cos(phase - beta))).sum(axis=0)
+
+
 def amplitude_rest(modes: RestModeSet, t):
     """sqrt(P0(t)): the rest-frame survival amplitude modulus."""
-    tt = _check_times(t)
-    damp = np.exp(-0.5 * np.outer(modes.Gamma, tt))
-    osc = (1.0 - modes.a)[:, None] + modes.a[:, None] * np.cos(np.outer(modes.Omega, tt))
-    out = (modes.w[:, None] * damp * osc).sum(axis=0)
-    return maybe_scalar(out, t)
+    return maybe_scalar(_RestLaw(modes).amplitude(_check_times(t)), t)
 
 
 def survival_rest(modes: RestModeSet, t):
@@ -142,23 +180,10 @@ def decay_rate_coefficients(modes: RestModeSet) -> DecayRateCoefficients:
     return DecayRateCoefficients(lam1=lam1, lam2=lam2, beta=beta)
 
 
-def rate_over_amplitude(modes: RestModeSet, tt):
-    """-dP0/dt / sqrt(P0) = -2 d sqrt(P0)/dt on a 1-d array of checked times.
-
-    Finite wherever the amplitude is, so -rate_over_amplitude / amplitude
-    gives d log P0 / dt to full precision even where P0 itself is subnormal.
-    """
-    coeff = decay_rate_coefficients(modes)
-    damp = np.exp(-0.5 * np.outer(modes.Gamma, tt))
-    phase = np.cos(np.outer(modes.Omega, tt) - coeff.beta[:, None])
-    return (modes.w[:, None] * damp * (coeff.lam1[:, None] + coeff.lam2[:, None] * phase)).sum(axis=0)
-
-
 def decay_rate_rest(modes: RestModeSet, t):
     """dP0/dt in closed form; nonpositive for every valid mode set."""
-    tt = _check_times(t)
-    out = -amplitude_rest(modes, tt) * rate_over_amplitude(modes, tt)
-    return maybe_scalar(out, t)
+    amp, rate = _RestLaw(modes)(_check_times(t))
+    return maybe_scalar(-amp * rate, t)
 
 
 def mdd_analytic(modes: RestModeSet, m):

@@ -180,18 +180,38 @@ def _j1_small(x):
     return w * x * (z - Z1) * (z - Z2)
 
 
-def _modulus_phase(x):
-    # shared x > 5 fit: (P, w Q, x - 3 pi/4, sqrt(2/(pi x)))
+def _y1_small(x, j1):
+    # j1 = _j1_small(x), which the small-x Y1 fit contains
+    z = x * x
+    w = x * _polevl(z, YP1) / _p1evl(z, YQ1)
+    return w + TWOOPI * (j1 * np.log(x) - 1.0 / x)
+
+
+def _bessel_large(x):
+    # J1 and Y1 beyond the seam from the shared modulus/phase fit and one
+    # cos/sin of the phase x - 3 pi/4
     w = BESSEL_SEAM / x
     z = w * w
     p = _polevl(z, PP1) / _polevl(z, PQ1)
-    q = _polevl(z, QP1) / _p1evl(z, QQ1)
-    return p, w * q, x - THPIO4, SQ2OPI / np.sqrt(x)
+    wq = w * (_polevl(z, QP1) / _p1evl(z, QQ1))
+    xn = x - THPIO4
+    scale = SQ2OPI / np.sqrt(x)
+    c = np.cos(xn)
+    s = np.sin(xn)
+    return (p * c - wq * s) * scale, (p * s + wq * c) * scale
 
 
-def _j1_large(x):
-    p, wq, xn, scale = _modulus_phase(x)
-    return (p * np.cos(xn) - wq * np.sin(xn)) * scale
+def _j1_y1(x):
+    # J1 and Y1 at x > 0, each fit evaluated once per point
+    j1 = np.empty_like(x)
+    y1 = np.empty_like(x)
+    lo = x <= BESSEL_SEAM
+    if lo.any():
+        j1[lo] = _j1_small(x[lo])
+        y1[lo] = _y1_small(x[lo], j1[lo])
+    if not lo.all():
+        j1[~lo], y1[~lo] = _bessel_large(x[~lo])
+    return j1, y1
 
 
 def bessel_j1(x):
@@ -200,18 +220,7 @@ def bessel_j1(x):
     Accepts a scalar (returns a float) or an array (returns an array).
     """
     xx = as_points(x, lambda v: v >= 0.0, "bessel_j1 requires x >= 0", SpecialFunctionDomainError)
-    return maybe_scalar(_piecewise(xx, BESSEL_SEAM, _j1_small, _j1_large), x)
-
-
-def _y1_small(x):
-    z = x * x
-    w = x * _polevl(z, YP1) / _p1evl(z, YQ1)
-    return w + TWOOPI * (_j1_small(x) * np.log(x) - 1.0 / x)
-
-
-def _y1_large(x):
-    p, wq, xn, scale = _modulus_phase(x)
-    return (p * np.sin(xn) + wq * np.cos(xn)) * scale
+    return maybe_scalar(_piecewise(xx, BESSEL_SEAM, _j1_small, lambda v: _bessel_large(v)[0]), x)
 
 
 def bessel_y1(x):
@@ -220,7 +229,7 @@ def bessel_y1(x):
     Accepts a scalar (returns a float) or an array (returns an array).
     """
     xx = as_points(x, lambda v: v > 0.0, "bessel_y1 requires x > 0", SpecialFunctionDomainError)
-    return maybe_scalar(_piecewise(xx, BESSEL_SEAM, _y1_small, _y1_large), x)
+    return maybe_scalar(_j1_y1(xx)[1], x)
 
 
 # H1(x) = q sum_k c_k q^k with q = x^2/4 and
@@ -236,7 +245,8 @@ def _h1_series(x):
     return q * _polevl(q, H1_SERIES)
 
 
-def _h1_large(x):
+def _h1_minus_y1(x):
+    # the Chebyshev fit of H1 - Y1 beyond the Struve seam
     u = STRUVE_SEAM / x
     t = 2.0 * u * u - 1.0
     b0 = 0.0
@@ -244,7 +254,15 @@ def _h1_large(x):
     for c in reversed(H1Y1_CHEB):
         b0, b1 = t * 2.0 * b0 - b1 + c, b0
     # Clenshaw closing step: the last iteration doubled the t b1 term
-    return _y1_large(x) + (b0 - b1 * t)
+    return b0 - b1 * t
+
+
+def _h1(x, y1):
+    # H1 at x >= 0 given y1 = Y1(x) wherever x > STRUVE_SEAM
+    h1 = _piecewise(x, STRUVE_SEAM, _h1_series, _h1_minus_y1)
+    far = x > STRUVE_SEAM
+    h1[far] += y1[far]
+    return h1
 
 
 def struve_h1(x):
@@ -253,7 +271,9 @@ def struve_h1(x):
     Accepts a scalar (returns a float) or an array (returns an array).
     """
     xx = as_points(x, lambda v: v >= 0.0, "struve_h1 requires x >= 0", SpecialFunctionDomainError)
-    return maybe_scalar(_piecewise(xx, STRUVE_SEAM, _h1_series, _h1_large), x)
+    # _h1 reads Y1 only beyond the seam
+    y1 = _piecewise(xx, STRUVE_SEAM, np.zeros_like, lambda v: _bessel_large(v)[1])
+    return maybe_scalar(_h1(xx, y1), x)
 
 
 def lambda_pm(M: float, Gamma: float, p: float) -> tuple:
@@ -307,12 +327,16 @@ def branch_cut(z):
     """(A, B) of the branch-cut term at z = p t > 0: scalars for a scalar z.
 
     A = (pi/2) (H1(z) - i J1(z)) - 1 and B = 1 + (pi/2) (Y1(z) - H1(z)); a
-    term of mass m contributes A + xi_mass_factor(m, p) B.
+    term of mass m contributes A + xi_mass_factor(m, p) B. J1, Y1 and H1
+    share one evaluation of each fit per point, and equal bessel_j1,
+    bessel_y1 and struve_h1 exactly.
     """
-    h1 = struve_h1(z)
-    A = (0.5 * math.pi * h1 - 1.0) - 1j * (0.5 * math.pi * bessel_j1(z))
-    B = 1.0 + 0.5 * math.pi * (bessel_y1(z) - h1)
-    return A, B
+    zz = as_points(z, lambda v: v > 0.0, "branch_cut requires z > 0", SpecialFunctionDomainError)
+    j1, y1 = _j1_y1(zz)
+    h1 = _h1(zz, y1)
+    A = (0.5 * math.pi * h1 - 1.0) - 1j * (0.5 * math.pi * j1)
+    B = 1.0 + 0.5 * math.pi * (y1 - h1)
+    return maybe_scalar(A, z), maybe_scalar(B, z)
 
 
 def xi_fn(M: float, p: float, t: float) -> complex:

@@ -6,6 +6,10 @@ survival probability gives the time map phi_p; over the exponential
 window the map is close to the line t / gamma, and linearity_fit
 quantifies how close. The inverse is one Newton solve on
 2 log amplitude_rest - log r, at every target from 1 down to subnormal.
+Each root is bracketed by doubling from a start: t / gamma, the paper's
+approximation, for phi_p, and 1/Gamma_1 for invert_survival_rest. A
+converged Newton step that lands on a bracket end is taken there, so a
+root that coincides with the end is not left one step short.
 """
 
 from dataclasses import dataclass
@@ -14,11 +18,11 @@ import numpy as np
 
 from ._points import as_points, maybe_scalar
 
-# survival_boosted and survival_rest are unused here but stay bound:
+# amplitude_rest, survival_boosted and survival_rest are unused here but stay bound:
 # perfbench/spans.py traces calls through these module attributes
 from .boost import BoostedLaw, survival_boosted  # noqa: F401
 from .kinematics import BoostContext, RestModeSet
-from .restframe import CurveSeries, amplitude_rest, rate_over_amplitude, survival_rest  # noqa: F401
+from .restframe import CurveSeries, _RestLaw, amplitude_rest, survival_rest  # noqa: F401
 from .window import TimeWindow
 
 __all__ = [
@@ -59,46 +63,38 @@ class LinearityFit:
     n_points: int
 
 
-def _gap(modes, t, log_r):
-    """Signed log gap 2 log amplitude_rest(t) - log r and its slope in t.
-
-    The slope d log P0/dt = -rate_over_amplitude / amplitude is finite
-    where P0 itself is subnormal.
-    """
-    amp = amplitude_rest(modes, t)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return 2.0 * np.log(amp) - log_r, -rate_over_amplitude(modes, t) / amp
-
-
-def _solve(modes, r):
+def _solve(modes, r, start):
     # roots of P0(t) = r for every r in (0, 1), all points at once: bracket
-    # by doubling from 1/Gamma_1, start where the log gap interpolates to 0,
-    # then rtsafe (Newton steps kept inside the bracket, bisection when a
-    # step leaves it or fails to halve the one before last). Each point
-    # iterates only until its own step converges, so its root does not
-    # depend on the rest of the array.
-    gamma1 = float(modes.Gamma[0])
-    cap = TAIL_CAP_OVER_GAMMA1 / gamma1
+    # by doubling from start (clipped into (0, tail cap]), start where the log
+    # gap 2 log amplitude - log r interpolates to 0, then rtsafe (Newton
+    # steps kept inside the bracket, bisection when a step leaves it or
+    # fails to halve the one before last). Each point iterates only until
+    # its own step converges, so its root depends only on its target and
+    # start. The log gap's slope, d log P0/dt = -rate / amplitude, is finite
+    # where P0 itself is subnormal.
+    law = _RestLaw(modes)
+    cap = TAIL_CAP_OVER_GAMMA1 / float(modes.Gamma[0])
     log_r = np.log(r)
 
     lo = np.zeros_like(r)
-    hi = np.full_like(r, 1.0 / gamma1)
+    hi = np.clip(start, np.finfo(float).tiny, cap)
     gap_lo = -log_r
     gap_hi = np.empty_like(r)
     up = np.arange(len(r))
     while len(up):
         with np.errstate(divide="ignore"):
-            gap_hi[up] = 2.0 * np.log(amplitude_rest(modes, hi[up])) - log_r[up]
+            gap_hi[up] = 2.0 * np.log(law.amplitude(hi[up])) - log_r[up]
         up = up[gap_hi[up] > 0.0]
         lo[up] = hi[up]
         gap_lo[up] = gap_hi[up]
         hi[up] *= 2.0
-        beyond = up[hi[up] > cap]
-        if len(beyond):
-            raise TimeMapError(
-                "target %r lies below the representable tail (t beyond %r)"
-                % (float(r[beyond[0]]), cap)
-            )
+        up = up[hi[up] <= cap]
+    beyond = np.flatnonzero(hi > cap)
+    if len(beyond):
+        raise TimeMapError(
+            "target %r lies below the representable tail (t beyond %r)"
+            % (float(r[beyond[0]]), cap)
+        )
 
     with np.errstate(invalid="ignore"):
         t = lo + (hi - lo) * (gap_lo / (gap_lo - gap_hi))
@@ -110,42 +106,41 @@ def _solve(modes, r):
         if not len(active):
             break
         a = active
-        gap, slope = _gap(modes, t[a], log_r[a])
+        amp, rate = law(t[a])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gap = 2.0 * np.log(amp) - log_r[a]
+            slope = -rate / amp
+            step = np.where(np.isfinite(slope) & (slope < 0.0), gap / slope, np.nan)
         # P0 falls strictly: a positive gap puts the root to the right
         lo[a] = np.where(gap > 0.0, t[a], lo[a])
         hi[a] = np.where(gap < 0.0, t[a], hi[a])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = np.where(np.isfinite(slope) & (slope < 0.0), gap / slope, np.nan)
         newton = t[a] - step
         inside = (newton > lo[a]) & (newton < hi[a])
-        # a Newton step this small leaves an error of order step^2: take it
-        # if it stays inside the bracket, and stop
+        # a Newton step this small leaves an error of order step^2: take it,
+        # clipped to the closed bracket (a root on a bracket end would
+        # otherwise stay one step away), and stop
         done = (np.abs(step) <= _NEWTON_LAST_STEP * t[a]) \
             | (hi[a] - lo[a] <= _BRACKET_REL_TOL * t[a])
         bisect = ~done & (~inside | ~(np.abs(2.0 * step) < np.abs(dx_old[a])))
+        take = inside | (done & np.isfinite(newton))
         dx_old[a] = dx[a]
         dx[a] = np.where(bisect, 0.5 * (hi[a] - lo[a]), step)
-        t[a] = np.where(bisect, lo[a] + dx[a], np.where(inside, newton, t[a]))
+        t[a] = np.where(bisect, lo[a] + dx[a],
+                        np.where(take, np.clip(newton, lo[a], hi[a]), t[a]))
         active = a[~done]
-    return t, _gap(modes, t, log_r)[0]
+    with np.errstate(divide="ignore"):
+        return t, 2.0 * np.log(law.amplitude(t)) - log_r
 
 
-def invert_survival_rest(modes: RestModeSet, r):
-    """The time at which the rest-frame survival equals r (a float or an array).
-
-    Brackets each root by doubling from 1/Gamma_1 up to the tail cap, then
-    refines with safeguarded Newton steps and a bisection fallback. The
-    solve runs on 2 log(amplitude) - log r and its exact slope, which keeps
-    the deep tail conditioned and immune to squaring underflow, down to
-    subnormal targets. Every result has a log residual of at most 1e-12,
-    so |P0(t) - r| <= ~1e-12 r. Errors name the first offending target.
-    """
+def _invert(modes, r, start):
+    # rest-frame times where P0 = r (r = 1 maps to 0), each root's solve
+    # started at its entry of start (a float or an array shaped like r)
     rr = as_points(r, lambda v: (v > 0.0) & (v <= 1.0), "target probability must lie in (0, 1]",
                    TimeMapError)
     out = np.zeros_like(rr)
     below = np.flatnonzero(rr < 1.0)
     target = rr[below]
-    root, resid = _solve(modes, target)
+    root, resid = _solve(modes, target, np.broadcast_to(start, rr.shape)[below])
     failed = np.flatnonzero(np.abs(resid) > INVERT_REL_TOL)
     if len(failed):
         i = failed[0]
@@ -154,32 +149,49 @@ def invert_survival_rest(modes: RestModeSet, r):
             % (abs(float(resid[i])), INVERT_REL_TOL, float(target[i]))
         )
     out[below] = root
-    return maybe_scalar(out, r)
+    return out
+
+
+def invert_survival_rest(modes: RestModeSet, r):
+    """The time at which the rest-frame survival equals r (a float or an array).
+
+    Brackets each root by doubling from 1/Gamma_1 up to the tail cap, then
+    refines with safeguarded Newton steps and a bisection fallback; a
+    converged Newton step that lands on a bracket end is taken there. The
+    solve runs on 2 log(amplitude) - log r and its exact slope, which keeps
+    the deep tail conditioned and immune to squaring underflow, down to
+    subnormal targets. Every result has a log residual of at most 1e-12,
+    so |P0(t) - r| <= ~1e-12 r. Errors name the first offending target.
+    """
+    return maybe_scalar(_invert(modes, r, 1.0 / float(modes.Gamma[0])), r)
 
 
 def phi_p(modes: RestModeSet, ctx: BoostContext, t):
     """Rest-frame time whose survival matches the boosted one at lab time t.
 
     phi_p(t) = P0^{-1}(P_p(t)), for a scalar t (returns a float) or an
-    array of times (returns an array). The boosted probability must fall
+    array of times (returns an array). Each root is solved as in
+    invert_survival_rest, with the bracket started at the paper's
+    approximation t / gamma instead of 1/Gamma_1. The boosted probability must fall
     in (0, 1]; rounding-level overshoot above 1 (at most 1e-12) is
     clamped, anything larger, and underflow to 0, raises TimeMapError
     naming the first offending point. BoostedLaw's own domain errors are
     raised first.
     """
     ev = BoostedLaw(modes, ctx)(t)
+    tt = np.atleast_1d(ev.t)
     r = np.atleast_1d(ev.P_p)
     bad = np.flatnonzero((r > 1.0 + 1e-12) | (r <= 0.0))
     if len(bad):
         i = bad[0]
-        at = float(np.atleast_1d(ev.t)[i])
+        at = float(tt[i])
         if r[i] > 1.0:
             raise TimeMapError(
                 "boosted survival %r exceeds 1 at t=%r; the time map is undefined there"
                 % (float(r[i]), at)
             )
         raise TimeMapError("boosted survival %r underflowed at t=%r" % (float(r[i]), at))
-    phi = invert_survival_rest(modes, np.minimum(r, 1.0))
+    phi = _invert(modes, np.minimum(r, 1.0), tt / ctx.gamma)
     return maybe_scalar(phi, t)
 
 

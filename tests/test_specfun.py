@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oscdecay.specfun import (
+    SpecialFunctionDomainError,
     bessel_j1,
     bessel_y1,
+    branch_cut,
     lambda_pm,
     struve_h1,
     upsilon,
@@ -94,6 +96,34 @@ def test_h1_minus_y1_monotone_envelope_far_out():
     xs = np.linspace(50.0, 2000.0, 200)
     gap = np.array([abs(struve_h1(x) - bessel_y1(x) - 2.0 / math.pi) for x in xs])
     assert np.all(np.diff(gap) <= 1e-15)
+
+
+def _composed_branch_cut(z):
+    h1 = struve_h1(z)
+    A = (0.5 * math.pi * h1 - 1.0) - 1j * (0.5 * math.pi * bessel_j1(z))
+    B = 1.0 + 0.5 * math.pi * (bessel_y1(z) - h1)
+    return A, B
+
+
+def test_branch_cut_equals_its_composition_exactly():
+    # branch_cut shares each fit between J1, Y1 and H1; that must not move
+    # a single bit, across both seams and on either side of each
+    seams = [5.0, 9.0, math.nextafter(5.0, 0.0), math.nextafter(5.0, 6.0),
+             math.nextafter(9.0, 0.0), math.nextafter(9.0, 10.0)]
+    z = np.concatenate([np.geomspace(1e-8, 1e4, 4001), seams])
+    A, B = branch_cut(z)
+    A_ref, B_ref = _composed_branch_cut(z)
+    assert np.array_equal(A, A_ref) and np.array_equal(B, B_ref)
+    for zi in seams + [1e-8, 1.0, 1e4]:
+        a, b = branch_cut(zi)
+        assert type(a) is complex and type(b) is float
+        assert (a, b) == _composed_branch_cut(zi)
+
+
+def test_branch_cut_rejects_nonpositive_argument():
+    for bad in (0.0, -1.0, np.array([1.0, 0.0])):
+        with pytest.raises(SpecialFunctionDomainError, match="z > 0"):
+            branch_cut(bad)
 
 
 def test_small_x_series_values():

@@ -90,13 +90,76 @@ def test_invert_array_keeps_every_contract():
 
 
 SUBNORMAL_TARGETS = [1e-310, 3e-320, 1e-315, 5e-324]
+ONE_MODE = {"M": 100.0, "w": [1.0], "Gamma": [1.0], "Omega": [10.0], "a": [0.04]}
 TWO_MODE = {"M": 100.0, "w": [0.7, 0.3], "Gamma": [1.0, 2.5],
             "Omega": [10.0, 0.0], "a": [0.04, 0.0]}
+# the three-mode set with an Omega = 0 mode on which the closed form once
+# missed compare's gate, the oracle tests' three-mode set, and four modes
+MULTI_MODE = {
+    "shifted_three_mode": {"M": 100.0, "w": [0.5, 0.3, 0.2], "Gamma": [1.0, 1.5, 2.0],
+                           "Omega": [0.0, 5.0, 8.0], "a": [0.1, 0.0, 0.03]},
+    "three_mode": {"M": 80.0, "w": [0.5, 0.3, 0.2], "Gamma": [1.0, 1.5, 2.0],
+                   "Omega": [10.0, 5.0, 2.5], "a": [0.04, 0.04, 0.04]},
+    "four_mode": {"M": 120.0, "w": [0.4, 0.3, 0.2, 0.1], "Gamma": [0.8, 1.2, 2.0, 3.0],
+                  "Omega": [12.0, 6.0, 0.0, 3.0], "a": [0.03, 0.08, 0.0, 0.2]},
+}
+ALL_SETS = {"one_mode": ONE_MODE, "two_mode": TWO_MODE, **MULTI_MODE}
 
 
-@pytest.mark.parametrize("cfg", [
-    {"M": 100.0, "w": [1.0], "Gamma": [1.0], "Omega": [10.0], "a": [0.04]}, TWO_MODE,
-], ids=["one_mode", "two_mode"])
+@pytest.mark.parametrize("cfg", MULTI_MODE.values(), ids=MULTI_MODE.keys())
+def test_invert_round_trip_multi_mode(cfg):
+    modes = od.validate_modes(cfg)
+    for r in (0.8, 0.3, 1e-2, 1e-6):
+        t = od.invert_survival_rest(modes, r)
+        assert abs(od.survival_rest(modes, t) - r) <= 1e-12 * r
+
+
+@pytest.mark.parametrize("cfg", ALL_SETS.values(), ids=ALL_SETS.keys())
+def test_invert_round_trip_on_doubling_bracket_ends(cfg):
+    # t0 = 2^k / Gamma_1 is where the doubling bracket from 1/Gamma_1 ends:
+    # the root coincides with a bracket end, and the converged Newton step
+    # must still be taken onto it
+    modes = od.validate_modes(cfg)
+    t0 = 2.0 ** np.arange(-3, 8) / modes.Gamma[0]
+    r = od.survival_rest(modes, t0)
+    t_arr = od.invert_survival_rest(modes, r)
+    for ti, ri, t_expect in zip(t_arr, r, t0):
+        t = od.invert_survival_rest(modes, float(ri))
+        assert t == ti
+        assert t == pytest.approx(t_expect, rel=1e-12)
+        assert abs(2.0 * math.log(od.amplitude_rest(modes, t)) - math.log(ri)) <= 1e-12
+
+
+@pytest.mark.parametrize("cfg", ALL_SETS.values(), ids=ALL_SETS.keys())
+def test_solve_root_does_not_depend_on_its_start(cfg):
+    # far-off starts, a start beyond the tail cap (clipped to it) and a
+    # start of 0 bracket the same roots as the 1/Gamma_1 start, down to
+    # subnormal targets
+    modes = od.validate_modes(cfg)
+    r = np.array([0.9, 0.3, 1e-2, 1e-6, 1e-100] + SUBNORMAL_TARGETS)
+    cap = od.timemap.TAIL_CAP_OVER_GAMMA1 / modes.Gamma[0]
+    ref, _ = od.timemap._solve(modes, r, np.full_like(r, 1.0 / modes.Gamma[0]))
+    for start in (1e-6 * ref, 1e6 * ref, np.full_like(r, 10.0 * cap), np.zeros_like(r)):
+        root, resid = od.timemap._solve(modes, r, start)
+        np.testing.assert_allclose(root, ref, rtol=1e-12, atol=0.0)
+        assert np.abs(resid).max() <= od.timemap.INVERT_REL_TOL
+
+
+def test_solve_tail_cap_names_first_offending_target(monkeypatch):
+    # with the cap lowered to 8/Gamma_1, the targets at t = 20 and t = 12
+    # lie beyond it; the first one is named although the second, started
+    # at the cap, leaves the cap after fewer doublings
+    modes = od.validate_modes(ONE_MODE)
+    monkeypatch.setattr(od.timemap, "TAIL_CAP_OVER_GAMMA1", 8.0)
+    r = od.survival_rest(modes, np.array([1.0, 20.0, 12.0]))
+    start = np.array([1.0, 1e-3, 8.0])
+    with pytest.raises(TimeMapError, match="target %r lies below" % float(r[1])):
+        od.timemap._solve(modes, r, start)
+    with pytest.raises(TimeMapError, match="target %r lies below" % float(r[1])):
+        od.invert_survival_rest(modes, r)
+
+
+@pytest.mark.parametrize("cfg", ALL_SETS.values(), ids=ALL_SETS.keys())
 def test_invert_subnormal_targets_scalar_and_array(cfg):
     # P0 itself is subnormal at these roots; the amplitude and the log
     # slope are not, so every point converges to its log-residual contract
