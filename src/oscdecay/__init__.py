@@ -33,7 +33,6 @@ from .specfun import (  # noqa: F401
     SpecialFunctionDomainError,
     bessel_j1,
     bessel_y1,
-    lambda_pm,
     struve_h1,
     upsilon,
     xi_fn,

@@ -1,8 +1,8 @@
 """Laboratory-frame survival probability of a moving oscillating decay.
 
 The closed form combines, per mode, a pole part K (three damped complex
-exponentials built from the square-root frequencies Upsilon) and a
-branch-cut part Phi (Bessel/Struve combinations), weighted as
+exponentials e^{-i E t}, E the pole energies of kinematics.pole_energies)
+and a branch-cut part Phi (Bessel/Struve combinations), weighted as
 K + i (p Gamma / (pi M^2)) Phi. The squared modulus of the weighted sum
 over modes is the survival probability at momentum p.
 """
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._points import as_points, maybe_scalar
-from .kinematics import BoostContext, RestModeSet, mode_terms
+from .kinematics import BoostContext, RestModeSet, mode_terms, pole_energies
 from .restframe import amplitude_rest, survival_rest, survival_rest_split
 from .specfun import branch_cut, upsilon, xi_fn, xi_mass_factor
 
@@ -68,11 +68,13 @@ def k_fn(M: float, Gamma: float, p: float, Omega: float, a: float, t: float) -> 
 
     (1-a) e^{-Y(M) t/2} + (a/2)[e^{-Y(M-Omega) t/2} + e^{-Y(M+Omega) t/2}]
     where Y(m) = upsilon(m, Gamma, p). At p = 0 this reduces to the
-    rest-frame phase e^{-i M t} times the damped cosine factor.
+    rest-frame phase e^{-i M t} times the damped cosine factor. t must be
+    finite and >= 0.
     """
     t = float(t)
-    if t < 0.0:
-        raise BoostDomainError("k_fn requires t >= 0, got %r" % t)
+    # written so that NaN fails it
+    if not (0.0 <= t < math.inf):
+        raise BoostDomainError("k_fn requires finite t >= 0, got %r" % t)
     out = (1.0 - a) * cmath.exp(-0.5 * t * upsilon(M, Gamma, p))
     if a > 0.0:
         out += 0.5 * a * (
@@ -86,13 +88,14 @@ def phi_fn(M: float, p: float, Omega: float, a: float, t: float) -> complex:
     """Branch-cut part of one boosted mode.
 
     (1-a) Xi(M) + (a/2)[Xi(M-Omega)/(1-Omega/M)^2 + Xi(M+Omega)/(1+Omega/M)^2]
-    with Xi = xi_fn(., p, t). The p = 0 limit is handled by the rest
-    branch of survival_boosted, not here.
+    with Xi = xi_fn(., p, t). p and t must be finite and > 0; the p = 0
+    limit is handled by the rest branch of survival_boosted, not here.
     """
-    if p <= 0.0:
-        raise BoostDomainError("phi_fn requires p > 0; the p = 0 limit has no branch-cut term")
-    if t <= 0.0:
-        raise BoostDomainError("phi_fn requires t > 0, got %r" % t)
+    # written so that NaN fails them
+    if not (0.0 < p < math.inf):
+        raise BoostDomainError("phi_fn requires finite p > 0, got %r" % p)
+    if not (0.0 < t < math.inf):
+        raise BoostDomainError("phi_fn requires finite t > 0, got %r" % t)
     out = (1.0 - a) * xi_fn(M, p, t)
     if a > 0.0:
         rm = 1.0 - Omega / M
@@ -107,10 +110,10 @@ class BoostedLaw:
     """The boosted survival law of one (modes, ctx) pair, compiled for grids.
 
     Construction computes everything that depends only on the mode set and
-    the momentum: one pole exponent -upsilon(mass, width, p)/2 per term of
-    kinematics.mode_terms, with that term's weight; the branch-cut
-    prefactor p/(pi M^2); and the constants C_A = sum weight width scale,
-    C_B = sum weight width scale xi_mass_factor(mass, p) of
+    the momentum: one pole exponent -i E_k per term of kinematics.mode_terms,
+    E_k = kinematics.pole_energies(mass, width, p), with that term's weight;
+    the branch-cut prefactor p/(pi M^2); and the constants C_A = sum weight
+    width scale, C_B = sum weight width scale xi_mass_factor(mass, p) of
 
         sum_j w_j Gamma_j phi_fn_j = C_A A(pt) + C_B B(pt),
 
@@ -140,8 +143,7 @@ class BoostedLaw:
         # unused on the rest-frame branch
         mass, width, weight, scale = mode_terms(modes)
         self.weights = weight
-        self.exponents = np.array([-0.5 * upsilon(m, g, p) for m, g in zip(mass, width)],
-                                  dtype=complex)
+        self.exponents = -1j * pole_energies(mass, width, p)
         self.C_A = float(np.sum(weight * width * scale))
         self.C_B = float(np.sum(weight * width * scale * xi_mass_factor(mass, p)))
 

@@ -3,8 +3,9 @@
 The rest-frame survival amplitude is a weighted sum of damped modes, each
 with width Gamma_j, oscillation frequency Omega_j, oscillation depth a_j
 and weight w_j, around a resonance mass M. Each mode splits into
-Lorentzian terms at masses M, M - Omega_j and M + Omega_j (mode_terms);
-a boost with momentum p is described by p and the Lorentz factor of M.
+Lorentzian terms at masses M, M - Omega_j and M + Omega_j (mode_terms),
+each with its complex pole energy at momentum p (pole_energies); a boost
+with momentum p is described by p and the Lorentz factor of M.
 """
 
 import math
@@ -159,8 +160,8 @@ def lorentz_factor(M: float, p: float) -> float:
     """gamma = sqrt(1 + p^2/M^2) for a system of mass M at momentum p."""
     M = float(M)
     p = float(p)
-    if M <= 0.0:
-        raise ValueError("lorentz_factor requires M > 0, got %r" % M)
+    if not (0.0 < M < math.inf):
+        raise ValueError("lorentz_factor requires finite M > 0, got %r" % M)
     if not (math.isfinite(p) and p >= 0.0):
         raise ValueError("lorentz_factor requires finite p >= 0, got %r" % p)
     return math.hypot(1.0, p / M)
@@ -189,3 +190,12 @@ def mode_terms(modes: RestModeSet):
     keep = weight > 0.0
     mass = mass[keep]
     return mass, np.repeat(modes.Gamma, 3)[keep], weight[keep], (M / mass) ** 2
+
+
+def pole_energies(mass, width, p):
+    """Pole energies E_k = sqrt(p^2 + (mass_k - i width_k/2)^2) at momentum p.
+
+    mass and width are arrays of terms (as from mode_terms). Term k evolves
+    as e^{-i E_k t}, decaying at the lab rate -2 Im E_k and turning at Re E_k.
+    """
+    return np.sqrt(p * p + (mass - 0.5j * width) ** 2)

@@ -9,12 +9,13 @@ m(tau) = sqrt(-tau^2 - 2ip tau) in the fourth quadrant, it is exactly
          + e^{-ipt} int_0^inf tau^{-1/2} e^{-tau t} G(tau) dtau,
     G(tau) = rho_s(m(tau)) (-tau - ip) / sqrt(-tau - 2ip),
 
-with E_k = sqrt(p^2 + (c_k - i Gamma_k/2)^2) over the Lorentzian terms of
-kinematics.mode_terms, whose poles the path crosses (Bender & Orszag,
-Advanced Mathematical Methods, ch. 6). The background integral is a
-composite Gauss-Legendre sum on doubling panels of tau, whose nodes the
-whole time grid shares. Nothing here uses the closed form's Bessel and
-Struve functions, so the result checks it independently.
+with E_k = sqrt(p^2 + (c_k - i Gamma_k/2)^2), kinematics.pole_energies of
+the Lorentzian terms of kinematics.mode_terms, whose poles the path
+crosses (Bender & Orszag, Advanced Mathematical Methods, ch. 6). The
+background integral is a composite Gauss-Legendre sum on doubling panels
+of tau, whose nodes the whole time grid shares. Nothing here uses the
+closed form's Bessel and Struve functions, so the result checks it
+independently.
 """
 
 import functools
@@ -27,7 +28,7 @@ from ._points import as_points, maybe_scalar
 # adaptive_gauss and mdd_analytic are unused here but stay bound:
 # perfbench/spans.py traces calls through these module attributes
 from ._quad import adaptive_gauss  # noqa: F401
-from .kinematics import RestModeSet, mode_terms
+from .kinematics import RestModeSet, mode_terms, pole_energies
 from .restframe import CurveSeries, mdd_analytic  # noqa: F401
 
 __all__ = [
@@ -122,7 +123,7 @@ class _Path:
         self.p, self.fold, self.weight = p, fold, weight
         mu = mass + 0.5j * width
         # E_k of the pole conj(mu_k) = c_k - i Gamma_k/2 that the path crosses
-        self.energy = np.sqrt(p * p + np.conj(mu * mu))
+        self.energy = pole_energies(mass, width, p)
         # G has poles at i (E_k - p) and a branch point at -2ip
         self.gap = float(np.min(np.abs(mu * mu) / np.abs(self.energy + p)))
         self.scale = min(2.0 * p, self.gap)

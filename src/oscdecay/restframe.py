@@ -200,9 +200,10 @@ def mdd_analytic(modes: RestModeSet, m):
                  + (a_j/2) (L(x-Omega_j; Gamma_j) + L(x+Omega_j; Gamma_j)) ] |,
     one Lorentzian per term of kinematics.mode_terms. Every term is
     positive for a valid mode set, so the absolute value is never active;
-    it is kept to match the defining transform.
+    it is kept to match the defining transform. A NaN mass raises
+    ValueError; m = +-inf gives 0.
     """
-    mm = np.atleast_1d(np.asarray(m, dtype=float))
+    mm = as_points(m, lambda v: ~np.isnan(v), "mass must not be NaN")
     total = np.zeros_like(mm)
     mass, width, weight, _ = mode_terms(modes)
     for c, half, wt in zip(mass.tolist(), (0.5 * width).tolist(), weight.tolist()):

@@ -3,8 +3,8 @@
 Double precision implementations of the order-one Bessel functions J1 and
 Y1 (rational approximations from the Cephes library, public domain), the
 order-one Struve function H1, and the composites of the boosted
-amplitude: the width/phase radicals of its pole terms, the branch-cut
-combinations (A, B) and the oscillatory tail kernel xi.
+amplitude: the scalar pole exponent upsilon = 2i kinematics.pole_energies,
+the branch-cut combinations (A, B) and the oscillatory tail kernel xi.
 
 Accuracy contract for J1, Y1, H1: 1e-10 relative, 1e-12 absolute near
 zeros, on [1e-8, 1e4]. The test suite checks this against frozen
@@ -16,6 +16,7 @@ import math
 import numpy as np
 
 from ._points import as_points, maybe_scalar
+from .kinematics import pole_energies
 
 __all__ = [
     "SpecialFunctionDomainError",
@@ -23,7 +24,6 @@ __all__ = [
     "bessel_y1",
     "struve_h1",
     "branch_cut",
-    "lambda_pm",
     "upsilon",
     "xi_fn",
     "xi_mass_factor",
@@ -215,20 +215,22 @@ def _j1_y1(x):
 
 
 def bessel_j1(x):
-    """Bessel function of the first kind, order one, for x >= 0.
+    """Bessel function of the first kind, order one, for finite x >= 0.
 
     Accepts a scalar (returns a float) or an array (returns an array).
     """
-    xx = as_points(x, lambda v: v >= 0.0, "bessel_j1 requires x >= 0", SpecialFunctionDomainError)
+    xx = as_points(x, lambda v: np.isfinite(v) & (v >= 0.0), "bessel_j1 requires finite x >= 0",
+                   SpecialFunctionDomainError)
     return maybe_scalar(_piecewise(xx, BESSEL_SEAM, _j1_small, lambda v: _bessel_large(v)[0]), x)
 
 
 def bessel_y1(x):
-    """Bessel function of the second kind, order one, for x > 0.
+    """Bessel function of the second kind, order one, for finite x > 0.
 
     Accepts a scalar (returns a float) or an array (returns an array).
     """
-    xx = as_points(x, lambda v: v > 0.0, "bessel_y1 requires x > 0", SpecialFunctionDomainError)
+    xx = as_points(x, lambda v: np.isfinite(v) & (v > 0.0), "bessel_y1 requires finite x > 0",
+                   SpecialFunctionDomainError)
     return maybe_scalar(_j1_y1(xx)[1], x)
 
 
@@ -266,55 +268,36 @@ def _h1(x, y1):
 
 
 def struve_h1(x):
-    """Struve function of order one, for x >= 0.
+    """Struve function of order one, for finite x >= 0.
 
     Accepts a scalar (returns a float) or an array (returns an array).
     """
-    xx = as_points(x, lambda v: v >= 0.0, "struve_h1 requires x >= 0", SpecialFunctionDomainError)
+    xx = as_points(x, lambda v: np.isfinite(v) & (v >= 0.0), "struve_h1 requires finite x >= 0",
+                   SpecialFunctionDomainError)
     # _h1 reads Y1 only beyond the seam
     y1 = _piecewise(xx, STRUVE_SEAM, np.zeros_like, lambda v: _bessel_large(v)[1])
     return maybe_scalar(_h1(xx, y1), x)
 
 
-def lambda_pm(M: float, Gamma: float, p: float) -> tuple:
-    """Real and imaginary radicals of the boosted pole position.
+def upsilon(M: float, Gamma: float, p: float) -> complex:
+    """Complex decay exponent of one pole: upsilon = 2i E.
 
-    Returns (lam_minus, lam_plus) with
-        lam_minus = sqrt(2 (S - X)),  lam_plus = sqrt(2 (S + X)),
-        X = M^2 - Gamma^2/4 + p^2,    S = sqrt(X^2 + M^2 Gamma^2).
-    The difference S - X is evaluated through the product identity
-    lam_minus * lam_plus = 2 M Gamma, which is exact and avoids the
-    catastrophic cancellation at X >> M Gamma.
-    At p = 0 (and Gamma <= 2M): lam_minus = Gamma, lam_plus = 2M.
+    E = kinematics.pole_energies(M, Gamma, p), so exp(-upsilon t / 2) =
+    exp(-i E t) is the pole contribution of a resonance of mass M and
+    width Gamma at momentum p; the real part -2 Im E sets the damping and
+    the imaginary part 2 Re E the phase advance. At p = 0 (and
+    Gamma <= 2M) upsilon = Gamma + 2iM. M, Gamma and p must be finite,
+    M and Gamma > 0 and p >= 0.
     """
-    M = float(M)
-    Gamma = float(Gamma)
-    p = float(p)
-    if M <= 0.0 or Gamma <= 0.0 or p < 0.0:
+    M, Gamma, p = float(M), float(Gamma), float(p)
+    # written so that NaN fails it
+    if not (0.0 < M < math.inf and 0.0 < Gamma < math.inf and 0.0 <= p < math.inf):
         raise SpecialFunctionDomainError(
-            "lambda_pm requires M > 0, Gamma > 0, p >= 0, got M=%r Gamma=%r p=%r"
+            "upsilon requires finite M > 0, Gamma > 0, p >= 0, got M=%r Gamma=%r p=%r"
             % (M, Gamma, p)
         )
-    X = (M - 0.5 * Gamma) * (M + 0.5 * Gamma) + p * p
-    S = math.hypot(X, M * Gamma)
-    if X >= 0.0:
-        lam_plus = math.sqrt(2.0 * (S + X))
-        lam_minus = 2.0 * M * Gamma / lam_plus
-    else:
-        lam_minus = math.sqrt(2.0 * (S - X))
-        lam_plus = 2.0 * M * Gamma / lam_minus
-    return lam_minus, lam_plus
-
-
-def upsilon(M: float, Gamma: float, p: float) -> complex:
-    """Complex decay exponent: upsilon = lam_minus + i lam_plus.
-
-    exp(-upsilon t / 2) is the pole contribution of a resonance of mass M
-    and width Gamma at momentum p; the real part sets the damping and the
-    imaginary part the phase advance.
-    """
-    lam_minus, lam_plus = lambda_pm(M, Gamma, p)
-    return complex(lam_minus, lam_plus)
+    # numpy's complex square root, the one the grid law takes, not cmath's
+    return complex(2j * pole_energies(np.array([M]), np.array([Gamma]), p)[0])
 
 
 def xi_mass_factor(M, p):
@@ -324,14 +307,15 @@ def xi_mass_factor(M, p):
 
 
 def branch_cut(z):
-    """(A, B) of the branch-cut term at z = p t > 0: scalars for a scalar z.
+    """(A, B) of the branch-cut term at finite z = p t > 0: scalars for a scalar z.
 
     A = (pi/2) (H1(z) - i J1(z)) - 1 and B = 1 + (pi/2) (Y1(z) - H1(z)); a
     term of mass m contributes A + xi_mass_factor(m, p) B. J1, Y1 and H1
     share one evaluation of each fit per point, and equal bessel_j1,
     bessel_y1 and struve_h1 exactly.
     """
-    zz = as_points(z, lambda v: v > 0.0, "branch_cut requires z > 0", SpecialFunctionDomainError)
+    zz = as_points(z, lambda v: np.isfinite(v) & (v > 0.0), "branch_cut requires finite z > 0",
+                   SpecialFunctionDomainError)
     j1, y1 = _j1_y1(zz)
     h1 = _h1(zz, y1)
     A = (0.5 * math.pi * h1 - 1.0) - 1j * (0.5 * math.pi * j1)
@@ -345,17 +329,17 @@ def xi_fn(M: float, p: float, t: float) -> complex:
     xi = A(pt) + c B(pt), with (A, B) = branch_cut(pt) and
     c = xi_mass_factor(M, p).
 
-    Both p = 0 and t = 0 are rejected: Y1 is singular at zero argument and
-    the p -> 0 limit is handled upstream by a dedicated branch.
+    M, p and t must be finite. Both p = 0 and t = 0 are rejected: Y1 is
+    singular at zero argument and the p -> 0 limit is handled upstream by
+    a dedicated branch.
     """
-    M = float(M)
-    p = float(p)
-    t = float(t)
-    if M <= 0.0:
-        raise SpecialFunctionDomainError("xi_fn requires M > 0, got %r" % M)
-    if p <= 0.0 or t <= 0.0:
+    M, p, t = float(M), float(p), float(t)
+    # written so that NaN fails them
+    if not (0.0 < M < math.inf):
+        raise SpecialFunctionDomainError("xi_fn requires finite M > 0, got %r" % M)
+    if not (0.0 < p < math.inf and 0.0 < t < math.inf):
         raise SpecialFunctionDomainError(
-            "xi_fn requires p > 0 and t > 0, got p=%r t=%r" % (p, t)
+            "xi_fn requires finite p > 0 and t > 0, got p=%r t=%r" % (p, t)
         )
     A, B = branch_cut(p * t)
     return A + xi_mass_factor(M, p) * B

@@ -126,8 +126,8 @@ def w_fn(M: float, Omega: float, a: float) -> float:
     M = float(M)
     Omega = float(Omega)
     a = float(a)
-    if M <= 0.0:
-        raise WindowError("w_fn requires M > 0, got %r" % M)
+    if not (0.0 < M < math.inf):
+        raise WindowError("w_fn requires finite M > 0, got %r" % M)
     if not 0.0 <= Omega < M:
         raise WindowError("w_fn requires 0 <= Omega < M, got Omega=%r, M=%r" % (Omega, M))
     if not 0.0 <= a <= 0.5:

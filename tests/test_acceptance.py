@@ -18,7 +18,7 @@ import oscdecay as od
 from oscdecay.boost import phi_fn
 from oscdecay.cli import main
 from oscdecay.oracle import QuadratureSpec, direct_survival
-from oscdecay.specfun import bessel_j1, bessel_y1, lambda_pm, struve_h1, upsilon
+from oscdecay.specfun import bessel_j1, bessel_y1, struve_h1, upsilon
 from oscdecay.window import WindowParams, w_fn
 
 import conftest
@@ -161,11 +161,12 @@ def test_06_root_identities():
         if Gamma >= M / 5.0:
             continue
         p = float(rng.uniform(0.0, 1e4))
-        lm, lp = lambda_pm(M, Gamma, p)
+        # lam_minus and lam_plus are the real and imaginary parts of upsilon
+        y = upsilon(M, Gamma, p)
+        lm, lp = y.real, y.imag
         worst = max(worst, abs(lp * lm - 2.0 * M * Gamma) / (2.0 * M * Gamma))
         rhs = 4.0 * (M * M - Gamma * Gamma / 4.0 + p * p)
         worst = max(worst, abs(lp * lp - lm * lm - rhs) / abs(rhs))
-        y = upsilon(M, Gamma, p)
         resid = (y / 2.0) ** 2 + p * p + complex(M, -Gamma / 2.0) ** 2
         scale = abs(y / 2.0) ** 2 + p * p + abs(complex(M, -Gamma / 2.0)) ** 2
         worst = max(worst, abs(resid) / scale)

@@ -119,6 +119,19 @@ def test_phi_rejects_zero_momentum_and_time():
         phi_fn(100.0, 210.0, 10.0, 0.04, 0.0)
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf])
+def test_k_rejects_nonfinite_time(t):
+    with pytest.raises(BoostDomainError, match="k_fn requires finite t"):
+        k_fn(100.0, 1.0, 210.0, 10.0, 0.04, t)
+
+
+@pytest.mark.parametrize("p, t", [(210.0, math.inf), (210.0, math.nan),
+                                  (math.inf, 1.0), (math.nan, 1.0)])
+def test_phi_rejects_nonfinite_momentum_and_time(p, t):
+    with pytest.raises(BoostDomainError, match="phi_fn requires finite"):
+        phi_fn(100.0, p, 10.0, 0.04, t)
+
+
 def test_phi_asymptotic_inverse_power_law():
     # |i (p Gamma / pi M^2) phi| ~ (p Gamma/M^2) W / sqrt(2 pi p t), 1%
     # for pt >= 200

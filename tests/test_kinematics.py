@@ -3,12 +3,14 @@
 import math
 import warnings
 
+import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oscdecay as od
-from oscdecay.kinematics import ModeValidationError, mode_terms
+from oscdecay.kinematics import ModeValidationError, mode_terms, pole_energies
 
 from conftest import BOOST_SETS, GAMMA_TABLE, make_single_mode
 
@@ -30,6 +32,12 @@ def test_lorentz_factor_rejects_nonpositive_mass():
         od.lorentz_factor(0.0, 10.0)
     with pytest.raises(Exception):
         od.lorentz_factor(-5.0, 10.0)
+
+
+@pytest.mark.parametrize("M", [math.nan, math.inf])
+def test_lorentz_factor_rejects_nonfinite_mass(M):
+    with pytest.raises(ValueError, match="requires finite M > 0"):
+        od.lorentz_factor(M, 10.0)
 
 
 @pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf])
@@ -257,3 +265,20 @@ def test_mode_terms_split():
     assert weight == pytest.approx([0.48, 0.01, 0.01, 0.27, 0.015, 0.015, 0.2], rel=1e-15)
     assert weight.sum() == pytest.approx(1.0, abs=1e-15)
     assert scale == pytest.approx((100.0 / mass) ** 2, rel=1e-15)
+
+
+@pytest.mark.parametrize("p_over_M", [0.0, 1e-10, 1.0, 1e6])
+def test_pole_energies_match_mpmath(p_over_M):
+    # curve B's three terms against sqrt(p^2 + (c - i Gamma/2)^2) at 50 digits
+    modes = od.validate_modes({"M": 80.0, "w": [1.0], "Gamma": [1.0], "Omega": [10.0],
+                               "a": [0.04]})
+    mass, width, _, _ = mode_terms(modes)
+    p = p_over_M * modes.M
+    got = pole_energies(mass, width, p)
+    with mpmath.workdps(50):
+        for c, g, e in zip(mass.tolist(), width.tolist(), got.tolist()):
+            ref = mpmath.sqrt(mpmath.mpf(p) ** 2 + mpmath.mpc(c, -0.5 * g) ** 2)
+            assert abs(e.real - ref.real) <= 1e-15 * abs(ref.real)
+            assert abs(e.imag - ref.imag) <= 1e-15 * abs(ref.imag)
+            # the fourth quadrant: the term decays as it turns
+            assert e.real > 0.0 > e.imag

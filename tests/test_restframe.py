@@ -136,6 +136,16 @@ def test_mdd_normalization():
     assert total == pytest.approx(1.0, abs=2e-4)
 
 
+def test_mdd_rejects_nan_and_vanishes_at_infinite_mass():
+    modes = make_single_mode(100.0, 10.0, 0.04)
+    for bad in (math.nan, np.array([100.0, math.nan])):
+        with pytest.raises(ValueError, match="mass must not be NaN"):
+            od.mdd_analytic(modes, bad)
+    assert od.mdd_analytic(modes, math.inf) == 0.0
+    assert od.mdd_analytic(modes, -math.inf) == 0.0
+    assert od.mdd_analytic(modes, np.array([-math.inf, math.inf])).tolist() == [0.0, 0.0]
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     st.floats(min_value=0.0, max_value=0.45),

@@ -12,7 +12,6 @@ from oscdecay.specfun import (
     bessel_j1,
     bessel_y1,
     branch_cut,
-    lambda_pm,
     struve_h1,
     upsilon,
     xi_fn,
@@ -133,6 +132,12 @@ def test_small_x_series_values():
     assert bessel_j1(x) == pytest.approx(x / 2, rel=1e-9)
 
 
+def _lambda_pm(M, Gamma, p):
+    # (lam_minus, lam_plus): the real and imaginary parts of upsilon
+    u = upsilon(M, Gamma, p)
+    return u.real, u.imag
+
+
 valid_triples = st.tuples(
     st.floats(min_value=1.0, max_value=1e4),
     st.floats(min_value=1e-3, max_value=10.0),
@@ -144,7 +149,7 @@ valid_triples = st.tuples(
 @given(valid_triples)
 def test_lambda_product_identity(triple):
     M, Gamma, p = triple
-    lm, lp = lambda_pm(M, Gamma, p)
+    lm, lp = _lambda_pm(M, Gamma, p)
     assert lm * lp == pytest.approx(2 * M * Gamma, rel=1e-10)
 
 
@@ -152,7 +157,7 @@ def test_lambda_product_identity(triple):
 @given(valid_triples)
 def test_lambda_difference_identity(triple):
     M, Gamma, p = triple
-    lm, lp = lambda_pm(M, Gamma, p)
+    lm, lp = _lambda_pm(M, Gamma, p)
     assert lp * lp - lm * lm == pytest.approx(
         4 * (M * M - Gamma * Gamma / 4 + p * p), rel=1e-10
     )
@@ -173,13 +178,13 @@ def test_upsilon_quadratic_root(triple):
 @given(valid_triples)
 def test_lambda_signs_and_ordering(triple):
     M, Gamma, p = triple
-    lm, lp = lambda_pm(M, Gamma, p)
+    lm, lp = _lambda_pm(M, Gamma, p)
     assert lm > 0
     assert lp > lm
 
 
 def test_lambda_pm_frozen_spot(frozen_spots):
-    lm, lp = lambda_pm(100.0, 0.1, 210.0)
+    lm, lp = _lambda_pm(100.0, 0.1, 210.0)
     ref_m, ref_p = frozen_spots["lambda_pm_M100_G01_p210"]
     assert lm == pytest.approx(ref_m, rel=1e-13)
     assert lp == pytest.approx(ref_p, rel=1e-13)
@@ -188,8 +193,34 @@ def test_lambda_pm_frozen_spot(frozen_spots):
 def test_lambda_minus_no_cancellation():
     # small Gamma/M: naive subtraction would lose ~10 digits here
     M, Gamma, p = 1e4, 1e-3, 1e4
-    lm, lp = lambda_pm(M, Gamma, p)
+    lm, lp = _lambda_pm(M, Gamma, p)
     assert lm * lp == pytest.approx(2 * M * Gamma, rel=1e-12)
+
+
+@pytest.mark.parametrize("M, Gamma, p", [
+    (100.0, 1.0, math.nan), (100.0, 1.0, math.inf), (100.0, 1.0, -1.0),
+    (math.nan, 1.0, 210.0), (math.inf, 1.0, 210.0), (0.0, 1.0, 210.0),
+    (100.0, math.nan, 210.0), (100.0, math.inf, 210.0), (100.0, 0.0, 210.0),
+])
+def test_upsilon_rejects_nonfinite_and_out_of_domain(M, Gamma, p):
+    with pytest.raises(SpecialFunctionDomainError, match="upsilon requires finite"):
+        upsilon(M, Gamma, p)
+
+
+@pytest.mark.parametrize("M, p, t", [
+    (100.0, math.inf, 1.0), (100.0, math.nan, 1.0), (100.0, 210.0, math.inf),
+    (100.0, 210.0, math.nan), (math.inf, 210.0, 1.0), (math.nan, 210.0, 1.0),
+])
+def test_xi_rejects_nonfinite_arguments(M, p, t):
+    with pytest.raises(SpecialFunctionDomainError, match="xi_fn requires finite"):
+        xi_fn(M, p, t)
+
+
+@pytest.mark.parametrize("fn", [bessel_j1, bessel_y1, struve_h1, branch_cut])
+@pytest.mark.parametrize("bad", [math.inf, math.nan, np.array([1.0, math.inf])])
+def test_array_functions_require_finite_input(fn, bad):
+    with pytest.raises(SpecialFunctionDomainError, match="requires finite"):
+        fn(bad)
 
 
 def test_xi_frozen_spot(frozen_spots):

@@ -34,6 +34,13 @@ def test_w_rejects_frequency_at_mass():
         od.w_fn(100.0, 100.0, 0.04)
 
 
+@pytest.mark.parametrize("M, Omega, a", [(math.inf, 1.0, 0.1), (math.nan, 1.0, 0.1),
+                                         (100.0, math.nan, 0.1), (100.0, 1.0, math.nan)])
+def test_w_rejects_nonfinite_arguments(M, Omega, a):
+    with pytest.raises(WindowError):
+        od.w_fn(M, Omega, a)
+
+
 @settings(max_examples=500, deadline=None)
 @given(
     st.floats(min_value=1.0, max_value=1e4),
