@@ -63,18 +63,27 @@ class BoostedEvaluation:
     exceeds_unity: bool
 
 
+def _check_mode(name, M, Omega, a):
+    # written so that NaN fails it
+    if not (0.0 <= a < 0.5 and 0.0 <= Omega < M):
+        raise BoostDomainError(
+            "%s requires 0 <= a < 1/2 and 0 <= Omega < M, got a=%r, Omega=%r, M=%r"
+            % (name, a, Omega, M))
+
+
 def k_fn(M: float, Gamma: float, p: float, Omega: float, a: float, t: float) -> complex:
     """Pole part of one boosted mode.
 
     (1-a) e^{-Y(M) t/2} + (a/2)[e^{-Y(M-Omega) t/2} + e^{-Y(M+Omega) t/2}]
     where Y(m) = upsilon(m, Gamma, p). At p = 0 this reduces to the
     rest-frame phase e^{-i M t} times the damped cosine factor. t must be
-    finite and >= 0.
+    finite and >= 0, a in [0, 1/2) and Omega in [0, M).
     """
     t = float(t)
     # written so that NaN fails it
     if not (0.0 <= t < math.inf):
         raise BoostDomainError("k_fn requires finite t >= 0, got %r" % t)
+    _check_mode("k_fn", M, Omega, a)
     out = (1.0 - a) * cmath.exp(-0.5 * t * upsilon(M, Gamma, p))
     if a > 0.0:
         out += 0.5 * a * (
@@ -88,14 +97,16 @@ def phi_fn(M: float, p: float, Omega: float, a: float, t: float) -> complex:
     """Branch-cut part of one boosted mode.
 
     (1-a) Xi(M) + (a/2)[Xi(M-Omega)/(1-Omega/M)^2 + Xi(M+Omega)/(1+Omega/M)^2]
-    with Xi = xi_fn(., p, t). p and t must be finite and > 0; the p = 0
-    limit is handled by the rest branch of survival_boosted, not here.
+    with Xi = xi_fn(., p, t). p and t must be finite and > 0, a in [0, 1/2)
+    and Omega in [0, M); the p = 0 limit is handled by the rest branch of
+    survival_boosted, not here.
     """
     # written so that NaN fails them
     if not (0.0 < p < math.inf):
         raise BoostDomainError("phi_fn requires finite p > 0, got %r" % p)
     if not (0.0 < t < math.inf):
         raise BoostDomainError("phi_fn requires finite t > 0, got %r" % t)
+    _check_mode("phi_fn", M, Omega, a)
     out = (1.0 - a) * xi_fn(M, p, t)
     if a > 0.0:
         rm = 1.0 - Omega / M

@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 # survival_boosted is unused here but stays bound: perfbench/spans.py
 # traces calls through this module attribute
-from .boost import BoostDomainError, BoostedLaw, survival_boosted  # noqa: F401
+from .boost import BoostedLaw, survival_boosted  # noqa: F401
 from .kinematics import ModeValidationError, shifted_kinematics, validate_modes
 from .oracle import OracleConvergenceError, QuadratureSpec, direct_survival, oracle_compare
 from .restframe import CurveSeries, decay_rate_rest, survival_rest, survival_rest_split
@@ -421,8 +421,7 @@ def main(argv=None) -> int:
         print("oscdecay: oracle did not converge: %s (value=%r, error=%r)"
               % (exc, exc.value, exc.error_estimate), file=sys.stderr)
         return EXIT_ORACLE
-    except (ConfigError, ModeValidationError, WindowError, BoostDomainError,
-            TimeMapError, ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         print("oscdecay: invalid config or model: %s" % exc, file=sys.stderr)
         return EXIT_INVALID
 

@@ -144,30 +144,23 @@ def survival_rest_split(modes: RestModeSet, t):
              + (a_l/2) (cos((Omega_j+Omega_l) t) + nu2_jl cos((Omega_j-Omega_l) t))]
     with e_jl(t) = exp(-(Gamma_j+Gamma_l) t / 2), nu1_jl = 1 exactly when
     j = l or Omega_j = Omega_l (else 0), nu2_jl = 1 - nu1_jl.
+
+    Evaluated from the amplitude's per-mode parts: with
+    d_j = w_j exp(-Gamma_j t / 2),
+        F = sum_j d_j (1 - a_j),  S = sum_j d_j a_j cos(Omega_j t),
+        Q = (1/2) sum_{Omega_j = Omega_l} d_j a_j d_l a_l,
+    the parts are exp = F^2 + Q and osc = (2F + S) S - Q, term for term
+    the sums above since cos(x) cos(y) = [cos(x+y) + cos(x-y)] / 2.
     """
-    tt = _check_times(t)
-    w, a, Om, Ga = modes.w, modes.a, modes.Omega, modes.Gamma
-    same_freq = (Om[:, None] == Om[None, :])
-    diag = np.eye(modes.N, dtype=bool)
-    nu1 = (same_freq | diag).astype(float)
-    nu2 = 1.0 - nu1
-
-    gsum = 0.5 * (Ga[:, None] + Ga[None, :])
-    e_jl = np.exp(-gsum[:, :, None] * tt[None, None, :])
-
-    ww = w[:, None] * w[None, :]
-    c_exp = ww * ((1.0 - a)[:, None] * (1.0 - a)[None, :] + 0.5 * nu1 * a[:, None] * a[None, :])
-    exp_part = (c_exp[:, :, None] * e_jl).sum(axis=(0, 1))
-
-    cos_j = np.cos(np.outer(Om, tt))           # (N, T)
-    cos_sum = np.cos((Om[:, None] + Om[None, :])[:, :, None] * tt[None, None, :])
-    cos_diff = np.cos((Om[:, None] - Om[None, :])[:, :, None] * tt[None, None, :])
-    bracket = (
-        2.0 * (1.0 - a)[None, :, None] * cos_j[:, None, :]
-        + 0.5 * a[None, :, None] * (cos_sum + nu2[:, :, None] * cos_diff)
-    )
-    osc_part = ((ww * a[:, None])[:, :, None] * e_jl * bracket).sum(axis=(0, 1))
-
+    law = _RestLaw(modes)
+    damp, phase, _ = law._parts(_check_times(t))
+    wave = damp * law.a
+    F = (damp * law.flat).sum(axis=0)
+    S = (wave * np.cos(phase)).sum(axis=0)
+    same_freq = (modes.Omega[:, None] == modes.Omega[None, :]).astype(float)
+    Q = 0.5 * (wave * (same_freq @ wave)).sum(axis=0)
+    exp_part = F * F + Q
+    osc_part = (2.0 * F + S) * S - Q
     return maybe_scalar(exp_part, t), maybe_scalar(osc_part, t)
 
 
@@ -204,10 +197,9 @@ def mdd_analytic(modes: RestModeSet, m):
     ValueError; m = +-inf gives 0.
     """
     mm = as_points(m, lambda v: ~np.isnan(v), "mass must not be NaN")
-    total = np.zeros_like(mm)
     mass, width, weight, _ = mode_terms(modes)
-    for c, half, wt in zip(mass.tolist(), (0.5 * width).tolist(), weight.tolist()):
-        x = mm - c
-        total += (wt * half) / (half * half + x * x)
+    half = 0.5 * width[:, None]
+    x = mm - mass[:, None]
+    total = (weight[:, None] * half / (half * half + x * x)).sum(axis=0)
     out = np.abs(total) / math.pi
     return maybe_scalar(out, m)

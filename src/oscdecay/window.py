@@ -234,10 +234,12 @@ def _grade(value: float, params: WindowParams) -> str:
 def constraint_report(modes: RestModeSet, ctx: BoostContext, window: TimeWindow):
     """Grade the validity conditions of the window approximation.
 
-    Four checks, each reported as a ConstraintCheck with the tested ratio:
-    the window start must sit inside the closed form's domain (binary),
-    the mass gap, the momentum and the phase accumulated at the window
-    start must all be large (graded pass/warn/fail).
+    Four checks, each reported as a ConstraintCheck with the tested ratio.
+    All four values are the lab window start t_s = window.union_lab[0][0]
+    = 2 zeta_min gamma / Gamma_fast in four units: 10 Gamma_1 t_s must
+    exceed 1, putting the start inside the closed form's domain (binary);
+    the mass gap (M - Omega_max) t_s, the momentum M sqrt(gamma^2-1) t_s
+    and the phase p t_s must all be large (graded pass/warn/fail).
     """
     params = window.params
     if not window.admitted:
@@ -247,16 +249,11 @@ def constraint_report(modes: RestModeSet, ctx: BoostContext, window: TimeWindow)
             for name in ("domain-at-start", "mass-gap", "momentum", "phase-at-start")
         )
 
-    gamma = ctx.gamma
-    gamma1 = float(modes.Gamma[0])
-    gamma_fast = float(modes.Gamma[window.admitted[-1]])
-    omega_max = float(modes.Omega.max())
-    zmin = params.zeta_min
-
+    start = window.union_lab[0][0]
     checks = []
 
-    # window start after 1/(10 Gamma_1): 2 zmin gamma / Gamma_fast > 1/(10 Gamma_1)
-    v1 = 20.0 * zmin * gamma * gamma1 / gamma_fast
+    # window start after 1/(10 Gamma_1)
+    v1 = 10.0 * float(modes.Gamma[0]) * start
     checks.append(ConstraintCheck(
         name="domain-at-start",
         value=v1,
@@ -264,7 +261,7 @@ def constraint_report(modes: RestModeSet, ctx: BoostContext, window: TimeWindow)
         detail="20 zeta_min gamma Gamma_1 / Gamma_fast must exceed 1",
     ))
 
-    v2 = 2.0 * zmin * gamma * (modes.M - omega_max) / gamma_fast
+    v2 = (modes.M - float(modes.Omega.max())) * start
     checks.append(ConstraintCheck(
         name="mass-gap",
         value=v2,
@@ -274,7 +271,7 @@ def constraint_report(modes: RestModeSet, ctx: BoostContext, window: TimeWindow)
 
     # p = M sqrt(gamma^2 - 1); both momentum-scale conditions reduce to
     # the phase p t at the window start, reported from each side
-    v3 = 2.0 * zmin * gamma * math.sqrt((gamma - 1.0) * (gamma + 1.0)) * modes.M / gamma_fast
+    v3 = modes.M * math.sqrt((ctx.gamma - 1.0) * (ctx.gamma + 1.0)) * start
     checks.append(ConstraintCheck(
         name="momentum",
         value=v3,
@@ -282,8 +279,7 @@ def constraint_report(modes: RestModeSet, ctx: BoostContext, window: TimeWindow)
         detail="M sqrt(gamma^2-1) times the window start must be large",
     ))
 
-    t_start = window.union_lab[0][0]
-    v4 = ctx.p * t_start
+    v4 = ctx.p * start
     checks.append(ConstraintCheck(
         name="phase-at-start",
         value=v4,

@@ -132,6 +132,26 @@ def test_phi_rejects_nonfinite_momentum_and_time(p, t):
         phi_fn(100.0, p, 10.0, 0.04, t)
 
 
+BAD_MODES = [
+    # (Omega, a): a NaN, negative or at/above 1/2; Omega NaN, infinite,
+    # negative or at/above M = 80, also where a = 0 leaves it unread
+    (10.0, math.nan), (10.0, -0.01), (10.0, 0.5), (10.0, math.inf),
+    (math.nan, 0.04), (math.nan, 0.0), (math.inf, 0.0), (-1.0, 0.04), (80.0, 0.0),
+]
+
+
+@pytest.mark.parametrize("Omega, a", BAD_MODES)
+def test_k_rejects_mode_outside_its_domain(Omega, a):
+    with pytest.raises(BoostDomainError, match="k_fn requires 0 <="):
+        k_fn(80.0, 1.0, 200.0, Omega, a, 1.0)
+
+
+@pytest.mark.parametrize("Omega, a", BAD_MODES)
+def test_phi_rejects_mode_outside_its_domain(Omega, a):
+    with pytest.raises(BoostDomainError, match="phi_fn requires 0 <="):
+        phi_fn(80.0, 200.0, Omega, a, 1.0)
+
+
 def test_phi_asymptotic_inverse_power_law():
     # |i (p Gamma / pi M^2) phi| ~ (p Gamma/M^2) W / sqrt(2 pi p t), 1%
     # for pt >= 200

@@ -54,6 +54,15 @@ def test_invalid_model_reports_violations(tmp_path):
     assert any("positivity" in v for v in report["results"]["violations"])
 
 
+@pytest.mark.parametrize("error", [
+    cli.ConfigError, oscdecay.ModeValidationError, oscdecay.BoostDomainError,
+    oscdecay.SpecialFunctionDomainError, oscdecay.WindowError, oscdecay.TimeMapError,
+])
+def test_domain_errors_are_value_errors(error):
+    # main maps every ValueError to the invalid-input exit code
+    assert issubclass(error, ValueError)
+
+
 def test_one_point_grid_rejected(tmp_path):
     cfg = write_config(tmp_path, "grid1.json",
                        {"grid": {"t_min": 1.0, "t_max": 2.0, "points": 1}})

@@ -84,6 +84,51 @@ def test_split_zero_amplitude_collapses_to_exponential():
     assert e == pytest.approx(np.exp(-t), rel=1e-13)
 
 
+def split_double_sum(modes, t):
+    """The defining double sum of survival_rest_split, term by term."""
+    w, a, Om, Ga = modes.w, modes.a, modes.Omega, modes.Gamma
+    nu1 = ((Om[:, None] == Om[None, :]) | np.eye(modes.N, dtype=bool)).astype(float)
+    nu2 = 1.0 - nu1
+    e_jl = np.exp(-0.5 * (Ga[:, None] + Ga[None, :])[:, :, None] * t)
+    ww = w[:, None] * w[None, :]
+    c_exp = ww * ((1.0 - a)[:, None] * (1.0 - a)[None, :] + 0.5 * nu1 * a[:, None] * a[None, :])
+    exp_part = (c_exp[:, :, None] * e_jl).sum(axis=(0, 1))
+    cos_j = np.cos(np.outer(Om, t))
+    cos_sum = np.cos((Om[:, None] + Om[None, :])[:, :, None] * t)
+    cos_diff = np.cos((Om[:, None] - Om[None, :])[:, :, None] * t)
+    bracket = (
+        2.0 * (1.0 - a)[None, :, None] * cos_j[:, None, :]
+        + 0.5 * a[None, :, None] * (cos_sum + nu2[:, :, None] * cos_diff)
+    )
+    osc_part = ((ww * a[:, None])[:, :, None] * e_jl * bracket).sum(axis=(0, 1))
+    return exp_part, osc_part
+
+
+SPLIT_SETS = {
+    "equal-frequency pair": {"M": 100.0, "w": [0.6, 0.4], "Gamma": [1.0, 1.5],
+                             "Omega": [5.0, 5.0], "a": [0.04, 0.08]},
+    "zero-frequency depth": {"M": 100.0, "w": [0.5, 0.3, 0.2], "Gamma": [1.0, 1.5, 2.0],
+                             "Omega": [0.0, 5.0, 8.0], "a": [0.1, 0.0, 0.03]},
+    "four modes": {"M": 100.0, "w": [0.4, 0.3, 0.2, 0.1], "Gamma": [1.0, 1.5, 2.0, 3.0],
+                   "Omega": [10.0, 5.0, 7.5, 2.5], "a": [0.04, 0.1, 0.02, 0.2]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPLIT_SETS))
+def test_split_matches_its_defining_double_sum(name):
+    # from t = 0 through the decay into the deep tail, where P0 underflows
+    modes = od.validate_modes(SPLIT_SETS[name])
+    t = np.concatenate([np.linspace(0.0, 30.0, 601), np.geomspace(30.0, 1600.0, 200)[1:]])
+    e, o = od.survival_rest_split(modes, t)
+    ref_e, ref_o = split_double_sum(modes, t)
+    assert np.max(np.abs(e - ref_e)) <= 1e-15
+    assert np.max(np.abs(o - ref_o)) <= 1e-15
+    # and relative to the exponential part wherever it is a normal float
+    normal = ref_e > np.finfo(float).tiny
+    assert np.max(np.abs(e - ref_e)[normal] / ref_e[normal]) <= 1e-14
+    assert np.max(np.abs(o - ref_o)[normal] / ref_e[normal]) <= 1e-14
+
+
 def test_initial_decay_rate():
     # dP0/dt at t=0 equals -sum w_j Gamma_j, not zero
     modes = od.validate_modes(TWO_MODE)

@@ -214,6 +214,43 @@ def test_constraint_report_momentum_fails_near_rest(mode_p200_m80):
     assert checks["momentum"].status == "fail"
 
 
+CONSTRAINT_SETS = [
+    # (modes, p, zeta_min): one mode; every mode admitted; the widest mode excluded
+    (dict(M=80.0, w=[1.0], Gamma=[1.0], Omega=[10.0], a=[0.04]), 200.0, 1e-4),
+    (dict(M=80.0, w=[1.0], Gamma=[1.0], Omega=[10.0], a=[0.04]), 0.8, 0.05),
+    (dict(M=2000.0, w=[0.5, 0.3, 0.2], Gamma=[1.0, 1.5, 2.0], Omega=[20.0, 10.0, 5.0],
+          a=[0.02, 0.01, 0.0]), 20000.0, 0.05),
+    (dict(M=400.0, w=[0.6, 0.39, 0.01], Gamma=[1.0, 1.5, 2.0], Omega=[20.0, 10.0, 5.0],
+          a=[0.02, 0.01, 0.0]), 100.0, 0.05),
+]
+
+
+@pytest.mark.parametrize("cfg, p, zeta_min", CONSTRAINT_SETS)
+def test_constraint_values_are_the_window_start_in_four_units(cfg, p, zeta_min):
+    # each value against its formula in the parameters, with the window
+    # start 2 zeta_min gamma / Gamma_fast written out
+    modes = od.validate_modes(cfg)
+    ctx = od.shifted_kinematics(modes, p)
+    win = od.exponential_windows(modes, ctx, od.WindowParams(zeta_min=zeta_min))
+    values = {c.name: c.value for c in od.constraint_report(modes, ctx, win)}
+    gamma = ctx.gamma
+    gamma_fast = float(modes.Gamma[win.admitted[-1]])
+    scale = 2.0 * zeta_min * gamma / gamma_fast
+    expected = {
+        "domain-at-start": 10.0 * float(modes.Gamma[0]) * scale,
+        "mass-gap": (modes.M - float(modes.Omega.max())) * scale,
+        "momentum": math.sqrt((gamma - 1.0) * (gamma + 1.0)) * modes.M * scale,
+        "phase-at-start": p * win.union_lab[0][0],
+    }
+    assert list(values) == list(expected)
+    for name, value in expected.items():
+        assert values[name] == pytest.approx(value, rel=1e-14, abs=0.0)
+    # p = M sqrt(gamma^2 - 1): the momentum is the phase at the start, up
+    # to the rounding of gamma, which gamma - 1 magnifies near rest
+    rel = 1e-14 + 2.0 * np.finfo(float).eps / (gamma - 1.0)
+    assert values["momentum"] == pytest.approx(values["phase-at-start"], rel=rel, abs=0.0)
+
+
 def test_constraint_report_empty_window():
     modes = make_single_mode(21.0, 0.0, 0.0)
     ctx = od.shifted_kinematics(modes, 105.0)
