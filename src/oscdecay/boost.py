@@ -123,7 +123,8 @@ class BoostedLaw:
     Construction computes everything that depends only on the mode set and
     the momentum: one pole exponent -i E_k per term of kinematics.mode_terms,
     E_k = kinematics.pole_energies(mass, width, p), with that term's weight;
-    the branch-cut prefactor p/(pi M^2); and the constants C_A = sum weight
+    the branch-cut prefactor p/(pi M^2); the two validity bounds, M - Omega_max
+    and 1/(10 Gamma_1); and the constants C_A = sum weight
     width scale, C_B = sum weight width scale xi_mass_factor(mass, p) of
 
         sum_j w_j Gamma_j phi_fn_j = C_A A(pt) + C_B B(pt),
@@ -155,8 +156,13 @@ class BoostedLaw:
         mass, width, weight, scale = mode_terms(modes)
         self.weights = weight
         self.exponents = -1j * pole_energies(mass, width, p)
-        self.C_A = float(np.sum(weight * width * scale))
-        self.C_B = float(np.sum(weight * width * scale * xi_mass_factor(mass, p)))
+        strength = weight * width * scale
+        self.C_A = float(strength.sum())
+        self.C_B = float((strength * xi_mass_factor(mass, p)).sum())
+        # every mode needs t > 1/(10 Gamma_j) or (M - Omega_max) t >= 10;
+        # the first clause is weakest at the smallest width
+        self.gap = M - float(modes.Omega.max())
+        self.short_time = 0.1 / float(modes.Gamma[0])
 
     def __call__(self, t) -> BoostedEvaluation:
         tt = as_points(t, lambda v: np.isfinite(v) & (v >= 0.0), "time must be finite and >= 0",
@@ -178,10 +184,7 @@ class BoostedLaw:
             Phi_term = 1j * self.prefactor * (self.C_A * A + self.C_B * B)
             amp = K_sum + Phi_term
             P_p = amp.real * amp.real + amp.imag * amp.imag
-            # every mode needs t > 1/(10 Gamma_j) or (M - Omega_max) t >= 10;
-            # the first clause is weakest at the smallest width
-            valid = ((M - float(modes.Omega.max())) * tt >= VALIDITY_THRESHOLD) \
-                | (tt > 0.1 / float(modes.Gamma[0]))
+            valid = (self.gap * tt >= VALIDITY_THRESHOLD) | (tt > self.short_time)
             over = valid & (P_p > 1.0 + UNITY_EXCESS_TOL)
             if over.any():
                 raise BoostDomainError(

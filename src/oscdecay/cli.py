@@ -61,23 +61,27 @@ def _json_default(obj):
 
 
 def _non_finite(obj, path="config"):
-    """Path of the first NaN or infinite number in obj, or None."""
-    if isinstance(obj, float):
-        return None if math.isfinite(obj) else path
-    children = (obj.items() if isinstance(obj, dict)
-                else enumerate(obj) if isinstance(obj, list) else ())
+    """Path of the first NaN or infinite number in obj (a dict or a list), or None."""
+    children = obj.items() if isinstance(obj, dict) else enumerate(obj)
     for key, value in children:
-        found = _non_finite(value, "%s[%r]" % (path, key))
-        if found:
-            return found
+        # a child's path is spelled out only when it is needed
+        if isinstance(value, float):
+            if not math.isfinite(value):
+                return "%s[%r]" % (path, key)
+        elif isinstance(value, (dict, list)):
+            found = _non_finite(value, "%s[%r]" % (path, key))
+            if found:
+                return found
     return None
 
 
-def _number(value, path):
+def _number(value, path, index=None):
     """value, if it is a JSON number a double can hold (an int or a float, not
-    a bool), else a ConfigError that names its path."""
+    a bool), else a ConfigError that names its path, path[index] if indexed."""
     if (isinstance(value, bool) or not isinstance(value, (int, float))
             or abs(value) > sys.float_info.max):
+        if index is not None:
+            path = "%s[%d]" % (path, index)
         raise ConfigError("%s must be a number, got %r" % (path, value))
     return value
 
@@ -107,7 +111,7 @@ def _build_modes(config):
             values = raw.get(key, [])
             if isinstance(values, list):
                 for i, value in enumerate(values):
-                    _number(value, "%s[%d]" % (path, i))
+                    _number(value, path, i)
             else:
                 _number(values, path)
     kwargs = {}

@@ -104,8 +104,8 @@ def validate_modes(candidate, narrow_width_threshold: float = NARROW_WIDTH_DEFAU
             % (N, len(Gamma), len(Omega), len(a))
         )
         raise ModeValidationError(violations)
-    if not np.all(np.isfinite(w)) or not np.all(np.isfinite(Gamma)) \
-            or not np.all(np.isfinite(Omega)) or not np.all(np.isfinite(a)) \
+    if not np.isfinite(w).all() or not np.isfinite(Gamma).all() \
+            or not np.isfinite(Omega).all() or not np.isfinite(a).all() \
             or not math.isfinite(M):
         violations.append("non-finite parameter value")
         raise ModeValidationError(violations)
@@ -115,7 +115,7 @@ def validate_modes(candidate, narrow_width_threshold: float = NARROW_WIDTH_DEFAU
     for j in range(N):
         if w[j] <= 0.0:
             violations.append("w[%d] must be > 0, got %r" % (j, float(w[j])))
-    s = float(np.sum(w))
+    s = float(w.sum())
     if abs(s - 1.0) > WEIGHT_SUM_TOL:
         violations.append("sum of w must be 1 within %g, got %r" % (WEIGHT_SUM_TOL, s))
     for j in range(N):
@@ -185,11 +185,11 @@ def mode_terms(modes: RestModeSet):
     """
     M, w, a = modes.M, modes.w, modes.a
     side = 0.5 * w * a
-    mass = (M + np.outer(modes.Omega, [0.0, -1.0, 1.0])).ravel()
+    mass = (M + np.multiply.outer(modes.Omega, [0.0, -1.0, 1.0])).ravel()
     weight = np.array([w * (1.0 - a), side, side]).T.ravel()
     keep = weight > 0.0
     mass = mass[keep]
-    return mass, np.repeat(modes.Gamma, 3)[keep], weight[keep], (M / mass) ** 2
+    return mass, modes.Gamma.repeat(3)[keep], weight[keep], (M / mass) ** 2
 
 
 def pole_energies(mass, width, p):

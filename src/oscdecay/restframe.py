@@ -105,21 +105,23 @@ class _RestLaw:
         coeff = decay_rate_coefficients(self.modes)
         return coeff.lam1[:, None], coeff.lam2[:, None], coeff.beta[:, None]
 
-    def _parts(self, tt):
-        # per mode and time: the weighted damping w_j exp(-Gamma_j t/2), the
-        # phase Omega_j t, and the amplitude summed from them
-        damp = self.w * np.exp(-0.5 * (self.Gamma * tt))
-        phase = self.Omega * tt
-        return damp, phase, (damp * (self.flat + self.a * np.cos(phase))).sum(axis=0)
+    def _terms(self, tt):
+        # per mode and time: the weighted damping w_j exp(-Gamma_j t/2) and
+        # the phase Omega_j t
+        return self.w * np.exp(-0.5 * (self.Gamma * tt)), self.Omega * tt
+
+    def _amplitude(self, damp, phase):
+        return (damp * (self.flat + self.a * np.cos(phase))).sum(axis=0)
 
     def amplitude(self, tt):
-        return self._parts(tt)[2]
+        return self._amplitude(*self._terms(tt))
 
     def __call__(self, tt):
         """(amplitude, rate over amplitude) at tt."""
-        damp, phase, amp = self._parts(tt)
+        damp, phase = self._terms(tt)
         lam1, lam2, beta = self._rate_terms
-        return amp, (damp * (lam1 + lam2 * np.cos(phase - beta))).sum(axis=0)
+        return (self._amplitude(damp, phase),
+                (damp * (lam1 + lam2 * np.cos(phase - beta))).sum(axis=0))
 
 
 def amplitude_rest(modes: RestModeSet, t):
@@ -145,7 +147,8 @@ def survival_rest_split(modes: RestModeSet, t):
     with e_jl(t) = exp(-(Gamma_j+Gamma_l) t / 2), nu1_jl = 1 exactly when
     j = l or Omega_j = Omega_l (else 0), nu2_jl = 1 - nu1_jl.
 
-    Evaluated from the amplitude's per-mode parts: with
+    Evaluated from the amplitude's per-mode terms, without the amplitude
+    itself: with
     d_j = w_j exp(-Gamma_j t / 2),
         F = sum_j d_j (1 - a_j),  S = sum_j d_j a_j cos(Omega_j t),
         Q = (1/2) sum_{Omega_j = Omega_l} d_j a_j d_l a_l,
@@ -153,7 +156,7 @@ def survival_rest_split(modes: RestModeSet, t):
     the sums above since cos(x) cos(y) = [cos(x+y) + cos(x-y)] / 2.
     """
     law = _RestLaw(modes)
-    damp, phase, _ = law._parts(_check_times(t))
+    damp, phase = law._terms(_check_times(t))
     wave = damp * law.a
     F = (damp * law.flat).sum(axis=0)
     S = (wave * np.cos(phase)).sum(axis=0)

@@ -44,17 +44,12 @@ class SpecialFunctionDomainError(ValueError):
 
 
 def _polevl(x, coef):
-    ans = coef[0]
-    for c in coef[1:]:
-        ans = ans * x + c
-    return ans
-
-
-def _p1evl(x, coef):
-    # leading coefficient 1 implied
-    ans = x + coef[0]
-    for c in coef[1:]:
-        ans = ans * x + c
+    # Horner's rule, highest power first; coef may hold one row per fit. The
+    # first step makes the result array, the others update it in place
+    ans = coef[0] * x + coef[1]
+    for c in coef[2:]:
+        ans *= x
+        ans += c
     return ans
 
 
@@ -138,6 +133,21 @@ YQ1 = [
     3.97270608116560655612e18,
 ]
 
+
+def _stack(*fits):
+    # the fits as the rows of one Horner loop, shape (steps, fits, 1). Shorter
+    # fits get leading zeros: 0 z + c = c and 1 z + c = z + c exactly, so each
+    # row takes the steps of its own _polevl (or Cephes p1evl, whose implied
+    # leading 1 is written out) bit for bit
+    width = max(map(len, fits))
+    return np.array([[0.0] * (width - len(f)) + list(f) for f in fits]).T[:, :, None]
+
+
+# RP1, RQ1, YP1, YQ1 in z = x^2, and PP1, PQ1, QP1, QQ1 in z = (5/x)^2
+SMALL_FITS = _stack(RP1, [1.0] + RQ1, YP1, [1.0] + YQ1)
+LARGE_FITS = _stack(PP1, PQ1, QP1, [1.0] + QQ1)
+
+
 # Chebyshev coefficients of H1(x) - Y1(x) in t = 2 (9/x)^2 - 1, x >= 9.
 # Generated by tools/gen_specfun_reference.py against 50-digit references;
 # max absolute fit error ~4e-15 over [9, 1e6]. The plain inverse-square
@@ -164,27 +174,31 @@ H1Y1_CHEB = [
 
 
 def _piecewise(x, seam, small, large):
-    # small() on x <= seam, large() beyond; each branch sees only its points
+    # small() on x <= seam, large() beyond; each branch sees only its points,
+    # and points all on one side go to their branch unmasked
     lo = x <= seam
+    if not lo.any():
+        return large(x)
+    if lo.all():
+        return small(x)
     out = np.empty_like(x)
-    if lo.any():
-        out[lo] = small(x[lo])
-    if not lo.all():
-        out[~lo] = large(x[~lo])
+    out[lo] = small(x[lo])
+    out[~lo] = large(x[~lo])
     return out
 
 
-def _j1_small(x):
+def _small_fits(x):
+    # J1 on [0, 5] and the rational part of the small-x Y1 fit; both are
+    # finite at x = 0, where Y1 itself is not
     z = x * x
-    w = _polevl(z, RP1) / _p1evl(z, RQ1)
-    return w * x * (z - Z1) * (z - Z2)
+    rp, rq, yp, yq = _polevl(z, SMALL_FITS)
+    return rp / rq * x * (z - Z1) * (z - Z2), x * yp / yq
 
 
-def _y1_small(x, j1):
-    # j1 = _j1_small(x), which the small-x Y1 fit contains
-    z = x * x
-    w = x * _polevl(z, YP1) / _p1evl(z, YQ1)
-    return w + TWOOPI * (j1 * np.log(x) - 1.0 / x)
+def _bessel_small(x):
+    # J1 and Y1 at 0 < x <= 5; the small-x Y1 fit contains J1
+    j1, y1_fit = _small_fits(x)
+    return j1, y1_fit + TWOOPI * (j1 * np.log(x) - 1.0 / x)
 
 
 def _bessel_large(x):
@@ -192,8 +206,9 @@ def _bessel_large(x):
     # cos/sin of the phase x - 3 pi/4
     w = BESSEL_SEAM / x
     z = w * w
-    p = _polevl(z, PP1) / _polevl(z, PQ1)
-    wq = w * (_polevl(z, QP1) / _p1evl(z, QQ1))
+    pp, pq, qp, qq = _polevl(z, LARGE_FITS)
+    p = pp / pq
+    wq = w * (qp / qq)
     xn = x - THPIO4
     scale = SQ2OPI / np.sqrt(x)
     c = np.cos(xn)
@@ -203,14 +218,15 @@ def _bessel_large(x):
 
 def _j1_y1(x):
     # J1 and Y1 at x > 0, each fit evaluated once per point
+    lo = x <= BESSEL_SEAM
+    if not lo.any():
+        return _bessel_large(x)
+    if lo.all():
+        return _bessel_small(x)
     j1 = np.empty_like(x)
     y1 = np.empty_like(x)
-    lo = x <= BESSEL_SEAM
-    if lo.any():
-        j1[lo] = _j1_small(x[lo])
-        y1[lo] = _y1_small(x[lo], j1[lo])
-    if not lo.all():
-        j1[~lo], y1[~lo] = _bessel_large(x[~lo])
+    j1[lo], y1[lo] = _bessel_small(x[lo])
+    j1[~lo], y1[~lo] = _bessel_large(x[~lo])
     return j1, y1
 
 
@@ -221,7 +237,8 @@ def bessel_j1(x):
     """
     xx = as_points(x, lambda v: np.isfinite(v) & (v >= 0.0), "bessel_j1 requires finite x >= 0",
                    SpecialFunctionDomainError)
-    return maybe_scalar(_piecewise(xx, BESSEL_SEAM, _j1_small, lambda v: _bessel_large(v)[0]), x)
+    return maybe_scalar(_piecewise(xx, BESSEL_SEAM, lambda v: _small_fits(v)[0],
+                                   lambda v: _bessel_large(v)[0]), x)
 
 
 def bessel_y1(x):
@@ -248,22 +265,29 @@ def _h1_series(x):
 
 
 def _h1_minus_y1(x):
-    # the Chebyshev fit of H1 - Y1 beyond the Struve seam
+    # the Chebyshev fit of H1 - Y1 beyond the Struve seam; Clenshaw's
+    # recurrence from its second step, since the first gives b0 = c exactly
     u = STRUVE_SEAM / x
     t = 2.0 * u * u - 1.0
-    b0 = 0.0
+    t2 = t * 2.0
+    b0 = H1Y1_CHEB[-1]
     b1 = 0.0
-    for c in reversed(H1Y1_CHEB):
-        b0, b1 = t * 2.0 * b0 - b1 + c, b0
+    for c in H1Y1_CHEB[-2::-1]:
+        b0, b1 = t2 * b0 - b1 + c, b0
     # Clenshaw closing step: the last iteration doubled the t b1 term
     return b0 - b1 * t
 
 
 def _h1(x, y1):
     # H1 at x >= 0 given y1 = Y1(x) wherever x > STRUVE_SEAM
-    h1 = _piecewise(x, STRUVE_SEAM, _h1_series, _h1_minus_y1)
     far = x > STRUVE_SEAM
-    h1[far] += y1[far]
+    if far.all():
+        return _h1_minus_y1(x) + y1
+    if not far.any():
+        return _h1_series(x)
+    h1 = np.empty_like(x)
+    h1[~far] = _h1_series(x[~far])
+    h1[far] = _h1_minus_y1(x[far]) + y1[far]
     return h1
 
 

@@ -144,6 +144,31 @@ def _background_sum(modes: RestModeSet) -> float:
     )
 
 
+def _xi_primes(modes: RestModeSet, ctx: BoostContext, indices) -> tuple:
+    # xi'_j for each j in indices, each checked as xi_prime checks it; the
+    # background sum, common to every mode, is taken once, after the first
+    # mode's checks
+    if ctx.gamma <= 1.0:
+        raise WindowError("xi_prime requires gamma > 1 (nonrelativistic boost excluded)")
+    # sqrt(1 - 1/gamma^2) written in factored form to stay accurate near gamma = 1
+    velocity = math.sqrt((1.0 - 1.0 / ctx.gamma) * (1.0 + 1.0 / ctx.gamma))
+    background = None
+    values = []
+    for j in indices:
+        j = int(j)
+        if not 0 <= j < modes.N:
+            raise WindowError("mode index %r out of range 0..%d" % (j, modes.N - 1))
+        aj = float(modes.a[j])
+        if aj >= 0.5:
+            raise WindowError("gate diverges as a -> 1/2, got a=%r" % aj)
+        if background is None:
+            background = _background_sum(modes)
+        gj = float(modes.Gamma[j])
+        lead = math.sqrt(gj / (math.pi * modes.M) * velocity)
+        values.append(lead * background / (2.0 * modes.M * float(modes.w[j]) * (1.0 - 2.0 * aj)))
+    return tuple(values)
+
+
 def xi_prime(modes: RestModeSet, ctx: BoostContext, j: int) -> float:
     """Gate parameter of mode j: branch-cut background over its pole term.
 
@@ -152,19 +177,7 @@ def xi_prime(modes: RestModeSet, ctx: BoostContext, j: int) -> float:
     The nonrelativistic limit gamma -> 1+ is excluded: the vanishing
     velocity factor would admit every mode for the wrong reason.
     """
-    if ctx.gamma <= 1.0:
-        raise WindowError("xi_prime requires gamma > 1 (nonrelativistic boost excluded)")
-    j = int(j)
-    if not 0 <= j < modes.N:
-        raise WindowError("mode index %r out of range 0..%d" % (j, modes.N - 1))
-    aj = float(modes.a[j])
-    if aj >= 0.5:
-        raise WindowError("gate diverges as a -> 1/2, got a=%r" % aj)
-    # sqrt(1 - 1/gamma^2) written in factored form to stay accurate near gamma = 1
-    velocity = math.sqrt((1.0 - 1.0 / ctx.gamma) * (1.0 + 1.0 / ctx.gamma))
-    gj = float(modes.Gamma[j])
-    lead = math.sqrt(gj / (math.pi * modes.M) * velocity)
-    return lead * _background_sum(modes) / (2.0 * modes.M * float(modes.w[j]) * (1.0 - 2.0 * aj))
+    return _xi_primes(modes, ctx, (j,))[0]
 
 
 def _merge_intervals(intervals):
@@ -192,7 +205,7 @@ def exponential_windows(modes: RestModeSet, ctx: BoostContext, params: WindowPar
     if ctx.gamma <= 1.0:
         raise WindowError("exponential_windows requires gamma > 1")
 
-    xi = tuple(xi_prime(modes, ctx, j) for j in range(modes.N))
+    xi = _xi_primes(modes, ctx, range(modes.N))
     admitted = tuple(j for j in range(modes.N) if xi[j] <= params.xi_gate)
     excluded = tuple((j, xi[j]) for j in range(modes.N) if xi[j] > params.xi_gate)
 

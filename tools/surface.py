@@ -18,19 +18,21 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
 
 
-def source_lines():
+def source_lines(src=SRC):
     total = 0
-    for path in glob.glob(os.path.join(SRC, "**", "*.py"), recursive=True):
+    for path in glob.glob(os.path.join(src, "**", "*.py"), recursive=True):
         with open(path, "rb") as fh:
             total += fh.read().count(b"\n")
     return total
 
 
-def public_names():
-    sys.path.insert(0, SRC)
-    import oscdecay
+def public_names(package=None):
+    """The public names of package, by default the oscdecay in this tree's src/."""
+    if package is None:
+        sys.path.insert(0, SRC)
+        import oscdecay as package
 
-    return sorted(name for name, value in vars(oscdecay).items()
+    return sorted(name for name, value in vars(package).items()
                   if not name.startswith("_") and not isinstance(value, types.ModuleType))
 
 
