@@ -21,9 +21,7 @@ from .kinematics import (  # noqa: F401
 )
 from .restframe import (  # noqa: F401
     CurveSeries,
-    DecayRateCoefficients,
     amplitude_rest,
-    decay_rate_coefficients,
     decay_rate_rest,
     mdd_analytic,
     survival_rest,

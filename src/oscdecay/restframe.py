@@ -19,11 +19,9 @@ from .kinematics import RestModeSet, mode_terms
 
 __all__ = [
     "CurveSeries",
-    "DecayRateCoefficients",
     "amplitude_rest",
     "survival_rest",
     "survival_rest_split",
-    "decay_rate_coefficients",
     "decay_rate_rest",
     "mdd_analytic",
 ]
@@ -62,19 +60,8 @@ class CurveSeries:
             if values.min() < 0.0 or values.max() > 1.0 + 1e-9:
                 raise ValueError(
                     "probability values must lie in [0, 1+1e-9], got [%r, %r]"
-                    % (values.min(), values.max())
+                    % (float(values.min()), float(values.max()))
                 )
-
-
-@dataclass(frozen=True)
-class DecayRateCoefficients:
-    """Per-mode rate coefficients lam1 = Gamma (1-a),
-    lam2 = a sqrt(Gamma^2 + 4 Omega^2) and phase
-    beta = arccos(Gamma / sqrt(Gamma^2 + 4 Omega^2)) (0 when lam2 = 0)."""
-
-    lam1: np.ndarray
-    lam2: np.ndarray
-    beta: np.ndarray
 
 
 def _check_times(t):
@@ -93,7 +80,6 @@ class _RestLaw:
     """
 
     def __init__(self, modes: RestModeSet):
-        self.modes = modes
         self.Gamma = modes.Gamma[:, None]
         self.Omega = modes.Omega[:, None]
         self.w = modes.w[:, None]
@@ -102,8 +88,13 @@ class _RestLaw:
 
     @functools.cached_property
     def _rate_terms(self):
-        coeff = decay_rate_coefficients(self.modes)
-        return coeff.lam1[:, None], coeff.lam2[:, None], coeff.beta[:, None]
+        # per mode: lam1 = Gamma (1 - a), lam2 = a sqrt(Gamma^2 + 4 Omega^2)
+        # and the phase beta = arccos(Gamma / sqrt(Gamma^2 + 4 Omega^2)),
+        # 0 when lam2 = 0, of the rate term lam1 + lam2 cos(Omega t - beta)
+        root = np.hypot(self.Gamma, 2.0 * self.Omega)
+        lam2 = self.a * root
+        beta = np.where(lam2 > 0.0, np.arccos(self.Gamma / root), 0.0)
+        return self.Gamma * self.flat, lam2, beta
 
     def _terms(self, tt):
         # per mode and time: the weighted damping w_j exp(-Gamma_j t/2) and
@@ -165,15 +156,6 @@ def survival_rest_split(modes: RestModeSet, t):
     exp_part = F * F + Q
     osc_part = (2.0 * F + S) * S - Q
     return maybe_scalar(exp_part, t), maybe_scalar(osc_part, t)
-
-
-def decay_rate_coefficients(modes: RestModeSet) -> DecayRateCoefficients:
-    """Amplitude and phase of each mode's contribution to the decay rate."""
-    lam1 = modes.Gamma * (1.0 - modes.a)
-    root = np.hypot(modes.Gamma, 2.0 * modes.Omega)
-    lam2 = modes.a * root
-    beta = np.where(lam2 > 0.0, np.arccos(modes.Gamma / root), 0.0)
-    return DecayRateCoefficients(lam1=lam1, lam2=lam2, beta=beta)
 
 
 def decay_rate_rest(modes: RestModeSet, t):

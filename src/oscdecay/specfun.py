@@ -173,18 +173,29 @@ H1Y1_CHEB = [
 ]
 
 
-def _piecewise(x, seam, small, large):
-    # small() on x <= seam, large() beyond; each branch sees only its points,
-    # and points all on one side go to their branch unmasked
+def _split(x, seam, small, large, *extra):
+    # small(x, *extra) on x <= seam, large(x, *extra) beyond, each branch on
+    # its own points (extra arrays are masked alongside x); points all on one
+    # side go to their branch unmasked. A branch returns one array or a tuple
+    # of arrays, and so does the split. Each array is merged on its own: one
+    # (2, n) masked assignment costs five times as much
     lo = x <= seam
     if not lo.any():
-        return large(x)
+        return large(x, *extra)
     if lo.all():
-        return small(x)
-    out = np.empty_like(x)
-    out[lo] = small(x[lo])
-    out[~lo] = large(x[~lo])
-    return out
+        return small(x, *extra)
+    hi = ~lo
+    below = small(x[lo], *(e[lo] for e in extra))
+    above = large(x[hi], *(e[hi] for e in extra))
+
+    def merge(b, a):
+        out = np.empty_like(x)
+        out[lo] = b
+        out[hi] = a
+        return out
+    if isinstance(below, tuple):
+        return tuple(map(merge, below, above))
+    return merge(below, above)
 
 
 def _small_fits(x):
@@ -216,20 +227,6 @@ def _bessel_large(x):
     return (p * c - wq * s) * scale, (p * s + wq * c) * scale
 
 
-def _j1_y1(x):
-    # J1 and Y1 at x > 0, each fit evaluated once per point
-    lo = x <= BESSEL_SEAM
-    if not lo.any():
-        return _bessel_large(x)
-    if lo.all():
-        return _bessel_small(x)
-    j1 = np.empty_like(x)
-    y1 = np.empty_like(x)
-    j1[lo], y1[lo] = _bessel_small(x[lo])
-    j1[~lo], y1[~lo] = _bessel_large(x[~lo])
-    return j1, y1
-
-
 def bessel_j1(x):
     """Bessel function of the first kind, order one, for finite x >= 0.
 
@@ -237,8 +234,9 @@ def bessel_j1(x):
     """
     xx = as_points(x, lambda v: np.isfinite(v) & (v >= 0.0), "bessel_j1 requires finite x >= 0",
                    SpecialFunctionDomainError)
-    return maybe_scalar(_piecewise(xx, BESSEL_SEAM, lambda v: _small_fits(v)[0],
-                                   lambda v: _bessel_large(v)[0]), x)
+    # J1 is the first row of either branch; _small_fits, unlike _bessel_small,
+    # is finite at x = 0
+    return maybe_scalar(_split(xx, BESSEL_SEAM, _small_fits, _bessel_large)[0], x)
 
 
 def bessel_y1(x):
@@ -248,7 +246,7 @@ def bessel_y1(x):
     """
     xx = as_points(x, lambda v: np.isfinite(v) & (v > 0.0), "bessel_y1 requires finite x > 0",
                    SpecialFunctionDomainError)
-    return maybe_scalar(_j1_y1(xx)[1], x)
+    return maybe_scalar(_split(xx, BESSEL_SEAM, _bessel_small, _bessel_large)[1], x)
 
 
 # H1(x) = q sum_k c_k q^k with q = x^2/4 and
@@ -259,14 +257,18 @@ H1_SERIES = [(-1.0) ** k / (math.gamma(k + 1.5) * math.gamma(k + 2.5))
              for k in range(27, -1, -1)]
 
 
-def _h1_series(x):
+def _h1_series(x, y1=None):
+    # H1 at x <= STRUVE_SEAM, which needs no Y1
     q = 0.25 * x * x
     return q * _polevl(q, H1_SERIES)
 
 
-def _h1_minus_y1(x):
-    # the Chebyshev fit of H1 - Y1 beyond the Struve seam; Clenshaw's
-    # recurrence from its second step, since the first gives b0 = c exactly
+def _h1_far(x, y1=None):
+    # H1 beyond STRUVE_SEAM: the Chebyshev fit of H1 - Y1 plus y1 = Y1(x),
+    # evaluated here when not given. Clenshaw's recurrence from its second
+    # step, since the first gives b0 = c exactly
+    if y1 is None:
+        y1 = _bessel_large(x)[1]
     u = STRUVE_SEAM / x
     t = 2.0 * u * u - 1.0
     t2 = t * 2.0
@@ -275,20 +277,7 @@ def _h1_minus_y1(x):
     for c in H1Y1_CHEB[-2::-1]:
         b0, b1 = t2 * b0 - b1 + c, b0
     # Clenshaw closing step: the last iteration doubled the t b1 term
-    return b0 - b1 * t
-
-
-def _h1(x, y1):
-    # H1 at x >= 0 given y1 = Y1(x) wherever x > STRUVE_SEAM
-    far = x > STRUVE_SEAM
-    if far.all():
-        return _h1_minus_y1(x) + y1
-    if not far.any():
-        return _h1_series(x)
-    h1 = np.empty_like(x)
-    h1[~far] = _h1_series(x[~far])
-    h1[far] = _h1_minus_y1(x[far]) + y1[far]
-    return h1
+    return (b0 - b1 * t) + y1
 
 
 def struve_h1(x):
@@ -298,9 +287,7 @@ def struve_h1(x):
     """
     xx = as_points(x, lambda v: np.isfinite(v) & (v >= 0.0), "struve_h1 requires finite x >= 0",
                    SpecialFunctionDomainError)
-    # _h1 reads Y1 only beyond the seam
-    y1 = _piecewise(xx, STRUVE_SEAM, np.zeros_like, lambda v: _bessel_large(v)[1])
-    return maybe_scalar(_h1(xx, y1), x)
+    return maybe_scalar(_split(xx, STRUVE_SEAM, _h1_series, _h1_far), x)
 
 
 def upsilon(M: float, Gamma: float, p: float) -> complex:
@@ -340,8 +327,8 @@ def branch_cut(z):
     """
     zz = as_points(z, lambda v: np.isfinite(v) & (v > 0.0), "branch_cut requires finite z > 0",
                    SpecialFunctionDomainError)
-    j1, y1 = _j1_y1(zz)
-    h1 = _h1(zz, y1)
+    j1, y1 = _split(zz, BESSEL_SEAM, _bessel_small, _bessel_large)
+    h1 = _split(zz, STRUVE_SEAM, _h1_series, _h1_far, y1)
     A = (0.5 * math.pi * h1 - 1.0) - 1j * (0.5 * math.pi * j1)
     B = 1.0 + 0.5 * math.pi * (y1 - h1)
     return maybe_scalar(A, z), maybe_scalar(B, z)

@@ -254,52 +254,28 @@ def constraint_report(modes: RestModeSet, ctx: BoostContext, window: TimeWindow)
     the mass gap (M - Omega_max) t_s, the momentum M sqrt(gamma^2-1) t_s
     and the phase p t_s must all be large (graded pass/warn/fail).
     """
-    params = window.params
-    if not window.admitted:
-        detail = "no admitted modes"
-        return tuple(
-            ConstraintCheck(name=name, value=float("nan"), status="fail", detail=detail)
-            for name in ("domain-at-start", "mass-gap", "momentum", "phase-at-start")
-        )
-
-    start = window.union_lab[0][0]
+    # an empty window has no start: every value is NaN and every check fails
+    start = window.union_lab[0][0] if window.admitted else math.nan
+    table = (
+        # window start after 1/(10 Gamma_1)
+        ("domain-at-start", 10.0 * float(modes.Gamma[0]) * start,
+         "20 zeta_min gamma Gamma_1 / Gamma_fast must exceed 1"),
+        ("mass-gap", (modes.M - float(modes.Omega.max())) * start,
+         "(M - Omega_max) times the window start must be large"),
+        # p = M sqrt(gamma^2 - 1); both momentum-scale conditions reduce to
+        # the phase p t at the window start, reported from each side
+        ("momentum", modes.M * math.sqrt((ctx.gamma - 1.0) * (ctx.gamma + 1.0)) * start,
+         "M sqrt(gamma^2-1) times the window start must be large"),
+        ("phase-at-start", ctx.p * start, "p t must be large at the window start"),
+    )
     checks = []
-
-    # window start after 1/(10 Gamma_1)
-    v1 = 10.0 * float(modes.Gamma[0]) * start
-    checks.append(ConstraintCheck(
-        name="domain-at-start",
-        value=v1,
-        status="pass" if v1 > 1.0 else "fail",
-        detail="20 zeta_min gamma Gamma_1 / Gamma_fast must exceed 1",
-    ))
-
-    v2 = (modes.M - float(modes.Omega.max())) * start
-    checks.append(ConstraintCheck(
-        name="mass-gap",
-        value=v2,
-        status=_grade(v2, params),
-        detail="(M - Omega_max) times the window start must be large",
-    ))
-
-    # p = M sqrt(gamma^2 - 1); both momentum-scale conditions reduce to
-    # the phase p t at the window start, reported from each side
-    v3 = modes.M * math.sqrt((ctx.gamma - 1.0) * (ctx.gamma + 1.0)) * start
-    checks.append(ConstraintCheck(
-        name="momentum",
-        value=v3,
-        status=_grade(v3, params),
-        detail="M sqrt(gamma^2-1) times the window start must be large",
-    ))
-
-    v4 = ctx.p * start
-    checks.append(ConstraintCheck(
-        name="phase-at-start",
-        value=v4,
-        status=_grade(v4, params),
-        detail="p t must be large at the window start",
-    ))
-
+    for name, value, detail in table:
+        if name == "domain-at-start":
+            status = "pass" if value > 1.0 else "fail"
+        else:
+            status = _grade(value, window.params)
+        checks.append(ConstraintCheck(name=name, value=value, status=status,
+                                      detail=detail if window.admitted else "no admitted modes"))
     return tuple(checks)
 
 

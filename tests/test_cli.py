@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -148,6 +149,23 @@ def test_window_knobs_must_be_finite(tmp_path, capsys, window, code, command):
     else:
         report = out.with_name(out.name + ".fit.json") if command == "phi" else out
         assert _strict_json(report.read_text())["window"]["zeta_max"] == 8.0
+
+
+def test_log_grid_spacing(tmp_path, capsys):
+    cfg = write_config(tmp_path, "log.json", {
+        "grid": {"t_min": 1.0, "t_max": 100.0, "points": 3, "spacing": "log"},
+    })
+    out = tmp_path / "log.csv"
+    assert main(["curve", "--which", "rest", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    assert [float(row[0]) for row in read_csv(str(out))[1]] == [1.0, 10.0, 100.0]
+
+    cfg = write_config(tmp_path, "log0.json", {
+        "grid": {"t_min": 0.0, "t_max": 100.0, "points": 3, "spacing": "log"},
+    })
+    out = tmp_path / "log0.csv"
+    assert main(["curve", "--which", "rest", "--config", cfg, "--out", str(out), "--quiet"]) == 2
+    assert "log spacing needs t_min > 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_rest_curve_csv_contract(tmp_path):
@@ -350,6 +368,16 @@ def test_validate_fails_at_published_window_start(tmp_path):
     assert "phase-at-start" in names
 
 
+def test_validate_reports_inverted_window_bounds(tmp_path):
+    cfg = write_config(tmp_path, "vinv.json", {"window": {"zeta_min": 6, "zeta_max": 5}})
+    out = tmp_path / "vinv.out"
+    assert main(["validate", "--config", cfg, "--out", str(out), "--quiet"]) == 2
+    assert json.loads(out.read_text())["results"] == {
+        "valid": False,
+        "violations": ["need 0 < zeta_min < zeta_max < inf, got 6.0, 5.0"],
+    }
+
+
 def test_phi_requires_out(tmp_path):
     cfg = write_config(tmp_path, "phi0.json", {
         "grid": {"t_min": 0.5, "t_max": 20.0, "points": 40},
@@ -405,6 +433,39 @@ def test_compare_exit_codes(tmp_path):
     })
     assert main(["compare", "--config", tight, "--out",
                  str(tmp_path / "cmp2.out"), "--quiet"]) == 1
+
+
+def test_compare_reports_closed_form_outside_its_domain(tmp_path):
+    # at t = 1e-6 the closed form gives P = 25.6, written by curve with
+    # valid=false; compare reports that deviation against the oracle and
+    # exits 1, not 2
+    cfg = write_config(tmp_path, "oob.json", {"grid": {"t_min": 1e-6, "t_max": 2.0, "points": 21}})
+    curve = tmp_path / "oob.csv"
+    assert main(["curve", "--which", "boosted", "--config", cfg, "--out", str(curve),
+                 "--quiet"]) == 0
+    _, rows = read_csv(str(curve))
+    assert float(rows[0][2]) == pytest.approx(25.566, rel=1e-4) and rows[0][3] == "false"
+    out = tmp_path / "oob.out"
+    assert main(["compare", "--config", cfg, "--out", str(out), "--quiet"]) == 1
+    results = json.loads(out.read_text())["results"]
+    assert results["within_bound"] is False
+    assert results["n_points"] == 21
+    assert results["t_at_max_abs"] == 1e-6
+    assert results["max_abs_deviation"] == pytest.approx(float(rows[0][2]) - 1.0, rel=1e-6)
+
+
+def test_oracle_non_convergence_exits_4(tmp_path, capsys):
+    # one doubling cannot reach an absolute tolerance of 1e-300
+    cfg = write_config(tmp_path, "e4.json", {
+        "grid": {"t_min": 2.0, "t_max": 3.0, "points": 5},
+        "oracle": {"abs_tol": 1e-300, "rel_tol": 0, "max_rounds": 1},
+    })
+    out = tmp_path / "e4.out"
+    assert main(["compare", "--config", cfg, "--out", str(out), "--quiet"]) == 4
+    err = capsys.readouterr().err
+    assert re.search(r"oracle did not converge: .* at t=2\.0 "
+                     r"\(value=\(\S+j\), error=\S+\)$", err.strip())
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("section", [

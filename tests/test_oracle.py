@@ -236,17 +236,34 @@ def _series(t, values):
 def test_compare_identical_series_reports_zero():
     t = np.linspace(1.0, 5.0, 9)
     v = np.exp(-t)
-    rep = oracle_compare(_series(t, v), _series(t, v))
+    rep = oracle_compare(v, _series(t, v))
     assert rep.max_abs_deviation == 0.0
     assert rep.max_rel_deviation == 0.0
     assert rep.n_points == 9
 
 
 def test_compare_rejects_grid_mismatch():
+    # one closed-form value per time of the direct grid
     t = np.linspace(1.0, 5.0, 9)
     v = np.exp(-t)
-    with pytest.raises(ValueError):
-        oracle_compare(_series(t, v), _series(t + 1e-9, v))
+    with pytest.raises(ValueError, match="grid mismatch"):
+        oracle_compare(v[:-1], _series(t, v))
+
+
+def test_compare_takes_closed_values_outside_unit_interval_but_not_non_finite():
+    # the closed form overshoots 1 outside its domain; that is a deviation
+    # to report, while a NaN or an infinity is not a value at all
+    t = np.linspace(1.0, 5.0, 9)
+    v = np.exp(-t)
+    over = v.copy()
+    over[0] = 25.0
+    rep = oracle_compare(over, _series(t, v))
+    assert rep.max_abs_deviation == pytest.approx(25.0 - v[0], rel=1e-15)
+    assert rep.t_at_max_abs == t[0]
+    for bad in (math.nan, math.inf):
+        over[0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            oracle_compare(over, _series(t, v))
 
 
 def test_compare_locates_injected_deviation():
@@ -254,7 +271,7 @@ def test_compare_locates_injected_deviation():
     v = np.exp(-t)
     bumped = v.copy()
     bumped[4] += 1e-3
-    rep = oracle_compare(_series(t, bumped), _series(t, v))
+    rep = oracle_compare(bumped, _series(t, v))
     assert rep.max_abs_deviation == pytest.approx(1e-3, rel=1e-12)
     assert rep.t_at_max_abs == pytest.approx(t[4])
     assert rep.max_rel_deviation == pytest.approx(1e-3 / v[4], rel=1e-9)

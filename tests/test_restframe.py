@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oscdecay as od
+from oscdecay.restframe import _RestLaw
 
 from conftest import make_single_mode
 from realaxis import mdd_numeric
@@ -152,13 +153,13 @@ def test_decay_rate_nonpositive_for_valid_sets():
 
 
 def test_decay_rate_coefficients_ranges():
-    modes = od.validate_modes(TWO_MODE)
-    coeff = od.decay_rate_coefficients(modes)
-    assert np.all(coeff.lam1 > 0)
-    assert np.all(coeff.lam2 >= 0)
-    assert np.all((coeff.beta >= 0) & (coeff.beta < math.pi / 2))
+    # the per-mode columns lam1, lam2, beta of the rate the rest law evaluates
+    lam1, lam2, beta = _RestLaw(od.validate_modes(TWO_MODE))._rate_terms
+    assert np.all(lam1 > 0)
+    assert np.all(lam2 >= 0)
+    assert np.all((beta >= 0) & (beta < math.pi / 2))
     # beta = 0 exactly for the non-oscillating mode
-    assert coeff.beta[1] == 0.0
+    assert beta[1, 0] == 0.0
 
 
 def test_mdd_symmetry_about_resonance():

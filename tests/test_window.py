@@ -185,6 +185,14 @@ def test_window_params_validation():
         od.WindowParams(zeta_min=-1.0)
 
 
+CONSTRAINT_DETAILS = [
+    ("domain-at-start", "20 zeta_min gamma Gamma_1 / Gamma_fast must exceed 1"),
+    ("mass-gap", "(M - Omega_max) times the window start must be large"),
+    ("momentum", "M sqrt(gamma^2-1) times the window start must be large"),
+    ("phase-at-start", "p t must be large at the window start"),
+]
+
+
 def test_constraint_report_default_zeta(mode_p200_m80):
     # the published ratio forces zeta_min=1e-4, putting the window start
     # below every validity scale: all four checks fail honestly
@@ -203,6 +211,7 @@ def test_constraint_report_passes_with_raised_floor(mode_p200_m80):
     win = od.exponential_windows(modes, ctx, params)
     checks = od.constraint_report(modes, ctx, win)
     assert all(c.status == "pass" for c in checks)
+    assert [(c.name, c.detail) for c in checks] == CONSTRAINT_DETAILS
 
 
 def test_constraint_report_momentum_fails_near_rest(mode_p200_m80):
@@ -212,6 +221,9 @@ def test_constraint_report_momentum_fails_near_rest(mode_p200_m80):
     win = od.exponential_windows(modes, ctx, params)
     checks = {c.name: c for c in od.constraint_report(modes, ctx, win)}
     assert checks["momentum"].status == "fail"
+    # the start just clears the binary check; the mass gap, 7.0, lies
+    # between warn_ratio 3 and pass_ratio 10
+    assert [c.status for c in checks.values()] == ["pass", "warn", "fail", "fail"]
 
 
 CONSTRAINT_SETS = [
@@ -258,6 +270,8 @@ def test_constraint_report_empty_window():
     checks = od.constraint_report(modes, ctx, win)
     assert all(c.status == "fail" for c in checks)
     assert all(math.isnan(c.value) for c in checks)
+    assert [(c.name, c.detail) for c in checks] == [
+        (name, "no admitted modes") for name, _ in CONSTRAINT_DETAILS]
 
 
 def test_periods_single_mode(mode_p200_m80):
