@@ -4,12 +4,13 @@ The rest-frame survival probability of a valid mode set decreases
 strictly, so it has an inverse. Composing that inverse with the boosted
 survival probability gives the time map phi_p; over the exponential
 window the map is close to the line t / gamma, and linearity_fit
-quantifies how close. The inverse is one Newton solve on
-2 log amplitude_rest - log r, at every target from 1 down to subnormal.
-Each root is bracketed by doubling from a start: t / gamma, the paper's
-approximation, for phi_p, and 1/Gamma_1 for invert_survival_rest. A
-converged Newton step that lands on a bracket end is taken there, so a
-root that coincides with the end is not left one step short.
+quantifies how close. The inverse is one safeguarded Newton solve on
+2 log amplitude_rest - log r, at every target from 1 down to subnormal,
+inside the bracket [0, tail cap]. Each root starts at its own start:
+t / gamma, the paper's approximation, for phi_p, and 1/Gamma_1 for
+invert_survival_rest. A converged Newton step that lands on a bracket
+end is taken there, so a root that coincides with the end is not left
+one step short.
 """
 
 from dataclasses import dataclass
@@ -38,11 +39,13 @@ __all__ = [
 INVERT_REL_TOL = 1e-12
 # targets needing times beyond this multiple of 1/Gamma_1 are rejected
 TAIL_CAP_OVER_GAMMA1 = 1e4
-# Newton stops after a step below this fraction of the root; bisection
-# once the bracket is below the second one
+# a point freezes once its Newton step is below this fraction of its
+# root, its bracket below the second one times its root, or its log gap
+# below the second one
 _NEWTON_LAST_STEP = 1e-10
 _BRACKET_REL_TOL = 4.0 * np.finfo(float).eps
-# bisection alone needs ~55 halvings from a doubling bracket
+# bisection alone from [0, tail cap] needs about log2(cap / (4 eps t))
+# halvings to reach a root t: 63 at t = 1/Gamma_1
 _MAX_ITER = 100
 
 
@@ -64,71 +67,53 @@ class LinearityFit:
 
 
 def _solve(modes, r, start):
-    # roots of P0(t) = r for every r in (0, 1), all points at once: bracket
-    # by doubling from start (clipped into (0, tail cap]), start where the log
-    # gap 2 log amplitude - log r interpolates to 0, then rtsafe (Newton
-    # steps kept inside the bracket, bisection when a step leaves it or
-    # fails to halve the one before last). Each point iterates only until
-    # its own step converges, so its root depends only on its target and
-    # start. The log gap's slope, d log P0/dt = -rate / amplitude, is finite
-    # where P0 itself is subnormal.
+    # roots of P0(t) = r for every r in (0, 1), by one safeguarded Newton
+    # loop over whole arrays on the log gap 2 log amplitude - log r. Each
+    # root starts at its own start clipped into (0, cap], inside the
+    # bracket [0, cap]. A round evaluates the rest law once, narrows each
+    # bracket by the sign of the gap (P0 falls strictly: a positive gap
+    # puts the root to the right), takes the Newton step where it lands
+    # strictly inside the bracket and bisects elsewhere. A point freezes
+    # once its step, its bracket or its gap is small, so its root depends
+    # only on its target and start. The gap's slope, d log P0/dt = -rate /
+    # amplitude, is finite where P0 itself is subnormal; where the
+    # amplitude underflows to 0 the step is NaN and the point bisects.
     law = _RestLaw(modes)
     cap = TAIL_CAP_OVER_GAMMA1 / float(modes.Gamma[0])
     log_r = np.log(r)
-
-    lo = np.zeros_like(r)
-    hi = np.clip(start, np.finfo(float).tiny, cap)
-    gap_lo = -log_r
-    gap_hi = np.empty_like(r)
-    up = np.arange(len(r))
-    while len(up):
-        with np.errstate(divide="ignore"):
-            gap_hi[up] = 2.0 * np.log(law.amplitude(hi[up])) - log_r[up]
-        up = up[gap_hi[up] > 0.0]
-        lo[up] = hi[up]
-        gap_lo[up] = gap_hi[up]
-        hi[up] *= 2.0
-        up = up[hi[up] <= cap]
-    beyond = np.flatnonzero(hi > cap)
-    if len(beyond):
-        raise TimeMapError(
-            "target %r lies below the representable tail (t beyond %r)"
-            % (float(r[beyond[0]]), cap)
-        )
-
-    with np.errstate(invalid="ignore"):
-        t = lo + (hi - lo) * (gap_lo / (gap_lo - gap_hi))
-    t = np.where((t > lo) & (t < hi), t, 0.5 * (lo + hi))
-    dx = hi - lo
-    dx_old = dx.copy()
-    active = np.arange(len(r))
-    for _ in range(_MAX_ITER):
-        if not len(active):
-            break
-        a = active
-        amp, rate = law(t[a])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            gap = 2.0 * np.log(amp) - log_r[a]
-            slope = -rate / amp
-            step = np.where(np.isfinite(slope) & (slope < 0.0), gap / slope, np.nan)
-        # P0 falls strictly: a positive gap puts the root to the right
-        lo[a] = np.where(gap > 0.0, t[a], lo[a])
-        hi[a] = np.where(gap < 0.0, t[a], hi[a])
-        newton = t[a] - step
-        inside = (newton > lo[a]) & (newton < hi[a])
-        # a Newton step this small leaves an error of order step^2: take it,
-        # clipped to the closed bracket (a root on a bracket end would
-        # otherwise stay one step away), and stop
-        done = (np.abs(step) <= _NEWTON_LAST_STEP * t[a]) \
-            | (hi[a] - lo[a] <= _BRACKET_REL_TOL * t[a])
-        bisect = ~done & (~inside | ~(np.abs(2.0 * step) < np.abs(dx_old[a])))
-        take = inside | (done & np.isfinite(newton))
-        dx_old[a] = dx[a]
-        dx[a] = np.where(bisect, 0.5 * (hi[a] - lo[a]), step)
-        t[a] = np.where(bisect, lo[a] + dx[a],
-                        np.where(take, np.clip(newton, lo[a], hi[a]), t[a]))
-        active = a[~done]
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # P0 falls strictly, so a root lies beyond the cap exactly when
+        # its target lies below P0(cap)
+        beyond = np.flatnonzero(log_r < 2.0 * np.log(law.amplitude(cap)))
+        if len(beyond):
+            raise TimeMapError(
+                "target %r lies below the representable tail (t beyond %r)"
+                % (float(r[beyond[0]]), cap)
+            )
+        lo = np.zeros_like(r)
+        hi = np.full_like(r, cap)
+        t = np.clip(start, np.finfo(float).tiny, cap)
+        live = np.ones(r.shape, dtype=bool)
+        for _ in range(_MAX_ITER):
+            amp, rate = law(t)
+            gap = 2.0 * np.log(amp) - log_r
+            # a gap at its rounding level gives a step of pure noise, which
+            # near r = 1 would never fall below the step tolerance: the
+            # point has converged, and stays
+            step = np.where(np.abs(gap) <= _BRACKET_REL_TOL, 0.0, gap * amp / rate)
+            lo = np.where(gap > 0.0, t, lo)
+            hi = np.where(gap < 0.0, t, hi)
+            newton = t + step
+            # a Newton step this small leaves an error of order step^2: take
+            # it, clipped to the closed bracket (a root on a bracket end
+            # would otherwise stay one step away), and freeze
+            done = (np.abs(step) <= _NEWTON_LAST_STEP * t) | (hi - lo <= _BRACKET_REL_TOL * t)
+            take = done | ((newton > lo) & (newton < hi))
+            t = np.where(live, np.where(take, np.minimum(np.maximum(newton, lo), hi),
+                                        0.5 * (lo + hi)), t)
+            live &= ~done
+            if not live.any():
+                break
         return t, 2.0 * np.log(law.amplitude(t)) - log_r
 
 
@@ -155,9 +140,10 @@ def _invert(modes, r, start):
 def invert_survival_rest(modes: RestModeSet, r):
     """The time at which the rest-frame survival equals r (a float or an array).
 
-    Brackets each root by doubling from 1/Gamma_1 up to the tail cap, then
-    refines with safeguarded Newton steps and a bisection fallback; a
-    converged Newton step that lands on a bracket end is taken there. The
+    Starts each root at 1/Gamma_1 inside the bracket [0, tail cap] and
+    refines it with safeguarded Newton steps, bisecting where a step would
+    leave the bracket; a converged Newton step that lands on a bracket end
+    is taken there. A target below P0 at the tail cap is rejected. The
     solve runs on 2 log(amplitude) - log r and its exact slope, which keeps
     the deep tail conditioned and immune to squaring underflow, down to
     subnormal targets. Every result has a log residual of at most 1e-12,
@@ -171,8 +157,8 @@ def phi_p(modes: RestModeSet, ctx: BoostContext, t):
 
     phi_p(t) = P0^{-1}(P_p(t)), for a scalar t (returns a float) or an
     array of times (returns an array). Each root is solved as in
-    invert_survival_rest, with the bracket started at the paper's
-    approximation t / gamma instead of 1/Gamma_1. The boosted probability must fall
+    invert_survival_rest, started at the paper's approximation t / gamma
+    instead of 1/Gamma_1. The boosted probability must fall
     in (0, 1]; rounding-level overshoot above 1 (at most 1e-12) is
     clamped, anything larger, and underflow to 0, raises TimeMapError
     naming the first offending point. BoostedLaw's own domain errors are
@@ -215,7 +201,11 @@ def linearity_fit(series: CurveSeries, window: TimeWindow, ctx: BoostContext) ->
 
     tw = t[mask]
     vw = series.values[mask]
-    slope, intercept = np.polyfit(tw, vw, 1)
+    # the least-squares line about the means
+    t_mean, v_mean = tw.mean(), vw.mean()
+    dt = tw - t_mean
+    slope = (dt @ (vw - v_mean)) / (dt @ dt)
+    intercept = v_mean - slope * t_mean
     residuals = vw - (slope * tw + intercept)
     expected = 1.0 / ctx.gamma
     return LinearityFit(

@@ -116,9 +116,10 @@ def test_invert_round_trip_multi_mode(cfg):
 
 @pytest.mark.parametrize("cfg", ALL_SETS.values(), ids=ALL_SETS.keys())
 def test_invert_round_trip_on_doubling_bracket_ends(cfg):
-    # t0 = 2^k / Gamma_1 is where the doubling bracket from 1/Gamma_1 ends:
-    # the root coincides with a bracket end, and the converged Newton step
-    # must still be taken onto it
+    # t0 = 2^k / Gamma_1 is where a bracket grown by doubling from 1/Gamma_1
+    # ends, and at k = 0 the start itself: the first evaluation puts a
+    # bracket end on the root, and the converged Newton step must still be
+    # taken onto it
     modes = od.validate_modes(cfg)
     t0 = 2.0 ** np.arange(-3, 8) / modes.Gamma[0]
     r = od.survival_rest(modes, t0)
@@ -145,10 +146,33 @@ def test_solve_root_does_not_depend_on_its_start(cfg):
         assert np.abs(resid).max() <= od.timemap.INVERT_REL_TOL
 
 
+@pytest.mark.parametrize("cfg", ALL_SETS.values(), ids=ALL_SETS.keys())
+def test_solve_near_one_ends_in_few_rounds(monkeypatch, cfg):
+    # near r = 1 the log gap is rounding noise long before a Newton step
+    # falls below 1e-10 t; a gap at that level ends the solve, where the
+    # loop would otherwise run on towards its iteration cap, and one such
+    # point would hold up every point of an array
+    rounds = []
+
+    class CountingLaw(od.restframe._RestLaw):
+        def __call__(self, tt):
+            rounds.append(len(tt))
+            return super().__call__(tt)
+
+    monkeypatch.setattr(od.timemap, "_RestLaw", CountingLaw)
+    modes = od.validate_modes(cfg)
+    r = 1.0 - np.array([1e-6, 1e-9, 1e-12, 2.0 ** -52, 2.0 ** -53])
+    for start in (1.0 / modes.Gamma[0], 1e-3):
+        rounds.clear()
+        root, resid = od.timemap._solve(modes, r, np.full_like(r, start))
+        assert len(rounds) <= 20
+        assert np.all(root > 0.0)
+        assert np.abs(resid).max() <= od.timemap.INVERT_REL_TOL
+
+
 def test_solve_tail_cap_names_first_offending_target(monkeypatch):
     # with the cap lowered to 8/Gamma_1, the targets at t = 20 and t = 12
-    # lie beyond it; the first one is named although the second, started
-    # at the cap, leaves the cap after fewer doublings
+    # lie beyond it; the first one is named, whatever the starts
     modes = od.validate_modes(ONE_MODE)
     monkeypatch.setattr(od.timemap, "TAIL_CAP_OVER_GAMMA1", 8.0)
     r = od.survival_rest(modes, np.array([1.0, 20.0, 12.0]))
@@ -157,6 +181,19 @@ def test_solve_tail_cap_names_first_offending_target(monkeypatch):
         od.timemap._solve(modes, r, start)
     with pytest.raises(TimeMapError, match="target %r lies below" % float(r[1])):
         od.invert_survival_rest(modes, r)
+
+
+@pytest.mark.parametrize("start", [1e-3, 1.0, 5.0, 7.0, 8.0])
+def test_solve_tail_cap_does_not_depend_on_the_start(monkeypatch, start):
+    # with the cap lowered to 8/Gamma_1, the root t = 7.9 lies inside it
+    # and is solved from every start; a bracket grown by doubling from
+    # 1e-3, 5 or 7 jumped past the cap before it reached the root
+    modes = od.validate_modes(ONE_MODE)
+    monkeypatch.setattr(od.timemap, "TAIL_CAP_OVER_GAMMA1", 8.0)
+    r = od.survival_rest(modes, np.array([7.9]))
+    root, resid = od.timemap._solve(modes, r, np.array([start]))
+    np.testing.assert_allclose(root, 7.9, rtol=1e-12, atol=0.0)
+    assert abs(resid[0]) <= od.timemap.INVERT_REL_TOL
 
 
 @pytest.mark.parametrize("cfg", ALL_SETS.values(), ids=ALL_SETS.keys())
@@ -306,6 +343,28 @@ def test_linearity_fit_slope_near_inverse_gamma(mode_p200_m80):
     assert fit.rel_slope_error <= 0.02
     lo, hi = win.union_lab[0]
     assert fit.max_residual <= 0.02 * (hi - lo)
+
+
+@pytest.mark.parametrize("case", ["curve_b_p200", "four_mode_p200"])
+def test_linearity_fit_matches_polyfit(case, mode_p200_m80):
+    # np.polyfit, an SVD solve, is the reference for the closed-form line;
+    # the two agree to float64 rounding (about 1e-15 here)
+    if case == "curve_b_p200":
+        modes, ctx = mode_p200_m80
+    else:
+        modes = od.validate_modes(MULTI_MODE["four_mode"])
+        ctx = od.shifted_kinematics(modes, 200.0)
+    win = od.exponential_windows(modes, ctx)
+    lo, hi = win.union_lab[0]
+    t = np.linspace(max(lo, 0.15), hi, 150)
+    phi = od.phi_p(modes, ctx, t)
+    fit = od.linearity_fit(od.CurveSeries(t=t, values=phi, kind="timemap"), win, ctx)
+    slope, intercept = np.polyfit(t, phi, 1)
+    assert fit.n_points == len(t)
+    assert fit.slope == pytest.approx(slope, rel=1e-12, abs=0.0)
+    assert fit.intercept == pytest.approx(intercept, rel=0.0, abs=1e-12 * t[-1])
+    residual = np.abs(phi - (slope * t + intercept)).max()
+    assert fit.max_residual == pytest.approx(residual, rel=0.0, abs=1e-12 * t[-1])
 
 
 def test_linearity_fit_requires_coverage(mode_p200_m80):

@@ -11,7 +11,10 @@ both trees in turn, round by round, the order alternating: a host that
 drifts in speed slows both trees alike. The file then holds both trees
 and, per case, change_over_parent: the median over the rounds of the
 ratio of the two back-to-back readings, which holds even where the
-absolute figures move.
+absolute figures move. The parent is also loaded a second time and timed
+in the same rounds, and parent_over_parent holds the same median ratio
+of the second load over the first: an A/A ratio, whose distance from 1
+is the spread that a change_over_parent reading must exceed to count.
 
 Cases, on curve B (M 80, Gamma 1, Omega 10, a 0.04, p 200) with times
 spread evenly over [2, 11] (one point is t = 2):
@@ -32,7 +35,7 @@ spread evenly over [2, 11] (one point is t = 2):
 
 Run from the root of a source checkout:
 
-    python3 tools/bench_layers.py --parent ../parent --out bench/BENCH_13.json
+    python3 tools/bench_layers.py --parent ../parent --out bench/BENCH_16.json
 
 --quick takes two short rounds and one import: a smoke run that checks
 the script works, not a measurement.
@@ -216,8 +219,23 @@ def machine():
             "numpy": np.__version__}
 
 
+def _median_ratios(readings, imports_s, label, base):
+    # the median over the rounds of the two trees' back-to-back readings:
+    # a burst of load that hits one reading of a pair moves it little
+    ratios = {name: statistics.median(a / b for a, b in zip(values, readings[base][name]))
+              for name, values in readings[label].items()}
+    ratios["cold_import_cli_s"] = imports_s[label] / imports_s[base]
+    return {name: round(value, 3) for name, value in ratios.items()}
+
+
 def measure(roots, rounds, round_s, imports):
-    """The BENCH_<n>.json record of the trees in roots (label -> checkout root)."""
+    """The BENCH_<n>.json record of the trees in roots (label -> checkout root).
+
+    With a parent, a second load of it, parent_again, is timed beside the
+    two and reported only through parent_over_parent.
+    """
+    if "parent" in roots:
+        roots = dict(roots, parent_again=roots["parent"])
     packages = {label: load_tree(root, "oscdecay" if label == "change" else "oscdecay_" + label)
                 for label, root in roots.items()}
     with tempfile.TemporaryDirectory() as tmp:
@@ -230,16 +248,12 @@ def measure(roots, rounds, round_s, imports):
         "cold_import_cli_s": round(imports_s[label], 4),
         "src_lines": surface.source_lines(os.path.join(root, "src")),
         "public_names": len(surface.public_names(packages[label])),
-    } for label, root in roots.items()}
+    } for label, root in roots.items() if label != "parent_again"}
     bench = {"unit": "microseconds per call, best of the rounds; cold import in seconds",
              "rounds": rounds, "round_ms": round_s * 1e3, "machine": machine(), "runs": runs}
     if "parent" in runs:
-        # the median over the rounds of the two trees' back-to-back readings:
-        # a burst of load that hits one reading of a pair moves it little
-        ratios = {name: statistics.median(c / p for c, p in zip(values, readings["parent"][name]))
-                  for name, values in readings["change"].items()}
-        ratios["cold_import_cli_s"] = imports_s["change"] / imports_s["parent"]
-        bench["change_over_parent"] = {name: round(value, 3) for name, value in ratios.items()}
+        bench["change_over_parent"] = _median_ratios(readings, imports_s, "change", "parent")
+        bench["parent_over_parent"] = _median_ratios(readings, imports_s, "parent_again", "parent")
     return bench
 
 
@@ -264,13 +278,16 @@ def main(argv=None):
 
     runs = bench["runs"]
     ratios = bench.get("change_over_parent", {})
-    print("%-48s %s %8s" % ("us per call", " ".join("%10s" % label for label in runs), "ratio"))
+    aa = bench.get("parent_over_parent", {})
+    print("%-48s %s %8s %8s" % ("us per call", " ".join("%10s" % label for label in runs),
+                                "ratio", "A/A"))
     for name in runs["change"]["calls_us"]:
-        print("%-48s %s %8s" % (name, " ".join("%10.1f" % run["calls_us"][name]
-                                               for run in runs.values()), ratios.get(name, "")))
+        print("%-48s %s %8s %8s" % (name, " ".join("%10.1f" % run["calls_us"][name]
+                                                   for run in runs.values()),
+                                    ratios.get(name, ""), aa.get(name, "")))
     for key in ("cold_import_cli_s", "src_lines", "public_names"):
-        print("%-48s %s %8s" % (key, " ".join("%10s" % run[key] for run in runs.values()),
-                                ratios.get(key, "")))
+        print("%-48s %s %8s %8s" % (key, " ".join("%10s" % run[key] for run in runs.values()),
+                                    ratios.get(key, ""), aa.get(key, "")))
 
 
 if __name__ == "__main__":
