@@ -32,16 +32,12 @@ from .specfun import (  # noqa: F401
     bessel_j1,
     bessel_y1,
     struve_h1,
-    upsilon,
-    xi_fn,
 )
 from .boost import (  # noqa: F401
     BoostDomainError,
     BoostedEvaluation,
     BoostedLaw,
     boosted_split,
-    k_fn,
-    phi_fn,
     survival_boosted,
     survival_boosted_window_approx,
 )

@@ -1,7 +1,7 @@
 """Laboratory-frame survival probability of a moving oscillating decay.
 
 The closed form combines, per mode, a pole part K (three damped complex
-exponentials e^{-i E t}, E the pole energies of kinematics.pole_energies)
+exponentials e^{-i E t}, summed by kinematics.pole_sum)
 and a branch-cut part Phi (Bessel/Struve combinations), weighted as
 K + i (p Gamma / (pi M^2)) Phi. The squared modulus of the weighted sum
 over modes is the survival probability at momentum p.
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._points import as_points, maybe_scalar
-from .kinematics import BoostContext, RestModeSet, mode_terms, pole_energies
+from .kinematics import BoostContext, RestModeSet, mode_terms, pole_energies, pole_sum
 from .restframe import amplitude_rest, survival_rest, survival_rest_split
 from .specfun import branch_cut, upsilon, xi_fn, xi_mass_factor
 
@@ -26,8 +26,6 @@ __all__ = [
     "UNITY_EXCESS_TOL",
     "VALIDITY_THRESHOLD",
     "boosted_split",
-    "k_fn",
-    "phi_fn",
     "survival_boosted",
     "survival_boosted_window_approx",
 ]
@@ -72,12 +70,12 @@ def _check_mode(name, M, Omega, a):
 
 
 def k_fn(M: float, Gamma: float, p: float, Omega: float, a: float, t: float) -> complex:
-    """Pole part of one boosted mode.
+    """Pole part of one boosted mode: an unexported reference kernel for the tests.
 
     (1-a) e^{-Y(M) t/2} + (a/2)[e^{-Y(M-Omega) t/2} + e^{-Y(M+Omega) t/2}]
     where Y(m) = upsilon(m, Gamma, p). At p = 0 this reduces to the
     rest-frame phase e^{-i M t} times the damped cosine factor. t must be
-    finite and >= 0, a in [0, 1/2) and Omega in [0, M).
+    finite and >= 0, a in [0, 1/2) and Omega in [0, M). Kept until ROADMAP item 7.
     """
     t = float(t)
     # written so that NaN fails it
@@ -94,12 +92,12 @@ def k_fn(M: float, Gamma: float, p: float, Omega: float, a: float, t: float) -> 
 
 
 def phi_fn(M: float, p: float, Omega: float, a: float, t: float) -> complex:
-    """Branch-cut part of one boosted mode.
+    """Branch-cut part of one boosted mode: an unexported reference kernel for the tests.
 
     (1-a) Xi(M) + (a/2)[Xi(M-Omega)/(1-Omega/M)^2 + Xi(M+Omega)/(1+Omega/M)^2]
     with Xi = xi_fn(., p, t). p and t must be finite and > 0, a in [0, 1/2)
     and Omega in [0, M); the p = 0 limit is handled by the rest branch of
-    survival_boosted, not here.
+    survival_boosted, not here. Kept until ROADMAP item 7 moves it to tests/.
     """
     # written so that NaN fails them
     if not (0.0 < p < math.inf):
@@ -121,11 +119,11 @@ class BoostedLaw:
     """The boosted survival law of one (modes, ctx) pair, compiled for grids.
 
     Construction computes everything that depends only on the mode set and
-    the momentum: one pole exponent -i E_k per term of kinematics.mode_terms,
-    E_k = kinematics.pole_energies(mass, width, p), with that term's weight;
+    the momentum: the pole energy E_k = kinematics.pole_energies(mass, width,
+    p) and weight of each term of kinematics.mode_terms, for kinematics.pole_sum;
     the branch-cut prefactor p/(pi M^2); the two validity bounds, M - Omega_max
-    and 1/(10 Gamma_1); and the constants C_A = sum weight
-    width scale, C_B = sum weight width scale xi_mass_factor(mass, p) of
+    and 1/(10 Gamma_1); and the constants C_A = sum weight width scale,
+    C_B = sum weight width scale xi_mass_factor(mass, p) of
 
         sum_j w_j Gamma_j phi_fn_j = C_A A(pt) + C_B B(pt),
 
@@ -154,8 +152,8 @@ class BoostedLaw:
         self.prefactor = p / (math.pi * M * M)
         # unused on the rest-frame branch
         mass, width, weight, scale = mode_terms(modes)
-        self.weights = weight
-        self.exponents = -1j * pole_energies(mass, width, p)
+        self.weight = weight
+        self.energy = pole_energies(mass, width, p)
         strength = weight * width * scale
         self.C_A = float(strength.sum())
         self.C_B = float((strength * xi_mass_factor(mass, p)).sum())
@@ -179,7 +177,7 @@ class BoostedLaw:
         else:
             if (tt == 0.0).any():
                 raise BoostDomainError("t = 0 is outside the moving-frame closed form (p > 0)")
-            K_sum = np.exp(np.multiply.outer(tt, self.exponents)) @ self.weights
+            K_sum = pole_sum(self.weight, self.energy, tt)
             A, B = branch_cut(self.ctx.p * tt)
             Phi_term = 1j * self.prefactor * (self.C_A * A + self.C_B * B)
             amp = K_sum + Phi_term

@@ -38,7 +38,7 @@ EXIT_INVALID = 2
 EXIT_IO = 3
 EXIT_ORACLE = 4
 
-# largest grid accepted; a 4-mode `curve --which split` needs ~0.9 KB per point
+# largest grid accepted; a 4-mode `curve --which split` needs ~0.55 KB per point
 MAX_GRID_POINTS = 10**6
 
 

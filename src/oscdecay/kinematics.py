@@ -4,8 +4,9 @@ The rest-frame survival amplitude is a weighted sum of damped modes, each
 with width Gamma_j, oscillation frequency Omega_j, oscillation depth a_j
 and weight w_j, around a resonance mass M. Each mode splits into
 Lorentzian terms at masses M, M - Omega_j and M + Omega_j (mode_terms),
-each with its complex pole energy at momentum p (pole_energies); a boost
-with momentum p is described by p and the Lorentz factor of M.
+each with its complex pole energy at momentum p (pole_energies); their
+pole_sum is the pole part that the closed form and the oracle share. A
+boost with momentum p is described by p and the Lorentz factor of M.
 """
 
 import math
@@ -199,3 +200,8 @@ def pole_energies(mass, width, p):
     as e^{-i E_k t}, decaying at the lab rate -2 Im E_k and turning at Re E_k.
     """
     return np.sqrt(p * p + (mass - 0.5j * width) ** 2)
+
+
+def pole_sum(weight, energy, t):
+    """sum_k weight_k e^{-i E_k t} at each time of the array t, E_k = energy_k."""
+    return np.exp(np.multiply.outer(t, -1j * energy)) @ weight

@@ -28,7 +28,7 @@ from ._points import as_points, maybe_scalar
 # adaptive_gauss and mdd_analytic are unused here but stay bound:
 # perfbench/spans.py traces calls through these module attributes
 from ._quad import adaptive_gauss  # noqa: F401
-from .kinematics import RestModeSet, mode_terms, pole_energies
+from .kinematics import RestModeSet, mode_terms, pole_energies, pole_sum
 from .restframe import CurveSeries, mdd_analytic  # noqa: F401
 
 __all__ = [
@@ -140,7 +140,7 @@ class _Path:
     def poles(self, t):
         # the path crosses the poles with Re E_k > p: all when Gamma_k/2 < c_k
         crossed = self.energy.real > self.p
-        return np.exp(-1j * np.multiply.outer(t, self.energy[crossed])) @ self.weight[crossed]
+        return pole_sum(self.weight[crossed], self.energy[crossed], t)
 
     def integrand(self, tau):
         # conj(sqrt(-tau + 2ip)) is sqrt(-tau - 2ip) in the fourth quadrant,

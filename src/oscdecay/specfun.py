@@ -2,9 +2,9 @@
 
 Double precision implementations of the order-one Bessel functions J1 and
 Y1 (rational approximations from the Cephes library, public domain), the
-order-one Struve function H1, and the composites of the boosted
-amplitude: the scalar pole exponent upsilon = 2i kinematics.pole_energies,
-the branch-cut combinations (A, B) and the oscillatory tail kernel xi.
+order-one Struve function H1, and the branch-cut combinations (A, B) of
+the boosted amplitude; the scalar pole exponent upsilon = 2i
+kinematics.pole_energies and the tail kernel xi are test reference kernels.
 
 Accuracy contract for J1, Y1, H1: 1e-10 relative, 1e-12 absolute near
 zeros, on [1e-8, 1e4]. The test suite checks this against frozen
@@ -24,8 +24,6 @@ __all__ = [
     "bessel_y1",
     "struve_h1",
     "branch_cut",
-    "upsilon",
-    "xi_fn",
     "xi_mass_factor",
 ]
 
@@ -291,14 +289,14 @@ def struve_h1(x):
 
 
 def upsilon(M: float, Gamma: float, p: float) -> complex:
-    """Complex decay exponent of one pole: upsilon = 2i E.
+    """Decay exponent upsilon = 2i E of one pole: an unexported reference kernel for the tests.
 
     E = kinematics.pole_energies(M, Gamma, p), so exp(-upsilon t / 2) =
     exp(-i E t) is the pole contribution of a resonance of mass M and
     width Gamma at momentum p; the real part -2 Im E sets the damping and
     the imaginary part 2 Re E the phase advance. At p = 0 (and
     Gamma <= 2M) upsilon = Gamma + 2iM. M, Gamma and p must be finite,
-    M and Gamma > 0 and p >= 0.
+    M and Gamma > 0 and p >= 0. Kept until ROADMAP item 7 deletes it.
     """
     M, Gamma, p = float(M), float(Gamma), float(p)
     # written so that NaN fails it
@@ -335,14 +333,14 @@ def branch_cut(z):
 
 
 def xi_fn(M: float, p: float, t: float) -> complex:
-    """Oscillatory tail kernel of the boosted survival amplitude.
+    """Oscillatory tail kernel of one mass: an unexported reference kernel for the tests.
 
     xi = A(pt) + c B(pt), with (A, B) = branch_cut(pt) and
     c = xi_mass_factor(M, p).
 
     M, p and t must be finite. Both p = 0 and t = 0 are rejected: Y1 is
     singular at zero argument and the p -> 0 limit is handled upstream by
-    a dedicated branch.
+    a dedicated branch. Kept until ROADMAP item 7 moves it to tests/.
     """
     M, p, t = float(M), float(p), float(t)
     # written so that NaN fails them

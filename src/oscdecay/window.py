@@ -150,8 +150,8 @@ def _xi_primes(modes: RestModeSet, ctx: BoostContext, indices) -> tuple:
     # mode's checks
     if ctx.gamma <= 1.0:
         raise WindowError("xi_prime requires gamma > 1 (nonrelativistic boost excluded)")
-    # sqrt(1 - 1/gamma^2) written in factored form to stay accurate near gamma = 1
-    velocity = math.sqrt((1.0 - 1.0 / ctx.gamma) * (1.0 + 1.0 / ctx.gamma))
+    # sqrt(1 - 1/gamma^2) read from p; from the rounded gamma it loses eps/(gamma - 1)
+    velocity = ctx.p / (ctx.gamma * modes.M)
     background = None
     values = []
     for j in indices:
@@ -174,8 +174,8 @@ def xi_prime(modes: RestModeSet, ctx: BoostContext, j: int) -> float:
 
     xi'_j = sqrt(Gamma_j/(pi M) * sqrt(1 - 1/gamma^2))
             * sum_l w_l Gamma_l W(M, Omega_l, a_l) / (2 M w_j (1 - 2 a_j)).
-    The nonrelativistic limit gamma -> 1+ is excluded: the vanishing
-    velocity factor would admit every mode for the wrong reason.
+    The velocity sqrt(1 - 1/gamma^2) is read from p, as p/(gamma M); gamma -> 1+
+    is excluded, where it would admit every mode for the wrong reason.
     """
     return _xi_primes(modes, ctx, (j,))[0]
 
@@ -252,7 +252,8 @@ def constraint_report(modes: RestModeSet, ctx: BoostContext, window: TimeWindow)
     = 2 zeta_min gamma / Gamma_fast in four units: 10 Gamma_1 t_s must
     exceed 1, putting the start inside the closed form's domain (binary);
     the mass gap (M - Omega_max) t_s, the momentum M sqrt(gamma^2-1) t_s
-    and the phase p t_s must all be large (graded pass/warn/fail).
+    (read from p, so equal to the phase) and the phase p t_s must all be
+    large (graded pass/warn/fail).
     """
     # an empty window has no start: every value is NaN and every check fails
     start = window.union_lab[0][0] if window.admitted else math.nan
@@ -262,9 +263,9 @@ def constraint_report(modes: RestModeSet, ctx: BoostContext, window: TimeWindow)
          "20 zeta_min gamma Gamma_1 / Gamma_fast must exceed 1"),
         ("mass-gap", (modes.M - float(modes.Omega.max())) * start,
          "(M - Omega_max) times the window start must be large"),
-        # p = M sqrt(gamma^2 - 1); both momentum-scale conditions reduce to
+        # M sqrt(gamma^2 - 1) is p: both momentum-scale conditions reduce to
         # the phase p t at the window start, reported from each side
-        ("momentum", modes.M * math.sqrt((ctx.gamma - 1.0) * (ctx.gamma + 1.0)) * start,
+        ("momentum", ctx.p * start,
          "M sqrt(gamma^2-1) times the window start must be large"),
         ("phase-at-start", ctx.p * start, "p t must be large at the window start"),
     )

@@ -8,10 +8,21 @@ import pytest
 from hypothesis import given, settings
 
 import oscdecay as od
+from oscdecay import boost, kinematics, specfun
 from oscdecay.boost import BoostDomainError, k_fn, phi_fn
 from oscdecay.specfun import upsilon
 
 from conftest import boosted_grids, make_boosted, make_single_mode
+
+
+def test_reference_kernels_are_not_package_exports():
+    # the scalar per-mode kernels stay in their modules for the tests only,
+    # and pole_sum is the closed form's and the oracle's shared helper
+    for module, name in ((boost, "k_fn"), (boost, "phi_fn"), (specfun, "upsilon"),
+                         (specfun, "xi_fn"), (kinematics, "pole_sum")):
+        assert callable(getattr(module, name))
+        assert name not in module.__all__
+        assert not hasattr(od, name)
 
 
 def test_k_single_term_when_no_oscillation():

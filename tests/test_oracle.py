@@ -332,7 +332,7 @@ def test_pole_sum_is_closed_form_pole_part(modes, p):
     modes = od.validate_modes(modes)
     t = np.linspace(0.5, 20.0, 40)
     k_sum = od.BoostedLaw(modes, od.shifted_kinematics(modes, p))(t).K_sum
-    assert np.all(np.abs(_Path(modes, p, True).poles(t) - k_sum) <= 1e-14)
+    assert np.array_equal(_Path(modes, p, True).poles(t), k_sum)
 
 
 def test_zero_time_is_exact_normalization():

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -227,13 +228,16 @@ def test_constraint_report_momentum_fails_near_rest(mode_p200_m80):
 
 
 CONSTRAINT_SETS = [
-    # (modes, p, zeta_min): one mode; every mode admitted; the widest mode excluded
+    # (modes, p, zeta_min): one mode; every mode admitted; the widest mode
+    # excluded; the one mode again, nearer rest
     (dict(M=80.0, w=[1.0], Gamma=[1.0], Omega=[10.0], a=[0.04]), 200.0, 1e-4),
     (dict(M=80.0, w=[1.0], Gamma=[1.0], Omega=[10.0], a=[0.04]), 0.8, 0.05),
     (dict(M=2000.0, w=[0.5, 0.3, 0.2], Gamma=[1.0, 1.5, 2.0], Omega=[20.0, 10.0, 5.0],
           a=[0.02, 0.01, 0.0]), 20000.0, 0.05),
     (dict(M=400.0, w=[0.6, 0.39, 0.01], Gamma=[1.0, 1.5, 2.0], Omega=[20.0, 10.0, 5.0],
           a=[0.02, 0.01, 0.0]), 100.0, 0.05),
+    (dict(M=80.0, w=[1.0], Gamma=[1.0], Omega=[10.0], a=[0.04]), 8e-3, 0.05),
+    (dict(M=80.0, w=[1.0], Gamma=[1.0], Omega=[10.0], a=[0.04]), 8e-6, 0.05),
 ]
 
 
@@ -251,16 +255,31 @@ def test_constraint_values_are_the_window_start_in_four_units(cfg, p, zeta_min):
     expected = {
         "domain-at-start": 10.0 * float(modes.Gamma[0]) * scale,
         "mass-gap": (modes.M - float(modes.Omega.max())) * scale,
-        "momentum": math.sqrt((gamma - 1.0) * (gamma + 1.0)) * modes.M * scale,
+        "momentum": p * scale,
         "phase-at-start": p * win.union_lab[0][0],
     }
     assert list(values) == list(expected)
     for name, value in expected.items():
         assert values[name] == pytest.approx(value, rel=1e-14, abs=0.0)
-    # p = M sqrt(gamma^2 - 1): the momentum is the phase at the start, up
-    # to the rounding of gamma, which gamma - 1 magnifies near rest
-    rel = 1e-14 + 2.0 * np.finfo(float).eps / (gamma - 1.0)
-    assert values["momentum"] == pytest.approx(values["phase-at-start"], rel=rel, abs=0.0)
+    # M sqrt(gamma^2 - 1) is p, read as p: the momentum is the phase at
+    # the start exactly, however near rest
+    assert values["momentum"] == values["phase-at-start"]
+
+
+@pytest.mark.parametrize("p", [8e-6, 8e-3, 0.8, 200.0])
+def test_xi_prime_matches_mpmath_near_rest(p):
+    # the velocity sqrt(1 - 1/gamma^2) re-derived from the rounded gamma
+    # loses eps/(gamma - 1) relative: 1% at p = 8e-6
+    modes = make_single_mode(80.0, 10.0, 0.04)
+    ctx = od.shifted_kinematics(modes, p)
+    with mpmath.workdps(50):
+        M, G, O, a = (mpmath.mpf(x) for x in (80.0, 1.0, 10.0, 0.04))
+        v = mpmath.mpf(p) / mpmath.sqrt(mpmath.mpf(p) ** 2 + M * M)
+        r = (O / M) ** 2
+        W = 1 + a * r * (3 - r) / (1 - r) ** 2
+        ref = mpmath.sqrt(G / (mpmath.pi * M) * v) * G * W / (2 * M * (1 - 2 * a))
+        got = od.xi_prime(modes, ctx, 0)
+        assert abs(got - ref) <= 1e-14 * ref
 
 
 def test_constraint_report_empty_window():
