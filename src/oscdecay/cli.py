@@ -239,34 +239,35 @@ def _report_skeleton(config):
     }
 
 
-def cmd_validate(config, args):
+def _window_report(config, modes):
+    """The report with its window and constraints sections, the boost context
+    and the window, read from the config's p and window section."""
+    ctx = shifted_kinematics(modes, _momentum(config))
+    window = exponential_windows(modes, ctx, _window_params(config))
+    checks = constraint_report(modes, ctx, window)
     report = _report_skeleton(config)
-    violations = []
-    try:
-        modes = _build_modes(config)
-    except ModeValidationError as exc:
-        violations = list(exc.violations)
-        report["results"] = {"valid": False, "violations": violations}
-        _emit_json(report, args.out)
-        return EXIT_INVALID
-
-    p = _momentum(config)
-    ctx = shifted_kinematics(modes, p)
-    try:
-        window = exponential_windows(modes, ctx, _window_params(config))
-        checks = constraint_report(modes, ctx, window)
-    except WindowError as exc:
-        report["results"] = {"valid": False, "violations": [str(exc)]}
-        _emit_json(report, args.out)
-        return EXIT_INVALID
-
     report["window"] = _window_json(window)
     report["constraints"] = [asdict(c) for c in checks]
-    ok = bool(window.admitted) and all(c.status == "pass" for c in checks)
-    report["results"] = {"valid": ok, "violations": violations}
+    return report, ctx, window
+
+
+def cmd_validate(config, args):
+    try:
+        report, _, window = _window_report(config, _build_modes(config))
+    except ModeValidationError as exc:
+        violations = exc.violations
+    except WindowError as exc:
+        violations = [str(exc)]
+    else:
+        ok = bool(window.admitted) and all(c["status"] == "pass" for c in report["constraints"])
+        report["results"] = {"valid": ok, "violations": []}
+        _emit_json(report, args.out)
+        _note(args, "validate: %s" % ("ok" if ok else "constraint failures"))
+        return EXIT_OK if ok else EXIT_INVALID
+    report = _report_skeleton(config)
+    report["results"] = {"valid": False, "violations": violations}
     _emit_json(report, args.out)
-    _note(args, "validate: %s" % ("ok" if ok else "constraint failures"))
-    return EXIT_OK if ok else EXIT_INVALID
+    return EXIT_INVALID
 
 
 def _csv_text(header, *columns):
@@ -308,14 +309,7 @@ def cmd_curve(config, args):
 
 def cmd_window(config, args):
     modes = _build_modes(config)
-    p = _momentum(config)
-    ctx = shifted_kinematics(modes, p)
-    window = exponential_windows(modes, ctx, _window_params(config))
-    checks = constraint_report(modes, ctx, window)
-
-    report = _report_skeleton(config)
-    report["window"] = _window_json(window)
-    report["constraints"] = [asdict(c) for c in checks]
+    report, ctx, window = _window_report(config, modes)
     if window.admitted:
         try:
             report["results"]["periods"] = asdict(periods(modes, ctx, window=window))

@@ -10,8 +10,6 @@ whose union is the usable window.
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .kinematics import BoostContext, RestModeSet
 
 __all__ = [
@@ -136,37 +134,19 @@ def w_fn(M: float, Omega: float, a: float) -> float:
     return 1.0 + a * r * (3.0 - r) / ((1.0 - r) * (1.0 - r))
 
 
-def _background_sum(modes: RestModeSet) -> float:
-    return sum(
-        float(modes.w[l]) * float(modes.Gamma[l])
-        * w_fn(modes.M, float(modes.Omega[l]), float(modes.a[l]))
-        for l in range(modes.N)
-    )
-
-
-def _xi_primes(modes: RestModeSet, ctx: BoostContext, indices) -> tuple:
-    # xi'_j for each j in indices, each checked as xi_prime checks it; the
-    # background sum, common to every mode, is taken once, after the first
-    # mode's checks
-    if ctx.gamma <= 1.0:
-        raise WindowError("xi_prime requires gamma > 1 (nonrelativistic boost excluded)")
-    # sqrt(1 - 1/gamma^2) read from p; from the rounded gamma it loses eps/(gamma - 1)
-    velocity = ctx.p / (ctx.gamma * modes.M)
-    background = None
-    values = []
-    for j in indices:
-        j = int(j)
-        if not 0 <= j < modes.N:
-            raise WindowError("mode index %r out of range 0..%d" % (j, modes.N - 1))
-        aj = float(modes.a[j])
+def _xi_values(modes: RestModeSet, ctx: BoostContext) -> tuple:
+    # xi'_j of every mode in one pass over Python floats; the background sum,
+    # common to every mode, is taken once, left to right
+    M = modes.M
+    w, G, O, a = (v.tolist() for v in (modes.w, modes.Gamma, modes.Omega, modes.a))
+    for aj in a:
         if aj >= 0.5:
             raise WindowError("gate diverges as a -> 1/2, got a=%r" % aj)
-        if background is None:
-            background = _background_sum(modes)
-        gj = float(modes.Gamma[j])
-        lead = math.sqrt(gj / (math.pi * modes.M) * velocity)
-        values.append(lead * background / (2.0 * modes.M * float(modes.w[j]) * (1.0 - 2.0 * aj)))
-    return tuple(values)
+    background = sum(wl * gl * w_fn(M, ol, al) for wl, gl, ol, al in zip(w, G, O, a))
+    # sqrt(1 - 1/gamma^2) read from p; from the rounded gamma it loses eps/(gamma - 1)
+    velocity = ctx.p / (ctx.gamma * M)
+    return tuple(math.sqrt(gj / (math.pi * M) * velocity) * background
+                 / (2.0 * M * wj * (1.0 - 2.0 * aj)) for wj, gj, aj in zip(w, G, a))
 
 
 def xi_prime(modes: RestModeSet, ctx: BoostContext, j: int) -> float:
@@ -177,7 +157,12 @@ def xi_prime(modes: RestModeSet, ctx: BoostContext, j: int) -> float:
     The velocity sqrt(1 - 1/gamma^2) is read from p, as p/(gamma M); gamma -> 1+
     is excluded, where it would admit every mode for the wrong reason.
     """
-    return _xi_primes(modes, ctx, (j,))[0]
+    if ctx.gamma <= 1.0:
+        raise WindowError("xi_prime requires gamma > 1 (nonrelativistic boost excluded)")
+    j = int(j)
+    if not 0 <= j < modes.N:
+        raise WindowError("mode index %r out of range 0..%d" % (j, modes.N - 1))
+    return _xi_values(modes, ctx)[j]
 
 
 def _merge_intervals(intervals):
@@ -205,22 +190,18 @@ def exponential_windows(modes: RestModeSet, ctx: BoostContext, params: WindowPar
     if ctx.gamma <= 1.0:
         raise WindowError("exponential_windows requires gamma > 1")
 
-    xi = _xi_primes(modes, ctx, range(modes.N))
-    admitted = tuple(j for j in range(modes.N) if xi[j] <= params.xi_gate)
-    excluded = tuple((j, xi[j]) for j in range(modes.N) if xi[j] > params.xi_gate)
+    xi = _xi_values(modes, ctx)
+    admitted = tuple(j for j, x in enumerate(xi) if x <= params.xi_gate)
+    excluded = tuple((j, x) for j, x in enumerate(xi) if x > params.xi_gate)
 
-    intervals_rest = tuple(
-        (2.0 * params.zeta_min / float(modes.Gamma[j]), 2.0 * params.zeta_max / float(modes.Gamma[j]))
-        for j in admitted
-    )
+    G = modes.Gamma.tolist()
+    intervals_rest = tuple((2.0 * params.zeta_min / G[j], 2.0 * params.zeta_max / G[j])
+                           for j in admitted)
     # lab intervals are exactly gamma times the rest ones, by construction
     intervals_lab = tuple((ctx.gamma * lo, ctx.gamma * hi) for lo, hi in intervals_rest)
 
     ratio = params.zeta_min / params.zeta_max
-    merged = bool(admitted) and all(
-        float(modes.Gamma[admitted[i]]) / float(modes.Gamma[admitted[i + 1]]) > ratio
-        for i in range(len(admitted) - 1)
-    )
+    merged = bool(admitted) and all(G[j] / G[k] > ratio for j, k in zip(admitted, admitted[1:]))
 
     return TimeWindow(
         admitted=admitted,

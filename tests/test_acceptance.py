@@ -11,7 +11,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 from scipy.signal import find_peaks
 
 import oscdecay as od

@@ -378,6 +378,23 @@ def test_validate_reports_inverted_window_bounds(tmp_path):
     }
 
 
+def test_validate_and_window_at_rest(tmp_path, capsys):
+    # every benchmark pool has p >= M/2; at p = 0 there is no boost to gate
+    cfg = write_config(tmp_path, "rest.json", {"p": 0.0})
+    out = tmp_path / "rest.out"
+    assert main(["validate", "--config", cfg, "--out", str(out), "--quiet"]) == 2
+    report = json.loads(out.read_text())
+    assert report["window"] is None and report["constraints"] is None
+    assert report["results"] == {
+        "valid": False,
+        "violations": ["exponential_windows requires gamma > 1"],
+    }
+    capsys.readouterr()
+    assert main(["window", "--config", cfg, "--out", str(out), "--quiet"]) == 2
+    assert capsys.readouterr().err == (
+        "oscdecay: invalid config or model: exponential_windows requires gamma > 1\n")
+
+
 def test_phi_requires_out(tmp_path):
     cfg = write_config(tmp_path, "phi0.json", {
         "grid": {"t_min": 0.5, "t_max": 20.0, "points": 40},

@@ -170,6 +170,11 @@ MODE_SETS = {
     # two modes share Omega = 5, so the split's Q term pairs them
     "four": ({"M": 100.0, "w": [0.4, 0.3, 0.2, 0.1], "Gamma": [1.0, 1.5, 2.0, 2.5],
               "Omega": [5.0, 5.0, 8.0, 12.0], "a": [0.05, 0.1, 0.05, 0.03]}, 40.0),
+    # its nine background terms sum to a different last bit pairwise (np.sum)
+    # than left to right, so a reordered xi' sum shows
+    "nine": ({"M": 200.0, "w": [1.0 / 9.0] * 9, "Gamma": [1.0 + 0.25 * i for i in range(9)],
+              "Omega": [0.0, 3.0, 5.0, 7.0, 9.0, 11.0, 13.0, 15.0, 17.0],
+              "a": [0.0, 0.02, 0.03, 0.02, 0.01, 0.02, 0.03, 0.02, 0.01]}, 300.0),
 }
 
 

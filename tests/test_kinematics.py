@@ -4,7 +4,6 @@ import math
 import warnings
 
 import mpmath
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st

@@ -20,7 +20,7 @@ from oscdecay.oracle import (
     oracle_compare,
 )
 
-from conftest import DATA, make_boosted, make_single_mode
+from conftest import DATA, make_single_mode
 from realaxis import realaxis_amplitude
 
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 import oscdecay as od
 from oscdecay.timemap import TimeMapError
 
-from conftest import boosted_grids, make_boosted, make_single_mode
+from conftest import boosted_grids, make_single_mode
 
 
 def test_invert_full_probability_is_zero():

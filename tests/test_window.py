@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import oscdecay as od
 from oscdecay.window import WindowError
 
-from conftest import make_boosted, make_single_mode
+from conftest import make_single_mode
 
 
 def test_w_no_oscillation_is_one():
@@ -67,8 +67,16 @@ def test_xi_prime_frozen_spot(mode_p200_m80, frozen_spots):
 def test_xi_prime_rejects_nonrelativistic_limit():
     modes = make_single_mode(100.0, 10.0, 0.04)
     ctx = od.shifted_kinematics(modes, 0.0)
-    with pytest.raises(WindowError):
+    with pytest.raises(WindowError) as info:
         od.xi_prime(modes, ctx, 0)
+    assert str(info.value) == "xi_prime requires gamma > 1 (nonrelativistic boost excluded)"
+
+
+def test_xi_prime_rejects_an_index_outside_the_set(mode_p200_m80):
+    modes, ctx = mode_p200_m80
+    for j in (modes.N, -1):
+        with pytest.raises(WindowError, match="mode index %d out of range 0..0" % j):
+            od.xi_prime(modes, ctx, j)
 
 
 def test_xi_prime_monotone_in_weight():
