@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._points import as_points, maybe_scalar
-from .kinematics import BoostContext, RestModeSet, mode_terms, pole_energies, pole_sum
+from .kinematics import (VALIDITY_THRESHOLD, BoostContext, RestModeSet, mode_indices,
+                         mode_terms, pole_energies, pole_sum)
 from .restframe import amplitude_rest, survival_rest, survival_rest_split
 from .specfun import branch_cut, upsilon, xi_fn, xi_mass_factor
 
@@ -24,7 +25,6 @@ __all__ = [
     "BoostedLaw",
     "P_ZERO_REL",
     "UNITY_EXCESS_TOL",
-    "VALIDITY_THRESHOLD",
     "boosted_split",
     "survival_boosted",
     "survival_boosted_window_approx",
@@ -34,8 +34,6 @@ __all__ = [
 P_ZERO_REL = 1e-12
 # tolerated approximation overshoot of the probability above 1 in-domain
 UNITY_EXCESS_TOL = 1e-6
-# quantitative stand-in for "much larger than one" in the domain test
-VALIDITY_THRESHOLD = 10.0
 
 
 class BoostDomainError(ValueError):
@@ -205,11 +203,9 @@ def survival_boosted(modes: RestModeSet, ctx: BoostContext, t) -> BoostedEvaluat
 
 
 def _mask_modes(modes: RestModeSet, active_modes) -> RestModeSet:
-    idx = sorted(set(int(i) for i in active_modes))
+    idx = mode_indices(modes, active_modes, BoostDomainError)
     if not idx:
         raise BoostDomainError("outside exponential window: no active modes")
-    if idx[0] < 0 or idx[-1] >= modes.N:
-        raise BoostDomainError("active mode index out of range 0..%d: %r" % (modes.N - 1, idx))
     sel = np.asarray(idx, dtype=int)
     return RestModeSet(
         M=modes.M,

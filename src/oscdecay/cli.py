@@ -139,7 +139,7 @@ def _grid(config):
     except KeyError as exc:
         raise ConfigError("grid lacks key %s" % exc)
     spacing = grid.get("spacing", "linear")
-    # like oracle.max_rounds: 3.0 is an integer, 40.7 and "40" are not
+    # 3.0 is an integer, 40.7 and "40" are not
     if not (isinstance(points, (int, float)) and points == int(points) >= 2):
         raise ConfigError("grid points must be an integer >= 2, got %r" % (points,))
     if points > MAX_GRID_POINTS:
@@ -179,7 +179,7 @@ def _quad_spec(config) -> QuadratureSpec:
         if key == "include_negative_mass":
             if not isinstance(value, bool):
                 raise ConfigError("%s must be true or false, got %r" % (path, value))
-        elif key in ("abs_tol", "rel_tol", "max_rounds"):
+        elif key in ("abs_tol", "rel_tol"):
             _number(value, path)
     try:
         return QuadratureSpec(**raw)

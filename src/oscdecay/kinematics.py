@@ -18,6 +18,7 @@ __all__ = [
     "ModeValidationError",
     "RestModeSet",
     "BoostContext",
+    "VALIDITY_THRESHOLD",
     "validate_modes",
     "lorentz_factor",
     "shifted_kinematics",
@@ -29,6 +30,10 @@ __all__ = [
 NARROW_WIDTH_DEFAULT = 5e-2
 
 WEIGHT_SUM_TOL = 1e-12
+
+# the paper's "much larger than one", for the closed form's domain test
+# and the window's graded checks alike
+VALIDITY_THRESHOLD = 10.0
 
 
 class ModeValidationError(ValueError):
@@ -174,6 +179,18 @@ def shifted_kinematics(modes: RestModeSet, p: float) -> BoostContext:
     if not (math.isfinite(p) and p >= 0.0):
         raise ValueError("shifted_kinematics requires finite p >= 0, got %r" % p)
     return BoostContext(p=p, gamma=lorentz_factor(modes.M, p))
+
+
+def mode_indices(modes: RestModeSet, indices, error=ValueError) -> list:
+    """The distinct mode indices in indices, ascending; error names the first
+    entry that is not an integer in 0..N-1 (a bool or 0.9 is not one)."""
+    idx = list(indices)
+    for i in idx:
+        if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
+            raise error("mode index must be an integer, got %r" % (i,))
+        if not 0 <= i < modes.N:
+            raise error("mode index %d out of range 0..%d" % (i, modes.N - 1))
+    return sorted(set(map(int, idx)))
 
 
 def mode_terms(modes: RestModeSet):

@@ -72,17 +72,15 @@ class QuadratureSpec:
     """Tolerances of the direct evaluation.
 
     The background sum starts at 16 nodes and doubles its node count until,
-    at every time, the change is at most max(abs_tol, rel_tol |A|); that
-    last change is the error return_error reports. max_rounds caps the
-    doublings; a fixed cap of 512 nodes holds besides. include_negative_mass
-    integrates the density over the whole real line (False: over m >= 0
-    only).
+    at every time, the change is at most max(abs_tol, rel_tol |A|), or
+    until the count reaches its cap of 512; that last change is the error
+    return_error reports. include_negative_mass integrates the density
+    over the whole real line (False: over m >= 0 only).
     """
 
     include_negative_mass: bool = True
     abs_tol: float = 1e-8
     rel_tol: float = 1e-6
-    max_rounds: int = 48
 
     def __post_init__(self):
         # written so that NaN fails every check
@@ -91,9 +89,6 @@ class QuadratureSpec:
                 "tolerances must be finite, abs_tol > 0 and rel_tol >= 0, got "
                 "abs_tol=%r, rel_tol=%r" % (self.abs_tol, self.rel_tol)
             )
-        if not (1 <= self.max_rounds < math.inf and self.max_rounds == int(self.max_rounds)):
-            raise ValueError("max_rounds must be an integer >= 1, got %r" % (self.max_rounds,))
-        object.__setattr__(self, "max_rounds", int(self.max_rounds))
 
 
 @dataclass(frozen=True)
@@ -173,9 +168,9 @@ def direct_boosted_amplitude(modes: RestModeSet, p, t, spec: QuadratureSpec = No
     return_error the result comes back as (value, error), error being each
     time's change over its last doubling (0 at those times).
     OracleConvergenceError, carrying that time's best value and change,
-    names the earliest time still over its budget when the doublings
-    (QuadratureSpec) run out, or the shortest time of a grid that spans
-    more than 160 doubling panels of the path.
+    names the earliest time still over its budget at 512 nodes, or the
+    shortest time of a grid that spans more than 160 doubling panels of
+    the path.
     """
     if spec is None:
         spec = QuadratureSpec()
@@ -213,9 +208,7 @@ def _converge(path, times, spec):
     idx = np.arange(len(times))
     value = path.composite(times, n, first, panels)
     change = np.full(len(times), math.inf)
-    for _ in range(spec.max_rounds):
-        if not len(idx) or 2 * n > _MAX_NODES:
-            break
+    while len(idx) and n < _MAX_NODES:
         n *= 2
         new = path.composite(times[idx], n, first, panels)
         change[idx] = np.abs(new - value[idx])

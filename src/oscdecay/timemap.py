@@ -74,10 +74,11 @@ def _solve(modes, r, start):
     # bracket by the sign of the gap (P0 falls strictly: a positive gap
     # puts the root to the right), takes the Newton step where it lands
     # strictly inside the bracket and bisects elsewhere. A point freezes
-    # once its step, its bracket or its gap is small, so its root depends
-    # only on its target and start. The gap's slope, d log P0/dt = -rate /
-    # amplitude, is finite where P0 itself is subnormal; where the
-    # amplitude underflows to 0 the step is NaN and the point bisects.
+    # once its step, its bracket or its gap is small, and later rounds
+    # carry only the points still moving, so its root depends only on its
+    # target and start. The gap's slope, d log P0/dt = -rate / amplitude, is
+    # finite where P0 itself is subnormal; where the amplitude underflows
+    # to 0 the step is NaN and the point bisects.
     law = _RestLaw(modes)
     cap = TAIL_CAP_OVER_GAMMA1 / float(modes.Gamma[0])
     log_r = np.log(r)
@@ -90,13 +91,16 @@ def _solve(modes, r, start):
                 "target %r lies below the representable tail (t beyond %r)"
                 % (float(r[beyond[0]]), cap)
             )
+        root = np.clip(start, np.finfo(float).tiny, cap)
+        # the moving points' indices, times, targets and brackets
+        live, t, target = np.arange(len(r)), root, log_r
         lo = np.zeros_like(r)
         hi = np.full_like(r, cap)
-        t = np.clip(start, np.finfo(float).tiny, cap)
-        live = np.ones(r.shape, dtype=bool)
         for _ in range(_MAX_ITER):
+            if not len(live):
+                break
             amp, rate = law(t)
-            gap = 2.0 * np.log(amp) - log_r
+            gap = 2.0 * np.log(amp) - target
             # a gap at its rounding level gives a step of pure noise, which
             # near r = 1 would never fall below the step tolerance: the
             # point has converged, and stays
@@ -109,12 +113,12 @@ def _solve(modes, r, start):
             # would otherwise stay one step away), and freeze
             done = (np.abs(step) <= _NEWTON_LAST_STEP * t) | (hi - lo <= _BRACKET_REL_TOL * t)
             take = done | ((newton > lo) & (newton < hi))
-            t = np.where(live, np.where(take, np.minimum(np.maximum(newton, lo), hi),
-                                        0.5 * (lo + hi)), t)
-            live &= ~done
-            if not live.any():
-                break
-        return t, 2.0 * np.log(law.amplitude(t)) - log_r
+            t = np.where(take, np.minimum(np.maximum(newton, lo), hi), 0.5 * (lo + hi))
+            root[live[done]] = t[done]
+            moving = ~done
+            live, t, target, lo, hi = live[moving], t[moving], target[moving], lo[moving], hi[moving]
+        root[live] = t  # points still moving after the last round
+        return root, 2.0 * np.log(law.amplitude(root)) - log_r
 
 
 def _invert(modes, r, start):

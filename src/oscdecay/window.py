@@ -10,7 +10,7 @@ whose union is the usable window.
 import math
 from dataclasses import dataclass
 
-from .kinematics import BoostContext, RestModeSet
+from .kinematics import VALIDITY_THRESHOLD, BoostContext, RestModeSet, mode_indices
 
 __all__ = [
     "COMMENSURATE_REL_TOL",
@@ -27,6 +27,7 @@ __all__ = [
 ]
 
 COMMENSURATE_REL_TOL = 1e-9
+_WARN_THRESHOLD = 3.0  # a graded check warns from here, passes from VALIDITY_THRESHOLD
 
 
 class WindowError(ValueError):
@@ -35,19 +36,16 @@ class WindowError(ValueError):
 
 @dataclass(frozen=True)
 class WindowParams:
-    """Dimensionless window bounds and grading thresholds.
+    """Dimensionless window bounds.
 
     zeta_min/zeta_max bound the exponential times 2 zeta gamma / Gamma_j;
     the defaults honor the ratio zeta_min/zeta_max ~= 1.83e-5 that the
     merge condition relies on. xi_gate admits a mode when xi'_j <= gate.
-    pass_ratio/warn_ratio grade the "much greater than one" checks.
     """
 
     zeta_min: float = 1e-4
     zeta_max: float = 5.4645
     xi_gate: float = 1e-3
-    pass_ratio: float = 10.0
-    warn_ratio: float = 3.0
 
     def __post_init__(self):
         # written so that NaN fails every check
@@ -57,11 +55,6 @@ class WindowParams:
             )
         if not (0.0 < self.xi_gate < math.inf):
             raise WindowError("xi_gate must be finite and > 0, got %r" % self.xi_gate)
-        if not (0.0 < self.warn_ratio <= self.pass_ratio < math.inf):
-            raise WindowError(
-                "need 0 < warn_ratio <= pass_ratio < inf, got %r, %r"
-                % (self.warn_ratio, self.pass_ratio)
-            )
 
 
 @dataclass(frozen=True)
@@ -159,9 +152,7 @@ def xi_prime(modes: RestModeSet, ctx: BoostContext, j: int) -> float:
     """
     if ctx.gamma <= 1.0:
         raise WindowError("xi_prime requires gamma > 1 (nonrelativistic boost excluded)")
-    j = int(j)
-    if not 0 <= j < modes.N:
-        raise WindowError("mode index %r out of range 0..%d" % (j, modes.N - 1))
+    (j,) = mode_indices(modes, [j], WindowError)
     return _xi_values(modes, ctx)[j]
 
 
@@ -217,12 +208,10 @@ def exponential_windows(modes: RestModeSet, ctx: BoostContext, params: WindowPar
     )
 
 
-def _grade(value: float, params: WindowParams) -> str:
-    if value >= params.pass_ratio:
+def _grade(value: float) -> str:
+    if value >= VALIDITY_THRESHOLD:
         return "pass"
-    if value >= params.warn_ratio:
-        return "warn"
-    return "fail"
+    return "warn" if value >= _WARN_THRESHOLD else "fail"
 
 
 def constraint_report(modes: RestModeSet, ctx: BoostContext, window: TimeWindow):
@@ -234,7 +223,8 @@ def constraint_report(modes: RestModeSet, ctx: BoostContext, window: TimeWindow)
     exceed 1, putting the start inside the closed form's domain (binary);
     the mass gap (M - Omega_max) t_s, the momentum M sqrt(gamma^2-1) t_s
     (read from p, so equal to the phase) and the phase p t_s must all be
-    large (graded pass/warn/fail).
+    large: graded pass from VALIDITY_THRESHOLD = 10, the closed form's own
+    "much larger than one", warn from 3 and fail below.
     """
     # an empty window has no start: every value is NaN and every check fails
     start = window.union_lab[0][0] if window.admitted else math.nan
@@ -255,7 +245,7 @@ def constraint_report(modes: RestModeSet, ctx: BoostContext, window: TimeWindow)
         if name == "domain-at-start":
             status = "pass" if value > 1.0 else "fail"
         else:
-            status = _grade(value, window.params)
+            status = _grade(value)
         checks.append(ConstraintCheck(name=name, value=value, status=status,
                                       detail=detail if window.admitted else "no admitted modes"))
     return tuple(checks)
@@ -275,9 +265,7 @@ def periods(modes: RestModeSet, ctx: BoostContext, window: TimeWindow = None, ac
         if window is None:
             raise WindowError("periods needs a window or an explicit active_modes set")
         active_modes = window.admitted
-    active = sorted(set(int(i) for i in active_modes))
-    if any(i < 0 or i >= modes.N for i in active):
-        raise WindowError("active mode index out of range: %r" % (active,))
+    active = mode_indices(modes, active_modes, WindowError)
 
     osc = [j for j in active if float(modes.a[j]) > 0.0 and float(modes.Omega[j]) > 0.0]
     if not osc:

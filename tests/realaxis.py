@@ -158,13 +158,14 @@ def _phase_factors(energy, times, runs, scale):
 
 
 def realaxis_amplitude(modes: RestModeSet, p, t, spec: QuadratureSpec = None,
-                       return_error=False, halfwidth_multiple=60.0, max_segments=100000):
+                       return_error=False, halfwidth_multiple=60.0, max_segments=100000,
+                       max_rounds=48):
     """Survival amplitude at momentum p by real-axis mass quadrature.
 
     The domain is [M - hw, M + hw] with hw = halfwidth_multiple times
     max(Gamma_N, Omega_max), clipped at zero unless spec.include_negative_mass;
-    the adaptive rule splits it into at most max_segments panels, and takes
-    its tolerances and max_rounds from spec.
+    the adaptive rule splits it into at most max_segments panels in at most
+    max_rounds rounds, and takes its tolerances from spec.
     t is one time or an array of times (results in input order). The
     sorted times are grouped into blocks whose largest time is at most
     twice the smallest; each block shares the partition of its largest
@@ -196,7 +197,7 @@ def realaxis_amplitude(modes: RestModeSet, p, t, spec: QuadratureSpec = None,
             value, quad_err = adaptive_gauss(
                 integrand, _breakpoints(modes, p, float(block[-1]), lo, hi),
                 abs_tol=spec.abs_tol, rel_tol=spec.rel_tol,
-                max_segments=max_segments, max_rounds=spec.max_rounds,
+                max_segments=max_segments, max_rounds=max_rounds,
             )
         except QuadratureConvergenceError as exc:
             i = int(np.flatnonzero(~exc.converged)[0])

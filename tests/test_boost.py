@@ -349,6 +349,25 @@ def test_window_approx_empty_active_set_rejected():
         od.survival_boosted_window_approx(modes, ctx, 5.0, [])
 
 
+@pytest.mark.parametrize("active", [[0.9], [True], [0, 0.0]], ids=["fraction", "bool", "float"])
+def test_window_approx_refuses_an_index_that_is_not_an_integer(active):
+    # int() would read 0.9 as mode 0 and True as mode 1
+    modes, ctx = make_boosted("p200_m80")
+    with pytest.raises(BoostDomainError, match="mode index must be an integer"):
+        od.survival_boosted_window_approx(modes, ctx, 5.0, active)
+    with pytest.raises(BoostDomainError, match="mode index must be an integer"):
+        od.boosted_split(modes, ctx, 5.0, active)
+
+
+def test_window_approx_reads_numpy_integers_and_refuses_out_of_range():
+    modes, ctx = make_boosted("p200_m80")
+    t = np.linspace(0.5, 20.0, 9)
+    got = od.survival_boosted_window_approx(modes, ctx, t, np.array([0, 0]))
+    assert np.array_equal(got, od.survival_boosted_window_approx(modes, ctx, t, [0]))
+    with pytest.raises(BoostDomainError, match="mode index 1 out of range 0..0"):
+        od.survival_boosted_window_approx(modes, ctx, t, [0, 1])
+
+
 def test_boosted_split_adds_up():
     modes, ctx = make_boosted("p200_m80")
     t = np.linspace(0.5, 20.0, 100)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 import oscdecay as od
 from oscdecay.timemap import TimeMapError
 
-from conftest import boosted_grids, make_single_mode
+from conftest import boosted_grids, make_boosted, make_single_mode
 
 
 def test_invert_full_probability_is_zero():
@@ -168,6 +168,25 @@ def test_solve_near_one_ends_in_few_rounds(monkeypatch, cfg):
         assert len(rounds) <= 20
         assert np.all(root > 0.0)
         assert np.abs(resid).max() <= od.timemap.INVERT_REL_TOL
+
+
+def test_phi_evaluates_only_the_points_still_moving(monkeypatch):
+    # curve B at p = 200 on 2000 points over [0.75 gamma, 9 gamma]: a round
+    # evaluates the rest law on the points that have not frozen, so a point
+    # costs about as many evaluations as it takes rounds (8.0 per point
+    # when every round evaluated every point)
+    evaluated = []
+
+    class CountingLaw(od.restframe._RestLaw):
+        def __call__(self, tt):
+            evaluated.append(len(tt))
+            return super().__call__(tt)
+
+    monkeypatch.setattr(od.timemap, "_RestLaw", CountingLaw)
+    modes, ctx = make_boosted("p200_m80")
+    t = np.linspace(0.75 * ctx.gamma, 9.0 * ctx.gamma, 2000)
+    od.phi_p(modes, ctx, t)
+    assert sum(evaluated) / len(t) <= 5.5
 
 
 def test_solve_tail_cap_names_first_offending_target(monkeypatch):

@@ -79,6 +79,25 @@ def test_xi_prime_rejects_an_index_outside_the_set(mode_p200_m80):
             od.xi_prime(modes, ctx, j)
 
 
+THREE_MODES = {"M": 200.0, "w": [0.4, 0.3, 0.3], "Gamma": [1.0, 2.0, 3.5],
+               "Omega": [10.0, 20.0, 40.0], "a": [0.04, 0.04, 0.04]}
+
+
+@pytest.mark.parametrize("j", [0.9, True, 1.0, "1"], ids=["fraction", "bool", "float", "string"])
+def test_xi_prime_refuses_an_index_that_is_not_an_integer(j):
+    # int() would read 0.9 as mode 0 and True as mode 1
+    modes = od.validate_modes(THREE_MODES)
+    ctx = od.shifted_kinematics(modes, 400.0)
+    with pytest.raises(WindowError, match="mode index must be an integer, got %r" % (j,)):
+        od.xi_prime(modes, ctx, j)
+
+
+def test_xi_prime_accepts_a_numpy_integer():
+    modes = od.validate_modes(THREE_MODES)
+    ctx = od.shifted_kinematics(modes, 400.0)
+    assert od.xi_prime(modes, ctx, np.int64(2)) == od.xi_prime(modes, ctx, 2)
+
+
 def test_xi_prime_monotone_in_weight():
     # two-mode set, growing w_0 at fixed everything else lowers xi'_0
     def xi0(w0):
@@ -231,8 +250,19 @@ def test_constraint_report_momentum_fails_near_rest(mode_p200_m80):
     checks = {c.name: c for c in od.constraint_report(modes, ctx, win)}
     assert checks["momentum"].status == "fail"
     # the start just clears the binary check; the mass gap, 7.0, lies
-    # between warn_ratio 3 and pass_ratio 10
+    # between the warn value 3 and the pass value 10
     assert [c.status for c in checks.values()] == ["pass", "warn", "fail", "fail"]
+
+
+def test_graded_checks_pass_at_the_closed_form_threshold():
+    # one "much larger than one": the graded checks pass from the value the
+    # closed form's domain test reads, warn from 3, and NaN fails
+    threshold = od.kinematics.VALIDITY_THRESHOLD
+    assert threshold == 10.0
+    assert od.window.VALIDITY_THRESHOLD is od.boost.VALIDITY_THRESHOLD is threshold
+    grades = [od.window._grade(v) for v in (threshold, np.nextafter(threshold, 0.0), 3.0,
+                                            np.nextafter(3.0, 0.0), math.nan)]
+    assert grades == ["pass", "warn", "warn", "fail", "fail"]
 
 
 CONSTRAINT_SETS = [
@@ -325,6 +355,24 @@ def test_periods_commensurate_three_modes():
     assert report.Tp == ctx.gamma * report.T0
 
 
+@pytest.mark.parametrize("active", [[0.5], [True], [0, 2.0]], ids=["fraction", "bool", "float"])
+def test_periods_refuse_an_index_that_is_not_an_integer(active):
+    modes = od.validate_modes(THREE_MODES)
+    ctx = od.shifted_kinematics(modes, 400.0)
+    with pytest.raises(WindowError, match="mode index must be an integer"):
+        od.periods(modes, ctx, active_modes=active)
+
+
+def test_periods_accept_numpy_integers():
+    modes = od.validate_modes(THREE_MODES)
+    ctx = od.shifted_kinematics(modes, 400.0)
+    report = od.periods(modes, ctx, active_modes=np.array([2, 0, 2]))
+    assert report == od.periods(modes, ctx, active_modes=[0, 2])
+    assert report.k_values == (4, 1)
+    with pytest.raises(WindowError, match="mode index 3 out of range 0..2"):
+        od.periods(modes, ctx, active_modes=np.array([0, 3]))
+
+
 def test_periods_non_commensurate():
     modes = od.validate_modes(
         {"M": 200.0, "w": [0.5, 0.5], "Gamma": [2.2, 3.5],
@@ -355,7 +403,6 @@ def test_periods_default_to_window_admitted(mode_p200_m80):
 @pytest.mark.parametrize("field, value", [
     ("zeta_min", float("nan")), ("zeta_max", float("nan")), ("zeta_max", float("inf")),
     ("xi_gate", float("nan")), ("xi_gate", float("inf")), ("xi_gate", 0.0),
-    ("pass_ratio", float("nan")), ("pass_ratio", float("inf")), ("warn_ratio", float("nan")),
 ])
 def test_window_params_reject_non_finite(field, value):
     with pytest.raises(WindowError, match=field):
@@ -363,5 +410,5 @@ def test_window_params_reject_non_finite(field, value):
 
 
 def test_window_params_accept_large_finite():
-    params = od.WindowParams(zeta_max=1e300, xi_gate=1e300, pass_ratio=1e300)
-    assert params.zeta_max == params.xi_gate == params.pass_ratio == 1e300
+    params = od.WindowParams(zeta_max=1e300, xi_gate=1e300)
+    assert params.zeta_max == params.xi_gate == 1e300

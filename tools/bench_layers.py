@@ -16,6 +16,12 @@ in the same rounds, and parent_over_parent holds the same median ratio
 of the second load over the first: an A/A ratio, whose distance from 1
 is the spread that a change_over_parent reading must exceed to count.
 
+One A/A reading does not bound a run's noise, so the whole timing, cold
+imports included, runs in three passes. Every figure is the median over
+the passes, and change_over_parent_range and parent_over_parent_range
+hold each ratio's lowest and highest pass: a per-layer verdict is the
+median ratio beside its A/A range.
+
 Cases, on curve B (M 80, Gamma 1, Omega 10, a 0.04, p 200) with times
 spread evenly over [2, 11] (one point is t = 2):
 
@@ -31,14 +37,14 @@ spread evenly over [2, 11] (one point is t = 2):
   (window zeta_min 0.05, so that validate passes);
 * the median cold `import oscdecay.cli` in a fresh interpreter (time
   taken inside it, without the interpreter's own start-up);
-* tools/surface.py's two counts, src_lines and public_names.
+* tools/surface.py's three counts, src_lines, public_names and settings.
 
 Run from the root of a source checkout:
 
-    python3 tools/bench_layers.py --parent ../parent --out bench/BENCH_16.json
+    python3 tools/bench_layers.py --parent ../parent --out bench/BENCH_19.json
 
---quick takes two short rounds and one import: a smoke run that checks
-the script works, not a measurement.
+--quick takes one pass of two short rounds and one import: a smoke run
+that checks the script works, not a measurement.
 """
 
 import argparse
@@ -66,10 +72,12 @@ import numpy as np  # noqa: E402
 
 import surface  # noqa: E402
 
-# best of ROUNDS batches of about ROUND_S seconds; median of IMPORTS imports
+# best of ROUNDS batches of about ROUND_S seconds; median of IMPORTS
+# imports; each figure the median over PASSES passes
 ROUNDS = 15
 ROUND_S = 0.02
 IMPORTS = 7
+PASSES = 3
 SIZES = (1, 20, 181, 2000)
 ORACLE_SIZES = (1, 20, 181)
 CURVE_B = {"M": 80.0, "w": [1.0], "Gamma": [1.0], "Omega": [10.0], "a": [0.04]}
@@ -228,11 +236,13 @@ def _median_ratios(readings, imports_s, label, base):
     return {name: round(value, 3) for name, value in ratios.items()}
 
 
-def measure(roots, rounds, round_s, imports):
+def measure(roots, rounds, round_s, imports, n_passes):
     """The BENCH_<n>.json record of the trees in roots (label -> checkout root).
 
     With a parent, a second load of it, parent_again, is timed beside the
-    two and reported only through parent_over_parent.
+    two and reported only through parent_over_parent. Each figure is the
+    median over n_passes passes, and each ratio's range over them is
+    added.
     """
     if "parent" in roots:
         roots = dict(roots, parent_again=roots["parent"])
@@ -241,19 +251,29 @@ def measure(roots, rounds, round_s, imports):
     with tempfile.TemporaryDirectory() as tmp:
         trees = {label: dict(library_cases(od), **cli_cases(od, tmp))
                  for label, od in packages.items()}
-        readings = time_cases(trees, rounds, round_s)
-    imports_s = cold_import_s(roots, imports)
+        passes = [(time_cases(trees, rounds, round_s), cold_import_s(roots, imports))
+                  for _ in range(n_passes)]
     runs = {label: {
-        "calls_us": {name: round(min(values), 2) for name, values in readings[label].items()},
-        "cold_import_cli_s": round(imports_s[label], 4),
+        "calls_us": {name: round(statistics.median(min(readings[label][name])
+                                                   for readings, _ in passes), 2)
+                     for name in trees[label]},
+        "cold_import_cli_s": round(statistics.median(imports_s[label]
+                                                     for _, imports_s in passes), 4),
         "src_lines": surface.source_lines(os.path.join(root, "src")),
         "public_names": len(surface.public_names(packages[label])),
+        "settings": surface.settings(packages[label]),
     } for label, root in roots.items() if label != "parent_again"}
     bench = {"unit": "microseconds per call, best of the rounds; cold import in seconds",
-             "rounds": rounds, "round_ms": round_s * 1e3, "machine": machine(), "runs": runs}
+             "rounds": rounds, "round_ms": round_s * 1e3, "passes": n_passes,
+             "machine": machine(), "runs": runs}
     if "parent" in runs:
-        bench["change_over_parent"] = _median_ratios(readings, imports_s, "change", "parent")
-        bench["parent_over_parent"] = _median_ratios(readings, imports_s, "parent_again", "parent")
+        for key, label in (("change_over_parent", "change"), ("parent_over_parent", "parent_again")):
+            ratios = [_median_ratios(readings, imports_s, label, "parent")
+                      for readings, imports_s in passes]
+            bench[key] = {name: round(statistics.median(r[name] for r in ratios), 3)
+                          for name in ratios[0]}
+            bench[key + "_range"] = {name: [min(r[name] for r in ratios),
+                                            max(r[name] for r in ratios)] for name in ratios[0]}
     return bench
 
 
@@ -263,14 +283,14 @@ def main(argv=None):
     parser.add_argument("--parent", metavar="DIR",
                         help="root of a checkout of the parent commit, timed beside ./src")
     parser.add_argument("--quick", action="store_true",
-                        help="two 1-ms rounds and one import: a smoke run")
+                        help="one pass of two 1-ms rounds and one import: a smoke run")
     args = parser.parse_args(argv)
-    rounds, round_s, imports = (2, 1e-3, 1) if args.quick else (ROUNDS, ROUND_S, IMPORTS)
+    timing = (2, 1e-3, 1, 1) if args.quick else (ROUNDS, ROUND_S, IMPORTS, PASSES)
     roots = {"change": ROOT}
     if args.parent:
         roots["parent"] = os.path.abspath(args.parent)
 
-    bench = measure(roots, rounds, round_s, imports)
+    bench = measure(roots, *timing)
     os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
     with open(args.out, "w") as fh:
         json.dump(bench, fh, indent=2, sort_keys=True)
@@ -278,16 +298,17 @@ def main(argv=None):
 
     runs = bench["runs"]
     ratios = bench.get("change_over_parent", {})
-    aa = bench.get("parent_over_parent", {})
-    print("%-48s %s %8s %8s" % ("us per call", " ".join("%10s" % label for label in runs),
-                                "ratio", "A/A"))
+    aa = {name: "%.3f-%.3f" % tuple(span)
+          for name, span in bench.get("parent_over_parent_range", {}).items()}
+    print("%-48s %s %8s %12s" % ("us per call", " ".join("%10s" % label for label in runs),
+                                 "ratio", "A/A range"))
     for name in runs["change"]["calls_us"]:
-        print("%-48s %s %8s %8s" % (name, " ".join("%10.1f" % run["calls_us"][name]
-                                                   for run in runs.values()),
-                                    ratios.get(name, ""), aa.get(name, "")))
-    for key in ("cold_import_cli_s", "src_lines", "public_names"):
-        print("%-48s %s %8s %8s" % (key, " ".join("%10s" % run[key] for run in runs.values()),
-                                    ratios.get(key, ""), aa.get(key, "")))
+        print("%-48s %s %8s %12s" % (name, " ".join("%10.1f" % run["calls_us"][name]
+                                                    for run in runs.values()),
+                                     ratios.get(name, ""), aa.get(name, "")))
+    for key in ("cold_import_cli_s", "src_lines", "public_names", "settings"):
+        print("%-48s %s %8s %12s" % (key, " ".join("%10s" % run[key] for run in runs.values()),
+                                     ratios.get(key, ""), aa.get(key, "")))
 
 
 if __name__ == "__main__":

@@ -1,14 +1,17 @@
-"""Print the size of oscdecay: source lines and public names.
+"""Print the size of oscdecay: source lines, public names and settings.
 
 Source lines are all lines of the .py files under src/, as wc -l counts
 them. Public names are the attributes of the oscdecay package that do
-not start with an underscore, less its submodules.
+not start with an underscore, less its submodules. Settings are the
+fields of WindowParams and QuadratureSpec, the values a config's window
+and oracle sections may set.
 
 Run from the repository root:
 
     python3 tools/surface.py
 """
 
+import dataclasses
 import glob
 import os
 import sys
@@ -26,20 +29,33 @@ def source_lines(src=SRC):
     return total
 
 
+def _package():
+    # the oscdecay in this tree's src/
+    sys.path.insert(0, SRC)
+    import oscdecay
+
+    return oscdecay
+
+
 def public_names(package=None):
     """The public names of package, by default the oscdecay in this tree's src/."""
-    if package is None:
-        sys.path.insert(0, SRC)
-        import oscdecay as package
-
+    package = package or _package()
     return sorted(name for name, value in vars(package).items()
                   if not name.startswith("_") and not isinstance(value, types.ModuleType))
 
 
+def settings(package=None):
+    """The number of fields of package's WindowParams and QuadratureSpec."""
+    package = package or _package()
+    return sum(len(dataclasses.fields(cls)) for cls in (package.WindowParams,
+                                                        package.QuadratureSpec))
+
+
 def main():
-    names = public_names()
+    package = _package()
     print("src_lines %d" % source_lines())
-    print("public_names %d" % len(names))
+    print("public_names %d" % len(public_names(package)))
+    print("settings %d" % settings(package))
 
 
 if __name__ == "__main__":
