@@ -13,10 +13,11 @@ model; 3 I/O failure; 4 oracle non-convergence.
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -163,17 +164,24 @@ def _section(config, name) -> dict:
     return raw
 
 
+def _settings_only(raw, name, cls, what):
+    """A ConfigError naming the first key of section name that is not a field of cls."""
+    known = {f.name for f in fields(cls)}
+    for key in raw:
+        if key not in known:
+            raise ConfigError("config[%r][%r] is not %s" % (name, key, what))
+
+
 def _window_params(config) -> WindowParams:
     raw = _section(config, "window")
-    try:
-        return WindowParams(**{k: float(_number(v, "config['window'][%r]" % k))
-                               for k, v in raw.items()})
-    except TypeError as exc:
-        raise ConfigError("bad window parameters: %s" % exc)
+    _settings_only(raw, "window", WindowParams, "a window setting")
+    return WindowParams(**{k: float(_number(v, "config['window'][%r]" % k))
+                           for k, v in raw.items()})
 
 
 def _quad_spec(config) -> QuadratureSpec:
     raw = _section(config, "oracle")
+    _settings_only(raw, "oracle", QuadratureSpec, "an oracle setting")
     for key, value in raw.items():
         path = "config['oracle'][%r]" % key
         if key == "include_negative_mass":
@@ -183,7 +191,7 @@ def _quad_spec(config) -> QuadratureSpec:
             _number(value, path)
     try:
         return QuadratureSpec(**raw)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError("bad oracle parameters: %s" % exc)
 
 
@@ -272,10 +280,29 @@ def cmd_validate(config, args):
 
 def _csv_text(header, *columns):
     """CSV text of equal-length columns. A bool column reads true/false; every
-    other cell is the repr of its double, the shortest decimal that round-trips."""
-    cells = [np.where(col, "true", "false").tolist() if col.dtype == bool
-             else map(repr, col.astype(float, copy=False).tolist())
-             for col in map(np.asarray, columns)]
+    other cell is the repr of its double, the shortest decimal that round-trips.
+
+    Each distinct float column is formatted once: a column whose doubles
+    equal an earlier one's bit for bit (gamma_t beside t when Gamma_1 = 1)
+    reads that column's cells. Bits, not ==, so -0.0 never shares with 0.0.
+    """
+    cells = []
+    formatted = []  # (bits, index into cells) of each float column formatted
+    for col in map(np.asarray, columns):
+        if col.dtype == bool:
+            cells.append(np.where(col, "true", "false").tolist())
+            continue
+        col = col.astype(float, copy=False)
+        # compared in place, up to the first cell that differs
+        bits = memoryview(col.view(np.uint64))
+        same = next((i for seen, i in formatted if seen == bits), None)
+        if same is None:
+            formatted.append((bits, len(cells)))
+            cells.append(map(repr, col.tolist()))
+        else:
+            # zip reads the two copies in step, so tee buffers one cell at most
+            cells[same], twin = itertools.tee(cells[same])
+            cells.append(twin)
     lines = [header]
     lines.extend(map(",".join, zip(*cells)))
     return "\n".join(lines) + "\n"

@@ -134,8 +134,8 @@ def _strict_json(text):
     ({"zeta_min": True}, 2, "config['window']['zeta_min']"),
     ({"zeta_min": "0.05"}, 2, "config['window']['zeta_min']"),
     # the graded checks' thresholds are constants, not settings
-    ({"pass_ratio": 20.0}, 2, "argument 'pass_ratio'"),
-    ({"warn_ratio": 3.0}, 2, "argument 'warn_ratio'"),
+    ({"pass_ratio": 20.0}, 2, "config['window']['pass_ratio'] is not a window setting"),
+    ({"warn_ratio": 3.0}, 2, "config['window']['warn_ratio'] is not a window setting"),
     ({"xi_gate": 1e-2, "zeta_max": 8.0}, 0, None),
 ], ids=["xi_gate_nan", "zeta_max_inf", "pass_ratio_inf", "zeta_min_bool", "zeta_min_string",
         "pass_ratio_removed", "warn_ratio_removed", "finite"])
@@ -186,6 +186,22 @@ def test_rest_curve_csv_contract(tmp_path):
     assert float(rows[0][2]) == 1.0
     # gamma_t column is Gamma_1 * t
     assert float(rows[5][1]) == pytest.approx(float(rows[5][0]), rel=1e-15)
+
+
+@pytest.mark.parametrize("gamma_1", [1.0, 2.5])
+@pytest.mark.parametrize("which", ["rest", "rate", "split", "boosted"])
+def test_gamma_t_cells_are_repr_of_gamma_1_times_t(tmp_path, which, gamma_1):
+    # at Gamma_1 = 1 the gamma_t column reads the t column's cells, at 2.5 its own
+    modes = dict(CURVE_B["modes"], Gamma=[gamma_1])
+    cfg = write_config(tmp_path, "gamma_t.json", {
+        "modes": modes, "grid": {"t_min": 0.3, "t_max": 7.1, "points": 23},
+    })
+    out = tmp_path / "gamma_t.csv"
+    assert main(["curve", "--which", which, "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    _, rows = read_csv(str(out))
+    t = np.linspace(0.3, 7.1, 23).tolist()
+    assert [row[0] for row in rows] == [repr(x) for x in t]
+    assert [row[1] for row in rows] == [repr(gamma_1 * x) for x in t]
 
 
 def test_boosted_at_rest_matches_rest_columns(tmp_path):
@@ -292,6 +308,12 @@ def test_csv_cells_are_repr_of_the_double(column):
     for line, x, flag in zip(lines[1:-1], column, flags):
         assert line.split(",") == [repr(float(x)), repr(float(x)), "true" if flag else "false"]
     assert len(lines) == len(column) + 2
+
+
+def test_csv_columns_share_cells_only_when_their_bits_match():
+    zero, negative_zero = [0.0, 1.0], [-0.0, 1.0]
+    text = cli._csv_text("a,b,c,d", zero, negative_zero, zero, np.array(zero))
+    assert text == "a,b,c,d\n0.0,-0.0,0.0,0.0\n1.0,1.0,1.0,1.0\n"
 
 
 def test_boosted_validity_column_reads_true_and_false(tmp_path):

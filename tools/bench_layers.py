@@ -34,14 +34,17 @@ spread evenly over [2, 11] (one point is t = 2):
   and on a four-mode set, and restframe.survival_rest_split on the
   four-mode set at 2000 points;
 * every CLI subcommand through cli.main, on one 181-point curve B config
-  (window zeta_min 0.05, so that validate passes);
+  (window zeta_min 0.05, so that validate passes), and `curve --which
+  boosted` and `phi` at 2000 points, the dense_grid size, where writing
+  the CSV takes most of a command; `curve --which boosted` at 2000 points
+  also runs with Gamma 2.5, where no CSV column repeats another;
 * the median cold `import oscdecay.cli` in a fresh interpreter (time
   taken inside it, without the interpreter's own start-up);
 * tools/surface.py's three counts, src_lines, public_names and settings.
 
 Run from the root of a source checkout:
 
-    python3 tools/bench_layers.py --parent ../parent --out bench/BENCH_19.json
+    python3 tools/bench_layers.py --parent ../parent --out bench/BENCH_20.json
 
 --quick takes one pass of two short rounds and one import: a smoke run
 that checks the script works, not a measurement.
@@ -93,6 +96,13 @@ CLI_COMMANDS = {
     "curve_boosted": ("curve", "--which", "boosted"),
     "phi": ("phi",),
     "compare": ("compare",),
+}
+# name -> (CLI_COMMANDS key, grid points, Gamma of curve B) of the cases
+# beside the 181-point ones
+CLI_LARGE = {
+    "curve_boosted[2000]": ("curve_boosted", 2000, 1.0),
+    "phi[2000]": ("phi", 2000, 1.0),
+    "curve_boosted.gamma_2.5[2000]": ("curve_boosted", 2000, 2.5),
 }
 IMPORT_SNIPPET = ("import time; t = time.perf_counter(); import oscdecay.cli; "
                   "print(time.perf_counter() - t)")
@@ -155,20 +165,29 @@ def library_cases(od):
 
 def cli_cases(od, tmp):
     """name -> callable running one subcommand of package od in-process; each must exit 0."""
-    config = os.path.join(tmp, "config.json")
-    with open(config, "w") as fh:
-        json.dump({"modes": CURVE_B, "p": P, "window": {"zeta_min": 0.05},
-                   "grid": {"t_min": 2.0, "t_max": 11.0, "points": 181}}, fh)
     out = os.path.join(tmp, "out")
 
-    def run(args):
+    def config(points, gamma):
+        path = os.path.join(tmp, "config_%d_%r.json" % (points, gamma))
+        with open(path, "w") as fh:
+            json.dump({"modes": dict(CURVE_B, Gamma=[gamma]), "p": P,
+                       "window": {"zeta_min": 0.05},
+                       "grid": {"t_min": 2.0, "t_max": 11.0, "points": points}}, fh)
+        return path
+
+    def run(args, path):
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
-            code = od.cli.main(list(args) + ["--config", config, "--out", out, "--quiet"])
+            code = od.cli.main(list(args) + ["--config", path, "--out", out, "--quiet"])
         if code != 0:
             raise RuntimeError("%s exited %r: %s" % (" ".join(args), code, err.getvalue()))
 
-    return {"cli.%s" % name: lambda args=args: run(args) for name, args in CLI_COMMANDS.items()}
+    small = config(181, 1.0)
+    runs = {name: (args, small) for name, args in CLI_COMMANDS.items()}
+    runs.update((name, (CLI_COMMANDS[command], config(points, gamma)))
+                for name, (command, points, gamma) in CLI_LARGE.items())
+    return {"cli.%s" % name: lambda args=args, path=path: run(args, path)
+            for name, (args, path) in runs.items()}
 
 
 def _batch_size(fn, round_s):
