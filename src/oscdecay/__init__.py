@@ -7,62 +7,61 @@ time windows where the transformation reduces to the scaled time t/gamma,
 maps lab-frame time onto rest-frame time through the survival law, and
 verifies the boosted closed form against the exact mass integral of the
 underlying mass distribution, evaluated by steepest descent.
+
+Importing the package loads none of its modules (PEP 562): each name of
+__all__ is imported from its home module on first use and then bound
+here, and so is each submodule read as an attribute.
 """
+
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-from .kinematics import (  # noqa: F401
-    BoostContext,
-    ModeValidationError,
-    RestModeSet,
-    lorentz_factor,
-    shifted_kinematics,
-    validate_modes,
-)
-from .restframe import (  # noqa: F401
-    CurveSeries,
-    amplitude_rest,
-    decay_rate_rest,
-    mdd_analytic,
-    survival_rest,
-    survival_rest_split,
-)
-from .specfun import (  # noqa: F401
-    SpecialFunctionDomainError,
-    bessel_j1,
-    bessel_y1,
-    struve_h1,
-)
-from .boost import (  # noqa: F401
-    BoostDomainError,
-    BoostedEvaluation,
-    BoostedLaw,
-    boosted_split,
-    survival_boosted,
-    survival_boosted_window_approx,
-)
-from .window import (  # noqa: F401
-    TimeWindow,
-    WindowError,
-    WindowParams,
-    constraint_report,
-    exponential_windows,
-    periods,
-    w_fn,
-    xi_prime,
-)
-from .timemap import (  # noqa: F401
-    LinearityFit,
-    TimeMapError,
-    invert_survival_rest,
-    linearity_fit,
-    phi_p,
-)
-from .oracle import (  # noqa: F401
-    ComparisonReport,
-    OracleConvergenceError,
-    QuadratureSpec,
-    direct_boosted_amplitude,
-    direct_survival,
-    oracle_compare,
-)
+__all__ = [
+    "BoostContext", "ModeValidationError", "RestModeSet", "lorentz_factor",
+    "shifted_kinematics", "validate_modes",
+    "CurveSeries", "amplitude_rest", "decay_rate_rest", "mdd_analytic", "survival_rest",
+    "survival_rest_split",
+    "SpecialFunctionDomainError", "bessel_j1", "bessel_y1", "struve_h1",
+    "BoostDomainError", "BoostedEvaluation", "BoostedLaw", "boosted_split",
+    "survival_boosted", "survival_boosted_window_approx",
+    "TimeWindow", "WindowError", "WindowParams", "constraint_report", "exponential_windows",
+    "periods", "w_fn", "xi_prime",
+    "LinearityFit", "TimeMapError", "invert_survival_rest", "linearity_fit", "phi_p",
+    "ComparisonReport", "OracleConvergenceError", "QuadratureSpec",
+    "direct_boosted_amplitude", "direct_survival", "oracle_compare",
+]
+
+# home module -> the names of __all__ it defines
+_EXPORTS = {
+    "kinematics": ("BoostContext", "ModeValidationError", "RestModeSet", "lorentz_factor",
+                   "shifted_kinematics", "validate_modes"),
+    "restframe": ("CurveSeries", "amplitude_rest", "decay_rate_rest", "mdd_analytic",
+                  "survival_rest", "survival_rest_split"),
+    "specfun": ("SpecialFunctionDomainError", "bessel_j1", "bessel_y1", "struve_h1"),
+    "boost": ("BoostDomainError", "BoostedEvaluation", "BoostedLaw", "boosted_split",
+              "survival_boosted", "survival_boosted_window_approx"),
+    "window": ("TimeWindow", "WindowError", "WindowParams", "constraint_report",
+               "exponential_windows", "periods", "w_fn", "xi_prime"),
+    "timemap": ("LinearityFit", "TimeMapError", "invert_survival_rest", "linearity_fit",
+                "phi_p"),
+    "oracle": ("ComparisonReport", "OracleConvergenceError", "QuadratureSpec",
+               "direct_boosted_amplitude", "direct_survival", "oracle_compare"),
+}
+_HOMES = {name: home for home, names in _EXPORTS.items() for name in names}
+_SUBMODULES = frozenset(_EXPORTS) | {"cli"}
+
+
+def __getattr__(name):
+    if name in _HOMES:
+        value = getattr(_import_module("." + _HOMES[name], __name__), name)
+    elif name in _SUBMODULES:
+        value = _import_module("." + name, __name__)
+    else:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

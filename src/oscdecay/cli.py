@@ -18,20 +18,42 @@ import json
 import math
 import sys
 from dataclasses import asdict, fields
+from importlib import import_module
 
 import numpy as np
 
 from . import __version__
-# survival_boosted is unused here but stays bound: perfbench/spans.py
-# traces calls through this module attribute
-from .boost import BoostedLaw, survival_boosted  # noqa: F401
 from .kinematics import ModeValidationError, shifted_kinematics, validate_modes
-from .oracle import OracleConvergenceError, QuadratureSpec, direct_survival, oracle_compare
-from .restframe import CurveSeries, decay_rate_rest, survival_rest, survival_rest_split
-from .timemap import TimeMapError, linearity_fit, phi_p
-from .window import WindowError, WindowParams, constraint_report, exponential_windows, periods
 
 __all__ = ["main"]
+
+# home module -> the names a command reads from this module, as _cli.name:
+# each is imported from its home on first read, so that a command loads
+# only the modules it runs. survival_boosted is unused here; it is bound
+# for perfbench/spans.py, which traces calls through this module's names
+_LAZY = {
+    "window": ("WindowError", "WindowParams", "constraint_report", "exponential_windows",
+               "periods"),
+    "restframe": ("CurveSeries", "decay_rate_rest", "survival_rest", "survival_rest_split"),
+    "boost": ("BoostedLaw", "survival_boosted"),
+    "timemap": ("TimeMapError", "linearity_fit", "phi_p"),
+    "oracle": ("OracleConvergenceError", "QuadratureSpec", "direct_survival", "oracle_compare"),
+}
+_HOMES = {name: home for home, names in _LAZY.items() for name in names}
+
+# this module, also when it runs as __main__: a bare global would not reach
+# __getattr__, and a wrapper set on the module is what a read through it calls
+_cli = sys.modules[__name__]
+
+
+def __getattr__(name):
+    """A name of _HOMES, imported from its home module and bound here, so
+    that every later read is a plain attribute hit."""
+    if name not in _HOMES:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    value = globals()[name] = getattr(import_module("." + _HOMES[name], __package__), name)
+    return value
+
 
 EXIT_OK = 0
 EXIT_BOUND = 1
@@ -172,16 +194,16 @@ def _settings_only(raw, name, cls, what):
             raise ConfigError("config[%r][%r] is not %s" % (name, key, what))
 
 
-def _window_params(config) -> WindowParams:
+def _window_params(config):
     raw = _section(config, "window")
-    _settings_only(raw, "window", WindowParams, "a window setting")
-    return WindowParams(**{k: float(_number(v, "config['window'][%r]" % k))
-                           for k, v in raw.items()})
+    _settings_only(raw, "window", _cli.WindowParams, "a window setting")
+    return _cli.WindowParams(**{k: float(_number(v, "config['window'][%r]" % k))
+                                for k, v in raw.items()})
 
 
-def _quad_spec(config) -> QuadratureSpec:
+def _quad_spec(config):
     raw = _section(config, "oracle")
-    _settings_only(raw, "oracle", QuadratureSpec, "an oracle setting")
+    _settings_only(raw, "oracle", _cli.QuadratureSpec, "an oracle setting")
     for key, value in raw.items():
         path = "config['oracle'][%r]" % key
         if key == "include_negative_mass":
@@ -190,7 +212,7 @@ def _quad_spec(config) -> QuadratureSpec:
         elif key in ("abs_tol", "rel_tol"):
             _number(value, path)
     try:
-        return QuadratureSpec(**raw)
+        return _cli.QuadratureSpec(**raw)
     except ValueError as exc:
         raise ConfigError("bad oracle parameters: %s" % exc)
 
@@ -251,8 +273,8 @@ def _window_report(config, modes):
     """The report with its window and constraints sections, the boost context
     and the window, read from the config's p and window section."""
     ctx = shifted_kinematics(modes, _momentum(config))
-    window = exponential_windows(modes, ctx, _window_params(config))
-    checks = constraint_report(modes, ctx, window)
+    window = _cli.exponential_windows(modes, ctx, _window_params(config))
+    checks = _cli.constraint_report(modes, ctx, window)
     report = _report_skeleton(config)
     report["window"] = _window_json(window)
     report["constraints"] = [asdict(c) for c in checks]
@@ -264,7 +286,7 @@ def cmd_validate(config, args):
         report, _, window = _window_report(config, _build_modes(config))
     except ModeValidationError as exc:
         violations = exc.violations
-    except WindowError as exc:
+    except _cli.WindowError as exc:
         violations = [str(exc)]
     else:
         ok = bool(window.admitted) and all(c["status"] == "pass" for c in report["constraints"])
@@ -316,15 +338,15 @@ def cmd_curve(config, args):
     which = args.which
 
     if which == "rest":
-        text = _csv_text("t,gamma_t,value", t, gamma_t, survival_rest(modes, t))
+        text = _csv_text("t,gamma_t,value", t, gamma_t, _cli.survival_rest(modes, t))
     elif which == "rate":
-        text = _csv_text("t,gamma_t,value", t, gamma_t, decay_rate_rest(modes, t))
+        text = _csv_text("t,gamma_t,value", t, gamma_t, _cli.decay_rate_rest(modes, t))
     elif which == "split":
-        exp_part, osc_part = survival_rest_split(modes, t)
+        exp_part, osc_part = _cli.survival_rest_split(modes, t)
         text = _csv_text("t,gamma_t,value,value_exp,value_osc", t, gamma_t,
                          exp_part + osc_part, exp_part, osc_part)
     elif which == "boosted":
-        ev = BoostedLaw(modes, shifted_kinematics(modes, p))(t)
+        ev = _cli.BoostedLaw(modes, shifted_kinematics(modes, p))(t)
         text = _csv_text("t,gamma_t,value,valid", t, gamma_t, ev.P_p, ev.in_validity_domain)
     else:
         raise ConfigError("unknown curve kind %r" % which)
@@ -339,8 +361,8 @@ def cmd_window(config, args):
     report, ctx, window = _window_report(config, modes)
     if window.admitted:
         try:
-            report["results"]["periods"] = asdict(periods(modes, ctx, window=window))
-        except WindowError as exc:
+            report["results"]["periods"] = asdict(_cli.periods(modes, ctx, window=window))
+        except _cli.WindowError as exc:
             report["results"]["periods"] = {"unavailable": str(exc)}
     else:
         report["results"]["periods"] = {"unavailable": "no admitted modes"}
@@ -358,18 +380,18 @@ def cmd_phi(config, args):
     t = _grid(config)
     params = _window_params(config)
 
-    values = phi_p(modes, ctx, t)
+    values = _cli.phi_p(modes, ctx, t)
     reference = t / ctx.gamma
     _emit_text(_csv_text("t,phi_p,t_over_gamma,residual", t, values, reference,
                          values - reference), args.out)
 
     fit_report = _report_skeleton(config)
     try:
-        window = exponential_windows(modes, ctx, params)
+        window = _cli.exponential_windows(modes, ctx, params)
         fit_report["window"] = _window_json(window)
-        series = CurveSeries(t=t, values=values, kind="timemap")
-        fit_report["results"]["fit"] = asdict(linearity_fit(series, window, ctx))
-    except (WindowError, TimeMapError) as exc:
+        series = _cli.CurveSeries(t=t, values=values, kind="timemap")
+        fit_report["results"]["fit"] = asdict(_cli.linearity_fit(series, window, ctx))
+    except (_cli.WindowError, _cli.TimeMapError) as exc:
         fit_report["results"]["fit_error"] = str(exc)
     _emit_json(fit_report, args.out + ".fit.json")
     _note(args, "phi: %d rows, fit sidecar written" % len(t))
@@ -385,9 +407,15 @@ def cmd_compare(config, args):
     bound = _bound(config)
 
     # the closed form may leave [0, 1] outside its domain; the oracle may not
-    closed_vals = BoostedLaw(modes, ctx)(t).P_p
-    direct = CurveSeries(t=t, values=direct_survival(modes, p, t, spec), kind="probability")
-    rep = oracle_compare(closed_vals, direct)
+    closed_vals = _cli.BoostedLaw(modes, ctx)(t).P_p
+    try:
+        exact = _cli.direct_survival(modes, p, t, spec)
+    except _cli.OracleConvergenceError as exc:
+        print("oscdecay: oracle did not converge: %s (value=%r, error=%r)"
+              % (exc, exc.value, exc.error_estimate), file=sys.stderr)
+        return EXIT_ORACLE
+    direct = _cli.CurveSeries(t=t, values=exact, kind="probability")
+    rep = _cli.oracle_compare(closed_vals, direct)
 
     within = rep.max_rel_deviation <= bound
     report = _report_skeleton(config)
@@ -442,10 +470,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print("oscdecay: i/o error: %s" % exc, file=sys.stderr)
         return EXIT_IO
-    except OracleConvergenceError as exc:
-        print("oscdecay: oracle did not converge: %s (value=%r, error=%r)"
-              % (exc, exc.value, exc.error_estimate), file=sys.stderr)
-        return EXIT_ORACLE
     except (ValueError, KeyError, TypeError) as exc:
         print("oscdecay: invalid config or model: %s" % exc, file=sys.stderr)
         return EXIT_INVALID

@@ -1,0 +1,172 @@
+"""The lazy package: what `import oscdecay` and each cold command load.
+
+Every check of what gets imported runs in a fresh interpreter, since this
+test process has long since loaded every module.
+"""
+
+import json
+import os
+import subprocess
+import sys
+import types
+
+import pytest
+
+import oscdecay
+from oscdecay import cli
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(oscdecay.__file__)))
+ROOT = os.path.dirname(SRC)
+
+CURVE_B = {
+    "modes": {"M": 80.0, "w": [1.0], "Gamma": [1.0], "Omega": [10.0], "a": [0.04]},
+    "p": 200.0,
+    "window": {"zeta_min": 0.05},
+    "grid": {"t_min": 2.0, "t_max": 11.0, "points": 40},
+}
+
+WINDOW_ROW = {"cli", "kinematics", "window"}
+REST_ROW = {"cli", "kinematics", "restframe", "_points"}
+BOOSTED_ROW = REST_ROW | {"boost", "specfun"}
+# oscdecay.* modules (prefix dropped) each command loads in a fresh interpreter
+LOADED = {
+    "validate": WINDOW_ROW,
+    "window": WINDOW_ROW,
+    "curve --which rest": REST_ROW,
+    "curve --which rate": REST_ROW,
+    "curve --which split": REST_ROW,
+    "curve --which boosted": BOOSTED_ROW,
+    "phi": BOOSTED_ROW | {"window", "timemap"},
+    "compare": BOOSTED_ROW | {"oracle", "_quad"},
+}
+
+
+def fresh(code, *args):
+    """stdout of code run in a fresh interpreter on the package in src/."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-c", code] + list(args), capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+@pytest.fixture
+def config(tmp_path):
+    path = tmp_path / "curve_b.json"
+    path.write_text(json.dumps(CURVE_B))
+    return str(path)
+
+
+def test_import_loads_no_submodule_and_no_numpy():
+    loaded = fresh("import sys, oscdecay\n"
+                   "print(sorted(m for m in sys.modules if m.startswith('oscdecay.')"
+                   " or m.split('.')[0] == 'numpy'))")
+    assert loaded.strip() == "[]"
+
+
+def test_every_export_is_its_home_modules_object():
+    # a fresh interpreter, so that each name is bound by __getattr__
+    homes = json.loads(fresh(
+        "import importlib, json, oscdecay as od\n"
+        "homes = {}\n"
+        "for name in od.__all__:\n"
+        "    value = getattr(od, name)\n"
+        "    home = importlib.import_module(value.__module__)\n"
+        "    assert getattr(home, name) is value is getattr(od, name), name\n"
+        "    homes[name] = value.__module__\n"
+        "print(json.dumps(homes))"))
+    assert sorted(homes) == sorted(oscdecay.__all__)
+    assert len(homes) == 41
+    assert homes == {name: "oscdecay." + home for name, home in oscdecay._HOMES.items()}
+
+
+def test_submodules_resolve_as_attributes():
+    assert fresh("import oscdecay as od; print(od.timemap.__name__, od.cli.__name__)").split() \
+        == ["oscdecay.timemap", "oscdecay.cli"]
+
+
+def test_unknown_attribute_raises_attribute_error():
+    assert fresh("import oscdecay as od\n"
+                 "try:\n"
+                 "    od.not_a_name\n"
+                 "except AttributeError as exc:\n"
+                 "    print(exc)\n"
+                 "print(hasattr(od, 'pole_sum'))").splitlines() \
+        == ["module 'oscdecay' has no attribute 'not_a_name'", "False"]
+
+
+def test_dir_lists_every_export():
+    names = fresh("import oscdecay as od; print(' '.join(dir(od)))").split()
+    assert set(oscdecay.__all__) <= set(names)
+    assert "__version__" in names
+
+
+@pytest.mark.parametrize("command", list(LOADED))
+def test_cold_command_loads_only_the_modules_it_runs(config, tmp_path, command):
+    loaded = fresh(
+        "import sys, oscdecay.cli\n"
+        "code = oscdecay.cli.main(sys.argv[1:])\n"
+        "print(code, ','.join(m for m in sys.modules if m.startswith('oscdecay.')),"
+        " any(m.split('.')[0] == 'scipy' for m in sys.modules))",
+        *command.split(), "--config", config, "--out", str(tmp_path / "out"), "--quiet")
+    code, modules, scipy = loaded.split()
+    assert code == "0"
+    assert set(modules.split(',')) == {"oscdecay." + name for name in LOADED[command]}
+    assert scipy == "False"
+
+
+def test_cli_binds_each_lazy_name_on_first_read():
+    # bound in the module's namespace, so later reads import nothing
+    bound = fresh("import oscdecay.cli as cli\n"
+                  "before = set(vars(cli))\n"
+                  "for name in cli._HOMES:\n"
+                  "    getattr(cli, name)\n"
+                  "print(' '.join(sorted(set(vars(cli)) - before)))")
+    assert sorted(bound.split()) == sorted(cli._HOMES)
+
+
+@pytest.mark.parametrize("command", ["phi", "compare"])
+def test_run_as_main_writes_what_main_writes(config, tmp_path, command):
+    # under python -m the commands read their lazy names from __main__
+    outs = []
+    for way in ("main", "-m"):
+        out = tmp_path / way
+        argv = [command, "--config", config, "--out", str(out), "--quiet"]
+        if way == "main":
+            assert cli.main(argv) == 0
+        else:
+            env = dict(os.environ, PYTHONPATH=SRC)
+            subprocess.run([sys.executable, "-m", "oscdecay.cli"] + argv, check=True, env=env,
+                           timeout=60)
+        outs.append([p.read_bytes() for p in sorted(tmp_path.glob(way + "*"))])
+    assert outs[0] == outs[1]
+
+
+def _spans():
+    """perfbench/spans.py, executed from its source without importing or writing anything."""
+    path = os.path.join(ROOT, "perfbench", "spans.py")
+    module = types.ModuleType("spans")
+    with open(path) as fh:
+        exec(compile(fh.read(), path, "exec"), module.__dict__)
+    return module
+
+
+def test_tracer_spans_every_layer_a_command_calls(config, tmp_path):
+    spans = _spans()
+    tracer = spans.Tracer()
+    with spans.installed(tracer):
+        for command in ("validate", "window", "curve --which rest", "curve --which boosted",
+                        "phi", "compare"):
+            argv = command.split() + ["--config", config, "--out", str(tmp_path / "out"),
+                                      "--quiet"]
+            assert cli.main(argv) == 0, command
+    assert set(tracer.names) == {
+        "cli.main", "kinematics.shifted_kinematics", "kinematics.validate_modes",
+        "oracle.direct_survival", "oracle.oracle_compare", "restframe.survival_rest",
+        "timemap.linearity_fit", "timemap.phi_p", "window.constraint_report",
+        "window.exponential_windows", "window.periods",
+    }
+    # each traced name resolves on cli to its home module's own function
+    for name in spans.WRAPPED["cli"]:
+        value = getattr(cli, name)
+        assert value is getattr(sys.modules[value.__module__], name)

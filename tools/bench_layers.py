@@ -17,7 +17,7 @@ of the second load over the first: an A/A ratio, whose distance from 1
 is the spread that a change_over_parent reading must exceed to count.
 
 One A/A reading does not bound a run's noise, so the whole timing, cold
-imports included, runs in three passes. Every figure is the median over
+runs included, runs in three passes. Every figure is the median over
 the passes, and change_over_parent_range and parent_over_parent_range
 hold each ratio's lowest and highest pass: a per-layer verdict is the
 median ratio beside its A/A range.
@@ -40,14 +40,19 @@ spread evenly over [2, 11] (one point is t = 2):
   also runs with Gamma 2.5, where no CSV column repeats another;
 * the median cold `import oscdecay.cli` in a fresh interpreter (time
   taken inside it, without the interpreter's own start-up);
-* tools/surface.py's three counts, src_lines, public_names and settings.
+* the median wall time of every CLI subcommand run cold, as a fresh
+  `python -m oscdecay.cli` on the 181-point config, timed from outside
+  (start-up included). Cold runs of the trees alternate like the rounds,
+  and their ratios are medians of back-to-back ratios too;
+* tools/surface.py's three counts, src_lines, public_names and settings,
+  each tree's from its own tools/surface.py.
 
 Run from the root of a source checkout:
 
     python3 tools/bench_layers.py --parent ../parent --out bench/BENCH_20.json
 
---quick takes one pass of two short rounds and one import: a smoke run
-that checks the script works, not a measurement.
+--quick takes one pass of two short rounds and one cold run of each
+kind: a smoke run that checks the script works, not a measurement.
 """
 
 import argparse
@@ -69,17 +74,14 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 ROOT = os.getcwd()
-sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 import numpy as np  # noqa: E402
 
-import surface  # noqa: E402
-
-# best of ROUNDS batches of about ROUND_S seconds; median of IMPORTS
-# imports; each figure the median over PASSES passes
+# best of ROUNDS batches of about ROUND_S seconds; median of COLD_RUNS
+# fresh interpreters; each figure the median over PASSES passes
 ROUNDS = 15
 ROUND_S = 0.02
-IMPORTS = 7
+COLD_RUNS = 11
 PASSES = 3
 SIZES = (1, 20, 181, 2000)
 ORACLE_SIZES = (1, 20, 181)
@@ -163,17 +165,19 @@ def library_cases(od):
     return cases
 
 
+def cli_config(tmp, points, gamma=1.0):
+    """Path of a curve B config in tmp with the given grid size and Gamma."""
+    path = os.path.join(tmp, "config_%d_%r.json" % (points, gamma))
+    with open(path, "w") as fh:
+        json.dump({"modes": dict(CURVE_B, Gamma=[gamma]), "p": P,
+                   "window": {"zeta_min": 0.05},
+                   "grid": {"t_min": 2.0, "t_max": 11.0, "points": points}}, fh)
+    return path
+
+
 def cli_cases(od, tmp):
     """name -> callable running one subcommand of package od in-process; each must exit 0."""
     out = os.path.join(tmp, "out")
-
-    def config(points, gamma):
-        path = os.path.join(tmp, "config_%d_%r.json" % (points, gamma))
-        with open(path, "w") as fh:
-            json.dump({"modes": dict(CURVE_B, Gamma=[gamma]), "p": P,
-                       "window": {"zeta_min": 0.05},
-                       "grid": {"t_min": 2.0, "t_max": 11.0, "points": points}}, fh)
-        return path
 
     def run(args, path):
         err = io.StringIO()
@@ -182,9 +186,9 @@ def cli_cases(od, tmp):
         if code != 0:
             raise RuntimeError("%s exited %r: %s" % (" ".join(args), code, err.getvalue()))
 
-    small = config(181, 1.0)
+    small = cli_config(tmp, 181)
     runs = {name: (args, small) for name, args in CLI_COMMANDS.items()}
-    runs.update((name, (CLI_COMMANDS[command], config(points, gamma)))
+    runs.update((name, (CLI_COMMANDS[command], cli_config(tmp, points, gamma)))
                 for name, (command, points, gamma) in CLI_LARGE.items())
     return {"cli.%s" % name: lambda args=args, path=path: run(args, path)
             for name, (args, path) in runs.items()}
@@ -224,16 +228,39 @@ def time_cases(trees, rounds, round_s):
     return readings
 
 
-def cold_import_s(roots, repeats):
-    """label -> median seconds of `import oscdecay.cli` in a fresh interpreter."""
-    samples = {label: [] for label in roots}
+def cold_s(roots, repeats, tmp):
+    """label -> case -> seconds of each of repeats fresh interpreters.
+
+    Case cold_import_cli_s is `import oscdecay.cli`, timed inside the
+    interpreter; case cold_cli.<name> is `python -m oscdecay.cli` running
+    subcommand <name> of CLI_COMMANDS on the 181-point config, timed from
+    outside, start-up included. Each round runs every case on every tree
+    before the next case, in an order that alternates from round to round.
+    """
+    config, out = cli_config(tmp, 181), os.path.join(tmp, "cold_out")
+    cases = {"cold_import_cli_s": ["-c", IMPORT_SNIPPET]}
+    cases.update(("cold_cli.%s" % name, ["-m", "oscdecay.cli", *args, "--config", config,
+                                         "--out", out, "--quiet"])
+                 for name, args in CLI_COMMANDS.items())
+    samples = {label: {case: [] for case in cases} for label in roots}
     for r in range(repeats):
-        for label, root in (list(roots.items())[::-1] if r % 2 else roots.items()):
-            env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
-            out = subprocess.run([sys.executable, "-c", IMPORT_SNIPPET], env=env, cwd=root,
-                                 check=True, capture_output=True, text=True).stdout
-            samples[label].append(float(out))
-    return {label: statistics.median(values) for label, values in samples.items()}
+        for case, argv in cases.items():
+            for label, root in (list(roots.items())[::-1] if r % 2 else roots.items()):
+                env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+                start = perf_counter()
+                proc = subprocess.run([sys.executable] + argv, env=env, cwd=root,
+                                      check=True, capture_output=True, text=True)
+                wall = perf_counter() - start
+                samples[label][case].append(float(proc.stdout) if case == "cold_import_cli_s"
+                                            else wall)
+    return samples
+
+
+def surface_counts(root):
+    """src_lines, public_names and settings of the tree at root, by its own tools/surface.py."""
+    out = subprocess.run([sys.executable, os.path.join("tools", "surface.py")], cwd=root,
+                         check=True, capture_output=True, text=True).stdout
+    return {key: int(value) for key, value in map(str.split, out.splitlines())}
 
 
 def machine():
@@ -246,16 +273,14 @@ def machine():
             "numpy": np.__version__}
 
 
-def _median_ratios(readings, imports_s, label, base):
+def _median_ratios(readings, label, base):
     # the median over the rounds of the two trees' back-to-back readings:
     # a burst of load that hits one reading of a pair moves it little
-    ratios = {name: statistics.median(a / b for a, b in zip(values, readings[base][name]))
-              for name, values in readings[label].items()}
-    ratios["cold_import_cli_s"] = imports_s[label] / imports_s[base]
-    return {name: round(value, 3) for name, value in ratios.items()}
+    return {name: round(statistics.median(a / b for a, b in zip(values, readings[base][name])), 3)
+            for name, values in readings[label].items()}
 
 
-def measure(roots, rounds, round_s, imports, n_passes):
+def measure(roots, rounds, round_s, cold_runs, n_passes):
     """The BENCH_<n>.json record of the trees in roots (label -> checkout root).
 
     With a parent, a second load of it, parent_again, is timed beside the
@@ -270,25 +295,30 @@ def measure(roots, rounds, round_s, imports, n_passes):
     with tempfile.TemporaryDirectory() as tmp:
         trees = {label: dict(library_cases(od), **cli_cases(od, tmp))
                  for label, od in packages.items()}
-        passes = [(time_cases(trees, rounds, round_s), cold_import_s(roots, imports))
+        passes = [(time_cases(trees, rounds, round_s), cold_s(roots, cold_runs, tmp))
                   for _ in range(n_passes)]
-    runs = {label: {
-        "calls_us": {name: round(statistics.median(min(readings[label][name])
-                                                   for readings, _ in passes), 2)
-                     for name in trees[label]},
-        "cold_import_cli_s": round(statistics.median(imports_s[label]
-                                                     for _, imports_s in passes), 4),
-        "src_lines": surface.source_lines(os.path.join(root, "src")),
-        "public_names": len(surface.public_names(packages[label])),
-        "settings": surface.settings(packages[label]),
-    } for label, root in roots.items() if label != "parent_again"}
-    bench = {"unit": "microseconds per call, best of the rounds; cold import in seconds",
+    runs = {}
+    for label, root in roots.items():
+        if label == "parent_again":
+            continue
+        cold = {case: round(statistics.median(statistics.median(c[label][case])
+                                              for _, c in passes), 4)
+                for case in passes[0][1][label]}
+        runs[label] = dict(
+            calls_us={name: round(statistics.median(min(readings[label][name])
+                                                    for readings, _ in passes), 2)
+                      for name in trees[label]},
+            cold_import_cli_s=cold.pop("cold_import_cli_s"),
+            cold_cli_s={case.split(".", 1)[1]: value for case, value in cold.items()},
+            **surface_counts(root))
+    bench = {"unit": "microseconds per call, best of the rounds; cold runs in seconds",
              "rounds": rounds, "round_ms": round_s * 1e3, "passes": n_passes,
              "machine": machine(), "runs": runs}
     if "parent" in runs:
         for key, label in (("change_over_parent", "change"), ("parent_over_parent", "parent_again")):
-            ratios = [_median_ratios(readings, imports_s, label, "parent")
-                      for readings, imports_s in passes]
+            ratios = [_median_ratios({tree: dict(readings[tree], **cold[tree]) for tree in cold},
+                                     label, "parent")
+                      for readings, cold in passes]
             bench[key] = {name: round(statistics.median(r[name] for r in ratios), 3)
                           for name in ratios[0]}
             bench[key + "_range"] = {name: [min(r[name] for r in ratios),
@@ -302,9 +332,9 @@ def main(argv=None):
     parser.add_argument("--parent", metavar="DIR",
                         help="root of a checkout of the parent commit, timed beside ./src")
     parser.add_argument("--quick", action="store_true",
-                        help="one pass of two 1-ms rounds and one import: a smoke run")
+                        help="one pass of two 1-ms rounds and one cold run: a smoke run")
     args = parser.parse_args(argv)
-    timing = (2, 1e-3, 1, 1) if args.quick else (ROUNDS, ROUND_S, IMPORTS, PASSES)
+    timing = (2, 1e-3, 1, 1) if args.quick else (ROUNDS, ROUND_S, COLD_RUNS, PASSES)
     roots = {"change": ROOT}
     if args.parent:
         roots["parent"] = os.path.abspath(args.parent)
@@ -325,6 +355,11 @@ def main(argv=None):
         print("%-48s %s %8s %12s" % (name, " ".join("%10.1f" % run["calls_us"][name]
                                                     for run in runs.values()),
                                      ratios.get(name, ""), aa.get(name, "")))
+    for name in runs["change"]["cold_cli_s"]:
+        key = "cold_cli." + name
+        print("%-48s %s %8s %12s" % (key, " ".join("%10.4f" % run["cold_cli_s"][name]
+                                                   for run in runs.values()),
+                                     ratios.get(key, ""), aa.get(key, "")))
     for key in ("cold_import_cli_s", "src_lines", "public_names", "settings"):
         print("%-48s %s %8s %12s" % (key, " ".join("%10s" % run[key] for run in runs.values()),
                                      ratios.get(key, ""), aa.get(key, "")))

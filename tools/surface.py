@@ -1,10 +1,10 @@
 """Print the size of oscdecay: source lines, public names and settings.
 
 Source lines are all lines of the .py files under src/, as wc -l counts
-them. Public names are the attributes of the oscdecay package that do
-not start with an underscore, less its submodules. Settings are the
-fields of WindowParams and QuadratureSpec, the values a config's window
-and oracle sections may set.
+them. Public names are the names of the package's __all__: the package
+binds each of them only on first use, so its namespace does not list
+them. Settings are the fields of WindowParams and QuadratureSpec, the
+values a config's window and oracle sections may set.
 
 Run from the repository root:
 
@@ -15,7 +15,6 @@ import dataclasses
 import glob
 import os
 import sys
-import types
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
@@ -40,8 +39,7 @@ def _package():
 def public_names(package=None):
     """The public names of package, by default the oscdecay in this tree's src/."""
     package = package or _package()
-    return sorted(name for name, value in vars(package).items()
-                  if not name.startswith("_") and not isinstance(value, types.ModuleType))
+    return sorted(package.__all__)
 
 
 def settings(package=None):
