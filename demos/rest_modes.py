@@ -22,7 +22,7 @@ def main():
     print("two-mode rest model, M = 100 (all energies in units of Gamma_1)")
     print("P0(0) =", od.survival_rest(modes, 0.0))
     print("dP0/dt(0) =", float(od.decay_rate_rest(modes, 0.0)),
-          " expected:", -float(np.sum(modes.w * modes.Gamma)))
+          " expected:", -sum(w * g for w, g in zip(modes.w, modes.Gamma)))
     print()
 
     t = np.linspace(0.0, 8.0, 17)

@@ -157,8 +157,8 @@ class BoostedLaw:
         self.C_B = float((strength * xi_mass_factor(mass, p)).sum())
         # every mode needs t > 1/(10 Gamma_j) or (M - Omega_max) t >= 10;
         # the first clause is weakest at the smallest width
-        self.gap = M - float(modes.Omega.max())
-        self.short_time = 0.1 / float(modes.Gamma[0])
+        self.gap = M - max(modes.Omega)
+        self.short_time = 0.1 / modes.Gamma[0]
 
     def __call__(self, t) -> BoostedEvaluation:
         tt = as_points(t, lambda v: np.isfinite(v) & (v >= 0.0), "time must be finite and >= 0",
@@ -206,13 +206,12 @@ def _mask_modes(modes: RestModeSet, active_modes) -> RestModeSet:
     idx = mode_indices(modes, active_modes, BoostDomainError)
     if not idx:
         raise BoostDomainError("outside exponential window: no active modes")
-    sel = np.asarray(idx, dtype=int)
     return RestModeSet(
         M=modes.M,
-        w=modes.w[sel],
-        Gamma=modes.Gamma[sel],
-        Omega=modes.Omega[sel],
-        a=modes.a[sel],
+        w=tuple(modes.w[j] for j in idx),
+        Gamma=tuple(modes.Gamma[j] for j in idx),
+        Omega=tuple(modes.Omega[j] for j in idx),
+        a=tuple(modes.a[j] for j in idx),
     )
 
 

@@ -20,8 +20,6 @@ import sys
 from dataclasses import asdict, fields
 from importlib import import_module
 
-import numpy as np
-
 from . import __version__
 from .kinematics import ModeValidationError, shifted_kinematics, validate_modes
 
@@ -70,16 +68,11 @@ class ConfigError(ValueError):
 
 
 def _json_default(obj):
-    """Plain-python value of a numpy object json cannot encode itself; np.float64
-    is a float subclass and is printed by float.__repr__ without this hook."""
-    if isinstance(obj, np.ndarray):
+    """Plain-python value of a numpy object json cannot encode itself: its
+    tolist(), read without importing numpy. np.float64 is a float subclass
+    and is printed by float.__repr__ without this hook."""
+    if type(obj).__module__ == "numpy":
         return obj.tolist()
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
     raise TypeError("%s is not JSON serializable" % type(obj).__name__)
 
 
@@ -152,6 +145,8 @@ def _momentum(config) -> float:
 
 
 def _grid(config):
+    import numpy as np
+
     if "grid" not in config:
         raise ConfigError("config lacks the 'grid' section")
     grid = config["grid"]
@@ -308,6 +303,8 @@ def _csv_text(header, *columns):
     equal an earlier one's bit for bit (gamma_t beside t when Gamma_1 = 1)
     reads that column's cells. Bits, not ==, so -0.0 never shares with 0.0.
     """
+    import numpy as np
+
     cells = []
     formatted = []  # (bits, index into cells) of each float column formatted
     for col in map(np.asarray, columns):
@@ -334,7 +331,7 @@ def cmd_curve(config, args):
     modes = _build_modes(config)
     p = _momentum(config)
     t = _grid(config)
-    gamma_t = float(modes.Gamma[0]) * t
+    gamma_t = modes.Gamma[0] * t
     which = args.which
 
     if which == "rest":

@@ -7,12 +7,14 @@ Lorentzian terms at masses M, M - Omega_j and M + Omega_j (mode_terms),
 each with its complex pole energy at momentum p (pole_energies); their
 pole_sum is the pole part that the closed form and the oracle share. A
 boost with momentum p is described by p and the Lorentz factor of M.
+
+A validated mode set holds tuples of Python floats, so that validation and
+the window need no numpy; only the three term functions import it.
 """
 
 import math
+import operator
 from dataclasses import dataclass
-
-import numpy as np
 
 __all__ = [
     "ModeValidationError",
@@ -48,15 +50,16 @@ class ModeValidationError(ValueError):
 class RestModeSet:
     """Validated parameters of the rest-frame decay law.
 
-    M: resonance mass (energy units); w, Gamma, Omega, a: per-mode arrays.
-    Use validate_modes() to construct one from unchecked input.
+    M: resonance mass (energy units); w, Gamma, Omega, a: per-mode tuples
+    of floats, so a set is immutable and hashable. Use validate_modes() to
+    construct one from unchecked input.
     """
 
     M: float
-    w: np.ndarray
-    Gamma: np.ndarray
-    Omega: np.ndarray
-    a: np.ndarray
+    w: tuple
+    Gamma: tuple
+    Omega: tuple
+    a: tuple
 
     @property
     def N(self) -> int:
@@ -71,36 +74,52 @@ class BoostContext:
     gamma: float
 
 
-def _as_mode_arrays(candidate):
+_FIELDS = ("M", "w", "Gamma", "Omega", "a")
+
+
+def _as_mode_fields(candidate):
     if isinstance(candidate, RestModeSet):
-        return candidate.M, candidate.w, candidate.Gamma, candidate.Omega, candidate.a
-    M = candidate["M"]
-    w = candidate["w"]
-    Gamma = candidate["Gamma"]
-    Omega = candidate["Omega"]
-    a = candidate["a"]
-    return M, w, Gamma, Omega, a
+        return [getattr(candidate, key) for key in _FIELDS]
+    return [candidate[key] for key in _FIELDS]
+
+
+def _floats(value):
+    """value as a tuple of floats, each entry read by float(); a scalar or a
+    0-d array is one entry, as np.atleast_1d read it, and so is a string,
+    which float() reads whole rather than character by character."""
+    if isinstance(value, str):
+        return (float(value),)
+    try:
+        entries = iter(value)
+    except TypeError:
+        return (float(value),)
+    return tuple(map(float, entries))
 
 
 def validate_modes(candidate, narrow_width_threshold: float = NARROW_WIDTH_DEFAULT) -> RestModeSet:
     """Check every mode-set invariant; return the validated set.
 
     candidate is a mapping with keys M, w, Gamma, Omega, a (or an existing
-    RestModeSet). All violations are collected and raised together as a
+    RestModeSet); each per-mode field may be a sequence, an array or a
+    single number. All violations are collected and raised together as a
     ModeValidationError, never only the first one. A narrow_width_threshold
     that is not finite and > 0 raises ValueError.
     """
     if not (0.0 < narrow_width_threshold < math.inf):
         raise ValueError("narrow_width_threshold must be finite and > 0, got %r"
                          % narrow_width_threshold)
-    M, w, Gamma, Omega, a = _as_mode_arrays(candidate)
-    M = float(M)
-    w = np.atleast_1d(np.asarray(w, dtype=float))
-    Gamma = np.atleast_1d(np.asarray(Gamma, dtype=float))
-    Omega = np.atleast_1d(np.asarray(Omega, dtype=float))
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-
+    read = []
     violations = []
+    for name, value in zip(_FIELDS, _as_mode_fields(candidate)):
+        try:
+            read.append(float(value) if name == "M" else _floats(value))
+        except (TypeError, ValueError):
+            violations.append("%s must be a number%s, got %r"
+                              % (name, "" if name == "M" else " or a list of numbers", value))
+    if violations:
+        raise ModeValidationError(violations)
+    M, w, Gamma, Omega, a = read
+
     N = len(w)
     if N < 1:
         violations.append("mode count must be >= 1, got 0")
@@ -110,9 +129,7 @@ def validate_modes(candidate, narrow_width_threshold: float = NARROW_WIDTH_DEFAU
             % (N, len(Gamma), len(Omega), len(a))
         )
         raise ModeValidationError(violations)
-    if not np.isfinite(w).all() or not np.isfinite(Gamma).all() \
-            or not np.isfinite(Omega).all() or not np.isfinite(a).all() \
-            or not math.isfinite(M):
+    if not all(map(math.isfinite, (M,) + w + Gamma + Omega + a)):
         violations.append("non-finite parameter value")
         raise ModeValidationError(violations)
 
@@ -120,23 +137,26 @@ def validate_modes(candidate, narrow_width_threshold: float = NARROW_WIDTH_DEFAU
         violations.append("M must be > 0, got %r" % M)
     for j in range(N):
         if w[j] <= 0.0:
-            violations.append("w[%d] must be > 0, got %r" % (j, float(w[j])))
-    s = float(w.sum())
+            violations.append("w[%d] must be > 0, got %r" % (j, w[j]))
+    # left to right, the order numpy sums fewer than eight values in
+    s = 0.0
+    for wj in w:
+        s += wj
     if abs(s - 1.0) > WEIGHT_SUM_TOL:
         violations.append("sum of w must be 1 within %g, got %r" % (WEIGHT_SUM_TOL, s))
     for j in range(N):
         if not (0.0 <= a[j] < 0.5):
-            violations.append("a[%d] must lie in [0, 1/2), got %r" % (j, float(a[j])))
+            violations.append("a[%d] must lie in [0, 1/2), got %r" % (j, a[j]))
         if not (0.0 <= Omega[j] < M):
             violations.append(
-                "Omega[%d] must lie in [0, M), got %r" % (j, float(Omega[j])))
+                "Omega[%d] must lie in [0, M), got %r" % (j, Omega[j]))
         if Gamma[j] <= 0.0:
-            violations.append("Gamma[%d] must be > 0, got %r" % (j, float(Gamma[j])))
+            violations.append("Gamma[%d] must be > 0, got %r" % (j, Gamma[j]))
     for j in range(N - 1):
         if not (Gamma[j] < Gamma[j + 1]):
             violations.append(
                 "widths must increase strictly: Gamma[%d]=%r >= Gamma[%d]=%r"
-                % (j, float(Gamma[j]), j + 1, float(Gamma[j + 1]))
+                % (j, Gamma[j], j + 1, Gamma[j + 1])
             )
     if M > 0.0:
         for j in range(N):
@@ -145,7 +165,7 @@ def validate_modes(candidate, narrow_width_threshold: float = NARROW_WIDTH_DEFAU
                 if ratio > narrow_width_threshold:
                     violations.append(
                         "narrow-width check failed for mode %d: Gamma/(M-Omega)=%r > %r"
-                        % (j, float(ratio), narrow_width_threshold)
+                        % (j, ratio, narrow_width_threshold)
                     )
     for j in range(N):
         if 0.0 < a[j] < 0.5 and Gamma[j] > 0.0:
@@ -154,7 +174,7 @@ def validate_modes(candidate, narrow_width_threshold: float = NARROW_WIDTH_DEFAU
             if not (Gamma[j] > bound):
                 violations.append(
                     "rate positivity failed for mode %d: need Gamma > %r, got %r"
-                    % (j, float(bound), float(Gamma[j]))
+                    % (j, bound, Gamma[j])
                 )
 
     if violations:
@@ -183,14 +203,20 @@ def shifted_kinematics(modes: RestModeSet, p: float) -> BoostContext:
 
 def mode_indices(modes: RestModeSet, indices, error=ValueError) -> list:
     """The distinct mode indices in indices, ascending; error names the first
-    entry that is not an integer in 0..N-1 (a bool or 0.9 is not one)."""
-    idx = list(indices)
-    for i in idx:
-        if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
+    entry that is not an integer in 0..N-1. An integer is what operator.index
+    reads, numpy's included; a bool, 0.9 or np.float64(1.0) is not one."""
+    idx = set()
+    for i in indices:
+        try:
+            j = operator.index(i)
+        except TypeError:
+            j = None
+        if j is None or isinstance(i, bool):
             raise error("mode index must be an integer, got %r" % (i,))
-        if not 0 <= i < modes.N:
-            raise error("mode index %d out of range 0..%d" % (i, modes.N - 1))
-    return sorted(set(map(int, idx)))
+        if not 0 <= j < modes.N:
+            raise error("mode index %d out of range 0..%d" % (j, modes.N - 1))
+        idx.add(j)
+    return sorted(idx)
 
 
 def mode_terms(modes: RestModeSet):
@@ -201,13 +227,19 @@ def mode_terms(modes: RestModeSet):
     (a_j = 0) are dropped. Returns the arrays (mass, width, weight, scale)
     with scale = (M/mass)^2, the factor each term's branch cut carries.
     """
-    M, w, a = modes.M, modes.w, modes.a
-    side = 0.5 * w * a
-    mass = (M + np.multiply.outer(modes.Omega, [0.0, -1.0, 1.0])).ravel()
-    weight = np.array([w * (1.0 - a), side, side]).T.ravel()
-    keep = weight > 0.0
-    mass = mass[keep]
-    return mass, modes.Gamma.repeat(3)[keep], weight[keep], (M / mass) ** 2
+    import numpy as np
+
+    M = modes.M
+    mass, width, weight = [], [], []
+    for w, Gamma, Omega, a in zip(modes.w, modes.Gamma, modes.Omega, modes.a):
+        side = 0.5 * w * a
+        for centre, share in ((M, w * (1.0 - a)), (M - Omega, side), (M + Omega, side)):
+            if share > 0.0:
+                mass.append(centre)
+                width.append(Gamma)
+                weight.append(share)
+    mass = np.array(mass)
+    return mass, np.array(width), np.array(weight), (M / mass) ** 2
 
 
 def pole_energies(mass, width, p):
@@ -216,9 +248,13 @@ def pole_energies(mass, width, p):
     mass and width are arrays of terms (as from mode_terms). Term k evolves
     as e^{-i E_k t}, decaying at the lab rate -2 Im E_k and turning at Re E_k.
     """
+    import numpy as np
+
     return np.sqrt(p * p + (mass - 0.5j * width) ** 2)
 
 
 def pole_sum(weight, energy, t):
     """sum_k weight_k e^{-i E_k t} at each time of the array t, E_k = energy_k."""
+    import numpy as np
+
     return np.exp(np.multiply.outer(t, -1j * energy)) @ weight

@@ -80,11 +80,10 @@ class _RestLaw:
     """
 
     def __init__(self, modes: RestModeSet):
-        self.Gamma = modes.Gamma[:, None]
-        self.Omega = modes.Omega[:, None]
-        self.w = modes.w[:, None]
-        self.flat = (1.0 - modes.a)[:, None]
-        self.a = modes.a[:, None]
+        # one column per mode, broadcast against a row of times
+        self.Gamma, self.Omega, self.w, self.a = np.array(
+            (modes.Gamma, modes.Omega, modes.w, modes.a))[:, :, None]
+        self.flat = 1.0 - self.a
 
     @functools.cached_property
     def _rate_terms(self):
@@ -151,7 +150,7 @@ def survival_rest_split(modes: RestModeSet, t):
     wave = damp * law.a
     F = (damp * law.flat).sum(axis=0)
     S = (wave * np.cos(phase)).sum(axis=0)
-    same_freq = (modes.Omega[:, None] == modes.Omega[None, :]).astype(float)
+    same_freq = (law.Omega == law.Omega.T).astype(float)
     Q = 0.5 * (wave * (same_freq @ wave)).sum(axis=0)
     exp_part = F * F + Q
     osc_part = (2.0 * F + S) * S - Q

@@ -80,7 +80,7 @@ def _solve(modes, r, start):
     # finite where P0 itself is subnormal; where the amplitude underflows
     # to 0 the step is NaN and the point bisects.
     law = _RestLaw(modes)
-    cap = TAIL_CAP_OVER_GAMMA1 / float(modes.Gamma[0])
+    cap = TAIL_CAP_OVER_GAMMA1 / modes.Gamma[0]
     log_r = np.log(r)
     with np.errstate(divide="ignore", invalid="ignore"):
         # P0 falls strictly, so a root lies beyond the cap exactly when
@@ -153,7 +153,7 @@ def invert_survival_rest(modes: RestModeSet, r):
     subnormal targets. Every result has a log residual of at most 1e-12,
     so |P0(t) - r| <= ~1e-12 r. Errors name the first offending target.
     """
-    return maybe_scalar(_invert(modes, r, 1.0 / float(modes.Gamma[0])), r)
+    return maybe_scalar(_invert(modes, r, 1.0 / modes.Gamma[0]), r)
 
 
 def phi_p(modes: RestModeSet, ctx: BoostContext, t):

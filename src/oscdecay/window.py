@@ -130,8 +130,7 @@ def w_fn(M: float, Omega: float, a: float) -> float:
 def _xi_values(modes: RestModeSet, ctx: BoostContext) -> tuple:
     # xi'_j of every mode in one pass over Python floats; the background sum,
     # common to every mode, is taken once, left to right
-    M = modes.M
-    w, G, O, a = (v.tolist() for v in (modes.w, modes.Gamma, modes.Omega, modes.a))
+    M, w, G, O, a = modes.M, modes.w, modes.Gamma, modes.Omega, modes.a
     for aj in a:
         if aj >= 0.5:
             raise WindowError("gate diverges as a -> 1/2, got a=%r" % aj)
@@ -185,7 +184,7 @@ def exponential_windows(modes: RestModeSet, ctx: BoostContext, params: WindowPar
     admitted = tuple(j for j, x in enumerate(xi) if x <= params.xi_gate)
     excluded = tuple((j, x) for j, x in enumerate(xi) if x > params.xi_gate)
 
-    G = modes.Gamma.tolist()
+    G = modes.Gamma
     intervals_rest = tuple((2.0 * params.zeta_min / G[j], 2.0 * params.zeta_max / G[j])
                            for j in admitted)
     # lab intervals are exactly gamma times the rest ones, by construction
@@ -230,9 +229,9 @@ def constraint_report(modes: RestModeSet, ctx: BoostContext, window: TimeWindow)
     start = window.union_lab[0][0] if window.admitted else math.nan
     table = (
         # window start after 1/(10 Gamma_1)
-        ("domain-at-start", 10.0 * float(modes.Gamma[0]) * start,
+        ("domain-at-start", 10.0 * modes.Gamma[0] * start,
          "20 zeta_min gamma Gamma_1 / Gamma_fast must exceed 1"),
-        ("mass-gap", (modes.M - float(modes.Omega.max())) * start,
+        ("mass-gap", (modes.M - max(modes.Omega)) * start,
          "(M - Omega_max) times the window start must be large"),
         # M sqrt(gamma^2 - 1) is p: both momentum-scale conditions reduce to
         # the phase p t at the window start, reported from each side
@@ -267,14 +266,14 @@ def periods(modes: RestModeSet, ctx: BoostContext, window: TimeWindow = None, ac
         active_modes = window.admitted
     active = mode_indices(modes, active_modes, WindowError)
 
-    osc = [j for j in active if float(modes.a[j]) > 0.0 and float(modes.Omega[j]) > 0.0]
+    osc = [j for j in active if modes.a[j] > 0.0 and modes.Omega[j] > 0.0]
     if not osc:
         raise WindowError("no oscillating active mode (need a_j > 0 and Omega_j > 0)")
 
-    omega_max = max(float(modes.Omega[j]) for j in osc)
+    omega_max = max(modes.Omega[j] for j in osc)
     k_values = []
     for j in osc:
-        ratio = omega_max / float(modes.Omega[j])
+        ratio = omega_max / modes.Omega[j]
         k = round(ratio)
         if k < 1 or abs(ratio - k) > COMMENSURATE_REL_TOL * k:
             return PeriodReport(

@@ -36,7 +36,7 @@ MDD_TCUT_DEFAULT_OVER_GAMMA1 = 60.0
 
 
 def _domain(modes: RestModeSet, halfwidth_multiple, include_negative_mass):
-    omega_max = float(modes.Omega.max())
+    omega_max = max(modes.Omega)
     hw = halfwidth_multiple * max(float(modes.Gamma[-1]), omega_max)
     for j in range(modes.N):
         needed = float(modes.Omega[j]) + _COVERAGE_HALFWIDTHS * 0.5 * float(modes.Gamma[j])

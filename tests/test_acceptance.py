@@ -213,7 +213,7 @@ def test_08_rest_frame_suite():
         grid = np.geomspace(1e-3, 30.0, 400)
         vals = np.atleast_1d(od.survival_rest(modes, grid))
         ok &= bool(np.all(np.diff(vals) < 0.0))
-        want = -float(np.sum(modes.w * modes.Gamma))
+        want = -float(np.sum(np.array(modes.w) * np.array(modes.Gamma)))
         got = float(od.decay_rate_rest(modes, 0.0))
         ok &= abs(got - want) <= 1e-12 * abs(want)
         exp_part, osc_part = od.survival_rest_split(modes, grid)

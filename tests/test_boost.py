@@ -244,7 +244,7 @@ def test_law_matches_per_mode_reference(case):
         p_ref = abs(ref) ** 2
         assert abs(ev.K_sum[i] + ev.Phi_term[i] - ref) <= 1e-12 * abs(ref)
         assert abs(ev.P_p[i] - p_ref) <= 1e-12 * p_ref
-        valid = all(ti > 0.1 / g or (M - modes.Omega.max()) * ti >= 10.0 for g in modes.Gamma)
+        valid = all(ti > 0.1 / g or (M - max(modes.Omega)) * ti >= 10.0 for g in modes.Gamma)
         assert ev.in_validity_domain[i] == valid
         assert ev.exceeds_unity[i] == (p_ref > 1.0)
 

@@ -206,7 +206,7 @@ def test_window_xi_values_equal_the_per_mode_formula(name):
 def test_rest_law_and_split_equal_the_plain_formulas(name):
     modes, _ = _modes(name)
     t = np.concatenate([[0.0], np.geomspace(1e-6, 60.0, 400)])
-    w, G, O, a = (v[:, None] for v in (modes.w, modes.Gamma, modes.Omega, modes.a))
+    w, G, O, a = (np.array(v)[:, None] for v in (modes.w, modes.Gamma, modes.Omega, modes.a))
     damp = w * np.exp(-0.5 * (G * t))
     phase = O * t
     amp = (damp * ((1.0 - a) + a * np.cos(phase))).sum(axis=0)
@@ -218,9 +218,9 @@ def test_rest_law_and_split_equal_the_plain_formulas(name):
     assert np.array_equal(exp_part, F * F + Q)
     assert np.array_equal(osc_part, (2.0 * F + S) * S - Q)
     assert np.array_equal(amplitude_rest(modes, t), amp)
-    lam1 = modes.Gamma * (1.0 - modes.a)
-    root = np.hypot(modes.Gamma, 2.0 * modes.Omega)
-    lam2 = modes.a * root
-    beta = np.where(lam2 > 0.0, np.arccos(modes.Gamma / root), 0.0)
+    lam1 = G[:, 0] * (1.0 - a[:, 0])
+    root = np.hypot(G[:, 0], 2.0 * O[:, 0])
+    lam2 = a[:, 0] * root
+    beta = np.where(lam2 > 0.0, np.arccos(G[:, 0] / root), 0.0)
     rate = (damp * (lam1[:, None] + lam2[:, None] * np.cos(phase - beta[:, None]))).sum(axis=0)
     assert np.array_equal(decay_rate_rest(modes, t), -amp * rate)

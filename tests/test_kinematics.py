@@ -4,6 +4,7 @@ import math
 import warnings
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -249,6 +250,71 @@ def test_validate_rejects_bad_narrow_width_threshold(threshold):
         od.validate_modes(candidate, narrow_width_threshold=threshold)
     # any finite positive threshold the set meets is accepted
     assert od.validate_modes(candidate, narrow_width_threshold=1.0).N == 1
+
+
+CURVE_B = {"M": 80.0, "w": [1.0], "Gamma": [1.0], "Omega": [10.0], "a": [0.04]}
+THREE_MODES = {"M": 200.0, "w": [0.4, 0.3, 0.3], "Gamma": [1.0, 2.0, 3.5],
+               "Omega": [10.0, 20.0, 40.0], "a": [0.04, 0.04, 0.04]}
+
+
+def test_validated_set_cannot_be_mutated():
+    modes = od.validate_modes(THREE_MODES)
+    with pytest.raises(TypeError):
+        modes.w[0] = 7.0
+    assert modes.w == (0.4, 0.3, 0.3)
+
+
+@pytest.mark.parametrize("form", [list, tuple, np.array, "scalar", "0-d array"])
+def test_validate_gives_equal_hashable_sets_from_any_form(form):
+    if form == "scalar":
+        candidate = {k: v if k == "M" else v[0] for k, v in CURVE_B.items()}
+    elif form == "0-d array":
+        candidate = {k: np.array(v if k == "M" else v[0]) for k, v in CURVE_B.items()}
+    else:
+        candidate = {k: v if k == "M" else form(v) for k, v in CURVE_B.items()}
+    modes = od.validate_modes(candidate)
+    want = od.validate_modes(CURVE_B)
+    assert modes == want
+    assert hash(modes) == hash(want)
+    assert modes.w == (1.0,) and modes.a == (0.04,)
+    for field in (modes.w, modes.Gamma, modes.Omega, modes.a):
+        assert type(field) is tuple and all(type(v) is float for v in field)
+    assert type(modes.M) is float
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("M", None, "M must be a number, got None"),
+    ("w", None, "w must be a number or a list of numbers, got None"),
+    ("Gamma", "abc", "Gamma must be a number or a list of numbers, got 'abc'"),
+    ("Omega", [[10.0]], "Omega must be a number or a list of numbers, got [[10.0]]"),
+    ("a", [0.04, None], "a must be a number or a list of numbers, got [0.04, None]"),
+], ids=["M_none", "w_none", "Gamma_text", "Omega_nested", "a_entry_none"])
+def test_validate_names_a_field_float_cannot_read(field, value, message):
+    with pytest.raises(ModeValidationError) as err:
+        od.validate_modes(dict(CURVE_B, **{field: value}))
+    assert err.value.violations == [message]
+
+
+def test_validate_names_every_unreadable_field():
+    with pytest.raises(ModeValidationError) as err:
+        od.validate_modes(dict(CURVE_B, w=None, a="abc"))
+    assert err.value.violations == ["w must be a number or a list of numbers, got None",
+                                    "a must be a number or a list of numbers, got 'abc'"]
+
+
+def test_sets_from_lists_and_arrays_give_bit_identical_laws():
+    listed = od.validate_modes(THREE_MODES)
+    arrayed = od.validate_modes({k: np.array(v) for k, v in THREE_MODES.items()})
+    assert listed == arrayed
+    t = np.linspace(0.5, 3.0, 6)
+    got = []
+    for modes in (listed, arrayed):
+        ctx = od.shifted_kinematics(modes, 400.0)
+        ev = od.BoostedLaw(modes, ctx)(t)
+        got.append([ev.K_sum, ev.Phi_term, ev.P_p, od.survival_rest(modes, t),
+                    od.phi_p(modes, ctx, t), od.direct_survival(modes, 400.0, t)])
+    for a, b in zip(*got):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_mode_terms_split():

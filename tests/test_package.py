@@ -26,6 +26,8 @@ CURVE_B = {
 }
 
 WINDOW_ROW = {"cli", "kinematics", "window"}
+# the commands that evaluate no time grid, and so load no numpy
+WITHOUT_NUMPY = {"validate", "window"}
 REST_ROW = {"cli", "kinematics", "restframe", "_points"}
 BOOSTED_ROW = REST_ROW | {"boost", "specfun"}
 # oscdecay.* modules (prefix dropped) each command loads in a fresh interpreter
@@ -107,12 +109,14 @@ def test_cold_command_loads_only_the_modules_it_runs(config, tmp_path, command):
         "import sys, oscdecay.cli\n"
         "code = oscdecay.cli.main(sys.argv[1:])\n"
         "print(code, ','.join(m for m in sys.modules if m.startswith('oscdecay.')),"
-        " any(m.split('.')[0] == 'scipy' for m in sys.modules))",
+        " any(m.split('.')[0] == 'scipy' for m in sys.modules),"
+        " any(m.split('.')[0] == 'numpy' for m in sys.modules))",
         *command.split(), "--config", config, "--out", str(tmp_path / "out"), "--quiet")
-    code, modules, scipy = loaded.split()
+    code, modules, scipy, numpy = loaded.split()
     assert code == "0"
     assert set(modules.split(',')) == {"oscdecay." + name for name in LOADED[command]}
     assert scipy == "False"
+    assert numpy == str(command not in WITHOUT_NUMPY)
 
 
 def test_cli_binds_each_lazy_name_on_first_read():

@@ -87,7 +87,7 @@ def test_split_zero_amplitude_collapses_to_exponential():
 
 def split_double_sum(modes, t):
     """The defining double sum of survival_rest_split, term by term."""
-    w, a, Om, Ga = modes.w, modes.a, modes.Omega, modes.Gamma
+    w, a, Om, Ga = (np.array(v) for v in (modes.w, modes.a, modes.Omega, modes.Gamma))
     nu1 = ((Om[:, None] == Om[None, :]) | np.eye(modes.N, dtype=bool)).astype(float)
     nu2 = 1.0 - nu1
     e_jl = np.exp(-0.5 * (Ga[:, None] + Ga[None, :])[:, :, None] * t)

@@ -30,9 +30,10 @@ spread evenly over [2, 11] (one point is t = 2):
   points, and branch_cut at 181 points on z in [0.5, 20], across both
   fit seams;
 * oracle.direct_survival at 1, 20 and 181 points;
-* window.exponential_windows plus window.constraint_report, on curve B
-  and on a four-mode set, and restframe.survival_rest_split on the
-  four-mode set at 2000 points;
+* kinematics.validate_modes (from the config's lists),
+  kinematics.mode_terms and window.exponential_windows plus
+  window.constraint_report, on curve B and on a four-mode set, and
+  restframe.survival_rest_split on the four-mode set at 2000 points;
 * every CLI subcommand through cli.main, on one 181-point curve B config
   (window zeta_min 0.05, so that validate passes), and `curve --which
   boosted` and `phi` at 2000 points, the dense_grid size, where writing
@@ -49,7 +50,7 @@ spread evenly over [2, 11] (one point is t = 2):
 
 Run from the root of a source checkout:
 
-    python3 tools/bench_layers.py --parent ../parent --out bench/BENCH_20.json
+    python3 tools/bench_layers.py --parent ../parent --out bench/BENCH_22.json
 
 --quick takes one pass of two short rounds and one cold run of each
 kind: a smoke run that checks the script works, not a measurement.
@@ -156,7 +157,10 @@ def library_cases(od):
         t = _times(n)
         cases["oracle.direct_survival[%d]" % n] = \
             lambda t=t: od.oracle.direct_survival(modes, P, t, spec)
-    for label, (m, c) in (("curve_b", (modes, ctx)), ("four_modes", (four, four_ctx))):
+    for label, (raw, m, c) in (("curve_b", (CURVE_B, modes, ctx)),
+                               ("four_modes", (FOUR_MODES, four, four_ctx))):
+        cases["kinematics.validate_modes.%s" % label] = lambda raw=raw: km.validate_modes(raw)
+        cases["kinematics.mode_terms.%s" % label] = lambda m=m: km.mode_terms(m)
         cases["window.windows+constraints.%s" % label] = \
             lambda m=m, c=c: window.constraint_report(m, c, window.exponential_windows(m, c))
     t = _times(2000)
