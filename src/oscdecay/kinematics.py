@@ -46,13 +46,42 @@ class ModeValidationError(ValueError):
         super().__init__("; ".join(self.violations))
 
 
+class _FloatTuple(tuple):
+    """A per-mode field: a tuple of floats that, like the arrays it stands
+    for, compares with a number entry by entry, so all(modes.a > 0.0)
+    reads as it would on an array. Compared with anything else it raises
+    TypeError rather than compare tuples in dictionary order."""
+
+    __slots__ = ()
+
+    def _each(self, other, op):
+        import numbers
+
+        if not isinstance(other, numbers.Real):
+            raise TypeError("a mode field compares only with a number, got %r" % (other,))
+        return tuple(op(x, other) for x in self)
+
+    def __lt__(self, other):
+        return self._each(other, operator.lt)
+
+    def __le__(self, other):
+        return self._each(other, operator.le)
+
+    def __gt__(self, other):
+        return self._each(other, operator.gt)
+
+    def __ge__(self, other):
+        return self._each(other, operator.ge)
+
+
 @dataclass(frozen=True)
 class RestModeSet:
     """Validated parameters of the rest-frame decay law.
 
     M: resonance mass (energy units); w, Gamma, Omega, a: per-mode tuples
-    of floats, so a set is immutable and hashable. Use validate_modes() to
-    construct one from unchecked input.
+    of floats, so a set is immutable and hashable; each compares with a
+    number entry by entry. Use validate_modes() to construct one from
+    unchecked input.
     """
 
     M: float
@@ -60,6 +89,10 @@ class RestModeSet:
     Gamma: tuple
     Omega: tuple
     a: tuple
+
+    def __post_init__(self):
+        for key in ("w", "Gamma", "Omega", "a"):
+            object.__setattr__(self, key, _FloatTuple(getattr(self, key)))
 
     @property
     def N(self) -> int:
@@ -83,17 +116,25 @@ def _as_mode_fields(candidate):
     return [candidate[key] for key in _FIELDS]
 
 
+def _entry(x):
+    # float() would read a one-entry array row whole
+    if getattr(x, "ndim", 0):
+        raise TypeError("nested entry %r" % (x,))
+    return float(x)
+
+
 def _floats(value):
     """value as a tuple of floats, each entry read by float(); a scalar or a
     0-d array is one entry, as np.atleast_1d read it, and so is a string,
-    which float() reads whole rather than character by character."""
+    which float() reads whole rather than character by character. A nested
+    entry, a list or an array alike, raises TypeError."""
     if isinstance(value, str):
         return (float(value),)
     try:
         entries = iter(value)
     except TypeError:
         return (float(value),)
-    return tuple(map(float, entries))
+    return tuple(map(_entry, entries))
 
 
 def validate_modes(candidate, narrow_width_threshold: float = NARROW_WIDTH_DEFAULT) -> RestModeSet:
@@ -204,15 +245,17 @@ def shifted_kinematics(modes: RestModeSet, p: float) -> BoostContext:
 def mode_indices(modes: RestModeSet, indices, error=ValueError) -> list:
     """The distinct mode indices in indices, ascending; error names the first
     entry that is not an integer in 0..N-1. An integer is what operator.index
-    reads, numpy's included; a bool, 0.9 or np.float64(1.0) is not one."""
+    reads, numpy's included; a bool, 0.9 or np.float64(1.0) is not one. A
+    bool is told by its type's name, since numpy 1.x's bool_ still has an
+    __index__ that reads np.True_ as 1."""
     idx = set()
     for i in indices:
+        if type(i).__name__ in ("bool", "bool_"):
+            raise error("mode index must be an integer, got %r" % (i,))
         try:
             j = operator.index(i)
         except TypeError:
-            j = None
-        if j is None or isinstance(i, bool):
-            raise error("mode index must be an integer, got %r" % (i,))
+            raise error("mode index must be an integer, got %r" % (i,)) from None
         if not 0 <= j < modes.N:
             raise error("mode index %d out of range 0..%d" % (j, modes.N - 1))
         idx.add(j)

@@ -278,8 +278,22 @@ def test_validate_gives_equal_hashable_sets_from_any_form(form):
     assert hash(modes) == hash(want)
     assert modes.w == (1.0,) and modes.a == (0.04,)
     for field in (modes.w, modes.Gamma, modes.Omega, modes.a):
-        assert type(field) is tuple and all(type(v) is float for v in field)
+        assert isinstance(field, tuple) and all(type(v) is float for v in field)
     assert type(modes.M) is float
+
+
+def test_a_field_compares_with_a_number_entry_by_entry():
+    # as the arrays the fields once were; never in tuple (dictionary) order
+    modes = od.validate_modes(THREE_MODES)
+    assert (modes.Gamma > 1.5) == (False, True, True)
+    assert (modes.Gamma <= np.float32(2.0)) == (True, True, False)
+    assert all(modes.a > 0.0) and not any(modes.a >= 0.5)
+    for other in [(1.0, 2.0, 3.5), [2.0], "1"]:
+        with pytest.raises(TypeError, match="compares only with a number"):
+            modes.Gamma < other
+    # a set built directly, as the window's mode subsets are, compares alike
+    direct = od.RestModeSet(M=200.0, w=(1.0,), Gamma=(1.0,), Omega=(10.0,), a=(0.04,))
+    assert (direct.a > 0.0) == (True,)
 
 
 @pytest.mark.parametrize("field, value, message", [
@@ -288,7 +302,9 @@ def test_validate_gives_equal_hashable_sets_from_any_form(form):
     ("Gamma", "abc", "Gamma must be a number or a list of numbers, got 'abc'"),
     ("Omega", [[10.0]], "Omega must be a number or a list of numbers, got [[10.0]]"),
     ("a", [0.04, None], "a must be a number or a list of numbers, got [0.04, None]"),
-], ids=["M_none", "w_none", "Gamma_text", "Omega_nested", "a_entry_none"])
+    ("Omega", np.array([[10.0]]),
+     "Omega must be a number or a list of numbers, got array([[10.]])"),
+], ids=["M_none", "w_none", "Gamma_text", "Omega_nested", "a_entry_none", "Omega_nested_array"])
 def test_validate_names_a_field_float_cannot_read(field, value, message):
     with pytest.raises(ModeValidationError) as err:
         od.validate_modes(dict(CURVE_B, **{field: value}))
