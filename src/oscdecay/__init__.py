@@ -17,22 +17,7 @@ from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoostContext", "ModeValidationError", "RestModeSet", "lorentz_factor",
-    "shifted_kinematics", "validate_modes",
-    "CurveSeries", "amplitude_rest", "decay_rate_rest", "mdd_analytic", "survival_rest",
-    "survival_rest_split",
-    "SpecialFunctionDomainError", "bessel_j1", "bessel_y1", "struve_h1",
-    "BoostDomainError", "BoostedEvaluation", "BoostedLaw", "boosted_split",
-    "survival_boosted", "survival_boosted_window_approx",
-    "TimeWindow", "WindowError", "WindowParams", "constraint_report", "exponential_windows",
-    "periods", "w_fn", "xi_prime",
-    "LinearityFit", "TimeMapError", "invert_survival_rest", "linearity_fit", "phi_p",
-    "ComparisonReport", "OracleConvergenceError", "QuadratureSpec",
-    "direct_boosted_amplitude", "direct_survival", "oracle_compare",
-]
-
-# home module -> the names of __all__ it defines
+# home module -> the public names it defines: the one list of them
 _EXPORTS = {
     "kinematics": ("BoostContext", "ModeValidationError", "RestModeSet", "lorentz_factor",
                    "shifted_kinematics", "validate_modes"),
@@ -48,6 +33,7 @@ _EXPORTS = {
     "oracle": ("ComparisonReport", "OracleConvergenceError", "QuadratureSpec",
                "direct_boosted_amplitude", "direct_survival", "oracle_compare"),
 }
+__all__ = [name for names in _EXPORTS.values() for name in names]
 _HOMES = {name: home for home, names in _EXPORTS.items() for name in names}
 _SUBMODULES = frozenset(_EXPORTS) | {"cli"}
 

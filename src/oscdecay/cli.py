@@ -18,38 +18,25 @@ import json
 import math
 import sys
 from dataclasses import asdict, fields
-from importlib import import_module
 
 from . import __version__
 from .kinematics import ModeValidationError, shifted_kinematics, validate_modes
 
 __all__ = ["main"]
 
-# home module -> the names a command reads from this module, as _cli.name:
-# each is imported from its home on first read, so that a command loads
-# only the modules it runs. survival_boosted is unused here; it is bound
-# for perfbench/spans.py, which traces calls through this module's names
-_LAZY = {
-    "window": ("WindowError", "WindowParams", "constraint_report", "exponential_windows",
-               "periods"),
-    "restframe": ("CurveSeries", "decay_rate_rest", "survival_rest", "survival_rest_split"),
-    "boost": ("BoostedLaw", "survival_boosted"),
-    "timemap": ("TimeMapError", "linearity_fit", "phi_p"),
-    "oracle": ("OracleConvergenceError", "QuadratureSpec", "direct_survival", "oracle_compare"),
-}
-_HOMES = {name: home for home, names in _LAZY.items() for name in names}
-
 # this module, also when it runs as __main__: a bare global would not reach
 # __getattr__, and a wrapper set on the module is what a read through it calls
 _cli = sys.modules[__name__]
+_package = sys.modules[__package__]
 
 
 def __getattr__(name):
-    """A name of _HOMES, imported from its home module and bound here, so
-    that every later read is a plain attribute hit."""
-    if name not in _HOMES:
+    """A public name of the package, read through it (which imports only its
+    home module) and bound here, so that every later read is a plain
+    attribute hit and a command loads only the modules it runs."""
+    if name not in _package.__all__:
         raise AttributeError("module %r has no attribute %r" % (__name__, name))
-    value = globals()[name] = getattr(import_module("." + _HOMES[name], __package__), name)
+    value = globals()[name] = getattr(_package, name)
     return value
 
 
@@ -156,6 +143,9 @@ def _grid(config):
         points = grid["points"]
     except KeyError as exc:
         raise ConfigError("grid lacks key %s" % exc)
+    for key in grid:
+        if key not in ("t_min", "t_max", "points", "spacing"):
+            raise ConfigError("config['grid'][%r] is not a grid setting" % key)
     spacing = grid.get("spacing", "linear")
     # 3.0 is an integer, 40.7 and "40" are not
     if not (isinstance(points, (int, float)) and points == int(points) >= 2):
@@ -174,47 +164,47 @@ def _grid(config):
     raise ConfigError("grid spacing must be 'linear' or 'log', got %r" % spacing)
 
 
-def _section(config, name) -> dict:
+def _settings(config, name, defaults) -> dict:
+    """Section name of config over its defaults, a dict of every key the
+    section may set: one whose default is a bool takes true or false, any
+    other a JSON number, read as a float. Any other key is a ConfigError."""
     raw = config.get(name, {})
     if not isinstance(raw, dict):
         raise ConfigError("'%s' section must be an object" % name)
-    return raw
-
-
-def _settings_only(raw, name, cls, what):
-    """A ConfigError naming the first key of section name that is not a field of cls."""
-    known = {f.name for f in fields(cls)}
     for key in raw:
-        if key not in known:
-            raise ConfigError("config[%r][%r] is not %s" % (name, key, what))
+        if key not in defaults:
+            raise ConfigError("config[%r][%r] is not %s %s setting"
+                              % (name, key, "an" if name[0] in "aeiou" else "a", name))
+    settings = dict(defaults)
+    for key, value in raw.items():
+        path = "config[%r][%r]" % (name, key)
+        if isinstance(defaults[key], bool):
+            if not isinstance(value, bool):
+                raise ConfigError("%s must be true or false, got %r" % (path, value))
+            settings[key] = value
+        else:
+            settings[key] = float(_number(value, path))
+    return settings
+
+
+def _defaults(cls) -> dict:
+    return {f.name: f.default for f in fields(cls)}
 
 
 def _window_params(config):
-    raw = _section(config, "window")
-    _settings_only(raw, "window", _cli.WindowParams, "a window setting")
-    return _cli.WindowParams(**{k: float(_number(v, "config['window'][%r]" % k))
-                                for k, v in raw.items()})
+    return _cli.WindowParams(**_settings(config, "window", _defaults(_cli.WindowParams)))
 
 
 def _quad_spec(config):
-    raw = _section(config, "oracle")
-    _settings_only(raw, "oracle", _cli.QuadratureSpec, "an oracle setting")
-    for key, value in raw.items():
-        path = "config['oracle'][%r]" % key
-        if key == "include_negative_mass":
-            if not isinstance(value, bool):
-                raise ConfigError("%s must be true or false, got %r" % (path, value))
-        elif key in ("abs_tol", "rel_tol"):
-            _number(value, path)
+    settings = _settings(config, "oracle", _defaults(_cli.QuadratureSpec))
     try:
-        return _cli.QuadratureSpec(**raw)
+        return _cli.QuadratureSpec(**settings)
     except ValueError as exc:
         raise ConfigError("bad oracle parameters: %s" % exc)
 
 
 def _bound(config) -> float:
-    bound = float(_number(_section(config, "compare").get("max_rel_deviation", 1e-2),
-                          "config['compare']['max_rel_deviation']"))
+    bound = _settings(config, "compare", {"max_rel_deviation": 1e-2})["max_rel_deviation"]
     if bound <= 0.0:
         raise ConfigError("compare.max_rel_deviation must be finite and > 0, got %r" % bound)
     return bound

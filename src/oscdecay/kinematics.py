@@ -154,7 +154,7 @@ def validate_modes(candidate, narrow_width_threshold: float = NARROW_WIDTH_DEFAU
     for name, value in zip(_FIELDS, _as_mode_fields(candidate)):
         try:
             read.append(float(value) if name == "M" else _floats(value))
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             violations.append("%s must be a number%s, got %r"
                               % (name, "" if name == "M" else " or a list of numbers", value))
     if violations:

@@ -171,6 +171,17 @@ def test_log_grid_spacing(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_grid_rejects_an_unknown_key(tmp_path, capsys):
+    # a misspelt spacing would otherwise give a linear grid
+    cfg = write_config(tmp_path, "typo.json", {
+        "grid": {"t_min": 1.0, "t_max": 100.0, "points": 3, "spacng": "log"},
+    })
+    out = tmp_path / "typo.csv"
+    assert main(["curve", "--which", "rest", "--config", cfg, "--out", str(out), "--quiet"]) == 2
+    assert "config['grid']['spacng'] is not a grid setting" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_rest_curve_csv_contract(tmp_path):
     cfg = write_config(tmp_path, "rest.json", {
         "p": 0.0, "grid": {"t_min": 0.0, "t_max": 10.0, "points": 21},
@@ -527,10 +538,13 @@ def test_oracle_non_convergence_exits_4(tmp_path, capsys):
     # settings of the former real-axis quadrature
     {"oracle": {"halfwidth_multiple": 60}},
     {"oracle": {"max_segments": 10}},
+    # a misspelt bound would otherwise leave the default 1e-2 gate in force
+    {"compare": {"max_rel_deviaton": 1e-9}},
 ], ids=["compare_not_object", "bound_nan", "bound_negative", "oracle_not_object",
         "oracle_abs_tol_nan", "bound_string", "oracle_negative_mass_string",
         "oracle_negative_mass_int", "oracle_max_rounds", "oracle_max_rounds_fraction",
-        "oracle_max_rounds_bool", "oracle_halfwidth_multiple", "oracle_max_segments"])
+        "oracle_max_rounds_bool", "oracle_halfwidth_multiple", "oracle_max_segments",
+        "bound_misspelt"])
 def test_compare_rejects_malformed_sections(tmp_path, capsys, section):
     extra = {"grid": {"t_min": 2.0, "t_max": 6.0, "points": 5},
              "oracle": {"abs_tol": 1e-7, "rel_tol": 1e-5}}

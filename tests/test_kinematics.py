@@ -304,7 +304,11 @@ def test_a_field_compares_with_a_number_entry_by_entry():
     ("a", [0.04, None], "a must be a number or a list of numbers, got [0.04, None]"),
     ("Omega", np.array([[10.0]]),
      "Omega must be a number or a list of numbers, got array([[10.]])"),
-], ids=["M_none", "w_none", "Gamma_text", "Omega_nested", "a_entry_none", "Omega_nested_array"])
+    # ints beyond a double, which float() refuses with OverflowError
+    ("M", 10**400, "M must be a number, got %r" % 10**400),
+    ("w", [10**400], "w must be a number or a list of numbers, got [%r]" % 10**400),
+], ids=["M_none", "w_none", "Gamma_text", "Omega_nested", "a_entry_none", "Omega_nested_array",
+        "M_beyond_double", "w_beyond_double"])
 def test_validate_names_a_field_float_cannot_read(field, value, message):
     with pytest.raises(ModeValidationError) as err:
         od.validate_modes(dict(CURVE_B, **{field: value}))
