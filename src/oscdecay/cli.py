@@ -11,13 +11,14 @@ Exit codes: 0 ok; 1 comparison bound exceeded; 2 invalid config or
 model; 3 I/O failure; 4 oracle non-convergence.
 """
 
-import argparse
 import functools
 import itertools
 import json
 import math
 import sys
-from dataclasses import asdict, fields
+from dataclasses import fields
+from json.encoder import encode_basestring_ascii
+from types import SimpleNamespace
 
 from . import __version__
 from .kinematics import ModeValidationError, shifted_kinematics, validate_modes
@@ -108,15 +109,16 @@ def _build_modes(config):
     if "modes" not in config:
         raise ConfigError("config lacks the 'modes' section")
     raw = config["modes"]
-    if isinstance(raw, dict):
-        for key in ("M", "w", "Gamma", "Omega", "a"):
-            path = "config['modes'][%r]" % key
-            values = raw.get(key, [])
-            if isinstance(values, list):
-                for i, value in enumerate(values):
-                    _number(value, path, i)
-            else:
-                _number(values, path)
+    if not isinstance(raw, dict):
+        raise ConfigError("'modes' section must be an object")
+    for key in ("M", "w", "Gamma", "Omega", "a"):
+        path = "config['modes'][%r]" % key
+        values = raw.get(key, [])
+        if isinstance(values, list):
+            for i, value in enumerate(values):
+                _number(value, path, i)
+        else:
+            _number(values, path)
     kwargs = {}
     if "narrow_width_threshold" in config:
         kwargs["narrow_width_threshold"] = float(
@@ -137,6 +139,8 @@ def _grid(config):
     if "grid" not in config:
         raise ConfigError("config lacks the 'grid' section")
     grid = config["grid"]
+    if not isinstance(grid, dict):
+        raise ConfigError("'grid' section must be an object")
     try:
         t_min = float(_number(grid["t_min"], "config['grid']['t_min']"))
         t_max = float(_number(grid["t_max"], "config['grid']['t_max']"))
@@ -218,8 +222,66 @@ def _emit_text(text, out_path):
         fh.write(text)
 
 
+# json writes the three non-finite doubles as JavaScript spells them
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _field_items(obj):
+    """(name, value) of each field of dataclass obj, in field order, not copied."""
+    return [(f.name, getattr(obj, f.name)) for f in fields(obj)]
+
+
+def _json_text(obj, indent):
+    """JSON text of obj, byte for byte what json.dumps(obj, indent=2,
+    default=_json_default) writes at the nesting whose line break and
+    indentation is indent ("\n" at the top), and a dataclass as the object
+    of its fields. json's C encoder cannot indent, so json.dumps(indent=2)
+    runs its pure-Python encoder, a generator per container; this writer
+    joins strings instead."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        text = float.__repr__(obj)
+        return _NON_FINITE.get(text, text)
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = indent + "  "
+        return "[%s%s%s]" % (inner, ("," + inner).join([_json_text(v, inner) for v in obj]),
+                             indent)
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif hasattr(type(obj), "__dataclass_fields__"):
+        items = _field_items(obj)
+    else:
+        return _json_text(_json_default(obj), indent)
+    if not items:
+        return "{}"
+    inner = indent + "  "
+    return "{%s%s%s}" % (inner, ("," + inner).join([
+        "%s: %s" % (_json_key(key), _json_text(value, inner)) for key, value in items]), indent)
+
+
+def _json_key(key):
+    # a key of a type json accepts, as the string json makes of it
+    if not isinstance(key, str):
+        if not (key is None or isinstance(key, (int, float))):
+            raise TypeError("keys must be str, int, float, bool or None, not %s"
+                            % type(key).__name__)
+        key = _json_text(key, "")
+    return encode_basestring_ascii(key)
+
+
 def _emit_json(report, out_path):
-    _emit_text(json.dumps(report, indent=2, default=_json_default) + "\n", out_path)
+    _emit_text(_json_text(report, "\n") + "\n", out_path)
 
 
 def _note(args, message):
@@ -262,7 +324,7 @@ def _window_report(config, modes):
     checks = _cli.constraint_report(modes, ctx, window)
     report = _report_skeleton(config)
     report["window"] = _window_json(window)
-    report["constraints"] = [asdict(c) for c in checks]
+    report["constraints"] = checks
     return report, ctx, window
 
 
@@ -274,7 +336,7 @@ def cmd_validate(config, args):
     except _cli.WindowError as exc:
         violations = [str(exc)]
     else:
-        ok = bool(window.admitted) and all(c["status"] == "pass" for c in report["constraints"])
+        ok = bool(window.admitted) and all(c.status == "pass" for c in report["constraints"])
         report["results"] = {"valid": ok, "violations": []}
         _emit_json(report, args.out)
         _note(args, "validate: %s" % ("ok" if ok else "constraint failures"))
@@ -348,7 +410,7 @@ def cmd_window(config, args):
     report, ctx, window = _window_report(config, modes)
     if window.admitted:
         try:
-            report["results"]["periods"] = asdict(_cli.periods(modes, ctx, window=window))
+            report["results"]["periods"] = _cli.periods(modes, ctx, window=window)
         except _cli.WindowError as exc:
             report["results"]["periods"] = {"unavailable": str(exc)}
     else:
@@ -377,7 +439,7 @@ def cmd_phi(config, args):
         window = _cli.exponential_windows(modes, ctx, params)
         fit_report["window"] = _window_json(window)
         series = _cli.CurveSeries(t=t, values=values, kind="timemap")
-        fit_report["results"]["fit"] = asdict(_cli.linearity_fit(series, window, ctx))
+        fit_report["results"]["fit"] = _cli.linearity_fit(series, window, ctx)
     except (_cli.WindowError, _cli.TimeMapError) as exc:
         fit_report["results"]["fit_error"] = str(exc)
     _emit_json(fit_report, args.out + ".fit.json")
@@ -406,54 +468,100 @@ def cmd_compare(config, args):
 
     within = rep.max_rel_deviation <= bound
     report = _report_skeleton(config)
-    report["results"] = dict(asdict(rep), bound=bound, within_bound=within)
+    report["results"] = dict(_field_items(rep), bound=bound, within_bound=within)
     _emit_json(report, args.out)
     _note(args, "compare: max rel deviation %g (bound %g)" % (rep.max_rel_deviation, bound))
     return EXIT_OK if within else EXIT_BOUND
 
 
+# option -> its argparse keywords
+_COMMON = {
+    "--config": {"required": True, "help": "path to the JSON run config"},
+    "--out": {"default": None, "help": "output path (default: stdout)"},
+    "--parallel": {"type": int, "default": 0, "metavar": "N",
+                   "help": "accepted for interface stability; does nothing"},
+    "--quiet": {"action": "store_true", "default": False, "help": "suppress progress notes"},
+}
+_WHICH = {"choices": ("rest", "boosted", "rate", "split"), "default": "rest",
+          "help": "curve family to sample"}
+
+# command -> (its function, its help line, its options): the one table that
+# both _parser and _read_argv read
 _COMMANDS = {
-    "validate": cmd_validate,
-    "curve": cmd_curve,
-    "window": cmd_window,
-    "phi": cmd_phi,
-    "compare": cmd_compare,
+    "validate": (cmd_validate, "check the mode set and window constraints", _COMMON),
+    "curve": (cmd_curve, "emit a sampled curve as CSV", dict(_COMMON, **{"--which": _WHICH})),
+    "window": (cmd_window, "emit the window report as JSON", _COMMON),
+    "phi": (cmd_phi, "emit the time map as CSV plus a linearity-fit sidecar", _COMMON),
+    "compare": (cmd_compare, "compare the closed form against the direct quadrature", _COMMON),
 }
 
 
 @functools.lru_cache(maxsize=None)
 def _parser():
     """The argument parser, built on first use and reused by every later call."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="oscdecay",
         description="Decay laws of moving unstable systems with oscillating modes.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", required=True, help="path to the JSON run config")
-    common.add_argument("--out", default=None, help="output path (default: stdout)")
-    common.add_argument("--parallel", type=int, default=0, metavar="N",
-                        help="accepted for interface stability; does nothing")
-    common.add_argument("--quiet", action="store_true", help="suppress progress notes")
-
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("validate", parents=[common],
-                   help="check the mode set and window constraints")
-    curve = sub.add_parser("curve", parents=[common], help="emit a sampled curve as CSV")
-    curve.add_argument("--which", choices=("rest", "boosted", "rate", "split"),
-                       default="rest", help="curve family to sample")
-    sub.add_parser("window", parents=[common], help="emit the window report as JSON")
-    sub.add_parser("phi", parents=[common],
-                   help="emit the time map as CSV plus a linearity-fit sidecar")
-    sub.add_parser("compare", parents=[common],
-                   help="compare the closed form against the direct quadrature")
+    for name, (_, help_line, options) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_line)
+        for option, keywords in options.items():
+            command.add_argument(option, **keywords)
     return parser
 
 
+def _read_argv(argv):
+    """The namespace _parser() makes of argv, read without argparse when argv
+    is spelt as documented: a command, then its options in any order, each
+    but --quiet followed by its value, the last of a repeated option winning.
+    None for any other spelling (help, an abbreviation, an --opt=value form,
+    a value starting with '-', an unknown token, no --config), which is left
+    to argparse, so that its help, its errors and its exit 2 stay its own."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    options = _COMMANDS[argv[0]][2]
+    read = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        keywords = options.get(token)
+        if keywords is None:
+            return None
+        if keywords.get("action") == "store_true":
+            read[token] = True
+            continue
+        value = next(tokens, "-")
+        if value.startswith("-"):
+            return None
+        if "type" in keywords:
+            try:
+                value = keywords["type"](value)
+            except ValueError:
+                return None
+        if value not in keywords.get("choices", [value]):
+            return None
+        read[token] = value
+    if not all(option in read for option, keywords in options.items()
+               if keywords.get("required")):
+        return None
+    return SimpleNamespace(command=argv[0], **{
+        option[2:]: read.get(option, keywords.get("default"))
+        for option, keywords in options.items()})
+
+
+def _args(argv):
+    """The namespace of argv, as _parser().parse_args(argv) makes it."""
+    args = _read_argv(argv)
+    return _parser().parse_args(argv) if args is None else args
+
+
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _args(sys.argv[1:] if argv is None else argv)
     try:
         config = _load_config(args.config)
-        return _COMMANDS[args.command](config, args)
+        return _COMMANDS[args.command][0](config, args)
     except OSError as exc:
         print("oscdecay: i/o error: %s" % exc, file=sys.stderr)
         return EXIT_IO

@@ -560,6 +560,22 @@ def test_compare_rejects_malformed_sections(tmp_path, capsys, section):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, section", [
+    ("curve --which boosted", "grid"),
+    ("curve --which boosted", "modes"),
+    ("validate", "modes"),
+])
+@pytest.mark.parametrize("value", [[1, 2], "abc"], ids=["list", "string"])
+def test_grid_and_modes_sections_must_be_objects(tmp_path, capsys, command, section, value):
+    cfg = write_config(tmp_path, "notobject.json",
+                       {"grid": {"t_min": 2.0, "t_max": 11.0, "points": 19}, section: value})
+    out = tmp_path / "notobject.out"
+    assert main(command.split() + ["--config", cfg, "--out", str(out), "--quiet"]) == 2
+    assert capsys.readouterr().err == (
+        "oscdecay: invalid config or model: '%s' section must be an object\n" % section)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("extra, path", [
     ({"p": "200"}, "config['p']"),
     ({"p": True}, "config['p']"),

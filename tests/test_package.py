@@ -119,6 +119,29 @@ def test_cold_command_loads_only_the_modules_it_runs(config, tmp_path, command):
     assert numpy == str(command not in WITHOUT_NUMPY)
 
 
+@pytest.mark.parametrize("argv, loads_argparse", [
+    ("validate", False),
+    ("curve --which boosted", False),
+    ("phi", False),
+    ("-h", True),
+    ("phi -h", True),
+    ("phi --no-such-flag", True),
+])
+def test_argparse_loads_only_for_help_and_errors(config, tmp_path, argv, loads_argparse):
+    # the documented spelling is read from the command table; argparse reads
+    # the rest, so that help and errors stay its own
+    loaded = fresh(
+        "import sys, oscdecay.cli\n"
+        "try:\n"
+        "    code = oscdecay.cli.main(sys.argv[1:])\n"
+        "except SystemExit as exc:\n"
+        "    code = exc.code\n"
+        "print(code, 'argparse' in sys.modules)",
+        *argv.split(), "--config", config, "--out", str(tmp_path / "out"), "--quiet")
+    assert loaded.split()[-2:] == [str(2 if "--no-such-flag" in argv else 0),
+                                   str(loads_argparse)]
+
+
 def test_cli_binds_each_lazy_name_on_first_read():
     # bound in the module's namespace, so later reads import nothing; the
     # three names cli imports itself are bound before any read

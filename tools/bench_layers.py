@@ -39,6 +39,10 @@ spread evenly over [2, 11] (one point is t = 2):
   boosted` and `phi` at 2000 points, the dense_grid size, where writing
   the CSV takes most of a command; `curve --which boosted` at 2000 points
   also runs with Gamma 2.5, where no CSV column repeats another;
+* the CLI's fixed work on that config: cli.parse[<name>], reading the argv
+  of each subcommand, and cli.report_json[window|fit|compare], writing the
+  report of `window`, `phi`'s fit sidecar and the report of `compare` as
+  JSON text (the reports are those the tree's own commands build);
 * the median cold `import oscdecay.cli` in a fresh interpreter (time
   taken inside it, without the interpreter's own start-up);
 * the median wall time of every CLI subcommand run cold, as a fresh
@@ -198,6 +202,35 @@ def cli_cases(od, tmp):
             for name, (args, path) in runs.items()}
 
 
+def cli_io_cases(od, tmp):
+    """name -> callable of the CLI's fixed work in package od, on the 181-point
+    config: reading each subcommand's argv, and writing the window report,
+    phi's fit sidecar and the compare report as JSON text. A tree from
+    before the table reader and the report writer reads argv with argparse
+    and writes reports with json.dumps(indent=2)."""
+    cli = od.cli
+    path, out = cli_config(tmp, 181), os.path.join(tmp, "out")
+    parse = getattr(cli, "_args", None) or (lambda argv: cli._parser().parse_args(argv))
+    cases = {"cli.parse[%s]" % name: lambda argv=list(args) + ["--config", path, "--out", out,
+                                                                "--quiet"]: parse(argv)
+             for name, args in CLI_COMMANDS.items()}
+    if hasattr(cli, "_json_text"):
+        def write(report):
+            return cli._json_text(report, "\n")
+    else:
+        def write(report):
+            return json.dumps(report, indent=2, default=cli._json_default)
+    for name, command in (("window", "window"), ("fit", "phi"), ("compare", "compare")):
+        reports = []
+        emit, cli._emit_json = cli._emit_json, lambda report, _: reports.append(report)
+        try:
+            cli.main([command, "--config", path, "--out", out, "--quiet"])
+        finally:
+            cli._emit_json = emit
+        cases["cli.report_json[%s]" % name] = lambda report=reports[0]: write(report)
+    return cases
+
+
 def _batch_size(fn, round_s):
     # calls per batch so that one batch lasts at least round_s
     number = 1
@@ -297,7 +330,7 @@ def measure(roots, rounds, round_s, cold_runs, n_passes):
     packages = {label: load_tree(root, "oscdecay" if label == "change" else "oscdecay_" + label)
                 for label, root in roots.items()}
     with tempfile.TemporaryDirectory() as tmp:
-        trees = {label: dict(library_cases(od), **cli_cases(od, tmp))
+        trees = {label: dict(library_cases(od), **cli_cases(od, tmp), **cli_io_cases(od, tmp))
                  for label, od in packages.items()}
         passes = [(time_cases(trees, rounds, round_s), cold_s(roots, cold_runs, tmp))
                   for _ in range(n_passes)]
