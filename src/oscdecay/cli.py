@@ -394,11 +394,9 @@ def cmd_curve(config, args):
         exp_part, osc_part = _cli.survival_rest_split(modes, t)
         text = _csv_text("t,gamma_t,value,value_exp,value_osc", t, gamma_t,
                          exp_part + osc_part, exp_part, osc_part)
-    elif which == "boosted":
+    else:  # "boosted": the reader and argparse admit only the four kinds
         ev = _cli.BoostedLaw(modes, shifted_kinematics(modes, p))(t)
         text = _csv_text("t,gamma_t,value,valid", t, gamma_t, ev.P_p, ev.in_validity_domain)
-    else:
-        raise ConfigError("unknown curve kind %r" % which)
 
     _emit_text(text, args.out)
     _note(args, "curve %s: %d rows" % (which, len(t)))

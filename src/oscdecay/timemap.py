@@ -37,7 +37,9 @@ __all__ = [
 ]
 
 INVERT_REL_TOL = 1e-12
-# targets needing times beyond this multiple of 1/Gamma_1 are rejected
+# the right end of every root's bracket, as a multiple of 1/Gamma_1. Every
+# width of a valid set is at least Gamma_1, so P0 there is below e^-5000,
+# which rounds to 0: every target in (0, 1) has its root inside
 TAIL_CAP_OVER_GAMMA1 = 1e4
 # a point freezes once its Newton step is below this fraction of its
 # root, its bracket below the second one times its root, or its log gap
@@ -83,14 +85,6 @@ def _solve(modes, r, start):
     cap = TAIL_CAP_OVER_GAMMA1 / modes.Gamma[0]
     log_r = np.log(r)
     with np.errstate(divide="ignore", invalid="ignore"):
-        # P0 falls strictly, so a root lies beyond the cap exactly when
-        # its target lies below P0(cap)
-        beyond = np.flatnonzero(log_r < 2.0 * np.log(law.amplitude(cap)))
-        if len(beyond):
-            raise TimeMapError(
-                "target %r lies below the representable tail (t beyond %r)"
-                % (float(r[beyond[0]]), cap)
-            )
         root = np.clip(start, np.finfo(float).tiny, cap)
         # the moving points' indices, times, targets and brackets
         live, t, target = np.arange(len(r)), root, log_r
@@ -147,11 +141,13 @@ def invert_survival_rest(modes: RestModeSet, r):
     Starts each root at 1/Gamma_1 inside the bracket [0, tail cap] and
     refines it with safeguarded Newton steps, bisecting where a step would
     leave the bracket; a converged Newton step that lands on a bracket end
-    is taken there. A target below P0 at the tail cap is rejected. The
-    solve runs on 2 log(amplitude) - log r and its exact slope, which keeps
-    the deep tail conditioned and immune to squaring underflow, down to
-    subnormal targets. Every result has a log residual of at most 1e-12,
-    so |P0(t) - r| <= ~1e-12 r. Errors name the first offending target.
+    is taken there. The tail cap only ends the bracket: for a valid set
+    P0 there rounds to 0, so every target in (0, 1) has its root inside.
+    The solve runs on 2 log(amplitude) - log r and its exact slope, which
+    keeps the deep tail conditioned and immune to squaring underflow,
+    down to subnormal targets. Every result has a log residual of at most
+    1e-12, so |P0(t) - r| <= ~1e-12 r. Errors name the first offending
+    target.
     """
     return maybe_scalar(_invert(modes, r, 1.0 / modes.Gamma[0]), r)
 

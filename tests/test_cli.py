@@ -576,6 +576,71 @@ def test_grid_and_modes_sections_must_be_objects(tmp_path, capsys, command, sect
     assert not out.exists()
 
 
+GRID = {"t_min": 2.0, "t_max": 6.0, "points": 5}
+
+
+@pytest.mark.parametrize("command, config, message", [
+    ("curve", [1, 2], "config root must be a JSON object"),
+    ("curve", {"p": 200.0, "grid": GRID}, "config lacks the 'modes' section"),
+    ("curve", dict(CURVE_B, p=-1.0, grid=GRID), "momentum p must be finite and >= 0, got -1.0"),
+    ("curve", CURVE_B, "config lacks the 'grid' section"),
+    ("curve", dict(CURVE_B, grid={"t_min": 2.0, "points": 5}), "grid lacks key 't_max'"),
+    ("curve", dict(CURVE_B, grid=dict(GRID, t_max=2.0)),
+     "grid needs t_min < t_max, got 2.0, 2.0"),
+    ("curve", dict(CURVE_B, grid=dict(GRID, spacing="cubic")),
+     "grid spacing must be 'linear' or 'log', got 'cubic'"),
+    ("compare", dict(CURVE_B, grid=GRID, oracle={"abs_tol": 0.0}),
+     "bad oracle parameters: tolerances must be finite, abs_tol > 0 and rel_tol >= 0, "
+     "got abs_tol=0.0, rel_tol=1e-06"),
+], ids=["root_not_object", "no_modes", "p_negative", "no_grid", "grid_key_missing",
+        "t_min_not_below_t_max", "bad_spacing", "bad_oracle_parameters"])
+def test_config_errors_exit_2_with_their_message(tmp_path, capsys, command, config, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "bad.out"
+    assert main([command, "--config", str(path), "--out", str(out), "--quiet"]) == 2
+    assert capsys.readouterr().err == "oscdecay: invalid config or model: %s\n" % message
+    assert not out.exists()
+
+
+def test_config_that_is_not_json_exits_2(tmp_path, capsys):
+    path = tmp_path / "broken.json"
+    path.write_text('{"modes": ')
+    assert main(["validate", "--config", str(path), "--quiet"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("oscdecay: invalid config or model: config %s is not valid JSON: "
+                          % path)
+
+
+def test_compare_reads_a_boolean_oracle_setting(tmp_path):
+    oracle = {"include_negative_mass": False, "abs_tol": 1e-7, "rel_tol": 1e-5}
+    cfg = write_config(tmp_path, "negmass.json", {"grid": GRID, "oracle": oracle})
+    out = tmp_path / "negmass.out"
+    assert main(["compare", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    report = json.loads(out.read_text())
+    assert report["params"]["oracle"] == oracle
+    modes = oscdecay.validate_modes(CURVE_B["modes"])
+    t = np.linspace(2.0, 6.0, 5)
+    exact = oscdecay.direct_survival(modes, 200.0, t, oscdecay.QuadratureSpec(**oracle))
+    closed = oscdecay.BoostedLaw(modes, oscdecay.shifted_kinematics(modes, 200.0))(t).P_p
+    rep = oscdecay.oracle_compare(closed, oscdecay.CurveSeries(t=t, values=exact,
+                                                               kind="probability"))
+    assert report["results"]["max_rel_deviation"] == rep.max_rel_deviation
+    assert report["results"]["within_bound"] is True
+
+
+@pytest.mark.parametrize("fields", [{"a": [0.0]}, {"Omega": [0.0]}], ids=["a_zero", "Omega_zero"])
+def test_window_periods_unavailable_without_an_oscillating_mode(tmp_path, fields):
+    cfg = write_config(tmp_path, "flat.json", {"modes": dict(CURVE_B["modes"], **fields)})
+    out = tmp_path / "flat.out"
+    assert main(["window", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    report = json.loads(out.read_text())
+    assert report["window"]["admitted"] == [0]
+    assert report["results"]["periods"] == {
+        "unavailable": "no oscillating active mode (need a_j > 0 and Omega_j > 0)"}
+
+
 @pytest.mark.parametrize("extra, path", [
     ({"p": "200"}, "config['p']"),
     ({"p": True}, "config['p']"),

@@ -322,6 +322,26 @@ def test_validate_names_every_unreadable_field():
                                     "a must be a number or a list of numbers, got 'abc'"]
 
 
+@pytest.mark.parametrize("fields, violations", [
+    (dict(w=[], Gamma=[], Omega=[], a=[]),
+     ["mode count must be >= 1, got 0", "sum of w must be 1 within 1e-12, got 0.0"]),
+    (dict(Gamma=[1.0, 2.0]), ["array lengths differ: w=1 Gamma=2 Omega=1 a=1"]),
+    (dict(Gamma=[math.inf]), ["non-finite parameter value"]),
+    (dict(Omega=[math.nan]), ["non-finite parameter value"]),
+    (dict(M=0.0), ["M must be > 0, got 0.0", "Omega[0] must lie in [0, M), got 10.0"]),
+    (dict(w=[0.0, 1.0], Gamma=[1.0, 2.0], Omega=[10.0, 0.0], a=[0.04, 0.0]),
+     ["w[0] must be > 0, got 0.0"]),
+    (dict(Gamma=[0.0]), ["Gamma[0] must be > 0, got 0.0"]),
+    (dict(Gamma=[-1.0], a=[0.0]), ["Gamma[0] must be > 0, got -1.0"]),
+], ids=["no_modes", "lengths_differ", "infinite", "nan", "M_zero", "w_zero", "Gamma_zero",
+        "Gamma_negative"])
+def test_validate_names_each_violated_bound(fields, violations):
+    with pytest.raises(ModeValidationError) as err:
+        od.validate_modes(dict(CURVE_B, **fields))
+    assert err.value.violations == violations
+    assert str(err.value) == "; ".join(violations)
+
+
 def test_sets_from_lists_and_arrays_give_bit_identical_laws():
     listed = od.validate_modes(THREE_MODES)
     arrayed = od.validate_modes({k: np.array(v) for k, v in THREE_MODES.items()})

@@ -242,6 +242,23 @@ def test_curve_series_requires_increasing_grid():
                        kind="probability")
 
 
+@pytest.mark.parametrize("fields, message", [
+    (dict(kind="prob"),
+     "kind must be one of ('amplitude', 'probability', 'rate', 'timemap'), got 'prob'"),
+    (dict(t=np.zeros((2, 2))), "t must be a non-empty 1-d array"),
+    (dict(t=np.array([])), "t must be a non-empty 1-d array"),
+    (dict(values=np.array([0.5])), "values shape (1,) != t shape (2,)"),
+    (dict(values=np.array([0.5, math.nan])), "values must be finite"),
+    (dict(values=np.array([0.5, math.inf]), kind="rate"), "values must be finite"),
+], ids=["unknown_kind", "t_2d", "t_empty", "shape_differs", "value_nan", "rate_inf"])
+def test_curve_series_refusals(fields, message):
+    series = dict(t=np.array([0.0, 1.0]), values=np.array([0.5, 0.4]), kind="probability")
+    series.update(fields)
+    with pytest.raises(ValueError) as err:
+        od.CurveSeries(**series)
+    assert str(err.value) == message
+
+
 def test_negative_times_rejected():
     modes = make_single_mode(100.0, 10.0, 0.04)
     with pytest.raises(ValueError):

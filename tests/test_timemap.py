@@ -1,6 +1,7 @@
 """Survival-law inversion and the frame time map."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -189,17 +190,40 @@ def test_phi_evaluates_only_the_points_still_moving(monkeypatch):
     assert sum(evaluated) / len(t) <= 5.5
 
 
-def test_solve_tail_cap_names_first_offending_target(monkeypatch):
-    # with the cap lowered to 8/Gamma_1, the targets at t = 20 and t = 12
-    # lie beyond it; the first one is named, whatever the starts
-    modes = od.validate_modes(ONE_MODE)
-    monkeypatch.setattr(od.timemap, "TAIL_CAP_OVER_GAMMA1", 8.0)
-    r = od.survival_rest(modes, np.array([1.0, 20.0, 12.0]))
-    start = np.array([1.0, 1e-3, 8.0])
-    with pytest.raises(TimeMapError, match="target %r lies below" % float(r[1])):
-        od.timemap._solve(modes, r, start)
-    with pytest.raises(TimeMapError, match="target %r lies below" % float(r[1])):
-        od.invert_survival_rest(modes, r)
+@pytest.mark.parametrize("cfg", ALL_SETS.values(), ids=ALL_SETS.keys())
+def test_solve_evaluates_the_amplitude_once(monkeypatch, cfg):
+    # the rounds take the amplitude and the rate together from one call;
+    # the amplitude alone is evaluated once per solve, for the residuals
+    calls = []
+
+    class CountingLaw(od.restframe._RestLaw):
+        def amplitude(self, tt):
+            calls.append(np.shape(tt))
+            return super().amplitude(tt)
+
+    monkeypatch.setattr(od.timemap, "_RestLaw", CountingLaw)
+    modes = od.validate_modes(cfg)
+    r = np.array([0.9, 1e-2, 1e-100] + SUBNORMAL_TARGETS)
+    od.timemap._solve(modes, r, np.full_like(r, 1.0 / modes.Gamma[0]))
+    assert calls == [r.shape]
+    calls.clear()
+    od.invert_survival_rest(modes, 0.5)
+    assert calls == [(1,)]
+
+
+def test_target_beyond_the_cap_of_an_unvalidated_set_is_refused():
+    # a width below Gamma_1, which validate_modes refuses, puts P0 at the
+    # cap far above 0; the root of a target below it lies beyond the cap,
+    # and the solve, held at the cap, misses the residual check
+    modes = od.RestModeSet(M=100.0, w=(0.5, 0.5), Gamma=(1.0, 1e-6),
+                           Omega=(0.0, 0.0), a=(0.0, 0.0))
+    cap = od.timemap.TAIL_CAP_OVER_GAMMA1 / modes.Gamma[0]
+    r = od.survival_rest(modes, 2.0 * cap)
+    assert r > 0.2
+    message = r"inversion residual .* exceeds 1e-12 in log space at r=%s$" % re.escape(repr(r))
+    for target in (r, np.array([0.5, r])):
+        with pytest.raises(TimeMapError, match=message):
+            od.invert_survival_rest(modes, target)
 
 
 @pytest.mark.parametrize("start", [1e-3, 1.0, 5.0, 7.0, 8.0])
@@ -247,6 +271,16 @@ def test_phi_array_matches_per_point(case):
             assert abs(od.survival_rest(modes, phi_i) - ri) <= 1e-12 * ri
         else:
             assert abs(2.0 * math.log(od.amplitude_rest(modes, phi_i)) - math.log(ri)) <= 1e-12
+
+
+def test_phi_refuses_an_underflowed_boosted_survival():
+    # at p = 0 the boosted law is P0, which underflows to 0 near Gamma t = 745
+    modes = make_single_mode(100.0, 10.0, 0.04)
+    ctx = od.shifted_kinematics(modes, 0.0)
+    for t in (800.0, np.array([1.0, 800.0, 900.0])):
+        with pytest.raises(TimeMapError) as err:
+            od.phi_p(modes, ctx, t)
+        assert str(err.value) == "boosted survival 0.0 underflowed at t=800.0"
 
 
 def test_phi_array_reports_first_bad_point(mode_p200_m80):

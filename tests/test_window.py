@@ -402,6 +402,23 @@ def test_periods_require_oscillating_mode():
         od.periods(modes, ctx, active_modes=[0])
 
 
+def test_periods_need_a_window_or_active_modes(mode_p200_m80):
+    modes, ctx = mode_p200_m80
+    with pytest.raises(WindowError) as err:
+        od.periods(modes, ctx)
+    assert str(err.value) == "periods needs a window or an explicit active_modes set"
+
+
+def test_gate_diverges_on_an_unvalidated_set_at_half_amplitude():
+    # validate_modes refuses a = 1/2; a set built directly reaches the gate
+    modes = od.RestModeSet(M=80.0, w=(1.0,), Gamma=(1.0,), Omega=(10.0,), a=(0.5,))
+    ctx = od.shifted_kinematics(modes, 200.0)
+    for call in (lambda: od.exponential_windows(modes, ctx), lambda: od.xi_prime(modes, ctx, 0)):
+        with pytest.raises(WindowError) as err:
+            call()
+        assert str(err.value) == "gate diverges as a -> 1/2, got a=0.5"
+
+
 def test_periods_default_to_window_admitted(mode_p200_m80):
     modes, ctx = mode_p200_m80
     win = od.exponential_windows(modes, ctx)

@@ -48,7 +48,11 @@ spread evenly over [2, 11] (one point is t = 2):
 * the median wall time of every CLI subcommand run cold, as a fresh
   `python -m oscdecay.cli` on the 181-point config, timed from outside
   (start-up included). Cold runs of the trees alternate like the rounds,
-  and their ratios are medians of back-to-back ratios too;
+  and their ratios are medians of back-to-back ratios too. The machine
+  block records sys.flags.dont_write_bytecode: where it is true
+  (PYTHONDONTWRITEBYTECODE is set) and a checkout has no __pycache__,
+  every cold run compiles each module it loads, and the cold figures
+  include that compile time;
 * tools/surface.py's three counts, src_lines, public_names and settings,
   each tree's from its own tools/surface.py.
 
@@ -307,7 +311,7 @@ def machine():
             model = next((line.split(":", 1)[1].strip() for line in fh
                           if line.startswith("model name")), model)
     return {"cpu": model, "cpus": os.cpu_count(), "python": platform.python_version(),
-            "numpy": np.__version__}
+            "numpy": np.__version__, "dont_write_bytecode": bool(sys.flags.dont_write_bytecode)}
 
 
 def _median_ratios(readings, label, base):
