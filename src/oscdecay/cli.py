@@ -11,10 +11,12 @@ Exit codes: 0 ok; 1 comparison bound exceeded; 2 invalid config or
 model; 3 I/O failure; 4 oracle non-convergence.
 """
 
+import atexit
 import functools
 import itertools
 import json
 import math
+import os
 import sys
 from dataclasses import fields
 from json.encoder import encode_basestring_ascii
@@ -23,7 +25,7 @@ from types import SimpleNamespace
 from . import __version__
 from .kinematics import ModeValidationError, shifted_kinematics, validate_modes
 
-__all__ = ["main"]
+__all__ = ["main", "run"]
 
 # this module, also when it runs as __main__: a bare global would not reach
 # __getattr__, and a wrapper set on the module is what a read through it calls
@@ -568,5 +570,32 @@ def main(argv=None) -> int:
         return EXIT_INVALID
 
 
+def run():
+    """Process entry point: main(), then its exit code without the interpreter's
+    teardown, which frees every module and numpy's objects, takes about a
+    tenth of a cold command, and writes nothing any output depends on.
+
+    What the teardown does that matters is done first, in its order: the
+    atexit handlers run (coverage and site hooks), then stdout and stderr
+    are flushed; main closes every file it opens. A live thread, no
+    atexit._run_exitfuncs, or a stream that cannot be flushed (a closed
+    pipe, or none at all when the process started with fd 1 or 2 closed)
+    takes sys.exit instead, the interpreter's own exit. SystemExit from
+    argparse and any uncaught exception leave main as they always did."""
+    code = main()
+    threading = sys.modules.get("threading")
+    run_exitfuncs = getattr(atexit, "_run_exitfuncs", None)
+    if run_exitfuncs is None or (threading is not None and threading.active_count() > 1):
+        sys.exit(code)
+    # the handlers are cleared as they run, so sys.exit below reruns none
+    run_exitfuncs()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (OSError, AttributeError):
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -215,6 +215,38 @@ def test_boosted_small_momentum_residual_shrinks_with_mass():
     assert dev <= 5e-7
 
 
+# t -> the jump of P_p across the p -> 0 seam, relative to P0, on curve B
+SEAM_JUMP = {0.5: 1.96e-4, 1.0: -1.76e-4, 2.0: 3.04e-5, 5.0: -2.07e-4, 10.0: 1.33e-3}
+
+
+def test_boosted_law_jumps_at_the_rest_seam():
+    # pinned, not endorsed: below P_ZERO_REL * M the law is the paper's P0;
+    # just above it the background tends to -i C_B/(pi M^2 t), not to 0, as
+    # p -> 0 (Y1(pt) ~ -2/(pi p t)), so P_p jumps by these amounts
+    modes = make_single_mode(80.0, 10.0, 0.04)
+    t = np.array(list(SEAM_JUMP))
+    seam = boost.P_ZERO_REL * 80.0
+    below = od.BoostedLaw(modes, od.shifted_kinematics(modes, np.nextafter(seam, 0.0)))(t)
+    above = od.BoostedLaw(modes, od.shifted_kinematics(modes, np.nextafter(seam, 1.0)))(t)
+    rest = od.survival_rest(modes, t)
+    assert np.array_equal(below.P_p, rest)
+    assert above.in_validity_domain.all()
+    jump = (above.P_p - below.P_p) / rest
+    assert ["%.2e" % x for x in jump] == ["%.2e" % x for x in SEAM_JUMP.values()]
+
+
+def test_a_valid_set_at_large_p_over_m_squared_is_refused():
+    # pinned, not endorsed: at p/M^2 = 0.36 the closed form's in-domain P
+    # passes 1 near the domain's start (1.016 at t = 0.21; the exact law
+    # stays below 0.993), and the law refuses the grid
+    modes = od.validate_modes(
+        {"M": 15.0, "w": [1.0], "Gamma": [0.5], "Omega": [0.0], "a": [0.0]})
+    law = od.BoostedLaw(modes, od.shifted_kinematics(modes, 80.0))
+    with pytest.raises(BoostDomainError, match=r"^in-domain probability 1\.0020\d+ "
+                                               r"exceeds 1 beyond the 1e-06 tolerance$"):
+        law(np.linspace(0.05, 5.0, 50))
+
+
 def test_boosted_spot_against_frozen_background(frozen_spots):
     # reconstruct the closed form independently from the frozen background
     # kernel plus elementary exponentials

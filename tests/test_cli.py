@@ -700,6 +700,35 @@ def test_reports_are_strict_json(tmp_path, command):
     assert report["params"]["window"] == {"zeta_min": 0.05}
 
 
+# a valid single-mode set at p/M^2 = 0.36, where the closed form passes 1
+LARGE_P_OVER_M2 = {
+    "modes": {"M": 15.0, "w": [1.0], "Gamma": [0.5], "Omega": [0.0], "a": [0.0]},
+    "p": 80.0,
+    "grid": {"t_min": 0.05, "t_max": 5.0, "points": 50},
+}
+REFUSAL = ("oscdecay: invalid config or model: in-domain probability 1.0020449653081613 "
+           "exceeds 1 beyond the 1e-06 tolerance\n")
+
+
+@pytest.mark.parametrize("command", ["curve --which boosted", "phi", "compare"])
+def test_a_valid_config_the_closed_form_refuses_exits_2(tmp_path, capsys, command):
+    # pinned, not endorsed: the mode set passes validate_modes (the window
+    # admits no mode, so `validate` reports constraint failures), and the
+    # commands that evaluate the closed form on its grid exit 2
+    oscdecay.validate_modes(LARGE_P_OVER_M2["modes"])
+    path = tmp_path / "large.json"
+    path.write_text(json.dumps(LARGE_P_OVER_M2))
+    argv = ["--config", str(path), "--out", str(tmp_path / "out"), "--quiet"]
+    assert main(command.split() + argv) == 2
+    assert capsys.readouterr().err == REFUSAL
+    if command == "phi":
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(os.path.abspath(oscdecay.__file__)))
+        proc = subprocess.run([sys.executable, "-m", "oscdecay.cli", "phi"] + argv,
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert (proc.returncode, proc.stderr) == (2, REFUSAL)
+
+
 def test_compare_parallel_flag_is_a_no_op(tmp_path):
     cfg = write_config(tmp_path, "cmppar.json", {
         "grid": {"t_min": 2.0, "t_max": 6.0, "points": 9},

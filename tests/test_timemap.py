@@ -301,6 +301,21 @@ def test_phi_identity_frame():
         )
 
 
+# t -> phi_p(t)/t - 1 on curve B at p = 1e-6 M
+PHI_AT_VANISHING_P = {0.5: -1.88e-3, 1.0: 3.33e-4, 2.0: -8.71e-6, 5.0: 5.23e-5, 10.0: -2.27e-4}
+
+
+def test_phi_is_not_the_identity_as_p_vanishes():
+    # pinned, not endorsed: phi_p inverts P0, a law without the threshold
+    # background that the boosted law keeps as p -> 0+, so phi_p(t) stays
+    # off t by these amounts however small p is (gamma - 1 = 5e-13 here)
+    modes = make_single_mode(80.0, 10.0, 0.04)
+    ctx = od.shifted_kinematics(modes, 1e-6 * 80.0)
+    t = np.array(list(PHI_AT_VANISHING_P))
+    assert ["%.2e" % x for x in od.phi_p(modes, ctx, t) / t - 1.0] \
+        == ["%.2e" % x for x in PHI_AT_VANISHING_P.values()]
+
+
 def test_phi_round_trip_identity(mode_p200_m80):
     modes, ctx = mode_p200_m80
     for t in np.linspace(1.0, 25.0, 40):
