@@ -14,7 +14,7 @@ def single_mode_periods():
     })
     ctx = od.shifted_kinematics(modes, 200.0)
     win = od.exponential_windows(modes, ctx)
-    per = od.periods(modes, ctx, window=win)
+    per = od.periods(modes, ctx, win.admitted)
     print("single mode, Omega = 10, p = 200:")
     print("  rest period T0 =", per.T0)
     print("  lab period  Tp =", per.Tp, " (= gamma * T0, gamma = %.4f)" % ctx.gamma)

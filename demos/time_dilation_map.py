@@ -32,7 +32,7 @@ def main():
         start = max(lo, min(10.0 / (cfg["M"] - cfg["Omega"]), 0.1))
         t = np.linspace(start, hi, 300)
         phi = od.phi_p(modes, ctx, t)
-        series = od.CurveSeries(t=t, values=phi, kind="timemap")
+        series = od.CurveSeries(t=t, values=phi)
         fit = od.linearity_fit(series, win, ctx)
         name = "p%.0f_M%.0f" % (cfg["p"], cfg["M"])
         print(f"{name:>16} {ctx.gamma:8.4f} {fit.slope:10.6f}"

@@ -17,21 +17,21 @@ from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-# home module -> the public names it defines: the one list of them
+# home module -> the public names it defines: the one list of them, what the
+# commands, the demos and the benchmark reach and the errors public calls raise
 _EXPORTS = {
-    "kinematics": ("BoostContext", "ModeValidationError", "RestModeSet", "lorentz_factor",
-                   "shifted_kinematics", "validate_modes"),
+    "kinematics": ("ModeValidationError", "RestModeSet", "lorentz_factor", "shifted_kinematics",
+                   "validate_modes"),
     "restframe": ("CurveSeries", "amplitude_rest", "decay_rate_rest", "mdd_analytic",
                   "survival_rest", "survival_rest_split"),
-    "specfun": ("SpecialFunctionDomainError", "bessel_j1", "bessel_y1", "struve_h1"),
-    "boost": ("BoostDomainError", "BoostedEvaluation", "BoostedLaw", "boosted_split",
-              "survival_boosted", "survival_boosted_window_approx"),
-    "window": ("TimeWindow", "WindowError", "WindowParams", "constraint_report",
-               "exponential_windows", "periods", "w_fn", "xi_prime"),
-    "timemap": ("LinearityFit", "TimeMapError", "invert_survival_rest", "linearity_fit",
-                "phi_p"),
-    "oracle": ("ComparisonReport", "OracleConvergenceError", "QuadratureSpec",
-               "direct_boosted_amplitude", "direct_survival", "oracle_compare"),
+    "specfun": ("SpecialFunctionDomainError",),
+    "boost": ("BoostDomainError", "BoostedLaw", "boosted_split", "survival_boosted",
+              "survival_boosted_window_approx"),
+    "window": ("WindowError", "WindowParams", "constraint_report", "exponential_windows",
+               "periods"),
+    "timemap": ("TimeMapError", "invert_survival_rest", "linearity_fit", "phi_p"),
+    "oracle": ("OracleConvergenceError", "QuadratureSpec", "direct_boosted_amplitude",
+               "direct_survival", "oracle_compare"),
 }
 __all__ = [name for names in _EXPORTS.values() for name in names]
 _HOMES = {name: home for home, names in _EXPORTS.items() for name in names}

@@ -14,8 +14,6 @@ summation order is a pure function of the inputs.
 
 import numpy as np
 
-__all__ = ["QuadratureConvergenceError", "adaptive_gauss"]
-
 # QK15 abscissas on [0, 1) (odd entries are the Gauss 7-point nodes) and
 # the Kronrod and Gauss weights, from QUADPACK's qk15
 _XK = np.array([

@@ -19,17 +19,6 @@ from .kinematics import (VALIDITY_THRESHOLD, BoostContext, RestModeSet, mode_ind
 from .restframe import amplitude_rest, survival_rest, survival_rest_split
 from .specfun import branch_cut, upsilon, xi_fn, xi_mass_factor
 
-__all__ = [
-    "BoostDomainError",
-    "BoostedEvaluation",
-    "BoostedLaw",
-    "P_ZERO_REL",
-    "UNITY_EXCESS_TOL",
-    "boosted_split",
-    "survival_boosted",
-    "survival_boosted_window_approx",
-]
-
 # momenta below P_ZERO_REL * M take the exact rest-frame branch
 P_ZERO_REL = 1e-12
 # tolerated approximation overshoot of the probability above 1 in-domain

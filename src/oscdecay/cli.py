@@ -25,8 +25,6 @@ from types import SimpleNamespace
 from . import __version__
 from .kinematics import ModeValidationError, shifted_kinematics, validate_modes
 
-__all__ = ["main", "run"]
-
 # this module, also when it runs as __main__: a bare global would not reach
 # __getattr__, and a wrapper set on the module is what a read through it calls
 _cli = sys.modules[__name__]
@@ -55,15 +53,6 @@ MAX_GRID_POINTS = 10**6
 
 class ConfigError(ValueError):
     """The config file is structurally or physically unusable."""
-
-
-def _json_default(obj):
-    """Plain-python value of a numpy object json cannot encode itself: its
-    tolist(), read without importing numpy. np.float64 is a float subclass
-    and is printed by float.__repr__ without this hook."""
-    if type(obj).__module__ == "numpy":
-        return obj.tolist()
-    raise TypeError("%s is not JSON serializable" % type(obj).__name__)
 
 
 def _non_finite(obj, path="config"):
@@ -234,12 +223,14 @@ def _field_items(obj):
 
 
 def _json_text(obj, indent):
-    """JSON text of obj, byte for byte what json.dumps(obj, indent=2,
-    default=_json_default) writes at the nesting whose line break and
-    indentation is indent ("\n" at the top), and a dataclass as the object
-    of its fields. json's C encoder cannot indent, so json.dumps(indent=2)
-    runs its pure-Python encoder, a generator per container; this writer
-    joins strings instead."""
+    """JSON text of obj, byte for byte what json.dumps(obj, indent=2) writes
+    at the nesting whose line break and indentation is indent ("\n" at the
+    top), and a dataclass as the object of its fields. obj holds only what
+    reports hold: str, None, bool, int and float leaves in lists, tuples,
+    dicts with str keys and dataclasses; anything else is a TypeError.
+    json's C encoder cannot indent, so json.dumps(indent=2) runs its
+    pure-Python encoder, a generator per container; this writer joins
+    strings instead."""
     if isinstance(obj, str):
         return encode_basestring_ascii(obj)
     if obj is None:
@@ -264,22 +255,13 @@ def _json_text(obj, indent):
     elif hasattr(type(obj), "__dataclass_fields__"):
         items = _field_items(obj)
     else:
-        return _json_text(_json_default(obj), indent)
+        raise TypeError("%s is not JSON serializable" % type(obj).__name__)
     if not items:
         return "{}"
     inner = indent + "  "
     return "{%s%s%s}" % (inner, ("," + inner).join([
-        "%s: %s" % (_json_key(key), _json_text(value, inner)) for key, value in items]), indent)
-
-
-def _json_key(key):
-    # a key of a type json accepts, as the string json makes of it
-    if not isinstance(key, str):
-        if not (key is None or isinstance(key, (int, float))):
-            raise TypeError("keys must be str, int, float, bool or None, not %s"
-                            % type(key).__name__)
-        key = _json_text(key, "")
-    return encode_basestring_ascii(key)
+        "%s: %s" % (encode_basestring_ascii(key), _json_text(value, inner))
+        for key, value in items]), indent)
 
 
 def _emit_json(report, out_path):
@@ -410,7 +392,7 @@ def cmd_window(config, args):
     report, ctx, window = _window_report(config, modes)
     if window.admitted:
         try:
-            report["results"]["periods"] = _cli.periods(modes, ctx, window=window)
+            report["results"]["periods"] = _cli.periods(modes, ctx, window.admitted)
         except _cli.WindowError as exc:
             report["results"]["periods"] = {"unavailable": str(exc)}
     else:
@@ -438,7 +420,7 @@ def cmd_phi(config, args):
     try:
         window = _cli.exponential_windows(modes, ctx, params)
         fit_report["window"] = _window_json(window)
-        series = _cli.CurveSeries(t=t, values=values, kind="timemap")
+        series = _cli.CurveSeries(t=t, values=values)
         fit_report["results"]["fit"] = _cli.linearity_fit(series, window, ctx)
     except (_cli.WindowError, _cli.TimeMapError) as exc:
         fit_report["results"]["fit_error"] = str(exc)
@@ -463,7 +445,7 @@ def cmd_compare(config, args):
         print("oscdecay: oracle did not converge: %s (value=%r, error=%r)"
               % (exc, exc.value, exc.error_estimate), file=sys.stderr)
         return EXIT_ORACLE
-    direct = _cli.CurveSeries(t=t, values=exact, kind="probability")
+    direct = _cli.CurveSeries(t=t, values=exact)
     rep = _cli.oracle_compare(closed_vals, direct)
 
     within = rep.max_rel_deviation <= bound

@@ -16,16 +16,6 @@ import math
 import operator
 from dataclasses import dataclass
 
-__all__ = [
-    "ModeValidationError",
-    "RestModeSet",
-    "BoostContext",
-    "VALIDITY_THRESHOLD",
-    "validate_modes",
-    "lorentz_factor",
-    "shifted_kinematics",
-]
-
 # Upper bound on Gamma_j / (M - Omega_j) for the narrow-resonance regime.
 # 1e-2 would reject the standard single-mode fixtures (ratios up to 0.04),
 # so the default admits them while still refusing strong decays.

@@ -31,15 +31,6 @@ from ._quad import adaptive_gauss  # noqa: F401
 from .kinematics import RestModeSet, mode_terms, pole_energies, pole_sum
 from .restframe import CurveSeries, mdd_analytic  # noqa: F401
 
-__all__ = [
-    "ComparisonReport",
-    "OracleConvergenceError",
-    "QuadratureSpec",
-    "direct_boosted_amplitude",
-    "direct_survival",
-    "oracle_compare",
-]
-
 _FIRST_NODES = 16
 _MAX_NODES = 512
 # the path ends at tau t = 40 for the shortest time (e^{-40} ~ 4e-18); its
@@ -236,12 +227,16 @@ def direct_survival(modes: RestModeSet, p, t, spec: QuadratureSpec = None):
 def oracle_compare(closed, direct: CurveSeries) -> ComparisonReport:
     """Worst absolute and relative deviations of closed-form values from a direct curve.
 
-    closed holds one finite value per time of direct's grid. Unlike direct's
-    values it need not lie in [0, 1], since the closed form overshoots 1
-    outside its validity domain; relative deviations are measured against
-    the direct (reference) values.
+    direct holds probabilities, which must lie in [0, 1 + 1e-9]. closed holds
+    one finite value per time of direct's grid. Unlike direct's values it
+    need not lie in [0, 1], since the closed form overshoots 1 outside its
+    validity domain; relative deviations are measured against the direct
+    (reference) values.
     """
     t = direct.t
+    if direct.values.min() < 0.0 or direct.values.max() > 1.0 + 1e-9:
+        raise ValueError("probability values must lie in [0, 1+1e-9], got [%r, %r]"
+                         % (float(direct.values.min()), float(direct.values.max())))
     closed = np.asarray(closed, dtype=float)
     if closed.shape != t.shape:
         raise ValueError("grid mismatch: %d closed-form values for %d times"

@@ -17,37 +17,18 @@ import numpy as np
 from ._points import as_points, maybe_scalar
 from .kinematics import RestModeSet, mode_terms
 
-__all__ = [
-    "CurveSeries",
-    "amplitude_rest",
-    "survival_rest",
-    "survival_rest_split",
-    "decay_rate_rest",
-    "mdd_analytic",
-]
-
-KINDS = ("amplitude", "probability", "rate", "timemap")
-
-
 @dataclass(frozen=True)
 class CurveSeries:
-    """A sampled curve: strictly increasing time grid plus values.
-
-    kind is one of "amplitude", "probability", "rate", "timemap".
-    Probability values must stay inside [0, 1 + 1e-9].
-    """
+    """A sampled curve: strictly increasing time grid plus finite values."""
 
     t: np.ndarray
     values: np.ndarray
-    kind: str
 
     def __post_init__(self):
         t = np.asarray(self.t, dtype=float)
         values = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "values", values)
-        if self.kind not in KINDS:
-            raise ValueError("kind must be one of %r, got %r" % (KINDS, self.kind))
         if t.ndim != 1 or len(t) < 1:
             raise ValueError("t must be a non-empty 1-d array")
         if values.shape != t.shape:
@@ -56,12 +37,6 @@ class CurveSeries:
             raise ValueError("t must increase strictly")
         if not np.all(np.isfinite(values)):
             raise ValueError("values must be finite")
-        if self.kind == "probability":
-            if values.min() < 0.0 or values.max() > 1.0 + 1e-9:
-                raise ValueError(
-                    "probability values must lie in [0, 1+1e-9], got [%r, %r]"
-                    % (float(values.min()), float(values.max()))
-                )
 
 
 def _check_times(t):

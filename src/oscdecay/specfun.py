@@ -18,15 +18,6 @@ import numpy as np
 from ._points import as_points, maybe_scalar
 from .kinematics import pole_energies
 
-__all__ = [
-    "SpecialFunctionDomainError",
-    "bessel_j1",
-    "bessel_y1",
-    "struve_h1",
-    "branch_cut",
-    "xi_mass_factor",
-]
-
 SQ2OPI = 7.9788456080286535587989e-1   # sqrt(2/pi)
 TWOOPI = 6.36619772367581343075535e-1  # 2/pi
 THPIO4 = 2.35619449019234492885        # 3*pi/4

@@ -26,16 +26,6 @@ from .kinematics import BoostContext, RestModeSet
 from .restframe import CurveSeries, _RestLaw, amplitude_rest, survival_rest  # noqa: F401
 from .window import TimeWindow
 
-__all__ = [
-    "INVERT_REL_TOL",
-    "LinearityFit",
-    "TAIL_CAP_OVER_GAMMA1",
-    "TimeMapError",
-    "invert_survival_rest",
-    "linearity_fit",
-    "phi_p",
-]
-
 INVERT_REL_TOL = 1e-12
 # the right end of every root's bracket, as a multiple of 1/Gamma_1. Every
 # width of a valid set is at least Gamma_1, so P0 there is below e^-5000,

@@ -12,20 +12,6 @@ from dataclasses import dataclass
 
 from .kinematics import VALIDITY_THRESHOLD, BoostContext, RestModeSet, mode_indices
 
-__all__ = [
-    "COMMENSURATE_REL_TOL",
-    "ConstraintCheck",
-    "PeriodReport",
-    "TimeWindow",
-    "WindowError",
-    "WindowParams",
-    "constraint_report",
-    "exponential_windows",
-    "periods",
-    "w_fn",
-    "xi_prime",
-]
-
 COMMENSURATE_REL_TOL = 1e-9
 _WARN_THRESHOLD = 3.0  # a graded check warns from here, passes from VALIDITY_THRESHOLD
 
@@ -128,8 +114,11 @@ def w_fn(M: float, Omega: float, a: float) -> float:
 
 
 def _xi_values(modes: RestModeSet, ctx: BoostContext) -> tuple:
-    # xi'_j of every mode in one pass over Python floats; the background sum,
-    # common to every mode, is taken once, left to right
+    # the gate parameter of every mode, branch-cut background over its pole term,
+    #   xi'_j = sqrt(Gamma_j/(pi M) * sqrt(1 - 1/gamma^2))
+    #           * sum_l w_l Gamma_l W(M, Omega_l, a_l) / (2 M w_j (1 - 2 a_j)),
+    # in one pass over Python floats; the background sum, common to every
+    # mode, is taken once, left to right
     M, w, G, O, a = modes.M, modes.w, modes.Gamma, modes.Omega, modes.a
     for aj in a:
         if aj >= 0.5:
@@ -139,20 +128,6 @@ def _xi_values(modes: RestModeSet, ctx: BoostContext) -> tuple:
     velocity = ctx.p / (ctx.gamma * M)
     return tuple(math.sqrt(gj / (math.pi * M) * velocity) * background
                  / (2.0 * M * wj * (1.0 - 2.0 * aj)) for wj, gj, aj in zip(w, G, a))
-
-
-def xi_prime(modes: RestModeSet, ctx: BoostContext, j: int) -> float:
-    """Gate parameter of mode j: branch-cut background over its pole term.
-
-    xi'_j = sqrt(Gamma_j/(pi M) * sqrt(1 - 1/gamma^2))
-            * sum_l w_l Gamma_l W(M, Omega_l, a_l) / (2 M w_j (1 - 2 a_j)).
-    The velocity sqrt(1 - 1/gamma^2) is read from p, as p/(gamma M); gamma -> 1+
-    is excluded, where it would admit every mode for the wrong reason.
-    """
-    if ctx.gamma <= 1.0:
-        raise WindowError("xi_prime requires gamma > 1 (nonrelativistic boost excluded)")
-    (j,) = mode_indices(modes, [j], WindowError)
-    return _xi_values(modes, ctx)[j]
 
 
 def _merge_intervals(intervals):
@@ -250,8 +225,9 @@ def constraint_report(modes: RestModeSet, ctx: BoostContext, window: TimeWindow)
     return tuple(checks)
 
 
-def periods(modes: RestModeSet, ctx: BoostContext, window: TimeWindow = None, active_modes=None) -> PeriodReport:
-    """Oscillation periods of the active modes in both frames.
+def periods(modes: RestModeSet, ctx: BoostContext, active_modes) -> PeriodReport:
+    """Oscillation periods of the active modes, the indices active_modes
+    (a window's admitted, say), in both frames.
 
     With one oscillating active mode the periods are T0 = 2 pi / Omega and
     Tp = gamma T0. Several oscillating modes share a period only when each
@@ -260,10 +236,6 @@ def periods(modes: RestModeSet, ctx: BoostContext, window: TimeWindow = None, ac
     T0 = 2 pi / omega_max and Tp = gamma T0. Otherwise the flag comes back
     false and the periods are None.
     """
-    if active_modes is None:
-        if window is None:
-            raise WindowError("periods needs a window or an explicit active_modes set")
-        active_modes = window.admitted
     active = mode_indices(modes, active_modes, WindowError)
 
     osc = [j for j in active if modes.a[j] > 0.0 and modes.Omega[j] > 0.0]

@@ -31,6 +31,15 @@ GAMMA_TABLE = {
 }
 
 
+# Mode sets at M = 80 whose laws near p = 0 are pinned: curve B and three
+# modes of equal weight with halving frequencies.
+NEAR_REST_SETS = {
+    "curve_b": {"M": 80.0, "w": [1.0], "Gamma": [1.0], "Omega": [10.0], "a": [0.04]},
+    "three_modes": {"M": 80.0, "w": [1 / 3, 1 / 3, 1 / 3], "Gamma": [1.0, 1.5, 2.0],
+                    "Omega": [10.0, 5.0, 2.5], "a": [0.04, 0.04, 0.04]},
+}
+
+
 def make_single_mode(M, Omega, a, Gamma=1.0, w=1.0):
     return od.validate_modes(
         {"M": M, "w": [w], "Gamma": [Gamma], "Omega": [Omega], "a": [a]}

@@ -11,8 +11,9 @@ import oscdecay as od
 from oscdecay import boost, kinematics, specfun
 from oscdecay.boost import BoostDomainError, k_fn, phi_fn
 from oscdecay.specfun import upsilon
+from oscdecay.window import w_fn
 
-from conftest import boosted_grids, make_boosted, make_single_mode
+from conftest import NEAR_REST_SETS, boosted_grids, make_boosted, make_single_mode
 
 
 def test_reference_kernels_are_not_package_exports():
@@ -21,7 +22,6 @@ def test_reference_kernels_are_not_package_exports():
     for module, name in ((boost, "k_fn"), (boost, "phi_fn"), (specfun, "upsilon"),
                          (specfun, "xi_fn"), (kinematics, "pole_sum")):
         assert callable(getattr(module, name))
-        assert name not in module.__all__
         assert not hasattr(od, name)
 
 
@@ -167,7 +167,7 @@ def test_phi_asymptotic_inverse_power_law():
     # |i (p Gamma / pi M^2) phi| ~ (p Gamma/M^2) W / sqrt(2 pi p t), 1%
     # for pt >= 200
     M, p, Omega, a, Gamma = 100.0, 210.0, 10.0, 0.04, 1.0
-    W = od.w_fn(M, Omega, a)
+    W = w_fn(M, Omega, a)
     for t in np.geomspace(200.0 / p, 500.0, 40):
         phi = phi_fn(M, p, Omega, a, float(t))
         modulus = abs(1j * (p * Gamma / (math.pi * M * M)) * phi)
@@ -215,16 +215,20 @@ def test_boosted_small_momentum_residual_shrinks_with_mass():
     assert dev <= 5e-7
 
 
-# t -> the jump of P_p across the p -> 0 seam, relative to P0, on curve B
-SEAM_JUMP = {0.5: 1.96e-4, 1.0: -1.76e-4, 2.0: 3.04e-5, 5.0: -2.07e-4, 10.0: 1.33e-3}
+# set -> t -> the jump of P_p across the p -> 0 seam, relative to P0
+SEAM_JUMP = {
+    "curve_b": {0.5: 1.96e-4, 1.0: -1.76e-4, 2.0: 3.04e-5, 5.0: -2.07e-4, 10.0: 1.33e-3},
+    "three_modes": {0.5: 3.36e-4, 1.0: -3.27e-4, 2.0: 7.05e-5, 5.0: -6.79e-4, 10.0: 5.50e-3},
+}
 
 
-def test_boosted_law_jumps_at_the_rest_seam():
+@pytest.mark.parametrize("name", list(SEAM_JUMP))
+def test_boosted_law_jumps_at_the_rest_seam(name):
     # pinned, not endorsed: below P_ZERO_REL * M the law is the paper's P0;
     # just above it the background tends to -i C_B/(pi M^2 t), not to 0, as
     # p -> 0 (Y1(pt) ~ -2/(pi p t)), so P_p jumps by these amounts
-    modes = make_single_mode(80.0, 10.0, 0.04)
-    t = np.array(list(SEAM_JUMP))
+    modes = od.validate_modes(NEAR_REST_SETS[name])
+    t = np.array(list(SEAM_JUMP[name]))
     seam = boost.P_ZERO_REL * 80.0
     below = od.BoostedLaw(modes, od.shifted_kinematics(modes, np.nextafter(seam, 0.0)))(t)
     above = od.BoostedLaw(modes, od.shifted_kinematics(modes, np.nextafter(seam, 1.0)))(t)
@@ -232,7 +236,7 @@ def test_boosted_law_jumps_at_the_rest_seam():
     assert np.array_equal(below.P_p, rest)
     assert above.in_validity_domain.all()
     jump = (above.P_p - below.P_p) / rest
-    assert ["%.2e" % x for x in jump] == ["%.2e" % x for x in SEAM_JUMP.values()]
+    assert ["%.2e" % x for x in jump] == ["%.2e" % x for x in SEAM_JUMP[name].values()]
 
 
 def test_a_valid_set_at_large_p_over_m_squared_is_refused():

@@ -341,33 +341,6 @@ def test_boosted_validity_column_reads_true_and_false(tmp_path):
     assert [row[3] for row in rows] == ["true" if ti > 0.1 else "false" for ti in t]
 
 
-def test_json_reports_encode_numpy_values_as_python(tmp_path):
-    report = {
-        "flag": np.bool_(True),
-        "count": np.int64(7),
-        "value": np.float64(0.1) + np.float64(0.2),
-        "single": np.float32(0.5),
-        "row": np.array([-0.0, 5e-324, 1e300]),
-        "grid": np.array([[1.0, 2.5], [3.0, 4.0]]),
-        "nested": ((1, np.float64(2.0)), [np.int64(3), (np.bool_(False),)]),
-    }
-    twin = {
-        "flag": True,
-        "count": 7,
-        "value": 0.1 + 0.2,
-        "single": 0.5,
-        "row": [-0.0, 5e-324, 1e300],
-        "grid": [[1.0, 2.5], [3.0, 4.0]],
-        "nested": [[1, 2.0], [3, [False]]],
-    }
-    out = tmp_path / "report.json"
-    cli._emit_json(report, str(out))
-    assert out.read_text() == json.dumps(twin, indent=2) + "\n"
-    with pytest.raises(TypeError):
-        cli._emit_json({"params": object()}, str(tmp_path / "bad.json"))
-    assert not (tmp_path / "bad.json").exists()
-
-
 def test_window_report_top_level_keys(tmp_path):
     cfg = write_config(tmp_path, "win.json", {})
     out = tmp_path / "win.json.out"
@@ -624,8 +597,7 @@ def test_compare_reads_a_boolean_oracle_setting(tmp_path):
     t = np.linspace(2.0, 6.0, 5)
     exact = oscdecay.direct_survival(modes, 200.0, t, oscdecay.QuadratureSpec(**oracle))
     closed = oscdecay.BoostedLaw(modes, oscdecay.shifted_kinematics(modes, 200.0))(t).P_p
-    rep = oscdecay.oracle_compare(closed, oscdecay.CurveSeries(t=t, values=exact,
-                                                               kind="probability"))
+    rep = oscdecay.oracle_compare(closed, oscdecay.CurveSeries(t=t, values=exact))
     assert report["results"]["max_rel_deviation"] == rep.max_rel_deviation
     assert report["results"]["within_bound"] is True
 

@@ -189,7 +189,7 @@ def test_table_parser_reads_as_the_legacy_one(command):
 # --- the JSON writer --------------------------------------------------------
 
 def _dumps(obj):
-    return json.dumps(obj, indent=2, default=cli._json_default)
+    return json.dumps(obj, indent=2)
 
 
 special_floats = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e-310,
@@ -200,17 +200,8 @@ texts = st.text(max_size=12) | st.sampled_from(
      "  ", "</script>"])
 scalars = (st.none() | st.booleans() | st.integers() | st.integers(-2**70, 2**70) | floats
            | texts)
-numpy_values = (
-    st.builds(np.float64, floats)
-    | st.builds(np.float32, st.floats(width=32))
-    | st.builds(np.int64, st.integers(-2**63, 2**63 - 1))
-    | st.builds(np.bool_, st.booleans())
-    | st.lists(floats, max_size=5).map(np.array)
-    | st.lists(st.integers(-9, 9), min_size=4, max_size=4).map(lambda v: np.array(v).reshape(2, 2))
-    | st.just(np.array([], dtype=float))
-)
 json_values = st.recursive(
-    scalars | numpy_values,
+    scalars,
     lambda children: (st.lists(children, max_size=4)
                       | st.lists(children, max_size=4).map(tuple)
                       | st.dictionaries(texts, children, max_size=4)),
@@ -226,19 +217,29 @@ def test_writer_is_json_dumps(obj):
 
 @pytest.mark.parametrize("obj", [
     {}, [], (), {"a": {}}, [[], {}], {"": ""}, 0, -0.0, True, None, "x",
-    {1: "int", 2.5: "float", False: "false", None: "null", -math.inf: "-inf", math.nan: "nan"},
-    {np.float64(0.1): 1},
 ])
 def test_writer_edge_cases(obj):
     assert cli._json_text(obj, "\n") == _dumps(obj)
 
 
 def test_writer_refuses_what_json_refuses():
-    for obj in ({(1, 2): 0}, {np.int64(1): 0}, object(), [1, {"a": {1j}}]):
+    for obj in ({(1, 2): 0}, {np.int64(1): 0}, object(), [1, {"a": {1j}}], np.int64(7),
+                np.bool_(True), np.float32(0.5), np.array([0.5])):
         with pytest.raises(TypeError):
             _dumps(obj)
         with pytest.raises(TypeError):
             cli._json_text(obj, "\n")
+
+
+@pytest.mark.parametrize("key", [1, 2.5, False, None, -math.inf, math.nan, np.float64(0.1)],
+                         ids=["int", "float", "bool", "None", "-inf", "nan", "numpy_float"])
+def test_writer_refuses_a_key_that_is_not_a_str(tmp_path, key):
+    # json.dumps writes such a key as a string; every key of a report is a str
+    with pytest.raises(TypeError):
+        cli._json_text({key: 0}, "\n")
+    with pytest.raises(TypeError):
+        cli._emit_json({"params": {key: 0}}, str(tmp_path / "bad.json"))
+    assert not (tmp_path / "bad.json").exists()
 
 
 numbers = floats | st.integers(0, 10)

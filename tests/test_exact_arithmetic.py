@@ -17,7 +17,7 @@ from oscdecay import specfun
 from oscdecay.kinematics import shifted_kinematics, validate_modes
 from oscdecay.restframe import amplitude_rest, decay_rate_rest, survival_rest_split
 from oscdecay.specfun import bessel_j1, bessel_y1, branch_cut, struve_h1
-from oscdecay.window import exponential_windows, w_fn, xi_prime
+from oscdecay.window import exponential_windows, w_fn
 
 
 def _polevl(x, coef):
@@ -199,7 +199,6 @@ def test_window_xi_values_equal_the_per_mode_formula(name):
         expected.append(lead * background
                         / (2.0 * modes.M * float(modes.w[j]) * (1.0 - 2.0 * float(modes.a[j]))))
     assert exponential_windows(modes, ctx).xi_values == tuple(expected)
-    assert [xi_prime(modes, ctx, j) for j in range(modes.N)] == expected
 
 
 @pytest.mark.parametrize("name", sorted(MODE_SETS))

@@ -235,8 +235,7 @@ def test_quadrature_spec_has_no_round_cap():
 
 
 def _series(t, values):
-    return od.CurveSeries(t=np.asarray(t, dtype=float),
-                          values=np.asarray(values, dtype=float), kind="probability")
+    return od.CurveSeries(t=np.asarray(t, dtype=float), values=np.asarray(values, dtype=float))
 
 
 def test_compare_identical_series_reports_zero():
@@ -270,6 +269,16 @@ def test_compare_takes_closed_values_outside_unit_interval_but_not_non_finite():
         over[0] = bad
         with pytest.raises(ValueError, match="finite"):
             oracle_compare(over, _series(t, v))
+
+
+def test_compare_refuses_direct_values_outside_the_unit_interval():
+    # the direct curve is a probability, checked before the closed values
+    t = np.array([0.0, 1.0])
+    for values, shown in (([0.5, 1.5], "[0.5, 1.5]"), ([-1e-3, 0.5], "[-0.001, 0.5]")):
+        with pytest.raises(ValueError) as err:
+            oracle_compare(np.array([math.nan, 0.5]), _series(t, values))
+        assert str(err.value) == "probability values must lie in [0, 1+1e-9], got %s" % shown
+    assert oracle_compare([1.0, 0.0], _series(t, [1.0 + 1e-9, 0.0])).n_points == 2
 
 
 def test_compare_locates_injected_deviation():

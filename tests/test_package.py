@@ -4,6 +4,9 @@ Every check of what gets imported runs in a fresh interpreter, since this
 test process has long since loaded every module.
 """
 
+import ast
+import glob
+import importlib
 import json
 import os
 import subprocess
@@ -77,9 +80,41 @@ def test_every_export_is_its_home_modules_object():
         "    assert getattr(home, name) is value is getattr(od, name), name\n"
         "    homes[name] = value.__module__\n"
         "print(json.dumps(homes))"))
-    assert sorted(homes) == sorted(oscdecay.__all__)
-    assert len(homes) == 41
+    assert sorted(homes) == sorted(oscdecay.__all__) == [
+        "BoostDomainError", "BoostedLaw", "CurveSeries", "ModeValidationError",
+        "OracleConvergenceError", "QuadratureSpec", "RestModeSet", "SpecialFunctionDomainError",
+        "TimeMapError", "WindowError", "WindowParams", "amplitude_rest", "boosted_split",
+        "constraint_report", "decay_rate_rest", "direct_boosted_amplitude", "direct_survival",
+        "exponential_windows", "invert_survival_rest", "linearity_fit", "lorentz_factor",
+        "mdd_analytic", "oracle_compare", "periods", "phi_p", "shifted_kinematics",
+        "survival_boosted", "survival_boosted_window_approx", "survival_rest",
+        "survival_rest_split", "validate_modes",
+    ]
     assert homes == {name: "oscdecay." + home for name, home in oscdecay._HOMES.items()}
+
+
+def test_no_module_keeps_its_own_list_of_public_names():
+    for path in sorted(glob.glob(os.path.join(SRC, "oscdecay", "*.py"))):
+        if os.path.basename(path) == "__init__.py":
+            continue
+        with open(path) as fh:
+            tree = ast.parse(fh.read())
+        assert not any(isinstance(target, ast.Name) and target.id == "__all__"
+                       for node in tree.body if isinstance(node, ast.Assign)
+                       for target in node.targets), path
+
+
+# the return types and kernels that are not public names, by home module
+UNEXPORTED = {"kinematics": ["BoostContext"], "boost": ["BoostedEvaluation"],
+              "window": ["TimeWindow", "w_fn"], "timemap": ["LinearityFit"],
+              "oracle": ["ComparisonReport"], "specfun": ["bessel_j1", "bessel_y1", "struve_h1"]}
+
+
+def test_return_types_and_kernels_stay_in_their_home_modules():
+    for home, names in UNEXPORTED.items():
+        module = importlib.import_module("oscdecay." + home)
+        for name in names:
+            assert callable(getattr(module, name)) and not hasattr(oscdecay, name), name
 
 
 def test_submodules_resolve_as_attributes():

@@ -230,29 +230,20 @@ def test_mdd_numeric_rejects_short_cutoff():
         mdd_numeric(modes, 100.0, t_cut=10.0)
 
 
-def test_curve_series_probability_bound():
-    t = np.array([0.0, 1.0])
-    with pytest.raises(ValueError):
-        od.CurveSeries(t=t, values=np.array([0.5, 1.5]), kind="probability")
-
-
 def test_curve_series_requires_increasing_grid():
     with pytest.raises(ValueError):
-        od.CurveSeries(t=np.array([1.0, 1.0]), values=np.array([0.5, 0.5]),
-                       kind="probability")
+        od.CurveSeries(t=np.array([1.0, 1.0]), values=np.array([0.5, 0.5]))
 
 
 @pytest.mark.parametrize("fields, message", [
-    (dict(kind="prob"),
-     "kind must be one of ('amplitude', 'probability', 'rate', 'timemap'), got 'prob'"),
     (dict(t=np.zeros((2, 2))), "t must be a non-empty 1-d array"),
     (dict(t=np.array([])), "t must be a non-empty 1-d array"),
     (dict(values=np.array([0.5])), "values shape (1,) != t shape (2,)"),
     (dict(values=np.array([0.5, math.nan])), "values must be finite"),
-    (dict(values=np.array([0.5, math.inf]), kind="rate"), "values must be finite"),
-], ids=["unknown_kind", "t_2d", "t_empty", "shape_differs", "value_nan", "rate_inf"])
+    (dict(values=np.array([0.5, math.inf])), "values must be finite"),
+], ids=["t_2d", "t_empty", "shape_differs", "value_nan", "rate_inf"])
 def test_curve_series_refusals(fields, message):
-    series = dict(t=np.array([0.0, 1.0]), values=np.array([0.5, 0.4]), kind="probability")
+    series = dict(t=np.array([0.0, 1.0]), values=np.array([0.5, 0.4]))
     series.update(fields)
     with pytest.raises(ValueError) as err:
         od.CurveSeries(**series)

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 import oscdecay as od
 from oscdecay.timemap import TimeMapError
 
-from conftest import boosted_grids, make_boosted, make_single_mode
+from conftest import NEAR_REST_SETS, boosted_grids, make_boosted, make_single_mode
 
 
 def test_invert_full_probability_is_zero():
@@ -301,19 +301,23 @@ def test_phi_identity_frame():
         )
 
 
-# t -> phi_p(t)/t - 1 on curve B at p = 1e-6 M
-PHI_AT_VANISHING_P = {0.5: -1.88e-3, 1.0: 3.33e-4, 2.0: -8.71e-6, 5.0: 5.23e-5, 10.0: -2.27e-4}
+# set -> t -> phi_p(t)/t - 1 at p = 1e-6 M
+PHI_AT_VANISHING_P = {
+    "curve_b": {0.5: -1.88e-3, 1.0: 3.33e-4, 2.0: -8.71e-6, 5.0: 5.23e-5, 10.0: -2.27e-4},
+    "three_modes": {0.5: -5.18e-4, 1.0: 2.91e-4, 2.0: -2.18e-5, 5.0: 1.36e-4, 10.0: -8.64e-4},
+}
 
 
-def test_phi_is_not_the_identity_as_p_vanishes():
+@pytest.mark.parametrize("name", list(PHI_AT_VANISHING_P))
+def test_phi_is_not_the_identity_as_p_vanishes(name):
     # pinned, not endorsed: phi_p inverts P0, a law without the threshold
     # background that the boosted law keeps as p -> 0+, so phi_p(t) stays
     # off t by these amounts however small p is (gamma - 1 = 5e-13 here)
-    modes = make_single_mode(80.0, 10.0, 0.04)
+    modes = od.validate_modes(NEAR_REST_SETS[name])
     ctx = od.shifted_kinematics(modes, 1e-6 * 80.0)
-    t = np.array(list(PHI_AT_VANISHING_P))
+    t = np.array(list(PHI_AT_VANISHING_P[name]))
     assert ["%.2e" % x for x in od.phi_p(modes, ctx, t) / t - 1.0] \
-        == ["%.2e" % x for x in PHI_AT_VANISHING_P.values()]
+        == ["%.2e" % x for x in PHI_AT_VANISHING_P[name].values()]
 
 
 def test_phi_round_trip_identity(mode_p200_m80):
@@ -381,7 +385,7 @@ def _fit_for(key_modes, ctx, n_points=150):
     start = max(lo, 0.15)
     t = np.linspace(start, hi, n_points)
     phi = np.array([od.phi_p(key_modes, ctx, float(tt)) for tt in t])
-    series = od.CurveSeries(t=t, values=phi, kind="timemap")
+    series = od.CurveSeries(t=t, values=phi)
     return od.linearity_fit(series, win, ctx), win
 
 
@@ -392,7 +396,7 @@ def test_linearity_fit_identity_frame():
     ctx = od.shifted_kinematics(modes, 0.0)
     t = np.linspace(0.1, 10.0, 60)
     phi = np.array([od.phi_p(modes, ctx, float(tt)) for tt in t])
-    series = od.CurveSeries(t=t, values=phi, kind="timemap")
+    series = od.CurveSeries(t=t, values=phi)
     win = od.window.TimeWindow(
         admitted=(0,), excluded=(), xi_values=(0.0,),
         intervals_rest=((0.05, 11.0),), intervals_lab=((0.05, 11.0),),
@@ -426,7 +430,7 @@ def test_linearity_fit_matches_polyfit(case, mode_p200_m80):
     lo, hi = win.union_lab[0]
     t = np.linspace(max(lo, 0.15), hi, 150)
     phi = od.phi_p(modes, ctx, t)
-    fit = od.linearity_fit(od.CurveSeries(t=t, values=phi, kind="timemap"), win, ctx)
+    fit = od.linearity_fit(od.CurveSeries(t=t, values=phi), win, ctx)
     slope, intercept = np.polyfit(t, phi, 1)
     assert fit.n_points == len(t)
     assert fit.slope == pytest.approx(slope, rel=1e-12, abs=0.0)
@@ -440,7 +444,7 @@ def test_linearity_fit_requires_coverage(mode_p200_m80):
     win = od.exponential_windows(modes, ctx)
     t = np.linspace(2.0, 20.0, 10)
     phi = np.array([od.phi_p(modes, ctx, float(tt)) for tt in t])
-    series = od.CurveSeries(t=t, values=phi, kind="timemap")
+    series = od.CurveSeries(t=t, values=phi)
     with pytest.raises(TimeMapError):
         od.linearity_fit(series, win, ctx)
 

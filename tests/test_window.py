@@ -10,17 +10,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oscdecay as od
-from oscdecay.window import WindowError
+from oscdecay.window import WindowError, w_fn
 
 from conftest import make_single_mode
 
 
 def test_w_no_oscillation_is_one():
-    assert od.w_fn(100.0, 0.0, 0.3) == 1.0
+    assert w_fn(100.0, 0.0, 0.3) == 1.0
 
 
 def test_w_frozen_spot(frozen_spots):
-    got = od.w_fn(100.0, 10.0, 0.04)
+    got = w_fn(100.0, 10.0, 0.04)
     assert got == pytest.approx(frozen_spots["W_M100_Om10_a004"], rel=1e-14)
     assert got == pytest.approx(1.0012203, abs=1e-7)
 
@@ -28,19 +28,19 @@ def test_w_frozen_spot(frozen_spots):
 def test_w_limit_endpoint():
     # a=1/2, Omega=M/2 is outside the model range but the formula's
     # endpoint value 29/18 bounds the sweep below
-    assert od.w_fn(2.0, 1.0, 0.5) == pytest.approx(29.0 / 18.0, rel=1e-14)
+    assert w_fn(2.0, 1.0, 0.5) == pytest.approx(29.0 / 18.0, rel=1e-14)
 
 
 def test_w_rejects_frequency_at_mass():
     with pytest.raises(WindowError):
-        od.w_fn(100.0, 100.0, 0.04)
+        w_fn(100.0, 100.0, 0.04)
 
 
 @pytest.mark.parametrize("M, Omega, a", [(math.inf, 1.0, 0.1), (math.nan, 1.0, 0.1),
                                          (100.0, math.nan, 0.1), (100.0, 1.0, math.nan)])
 def test_w_rejects_nonfinite_arguments(M, Omega, a):
     with pytest.raises(WindowError):
-        od.w_fn(M, Omega, a)
+        w_fn(M, Omega, a)
 
 
 @settings(max_examples=500, deadline=None)
@@ -52,60 +52,17 @@ def test_w_rejects_nonfinite_arguments(M, Omega, a):
 def test_w_bounds_on_open_ranges(M, frac, a):
     # 1 < W < 29/18 for 0 < Omega < M/2, 0 < a < 1/2; the lower corners
     # are kept float-resolvable (W-1 ~ 3 a Omega^2/M^2 underflows to 0)
-    val = od.w_fn(M, frac * M, a)
+    val = w_fn(M, frac * M, a)
     assert 1.0 < val < 29.0 / 18.0
 
 
 def test_xi_prime_frozen_spot(mode_p200_m80, frozen_spots):
     modes, ctx = mode_p200_m80
-    got = od.xi_prime(modes, ctx, 0)
+    (got,) = od.exponential_windows(modes, ctx).xi_values
     assert got == pytest.approx(
         frozen_spots["xi_prime_M80_G1_Om10_a004_p200"], rel=1e-13
     )
     assert got <= 1e-3
-
-
-def test_xi_prime_rejects_nonrelativistic_limit():
-    modes = make_single_mode(100.0, 10.0, 0.04)
-    ctx = od.shifted_kinematics(modes, 0.0)
-    with pytest.raises(WindowError) as info:
-        od.xi_prime(modes, ctx, 0)
-    assert str(info.value) == "xi_prime requires gamma > 1 (nonrelativistic boost excluded)"
-
-
-def test_xi_prime_rejects_an_index_outside_the_set(mode_p200_m80):
-    modes, ctx = mode_p200_m80
-    for j in (modes.N, -1):
-        with pytest.raises(WindowError, match="mode index %d out of range 0..0" % j):
-            od.xi_prime(modes, ctx, j)
-
-
-THREE_MODES = {"M": 200.0, "w": [0.4, 0.3, 0.3], "Gamma": [1.0, 2.0, 3.5],
-               "Omega": [10.0, 20.0, 40.0], "a": [0.04, 0.04, 0.04]}
-
-
-class bool_:
-    """Stands for numpy 1.x's bool_, whose __index__ still reads np.True_ as 1."""
-
-    def __index__(self):
-        return 1
-
-
-@pytest.mark.parametrize("j", [0.9, True, 1.0, "1", np.True_, bool_(), np.float64(1.0)],
-                         ids=["fraction", "bool", "float", "string", "numpy_bool",
-                              "numpy1_bool", "numpy_float"])
-def test_xi_prime_refuses_an_index_that_is_not_an_integer(j):
-    # int() would read 0.9 as mode 0 and True as mode 1
-    modes = od.validate_modes(THREE_MODES)
-    ctx = od.shifted_kinematics(modes, 400.0)
-    with pytest.raises(WindowError, match=re.escape("mode index must be an integer, got %r" % (j,))):
-        od.xi_prime(modes, ctx, j)
-
-
-def test_xi_prime_accepts_a_numpy_integer():
-    modes = od.validate_modes(THREE_MODES)
-    ctx = od.shifted_kinematics(modes, 400.0)
-    assert od.xi_prime(modes, ctx, np.int64(2)) == od.xi_prime(modes, ctx, 2)
 
 
 def test_xi_prime_monotone_in_weight():
@@ -116,7 +73,7 @@ def test_xi_prime_monotone_in_weight():
              "Omega": [10.0, 0.0], "a": [0.04, 0.0]}
         )
         ctx = od.shifted_kinematics(modes, 600.0)
-        return od.xi_prime(modes, ctx, 0)
+        return od.exponential_windows(modes, ctx).xi_values[0]
 
     vals = [xi0(w) for w in (0.2, 0.4, 0.6, 0.8)]
     assert np.all(np.diff(vals) < 0)
@@ -127,7 +84,7 @@ def test_xi_prime_monotone_in_amplitude():
     def xi(a):
         modes = make_single_mode(300.0, 0.3, a)
         ctx = od.shifted_kinematics(modes, 600.0)
-        return od.xi_prime(modes, ctx, 0)
+        return od.exponential_windows(modes, ctx).xi_values[0]
 
     vals = [xi(a) for a in (0.0, 0.15, 0.3, 0.45)]
     assert np.all(np.diff(vals) > 0)
@@ -326,7 +283,7 @@ def test_xi_prime_matches_mpmath_near_rest(p):
         r = (O / M) ** 2
         W = 1 + a * r * (3 - r) / (1 - r) ** 2
         ref = mpmath.sqrt(G / (mpmath.pi * M) * v) * G * W / (2 * M * (1 - 2 * a))
-        got = od.xi_prime(modes, ctx, 0)
+        (got,) = od.exponential_windows(modes, ctx).xi_values
         assert abs(got - ref) <= 1e-14 * ref
 
 
@@ -365,12 +322,26 @@ def test_periods_commensurate_three_modes():
     assert report.Tp == ctx.gamma * report.T0
 
 
-@pytest.mark.parametrize("active", [[0.5], [True], [0, 2.0]], ids=["fraction", "bool", "float"])
-def test_periods_refuse_an_index_that_is_not_an_integer(active):
+THREE_MODES = {"M": 200.0, "w": [0.4, 0.3, 0.3], "Gamma": [1.0, 2.0, 3.5],
+               "Omega": [10.0, 20.0, 40.0], "a": [0.04, 0.04, 0.04]}
+
+
+class bool_:
+    """Stands for numpy 1.x's bool_, whose __index__ still reads np.True_ as 1."""
+
+    def __index__(self):
+        return 1
+
+
+@pytest.mark.parametrize("j", [0.9, True, 1.0, "1", np.True_, bool_(), np.float64(1.0)],
+                         ids=["fraction", "bool", "float", "string", "numpy_bool",
+                              "numpy1_bool", "numpy_float"])
+def test_periods_refuse_an_index_that_is_not_an_integer(j):
+    # int() would read 0.9 as mode 0 and True as mode 1
     modes = od.validate_modes(THREE_MODES)
     ctx = od.shifted_kinematics(modes, 400.0)
-    with pytest.raises(WindowError, match="mode index must be an integer"):
-        od.periods(modes, ctx, active_modes=active)
+    with pytest.raises(WindowError, match=re.escape("mode index must be an integer, got %r" % (j,))):
+        od.periods(modes, ctx, [0, j])
 
 
 def test_periods_accept_numpy_integers():
@@ -402,27 +373,19 @@ def test_periods_require_oscillating_mode():
         od.periods(modes, ctx, active_modes=[0])
 
 
-def test_periods_need_a_window_or_active_modes(mode_p200_m80):
-    modes, ctx = mode_p200_m80
-    with pytest.raises(WindowError) as err:
-        od.periods(modes, ctx)
-    assert str(err.value) == "periods needs a window or an explicit active_modes set"
-
-
 def test_gate_diverges_on_an_unvalidated_set_at_half_amplitude():
     # validate_modes refuses a = 1/2; a set built directly reaches the gate
     modes = od.RestModeSet(M=80.0, w=(1.0,), Gamma=(1.0,), Omega=(10.0,), a=(0.5,))
     ctx = od.shifted_kinematics(modes, 200.0)
-    for call in (lambda: od.exponential_windows(modes, ctx), lambda: od.xi_prime(modes, ctx, 0)):
-        with pytest.raises(WindowError) as err:
-            call()
-        assert str(err.value) == "gate diverges as a -> 1/2, got a=0.5"
+    with pytest.raises(WindowError) as err:
+        od.exponential_windows(modes, ctx)
+    assert str(err.value) == "gate diverges as a -> 1/2, got a=0.5"
 
 
-def test_periods_default_to_window_admitted(mode_p200_m80):
+def test_periods_of_the_window_admitted(mode_p200_m80):
     modes, ctx = mode_p200_m80
     win = od.exponential_windows(modes, ctx)
-    report = od.periods(modes, ctx, window=win)
+    report = od.periods(modes, ctx, win.admitted)
     assert report.commensurate
     assert report.Tp == ctx.gamma * report.T0
 

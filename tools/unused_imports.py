@@ -3,9 +3,8 @@
 Parses each .py file under the given paths with the standard library's
 ast module. A name bound by an import statement counts as used when it
 appears anywhere in the module as a bare name (an attribute chain counts
-through its root). Two kinds of import are left alone: statements marked
-"# noqa: F401" on any of their lines, and names listed in the module's
-__all__. Imports from __future__ are skipped.
+through its root). Statements marked "# noqa: F401" on any of their lines
+are left alone, and imports from __future__ are skipped.
 
 Prints one "file:line name" per unused import and exits 1 if there is
 any, else exits 0 silently. Run from the repository root:
@@ -20,18 +19,6 @@ import sys
 NOQA = "# noqa: F401"
 
 
-def _exported(tree):
-    """The strings of a module-level __all__ list or tuple."""
-    names = set()
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
-            if isinstance(node.value, (ast.List, ast.Tuple)):
-                names.update(e.value for e in node.value.elts
-                             if isinstance(e, ast.Constant) and isinstance(e.value, str))
-    return names
-
-
 def unused_imports(path):
     """(line, name) of each import in the file at path that the module never uses."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -39,7 +26,6 @@ def unused_imports(path):
     lines = source.splitlines()
     tree = ast.parse(source, filename=path)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    skip = _exported(tree)
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
@@ -53,7 +39,7 @@ def unused_imports(path):
                 continue
             # "import a.b" binds a; "import a.b as c" and "from a import b" bind c, b
             bound = alias.asname or alias.name.split(".")[0]
-            if bound not in used and bound not in skip:
+            if bound not in used:
                 found.append((node.lineno, bound))
     return sorted(found)
 
