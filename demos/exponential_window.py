@@ -27,7 +27,7 @@ def show(name, cfg, params):
     ctx = od.shifted_kinematics(modes, cfg["p"])
     win = od.exponential_windows(modes, ctx, params)
     if not win.union_lab:
-        js = ", ".join("mode %d (xi'=%.2e)" % (j, xi) for j, xi in win.excluded)
+        js = ", ".join("mode %d (xi'=%.2e)" % (e.mode, e.xi) for e in win.excluded)
         print(f"{name}: gamma={ctx.gamma:.4f} no window; excluded {js}")
     else:
         lo, hi = win.union_lab[0]

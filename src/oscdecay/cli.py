@@ -273,23 +273,6 @@ def _note(args, message):
         print(message, file=sys.stderr)
 
 
-def _window_json(window):
-    return {
-        "zeta_min": window.params.zeta_min,
-        "zeta_max": window.params.zeta_max,
-        "xi_gate": window.params.xi_gate,
-        "gamma": window.gamma,
-        "xi_values": list(window.xi_values),
-        "admitted": list(window.admitted),
-        "excluded": [{"mode": j, "xi": xi} for j, xi in window.excluded],
-        "intervals_lab": [list(iv) for iv in window.intervals_lab],
-        "intervals_rest": [list(iv) for iv in window.intervals_rest],
-        "union_lab": [list(iv) for iv in window.union_lab],
-        "union_rest": [list(iv) for iv in window.union_rest],
-        "merged": window.merged,
-    }
-
-
 def _report_skeleton(config):
     return {
         "params": config,
@@ -307,7 +290,7 @@ def _window_report(config, modes):
     window = _cli.exponential_windows(modes, ctx, _window_params(config))
     checks = _cli.constraint_report(modes, ctx, window)
     report = _report_skeleton(config)
-    report["window"] = _window_json(window)
+    report["window"] = window
     report["constraints"] = checks
     return report, ctx, window
 
@@ -335,29 +318,24 @@ def _csv_text(header, *columns):
     """CSV text of equal-length columns. A bool column reads true/false; every
     other cell is the repr of its double, the shortest decimal that round-trips.
 
-    Each distinct float column is formatted once: a column whose doubles
-    equal an earlier one's bit for bit (gamma_t beside t when Gamma_1 = 1)
-    reads that column's cells. Bits, not ==, so -0.0 never shares with 0.0.
+    A column passed again as the same object (t as gamma_t when Gamma_1 = 1)
+    reads the cells formatted for its first place.
     """
     import numpy as np
 
     cells = []
-    formatted = []  # (bits, index into cells) of each float column formatted
-    for col in map(np.asarray, columns):
-        if col.dtype == bool:
-            cells.append(np.where(col, "true", "false").tolist())
-            continue
-        col = col.astype(float, copy=False)
-        # compared in place, up to the first cell that differs
-        bits = memoryview(col.view(np.uint64))
-        same = next((i for seen, i in formatted if seen == bits), None)
-        if same is None:
-            formatted.append((bits, len(cells)))
-            cells.append(map(repr, col.tolist()))
-        else:
+    for i, column in enumerate(columns):
+        same = next(j for j, earlier in enumerate(columns) if earlier is column)
+        if same < i:
             # zip reads the two copies in step, so tee buffers one cell at most
             cells[same], twin = itertools.tee(cells[same])
             cells.append(twin)
+            continue
+        col = np.asarray(column)
+        if col.dtype == bool:
+            cells.append(np.where(col, "true", "false").tolist())
+        else:
+            cells.append(map(repr, col.astype(float, copy=False).tolist()))
     lines = [header]
     lines.extend(map(",".join, zip(*cells)))
     return "\n".join(lines) + "\n"
@@ -367,7 +345,8 @@ def cmd_curve(config, args):
     modes = _build_modes(config)
     p = _momentum(config)
     t = _grid(config)
-    gamma_t = modes.Gamma[0] * t
+    # 1.0 * t is t bit for bit; passing t itself lets the CSV share its cells
+    gamma_t = t if modes.Gamma[0] == 1.0 else modes.Gamma[0] * t
     which = args.which
 
     if which == "rest":
@@ -412,18 +391,18 @@ def cmd_phi(config, args):
     params = _window_params(config)
 
     values = _cli.phi_p(modes, ctx, t)
-    reference = t / ctx.gamma
-    _emit_text(_csv_text("t,phi_p,t_over_gamma,residual", t, values, reference,
-                         values - reference), args.out)
-
+    # nothing is written before the fit: a grid CurveSeries refuses leaves no file
     fit_report = _report_skeleton(config)
     try:
         window = _cli.exponential_windows(modes, ctx, params)
-        fit_report["window"] = _window_json(window)
+        fit_report["window"] = window
         series = _cli.CurveSeries(t=t, values=values)
         fit_report["results"]["fit"] = _cli.linearity_fit(series, window, ctx)
     except (_cli.WindowError, _cli.TimeMapError) as exc:
         fit_report["results"]["fit_error"] = str(exc)
+    reference = t / ctx.gamma
+    _emit_text(_csv_text("t,phi_p,t_over_gamma,residual", t, values, reference,
+                         values - reference), args.out)
     _emit_json(fit_report, args.out + ".fit.json")
     _note(args, "phi: %d rows, fit sidecar written" % len(t))
     return EXIT_OK

@@ -44,27 +44,38 @@ class WindowParams:
 
 
 @dataclass(frozen=True)
-class TimeWindow:
-    """Admitted exponential-time intervals in both frames.
+class ExcludedMode:
+    """A mode the gate refused: its index and its xi'_j, above the gate."""
 
-    admitted lists mode indices with xi'_j <= gate (ascending); excluded
-    holds (index, xi'_j) for the rest. intervals_* follow the admitted
-    order; each lab interval is exactly gamma times its rest counterpart.
-    merged is true when consecutive admitted widths satisfy
-    Gamma_{j_l}/Gamma_{j_{l+1}} > zeta_min/zeta_max, so the union is a
-    single interval.
+    mode: int
+    xi: float
+
+
+@dataclass(frozen=True)
+class TimeWindow:
+    """Admitted exponential-time intervals in both frames; a report's window section.
+
+    zeta_min, zeta_max and xi_gate are those of the WindowParams it was
+    built with. admitted lists mode indices with xi'_j <= xi_gate
+    (ascending); excluded holds an ExcludedMode for each of the rest.
+    intervals_* follow the admitted order; each lab interval is exactly
+    gamma times its rest counterpart. merged is true when consecutive
+    admitted widths satisfy Gamma_{j_l}/Gamma_{j_{l+1}} > zeta_min/zeta_max,
+    so the union is a single interval.
     """
 
+    zeta_min: float
+    zeta_max: float
+    xi_gate: float
+    gamma: float
+    xi_values: tuple
     admitted: tuple
     excluded: tuple
-    xi_values: tuple
-    intervals_rest: tuple
     intervals_lab: tuple
-    union_rest: tuple
+    intervals_rest: tuple
     union_lab: tuple
+    union_rest: tuple
     merged: bool
-    gamma: float
-    params: WindowParams
 
 
 @dataclass(frozen=True)
@@ -157,7 +168,7 @@ def exponential_windows(modes: RestModeSet, ctx: BoostContext, params: WindowPar
 
     xi = _xi_values(modes, ctx)
     admitted = tuple(j for j, x in enumerate(xi) if x <= params.xi_gate)
-    excluded = tuple((j, x) for j, x in enumerate(xi) if x > params.xi_gate)
+    excluded = tuple(ExcludedMode(j, x) for j, x in enumerate(xi) if x > params.xi_gate)
 
     G = modes.Gamma
     intervals_rest = tuple((2.0 * params.zeta_min / G[j], 2.0 * params.zeta_max / G[j])
@@ -169,16 +180,18 @@ def exponential_windows(modes: RestModeSet, ctx: BoostContext, params: WindowPar
     merged = bool(admitted) and all(G[j] / G[k] > ratio for j, k in zip(admitted, admitted[1:]))
 
     return TimeWindow(
+        zeta_min=params.zeta_min,
+        zeta_max=params.zeta_max,
+        xi_gate=params.xi_gate,
+        gamma=ctx.gamma,
+        xi_values=xi,
         admitted=admitted,
         excluded=excluded,
-        xi_values=xi,
-        intervals_rest=intervals_rest,
         intervals_lab=intervals_lab,
-        union_rest=_merge_intervals(intervals_rest),
+        intervals_rest=intervals_rest,
         union_lab=_merge_intervals(intervals_lab),
+        union_rest=_merge_intervals(intervals_rest),
         merged=merged,
-        gamma=ctx.gamma,
-        params=params,
     )
 
 

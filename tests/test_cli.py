@@ -15,6 +15,8 @@ import oscdecay
 from oscdecay import cli
 from oscdecay.cli import main
 
+from conftest import DATA
+
 
 CURVE_B = {
     "modes": {"M": 80.0, "w": [1.0], "Gamma": [1.0], "Omega": [10.0], "a": [0.04]},
@@ -321,10 +323,25 @@ def test_csv_cells_are_repr_of_the_double(column):
     assert len(lines) == len(column) + 2
 
 
-def test_csv_columns_share_cells_only_when_their_bits_match():
+def test_csv_columns_share_cells_only_when_passed_again():
+    # equal doubles in another object, and -0.0 beside 0.0, read their own cells
     zero, negative_zero = [0.0, 1.0], [-0.0, 1.0]
     text = cli._csv_text("a,b,c,d", zero, negative_zero, zero, np.array(zero))
     assert text == "a,b,c,d\n0.0,-0.0,0.0,0.0\n1.0,1.0,1.0,1.0\n"
+
+    # the same object passed again is converted once and its cells are shared
+    conversions = []
+
+    class Column:
+        def __array__(self, dtype=None, copy=None):
+            conversions.append(self)
+            return np.array([-0.0, 5e-324, 0.1])
+
+    t = Column()
+    text = cli._csv_text("t,gamma_t,again,copy", t, t, t, Column())
+    assert text == ("t,gamma_t,again,copy\n-0.0,-0.0,-0.0,-0.0\n"
+                    "5e-324,5e-324,5e-324,5e-324\n0.1,0.1,0.1,0.1\n")
+    assert len(conversions) == 2
 
 
 def test_boosted_validity_column_reads_true_and_false(tmp_path):
@@ -352,6 +369,19 @@ def test_window_report_top_level_keys(tmp_path):
     assert report["window"]["merged"] is True
     per = report["results"]["periods"]
     assert per["Tp"] == pytest.approx(per["T0"] * report["window"]["gamma"])
+
+
+@pytest.mark.parametrize("name", ["window_empty", "window_two_excluded"])
+def test_window_report_text(tmp_path, name):
+    # the whole report of its own params section: the key order, an excluded
+    # mode's {"mode", "xi"} entry and an empty window's NaN constraint values
+    with open(os.path.join(DATA, name + ".json")) as fh:
+        expected = fh.read()
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(json.loads(expected)["params"]))
+    out = tmp_path / "report.json"
+    assert main(["window", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    assert out.read_text() == expected
 
 
 def test_validate_passes_with_late_window_start(tmp_path):
@@ -409,6 +439,18 @@ def test_phi_requires_out(tmp_path):
         "grid": {"t_min": 0.5, "t_max": 20.0, "points": 40},
     })
     assert main(["phi", "--config", cfg, "--quiet"]) == 2
+
+
+def test_phi_refusing_a_grid_writes_no_file(tmp_path, capsys):
+    # the 40 linspace points between 3 and 3 + 2e-15 repeat: the fit refuses them
+    cfg = write_config(tmp_path, "phirep.json", {
+        "grid": {"t_min": 3.0, "t_max": 3.000000000000002, "points": 40},
+    })
+    out = tmp_path / "phirep.csv"
+    assert main(["phi", "--config", cfg, "--out", str(out), "--quiet"]) == 2
+    assert capsys.readouterr().err == (
+        "oscdecay: invalid config or model: t must increase strictly\n")
+    assert os.listdir(tmp_path) == ["phirep.json"]
 
 
 def test_phi_identity_frame_residuals(tmp_path):

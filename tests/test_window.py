@@ -95,8 +95,8 @@ def test_single_mode_window_bounds(mode_p200_m80):
     win = od.exponential_windows(modes, ctx)
     assert win.admitted == (0,)
     (lo, hi), = win.intervals_lab
-    assert lo == 2 * win.params.zeta_min * ctx.gamma / 1.0
-    assert hi == 2 * win.params.zeta_max * ctx.gamma / 1.0
+    assert lo == 2 * win.zeta_min * ctx.gamma / 1.0
+    assert hi == 2 * win.zeta_max * ctx.gamma / 1.0
     assert win.merged
 
 
@@ -124,8 +124,8 @@ def test_two_mode_merged_union():
     assert win.merged
     assert len(win.union_lab) == 1
     lo, hi = win.union_lab[0]
-    assert lo == 2 * win.params.zeta_min * ctx.gamma / 4.0
-    assert hi == 2 * win.params.zeta_max * ctx.gamma / 1.0
+    assert lo == 2 * win.zeta_min * ctx.gamma / 4.0
+    assert hi == 2 * win.zeta_max * ctx.gamma / 1.0
 
 
 def test_merged_flag_flips_at_exact_ratio():
@@ -158,8 +158,8 @@ def test_gate_excludes_large_amplitude_mode():
     ctx = od.shifted_kinematics(modes, 210.0)
     win = od.exponential_windows(modes, ctx)
     assert 1 not in win.admitted
-    excluded = dict(win.excluded)
-    assert 1 in excluded and excluded[1] > win.params.xi_gate
+    excluded = {e.mode: e.xi for e in win.excluded}
+    assert 1 in excluded and excluded[1] > win.xi_gate
 
 
 def test_empty_window_diagnostics():
@@ -170,7 +170,8 @@ def test_empty_window_diagnostics():
     assert win.admitted == ()
     assert win.union_lab == ()
     assert not win.merged
-    assert dict(win.excluded)[0] > win.params.xi_gate
+    (excluded,) = win.excluded
+    assert excluded.mode == 0 and excluded.xi == win.xi_values[0] > win.xi_gate
 
 
 def test_window_params_validation():

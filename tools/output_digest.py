@@ -3,9 +3,12 @@
 Draws the config pool of each workload in perfbench/configs.py from its
 master seed and runs every command on every config: validate, window,
 curve --which rest/rate/split/boosted, phi (with its fit sidecar) and
-compare. The commands run through oscdecay.cli.main in this process, on
-the package in ./src. Each prints one line: workload, config index,
-command, exit code, the sha256 of each output file and the stderr text.
+compare. A fixed edge set follows the pools, under the name edge: the
+paths the pools never draw, where gamma_t is not t, the window is empty
+or the periods are unavailable. The commands run through oscdecay.cli.main
+in this process, on the package in ./src. Each prints one line: workload
+(or edge), config index, command, exit code, the sha256 of each output
+file and the stderr text.
 
 With --cold, only the pools of the cold workloads (cli_cold) are drawn,
 and each command runs as `python -m oscdecay.cli` in a fresh interpreter,
@@ -51,6 +54,30 @@ COMMANDS = {
     "compare": ("compare",),
 }
 
+CURVE_B = {"modes": {"M": 80.0, "w": [1.0], "Gamma": [1.0], "Omega": [10.0], "a": [0.04]},
+           "p": 200.0, "grid": {"t_min": 2.0, "t_max": 6.0, "points": 21}}
+
+# configs the pools never draw, each with the paths it takes
+EDGE = [
+    # Gamma_1 != 1: gamma_t is formatted on its own
+    dict(CURVE_B, modes=dict(CURVE_B["modes"], Gamma=[2.5])),
+    # an empty window: NaN constraint values and an excluded mode
+    dict(CURVE_B, window={"xi_gate": 1e-12}),
+    # at rest: the rest branch of the boosted law and the time map; window exits 2
+    dict(CURVE_B, p=0.0),
+    # no oscillating mode, on a log grid: the periods are unavailable
+    dict(CURVE_B, modes={"M": 80.0, "w": [0.5, 0.5], "Gamma": [1.0, 1.5],
+                         "Omega": [0.0, 0.0], "a": [0.0, 0.0]},
+         grid={"t_min": 0.5, "t_max": 8.0, "points": 21, "spacing": "log"}),
+    # three modes, the oracle without the negative-mass part
+    dict(CURVE_B, modes={"M": 80.0, "w": [0.5, 0.3, 0.2], "Gamma": [1.0, 1.5, 2.0],
+                         "Omega": [10.0, 5.0, 2.5], "a": [0.04, 0.04, 0.04]},
+         oracle={"include_negative_mass": False}),
+    # commensurate frequencies, both admitted by a wider gate: k_values [1, 2]
+    dict(CURVE_B, modes={"M": 80.0, "w": [0.5, 0.5], "Gamma": [1.0, 1.5],
+                         "Omega": [10.0, 5.0], "a": [0.04, 0.04]}, window={"xi_gate": 2e-3}),
+]
+
 
 def _sha256(path):
     if not os.path.exists(path):
@@ -88,12 +115,15 @@ def main():
     parser.add_argument("--cold", action="store_true",
                         help="the cold workloads' pools only, each command a fresh interpreter")
     cold = parser.parse_args().cold
+    pools = [(name, configs.generate(workload, workload.master_seed))
+             for name, workload in sorted(configs.WORKLOADS.items())
+             if workload.cold or not cold]
+    if not cold:
+        pools.append(("edge", EDGE))
     with tempfile.TemporaryDirectory() as tmp:
         config_path = os.path.join(tmp, "config.json")
-        for name, workload in sorted(configs.WORKLOADS.items()):
-            if cold and not workload.cold:
-                continue
-            for i, config in enumerate(configs.generate(workload, workload.master_seed)):
+        for name, pool in pools:
+            for i, config in enumerate(pool):
                 with open(config_path, "w") as fh:
                     json.dump(config, fh)
                 for key, args in COMMANDS.items():
