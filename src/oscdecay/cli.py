@@ -50,6 +50,12 @@ EXIT_ORACLE = 4
 # largest grid accepted; a 4-mode `curve --which split` needs ~0.55 KB per point
 MAX_GRID_POINTS = 10**6
 
+# rows from which _csv_text formats whole columns with _shortest. In one
+# process the kernel wins from about 200 rows; a fresh process also pays its
+# import once (3-6 ms), which the saving of 2-3 us a row covers from about
+# 1200-2000 rows
+SHORTEST_MIN_ROWS = 1000
+
 
 class ConfigError(ValueError):
     """The config file is structurally or physically unusable."""
@@ -151,12 +157,17 @@ def _grid(config):
     if t_min >= t_max:
         raise ConfigError("grid needs t_min < t_max, got %r, %r" % (t_min, t_max))
     if spacing == "linear":
-        return np.linspace(t_min, t_max, points)
-    if spacing == "log":
+        t = np.linspace(t_min, t_max, points)
+    elif spacing == "log":
         if t_min <= 0.0:
             raise ConfigError("log spacing needs t_min > 0, got %r" % t_min)
-        return np.geomspace(t_min, t_max, points)
-    raise ConfigError("grid spacing must be 'linear' or 'log', got %r" % spacing)
+        t = np.geomspace(t_min, t_max, points)
+    else:
+        raise ConfigError("grid spacing must be 'linear' or 'log', got %r" % spacing)
+    # a range a few ulp wide repeats times; every command refuses it alike
+    if not np.all(t[1:] > t[:-1]):
+        raise ConfigError("t must increase strictly")
+    return t
 
 
 def _settings(config, name, defaults) -> dict:
@@ -320,18 +331,28 @@ def _csv_text(header, *columns):
 
     A column passed again as the same object (t as gamma_t when Gamma_1 = 1)
     reads the cells formatted for its first place.
+
+    Columns of at least SHORTEST_MIN_ROWS rows are formatted whole-array by
+    _shortest, whose cells are repr's; shorter ones cell by cell with repr.
     """
     import numpy as np
 
+    first = [next(j for j, earlier in enumerate(columns) if earlier is column)
+             for column in columns]
+    arrays = []
+    for i, same in enumerate(first):
+        arrays.append(np.asarray(columns[i]) if same == i else arrays[same])
+    if len(arrays[0]) >= SHORTEST_MIN_ROWS:
+        from ._shortest import csv_text
+
+        return csv_text(header, arrays, first)
     cells = []
-    for i, column in enumerate(columns):
-        same = next(j for j, earlier in enumerate(columns) if earlier is column)
+    for i, (same, col) in enumerate(zip(first, arrays)):
         if same < i:
             # zip reads the two copies in step, so tee buffers one cell at most
             cells[same], twin = itertools.tee(cells[same])
             cells.append(twin)
             continue
-        col = np.asarray(column)
         if col.dtype == bool:
             cells.append(np.where(col, "true", "false").tolist())
         else:

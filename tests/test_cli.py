@@ -344,6 +344,29 @@ def test_csv_columns_share_cells_only_when_passed_again():
     assert len(conversions) == 2
 
 
+@pytest.mark.parametrize("rows", [cli.SHORTEST_MIN_ROWS - 1, cli.SHORTEST_MIN_ROWS],
+                         ids=["repr", "kernel"])
+def test_csv_text_is_the_same_on_both_sides_of_the_kernel_threshold(rows):
+    # negative cells, cells in exponent notation, bools, and a column passed
+    # twice, which is converted once
+    conversions = []
+    t_values = np.linspace(-2.0, 3.0, rows)
+
+    class Column:
+        def __array__(self, dtype=None, copy=None):
+            conversions.append(self)
+            return t_values
+
+    t = Column()
+    value = np.exp(-40.0 * t_values) * np.cos(7.0 * t_values)
+    text = cli._csv_text("t,gamma_t,value,valid", t, t, value, value > 0)
+    expected = ["t,gamma_t,value,valid"] + [
+        "%r,%r,%r,%s" % (ti, ti, v, "true" if v > 0 else "false")
+        for ti, v in zip(t_values.tolist(), value.tolist())]
+    assert text == "\n".join(expected) + "\n"
+    assert len(conversions) == 1
+
+
 def test_boosted_validity_column_reads_true_and_false(tmp_path):
     # CURVE_B is valid where 70 t >= 10 or t > 0.1 (kinematics.VALIDITY_THRESHOLD)
     cfg = write_config(tmp_path, "bflags.json", {
@@ -451,6 +474,27 @@ def test_phi_refusing_a_grid_writes_no_file(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "oscdecay: invalid config or model: t must increase strictly\n")
     assert os.listdir(tmp_path) == ["phirep.json"]
+
+
+@pytest.mark.parametrize("argv, p", [
+    ("curve --which rest", 200.0),
+    ("curve --which rate", 200.0),
+    ("curve --which split", 200.0),
+    ("curve --which boosted", 200.0),
+    # at rest no window is built, so nothing but the grid reads the times
+    ("phi", 0.0),
+    ("compare", 200.0),
+])
+def test_every_command_refuses_a_grid_whose_times_repeat(tmp_path, capsys, argv, p):
+    # phi at p > 0 is test_phi_refusing_a_grid_writes_no_file
+    cfg = write_config(tmp_path, "rep.json", {
+        "p": p, "grid": {"t_min": 3.0, "t_max": 3.000000000000002, "points": 40},
+    })
+    out = tmp_path / "rep.out"
+    assert main(argv.split() + ["--config", cfg, "--out", str(out), "--quiet"]) == 2
+    assert capsys.readouterr().err == (
+        "oscdecay: invalid config or model: t must increase strictly\n")
+    assert os.listdir(tmp_path) == ["rep.json"]
 
 
 def test_phi_identity_frame_residuals(tmp_path):

@@ -154,6 +154,27 @@ def test_cold_command_loads_only_the_modules_it_runs(config, tmp_path, command):
     assert numpy == str(command not in WITHOUT_NUMPY)
 
 
+@pytest.mark.parametrize("command, points", [
+    ("curve --which rest", 181),
+    ("curve --which boosted", 181),
+    ("phi", 181),
+    ("curve --which boosted", 2000),
+])
+def test_only_long_grids_load_the_csv_kernel(tmp_path, command, points):
+    # cli._csv_text imports _shortest for cli.SHORTEST_MIN_ROWS rows or more
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(dict(CURVE_B, grid=dict(CURVE_B["grid"], points=points))))
+    loaded = fresh(
+        "import sys, oscdecay.cli\n"
+        "code = oscdecay.cli.main(sys.argv[1:])\n"
+        "print(code, ','.join(m for m in sys.modules if m.startswith('oscdecay.')))",
+        *command.split(), "--config", str(path), "--out", str(tmp_path / "out"), "--quiet")
+    code, modules = loaded.split()
+    kernel = {"_shortest"} if points == 2000 else set()
+    assert code == "0"
+    assert set(modules.split(',')) == {"oscdecay." + name for name in LOADED[command] | kernel}
+
+
 @pytest.mark.parametrize("argv, loads_argparse", [
     ("validate", False),
     ("curve --which boosted", False),

@@ -76,6 +76,9 @@ EDGE = [
     # commensurate frequencies, both admitted by a wider gate: k_values [1, 2]
     dict(CURVE_B, modes={"M": 80.0, "w": [0.5, 0.5], "Gamma": [1.0, 1.5],
                          "Omega": [10.0, 5.0], "a": [0.04, 0.04]}, window={"xi_gate": 2e-3}),
+    # a long log grid, whose CSVs cli formats whole-array: cells in exponent
+    # notation in every curve and in phi, negative ones in rate, split and phi
+    dict(CURVE_B, grid={"t_min": 0.2, "t_max": 60.0, "points": 2000, "spacing": "log"}),
 ]
 
 
