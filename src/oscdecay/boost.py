@@ -9,7 +9,7 @@ over modes is the survival probability at momentum p.
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -29,8 +29,8 @@ class BoostDomainError(ValueError):
     """A boosted evaluation was requested outside its domain."""
 
 
-@dataclass(frozen=True)
-class BoostedEvaluation:
+class BoostedEvaluation(namedtuple("BoostedEvaluation", "t K_sum Phi_term P_p in_validity_domain "
+                                                      "exceeds_unity")):
     """The boosted survival probability at lab time t (a float or an array).
 
     K_sum = sum_j w_j K_j, Phi_term = i sum_j w_j (p Gamma_j/(pi M^2)) Phi_j
@@ -40,12 +40,7 @@ class BoostedEvaluation:
     Evaluated on an array of times, every field is an array of that shape.
     """
 
-    t: float
-    K_sum: complex
-    Phi_term: complex
-    P_p: float
-    in_validity_domain: bool
-    exceeds_unity: bool
+    __slots__ = ()
 
 
 def _check_mode(name, M, Omega, a):
@@ -177,9 +172,8 @@ class BoostedLaw:
                     % (float(P_p[over][0]), UNITY_EXCESS_TOL)
                 )
 
-        fields = dict(t=tt, K_sum=K_sum, Phi_term=Phi_term, P_p=P_p,
-                      in_validity_domain=valid, exceeds_unity=P_p > 1.0)
-        return BoostedEvaluation(**{k: maybe_scalar(v, t) for k, v in fields.items()})
+        return BoostedEvaluation._make([maybe_scalar(v, t) for v in
+                                        (tt, K_sum, Phi_term, P_p, valid, P_p > 1.0)])
 
 
 def survival_boosted(modes: RestModeSet, ctx: BoostContext, t) -> BoostedEvaluation:

@@ -18,7 +18,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import fields
 from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 
@@ -193,16 +192,12 @@ def _settings(config, name, defaults) -> dict:
     return settings
 
 
-def _defaults(cls) -> dict:
-    return {f.name: f.default for f in fields(cls)}
-
-
 def _window_params(config):
-    return _cli.WindowParams(**_settings(config, "window", _defaults(_cli.WindowParams)))
+    return _cli.WindowParams(**_settings(config, "window", _cli.WindowParams._field_defaults))
 
 
 def _quad_spec(config):
-    settings = _settings(config, "oracle", _defaults(_cli.QuadratureSpec))
+    settings = _settings(config, "oracle", _cli.QuadratureSpec._field_defaults)
     try:
         return _cli.QuadratureSpec(**settings)
     except ValueError as exc:
@@ -228,17 +223,13 @@ def _emit_text(text, out_path):
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _field_items(obj):
-    """(name, value) of each field of dataclass obj, in field order, not copied."""
-    return [(f.name, getattr(obj, f.name)) for f in fields(obj)]
-
-
 def _json_text(obj, indent):
     """JSON text of obj, byte for byte what json.dumps(obj, indent=2) writes
     at the nesting whose line break and indentation is indent ("\n" at the
-    top), and a dataclass as the object of its fields. obj holds only what
-    reports hold: str, None, bool, int and float leaves in lists, tuples,
-    dicts with str keys and dataclasses; anything else is a TypeError.
+    top), and a record (a named tuple) as the object of its _fields. obj
+    holds only what reports hold: str, None, bool, int and float leaves in
+    lists, tuples, dicts with str keys and records; anything else is a
+    TypeError.
     json's C encoder cannot indent, so json.dumps(indent=2) runs its
     pure-Python encoder, a generator per container; this writer joins
     strings instead."""
@@ -256,18 +247,19 @@ def _json_text(obj, indent):
         text = float.__repr__(obj)
         return _NON_FINITE.get(text, text)
     if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        inner = indent + "  "
-        return "[%s%s%s]" % (inner, ("," + inner).join([_json_text(v, inner) for v in obj]),
-                             indent)
-    if isinstance(obj, dict):
+        names = getattr(obj, "_fields", None)
+        if names is None:
+            if not obj:
+                return "[]"
+            inner = indent + "  "
+            return "[%s%s%s]" % (inner, ("," + inner).join([_json_text(v, inner) for v in obj]),
+                                 indent)
+        items = zip(names, obj)
+    elif isinstance(obj, dict):
         items = obj.items()
-    elif hasattr(type(obj), "__dataclass_fields__"):
-        items = _field_items(obj)
     else:
         raise TypeError("%s is not JSON serializable" % type(obj).__name__)
-    if not items:
+    if not obj:
         return "{}"
     inner = indent + "  "
     return "{%s%s%s}" % (inner, ("," + inner).join([
@@ -450,7 +442,7 @@ def cmd_compare(config, args):
 
     within = rep.max_rel_deviation <= bound
     report = _report_skeleton(config)
-    report["results"] = dict(_field_items(rep), bound=bound, within_bound=within)
+    report["results"] = dict(rep._asdict(), bound=bound, within_bound=within)
     _emit_json(report, args.out)
     _note(args, "compare: max rel deviation %g (bound %g)" % (rep.max_rel_deviation, bound))
     return EXIT_OK if within else EXIT_BOUND

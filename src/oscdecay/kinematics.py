@@ -14,7 +14,7 @@ the window need no numpy; only the three term functions import it.
 
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 
 # Upper bound on Gamma_j / (M - Omega_j) for the narrow-resonance regime.
 # 1e-2 would reject the standard single-mode fixtures (ratios up to 0.04),
@@ -64,8 +64,7 @@ class _FloatTuple(tuple):
         return self._each(other, operator.ge)
 
 
-@dataclass(frozen=True)
-class RestModeSet:
+class RestModeSet(namedtuple("RestModeSet", "M w Gamma Omega a")):
     """Validated parameters of the rest-frame decay law.
 
     M: resonance mass (energy units); w, Gamma, Omega, a: per-mode tuples
@@ -74,35 +73,34 @@ class RestModeSet:
     unchecked input.
     """
 
-    M: float
-    w: tuple
-    Gamma: tuple
-    Omega: tuple
-    a: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        for key in ("w", "Gamma", "Omega", "a"):
-            object.__setattr__(self, key, _FloatTuple(getattr(self, key)))
+    def __new__(cls, M, w, Gamma, Omega, a):
+        return tuple.__new__(cls, (M, _FloatTuple(w), _FloatTuple(Gamma), _FloatTuple(Omega),
+                                   _FloatTuple(a)))
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make: wrap its fields too
+        return cls(*iterable)
 
     @property
     def N(self) -> int:
         return len(self.w)
 
 
-@dataclass(frozen=True)
-class BoostContext:
+class BoostContext(namedtuple("BoostContext", "p gamma")):
     """Boost momentum p and gamma = lorentz_factor(M, p), the Lorentz factor of M."""
 
-    p: float
-    gamma: float
+    __slots__ = ()
 
 
-_FIELDS = ("M", "w", "Gamma", "Omega", "a")
+_FIELDS = RestModeSet._fields
 
 
 def _as_mode_fields(candidate):
     if isinstance(candidate, RestModeSet):
-        return [getattr(candidate, key) for key in _FIELDS]
+        return list(candidate)
     return [candidate[key] for key in _FIELDS]
 
 

@@ -20,7 +20,7 @@ independently.
 
 import functools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -58,8 +58,8 @@ class OracleConvergenceError(RuntimeError):
         self.error_estimate = error_estimate
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
+class QuadratureSpec(namedtuple("QuadratureSpec", "include_negative_mass abs_tol rel_tol",
+                                defaults=(True, 1e-8, 1e-6))):
     """Tolerances of the direct evaluation.
 
     The background sum starts at 16 nodes and doubles its node count until,
@@ -69,29 +69,30 @@ class QuadratureSpec:
     over the whole real line (False: over m >= 0 only).
     """
 
-    include_negative_mass: bool = True
-    abs_tol: float = 1e-8
-    rel_tol: float = 1e-6
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         # written so that NaN fails every check
         if not (0.0 < self.abs_tol < math.inf and 0.0 <= self.rel_tol < math.inf):
             raise ValueError(
                 "tolerances must be finite, abs_tol > 0 and rel_tol >= 0, got "
                 "abs_tol=%r, rel_tol=%r" % (self.abs_tol, self.rel_tol)
             )
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make: check its fields too
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(namedtuple("ComparisonReport", "interval n_points max_abs_deviation "
+                                                      "max_rel_deviation t_at_max_abs "
+                                                      "t_at_max_rel")):
     """Deviations between a closed-form curve and its direct counterpart."""
 
-    interval: tuple
-    n_points: int
-    max_abs_deviation: float
-    max_rel_deviation: float
-    t_at_max_abs: float
-    t_at_max_rel: float
+    __slots__ = ()
 
 
 @functools.lru_cache(maxsize=None)

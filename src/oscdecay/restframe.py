@@ -10,25 +10,22 @@ the mass distribution density whose half-line cosine transform it is.
 
 import functools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
 from ._points import as_points, maybe_scalar
 from .kinematics import RestModeSet, mode_terms
 
-@dataclass(frozen=True)
-class CurveSeries:
+
+class CurveSeries(namedtuple("CurveSeries", "t values")):
     """A sampled curve: strictly increasing time grid plus finite values."""
 
-    t: np.ndarray
-    values: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self):
-        t = np.asarray(self.t, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "values", values)
+    def __new__(cls, t, values):
+        t = np.asarray(t, dtype=float)
+        values = np.asarray(values, dtype=float)
         if t.ndim != 1 or len(t) < 1:
             raise ValueError("t must be a non-empty 1-d array")
         if values.shape != t.shape:
@@ -37,6 +34,12 @@ class CurveSeries:
             raise ValueError("t must increase strictly")
         if not np.all(np.isfinite(values)):
             raise ValueError("values must be finite")
+        return tuple.__new__(cls, (t, values))
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make: convert and check its fields too
+        return cls(*iterable)
 
 
 def _check_times(t):

@@ -8,7 +8,7 @@ whose union is the usable window.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .kinematics import VALIDITY_THRESHOLD, BoostContext, RestModeSet, mode_indices
 
@@ -20,8 +20,8 @@ class WindowError(ValueError):
     """Window construction was requested outside its domain."""
 
 
-@dataclass(frozen=True)
-class WindowParams:
+class WindowParams(namedtuple("WindowParams", "zeta_min zeta_max xi_gate",
+                              defaults=(1e-4, 5.4645, 1e-3))):
     """Dimensionless window bounds.
 
     zeta_min/zeta_max bound the exponential times 2 zeta gamma / Gamma_j;
@@ -29,11 +29,10 @@ class WindowParams:
     merge condition relies on. xi_gate admits a mode when xi'_j <= gate.
     """
 
-    zeta_min: float = 1e-4
-    zeta_max: float = 5.4645
-    xi_gate: float = 1e-3
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         # written so that NaN fails every check
         if not (0.0 < self.zeta_min < self.zeta_max < math.inf):
             raise WindowError(
@@ -41,18 +40,23 @@ class WindowParams:
             )
         if not (0.0 < self.xi_gate < math.inf):
             raise WindowError("xi_gate must be finite and > 0, got %r" % self.xi_gate)
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make: check its fields too
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class ExcludedMode:
+class ExcludedMode(namedtuple("ExcludedMode", "mode xi")):
     """A mode the gate refused: its index and its xi'_j, above the gate."""
 
-    mode: int
-    xi: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class TimeWindow:
+class TimeWindow(namedtuple("TimeWindow", "zeta_min zeta_max xi_gate gamma xi_values admitted "
+                                          "excluded intervals_lab intervals_rest union_lab "
+                                          "union_rest merged")):
     """Admitted exponential-time intervals in both frames; a report's window section.
 
     zeta_min, zeta_max and xi_gate are those of the WindowParams it was
@@ -64,32 +68,16 @@ class TimeWindow:
     so the union is a single interval.
     """
 
-    zeta_min: float
-    zeta_max: float
-    xi_gate: float
-    gamma: float
-    xi_values: tuple
-    admitted: tuple
-    excluded: tuple
-    intervals_lab: tuple
-    intervals_rest: tuple
-    union_lab: tuple
-    union_rest: tuple
-    merged: bool
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ConstraintCheck:
+class ConstraintCheck(namedtuple("ConstraintCheck", "name value status detail")):
     """One graded validity check: value is the tested ratio."""
 
-    name: str
-    value: float
-    status: str
-    detail: str
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class PeriodReport:
+class PeriodReport(namedtuple("PeriodReport", "T0 Tp commensurate omega_max k_values")):
     """Oscillation periods of the windowed decay law in both frames.
 
     T0/Tp are None when the active frequencies are not commensurate.
@@ -97,11 +85,7 @@ class PeriodReport:
     oscillating modes when they exist.
     """
 
-    T0: object
-    Tp: object
-    commensurate: bool
-    omega_max: float
-    k_values: object
+    __slots__ = ()
 
 
 def w_fn(M: float, Omega: float, a: float) -> float:

@@ -7,6 +7,7 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -785,6 +786,54 @@ def test_a_valid_config_the_closed_form_refuses_exits_2(tmp_path, capsys, comman
         proc = subprocess.run([sys.executable, "-m", "oscdecay.cli", "phi"] + argv,
                               capture_output=True, text=True, env=env, timeout=60)
         assert (proc.returncode, proc.stderr) == (2, REFUSAL)
+
+
+# ROADMAP item 16's edges, pinned as they stand, not endorsed. At p = 1e155,
+# p * p overflows in the pole energies, so every boosted value is NaN and
+# NaN passes the overshoot refusal; from t = 1e-300 at p = 40, P_p overflows
+# to inf outside the closed form's domain
+HUGE_P = dict(CURVE_B, p=1e155, grid={"t_min": 1.0, "t_max": 5.0, "points": 11})
+TINY_T = dict(CURVE_B, p=40.0,
+              grid={"t_min": 1e-300, "t_max": 1.0, "points": 11, "spacing": "log"})
+HUGE_P_WARNINGS = ["overflow encountered in square", "invalid value encountered in multiply"]
+TINY_T_WARNINGS = ["overflow encountered in multiply"]
+
+
+@pytest.mark.parametrize("config, command, code, message, warned", [
+    (HUGE_P, "validate", 0, None, []),
+    (HUGE_P, "window", 0, None, []),
+    (HUGE_P, "curve --which boosted", 0, None, HUGE_P_WARNINGS),
+    (HUGE_P, "phi", 2, "target probability must lie in (0, 1], got nan", HUGE_P_WARNINGS),
+    (HUGE_P, "compare", 2, "math domain error", HUGE_P_WARNINGS),
+    (TINY_T, "curve --which boosted", 0, None, TINY_T_WARNINGS),
+    (TINY_T, "phi", 2, "boosted survival inf exceeds 1 at t=1e-300; the time map is undefined "
+     "there", TINY_T_WARNINGS),
+    (TINY_T, "compare", 2, "closed-form values must be finite", TINY_T_WARNINGS),
+], ids=["huge_p-validate", "huge_p-window", "huge_p-boosted", "huge_p-phi", "huge_p-compare",
+        "tiny_t-boosted", "tiny_t-phi", "tiny_t-compare"])
+def test_overflowing_configs_are_pinned(tmp_path, capsys, config, command, code, message,
+                                        warned):
+    path = tmp_path / "edge.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "edge.out"
+    # each warning once, as a fresh interpreter shows it on stderr
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default", RuntimeWarning)
+        assert main(command.split() + ["--config", str(path), "--out", str(out),
+                                       "--quiet"]) == code
+    assert [w.category for w in caught] == [RuntimeWarning] * len(warned)
+    assert [str(w.message) for w in caught] == warned
+    err = capsys.readouterr().err
+    assert err == ("" if message is None else "oscdecay: invalid config or model: %s\n" % message)
+    if command != "curve --which boosted":
+        return
+    header, rows = read_csv(str(out))
+    assert header == "t,gamma_t,value,valid"
+    if config is HUGE_P:
+        assert {(value, valid) for _, _, value, valid in rows} == {("nan", "true")}
+    else:
+        assert rows[0] == ["1e-300", "1e-300", "inf", "false"]
+        assert rows[-1][3] == "true"
 
 
 def test_compare_parallel_flag_is_a_no_op(tmp_path):

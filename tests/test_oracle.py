@@ -20,7 +20,7 @@ from oscdecay.oracle import (
     oracle_compare,
 )
 
-from conftest import DATA, make_single_mode
+from conftest import DATA, NEAR_REST_SETS, make_single_mode
 from realaxis import realaxis_amplitude
 
 
@@ -339,6 +339,27 @@ def test_matches_mpmath_realaxis_spot(spot):
                           include_negative_mass=spot["negative_mass"])
     got = direct_boosted_amplitude(modes, spot["p"], spot["t"], spec)
     assert abs(got - complex(*spot["amplitude"])) <= 1e-12
+
+
+# ROADMAP item 17: once the pole part has decayed, the background's leading
+# modulus (p Gamma_j / M^2) W_j / sqrt(2 pi p t), summed over the modes by weight and
+# squared, is the whole lab law. The tail starts at twice the time where the
+# exact background and pole part have equal moduli: t/gamma = 18.7 (p = 40)
+# and 18.2 (p = 200) on curve B
+@pytest.mark.parametrize("name, p, start", [("curve_b", 40.0, 2 * 18.7),
+                                            ("curve_b", 200.0, 2 * 18.2),
+                                            ("three_modes", 40.0, 60.0),
+                                            ("three_modes", 200.0, 60.0)])
+def test_deep_tail_follows_the_kinematic_one_over_t_law(name, p, start):
+    modes = od.validate_modes(NEAR_REST_SETS[name])
+    gamma = od.shifted_kinematics(modes, p).gamma
+    t = gamma * np.geomspace(start, 400.0, 40)
+    S = sum(w * G * od.window.w_fn(modes.M, O, a)
+            for w, G, O, a in zip(modes.w, modes.Gamma, modes.Omega, modes.a))
+    tail = p * S * S / (2.0 * math.pi * modes.M**4 * t)
+    exact = direct_survival(modes, p, t, QuadratureSpec(abs_tol=1e-15, rel_tol=1e-11))
+    # the law holds to 1.5e-4 (curve B) and 2.2e-4 (three modes)
+    assert np.max(np.abs(exact / tail - 1.0)) <= 1e-3
 
 
 @pytest.mark.parametrize("modes, p", [(CURVE_B, 200.0), (CURVE_B, 5.0),

@@ -117,6 +117,46 @@ def test_return_types_and_kernels_stay_in_their_home_modules():
             assert callable(getattr(module, name)) and not hasattr(oscdecay, name), name
 
 
+# the result records, by home module: named tuples, whose classes generate
+# no code at import, unlike dataclasses
+RECORDS = {"boost": ["BoostedEvaluation"], "kinematics": ["RestModeSet", "BoostContext"],
+           "oracle": ["QuadratureSpec", "ComparisonReport"], "restframe": ["CurveSeries"],
+           "timemap": ["LinearityFit"],
+           "window": ["WindowParams", "ExcludedMode", "TimeWindow", "ConstraintCheck",
+                      "PeriodReport"]}
+
+
+def test_result_records_are_frozen_named_tuples():
+    for home, names in RECORDS.items():
+        module = importlib.import_module("oscdecay." + home)
+        for name in names:
+            cls = getattr(module, name)
+            assert issubclass(cls, tuple) and cls.__name__ == name, name
+            assert cls._fields and cls.__slots__ == () and cls.__doc__, name
+    modes = oscdecay.validate_modes(CURVE_B["modes"])
+    ctx = oscdecay.shifted_kinematics(modes, CURVE_B["p"])
+    window = oscdecay.exponential_windows(modes, ctx)
+    for record in (modes, ctx, window, oscdecay.WindowParams(), oscdecay.QuadratureSpec()):
+        with pytest.raises(AttributeError):
+            setattr(record, record._fields[0], 1.0)
+        with pytest.raises(AttributeError):
+            record.extra = 1.0
+        assert hash(record) == hash(tuple(getattr(record, name) for name in record._fields))
+    assert repr(ctx) == "BoostContext(p=200.0, gamma=%r)" % ctx.gamma
+    assert modes.N == 1 and oscdecay.QuadratureSpec()._asdict() == {
+        "include_negative_mass": True, "abs_tol": 1e-8, "rel_tol": 1e-6}
+    # _replace builds through each record's own checks
+    assert type(modes._replace(w=[1.0]).w) is type(modes.w)
+    with pytest.raises(oscdecay.WindowError, match="need 0 < zeta_min < zeta_max"):
+        oscdecay.WindowParams()._replace(zeta_min=-1.0)
+    with pytest.raises(ValueError, match="tolerances must be finite"):
+        oscdecay.QuadratureSpec()._replace(abs_tol=0.0)
+    series = oscdecay.CurveSeries(t=[1, 2], values=[0.5, 0.25])
+    assert series.t.dtype == float
+    with pytest.raises(ValueError, match="values must be finite"):
+        series._replace(values=[0.5, float("inf")])
+
+
 def test_submodules_resolve_as_attributes():
     assert fresh("import oscdecay as od; print(od.timemap.__name__, od.cli.__name__)").split() \
         == ["oscdecay.timemap", "oscdecay.cli"]
@@ -140,18 +180,22 @@ def test_dir_lists_every_export():
 
 @pytest.mark.parametrize("command", list(LOADED))
 def test_cold_command_loads_only_the_modules_it_runs(config, tmp_path, command):
+    # the result records are named tuples: dataclasses (and the inspect it
+    # imports) cost a cold `validate` about a fifth of its time
     loaded = fresh(
         "import sys, oscdecay.cli\n"
         "code = oscdecay.cli.main(sys.argv[1:])\n"
         "print(code, ','.join(m for m in sys.modules if m.startswith('oscdecay.')),"
         " any(m.split('.')[0] == 'scipy' for m in sys.modules),"
-        " any(m.split('.')[0] == 'numpy' for m in sys.modules))",
+        " any(m.split('.')[0] == 'numpy' for m in sys.modules),"
+        " 'dataclasses' in sys.modules)",
         *command.split(), "--config", config, "--out", str(tmp_path / "out"), "--quiet")
-    code, modules, scipy, numpy = loaded.split()
+    code, modules, scipy, numpy, dataclasses = loaded.split()
     assert code == "0"
     assert set(modules.split(',')) == {"oscdecay." + name for name in LOADED[command]}
     assert scipy == "False"
     assert numpy == str(command not in WITHOUT_NUMPY)
+    assert dataclasses == "False"
 
 
 @pytest.mark.parametrize("command, points", [

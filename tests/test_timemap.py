@@ -398,7 +398,7 @@ def test_linearity_fit_identity_frame():
     phi = np.array([od.phi_p(modes, ctx, float(tt)) for tt in t])
     series = od.CurveSeries(t=t, values=phi)
     win = od.window.TimeWindow(
-        **vars(od.WindowParams()), gamma=1.0, xi_values=(0.0,),
+        **od.WindowParams()._asdict(), gamma=1.0, xi_values=(0.0,),
         admitted=(0,), excluded=(),
         intervals_lab=((0.05, 11.0),), intervals_rest=((0.05, 11.0),),
         union_lab=((0.05, 11.0),), union_rest=((0.05, 11.0),), merged=True,

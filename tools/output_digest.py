@@ -5,10 +5,13 @@ master seed and runs every command on every config: validate, window,
 curve --which rest/rate/split/boosted, phi (with its fit sidecar) and
 compare. A fixed edge set follows the pools, under the name edge: the
 paths the pools never draw, where gamma_t is not t, the window is empty
-or the periods are unavailable. The commands run through oscdecay.cli.main
+or the periods are unavailable, and two configs whose arithmetic
+overflows (ROADMAP item 16). The commands run through oscdecay.cli.main
 in this process, on the package in ./src. Each prints one line: workload
 (or edge), config index, command, exit code, the sha256 of each output
-file and the stderr text.
+file and the stderr text. A warning in that text is shown once per
+command, as in a fresh interpreter, and without the file, line and
+source it was raised at, which differ between checkouts.
 
 With --cold, only the pools of the cold workloads (cli_cold) are drawn,
 and each command runs as `python -m oscdecay.cli` in a fresh interpreter,
@@ -33,9 +36,11 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
+import warnings
 
 ROOT = os.getcwd()
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
@@ -79,7 +84,14 @@ EDGE = [
     # a long log grid, whose CSVs cli formats whole-array: cells in exponent
     # notation in every curve and in phi, negative ones in rate, split and phi
     dict(CURVE_B, grid={"t_min": 0.2, "t_max": 60.0, "points": 2000, "spacing": "log"}),
+    # p * p overflows: nan cells flagged valid, phi and compare exit 2
+    dict(CURVE_B, p=1e155, grid={"t_min": 1.0, "t_max": 5.0, "points": 11}),
+    # times so short that P_p overflows: inf cells, phi and compare exit 2
+    dict(CURVE_B, p=40.0, grid={"t_min": 1e-300, "t_max": 1.0, "points": 11, "spacing": "log"}),
 ]
+
+# a warning as warnings.formatwarning writes it: where, what, and the source line
+WARNING = re.compile(r"^.*:\d+: (\w*Warning: .*)\n(?:  .*\n)?", re.M)
 
 
 def _sha256(path):
@@ -105,11 +117,13 @@ def digest_line(tmp, config_path, args, cold):
         code, stderr = proc.returncode, proc.stderr
     else:
         err = io.StringIO()
-        with contextlib.redirect_stderr(err):
+        # a fresh filter state, so that each warning shows once in every command
+        with contextlib.redirect_stderr(err), warnings.catch_warnings():
+            warnings.simplefilter("default", RuntimeWarning)
             code = cli_main(argv)
         stderr = err.getvalue()
     # the scratch directory's name differs from run to run
-    stderr = stderr.replace(tmp, "<tmp>")
+    stderr = WARNING.sub(r"\1\n", stderr.replace(tmp, "<tmp>"))
     return "exit=%s %s stderr=%r" % (code, " ".join(map(_sha256, paths)), stderr)
 
 

@@ -11,7 +11,6 @@ Run from the repository root:
     python3 tools/surface.py
 """
 
-import dataclasses
 import glob
 import os
 import sys
@@ -45,8 +44,7 @@ def public_names(package=None):
 def settings(package=None):
     """The number of fields of package's WindowParams and QuadratureSpec."""
     package = package or _package()
-    return sum(len(dataclasses.fields(cls)) for cls in (package.WindowParams,
-                                                        package.QuadratureSpec))
+    return len(package.WindowParams._fields) + len(package.QuadratureSpec._fields)
 
 
 def main():
