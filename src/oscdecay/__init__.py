@@ -20,18 +20,16 @@ __version__ = "0.1.0"
 # home module -> the public names it defines: the one list of them, what the
 # commands, the demos and the benchmark reach and the errors public calls raise
 _EXPORTS = {
-    "kinematics": ("ModeValidationError", "RestModeSet", "lorentz_factor", "shifted_kinematics",
+    "kinematics": ("ModeValidationError", "lorentz_factor", "shifted_kinematics",
                    "validate_modes"),
-    "restframe": ("CurveSeries", "amplitude_rest", "decay_rate_rest", "mdd_analytic",
-                  "survival_rest", "survival_rest_split"),
+    "restframe": ("CurveSeries", "decay_rate_rest", "mdd_analytic", "survival_rest",
+                  "survival_rest_split"),
     "specfun": ("SpecialFunctionDomainError",),
-    "boost": ("BoostDomainError", "BoostedLaw", "boosted_split", "survival_boosted",
-              "survival_boosted_window_approx"),
+    "boost": ("BoostDomainError", "BoostedLaw", "survival_boosted"),
     "window": ("WindowError", "WindowParams", "constraint_report", "exponential_windows",
                "periods"),
-    "timemap": ("TimeMapError", "invert_survival_rest", "linearity_fit", "phi_p"),
-    "oracle": ("OracleConvergenceError", "QuadratureSpec", "direct_boosted_amplitude",
-               "direct_survival", "oracle_compare"),
+    "timemap": ("TimeMapError", "linearity_fit", "phi_p"),
+    "oracle": ("OracleConvergenceError", "QuadratureSpec", "direct_survival", "oracle_compare"),
 }
 __all__ = [name for names in _EXPORTS.values() for name in names]
 _HOMES = {name: home for home, names in _EXPORTS.items() for name in names}

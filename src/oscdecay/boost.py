@@ -121,9 +121,9 @@ class BoostedLaw:
     curve B at t = 1, P0 = 0.31574569, the exact law gives 0.31569009 at
     p = 0 and 1e-3 and this law 0.31569003 at p = 1e-10: P_p jumps by
     1.76e-4 relative at the hand-over. Times must be finite and >= 0, and
-    > 0 when p > 0. An in-domain probability above 1 + UNITY_EXCESS_TOL
-    raises BoostDomainError naming the first such point; smaller
-    overshoot is flagged per point.
+    > 0 when p > 0. An in-domain probability above 1 + UNITY_EXCESS_TOL,
+    or not finite, raises BoostDomainError naming the first such point;
+    smaller overshoot is flagged per point.
     """
 
     def __init__(self, modes: RestModeSet, ctx: BoostContext):
@@ -165,12 +165,12 @@ class BoostedLaw:
             amp = K_sum + Phi_term
             P_p = amp.real * amp.real + amp.imag * amp.imag
             valid = (self.gap * tt >= VALIDITY_THRESHOLD) | (tt > self.short_time)
-            over = valid & (P_p > 1.0 + UNITY_EXCESS_TOL)
+            over = valid & ~(P_p <= 1.0 + UNITY_EXCESS_TOL)  # NaN fails <= too
             if over.any():
-                raise BoostDomainError(
-                    "in-domain probability %r exceeds 1 beyond the %g tolerance"
-                    % (float(P_p[over][0]), UNITY_EXCESS_TOL)
-                )
+                first = float(P_p[over][0])
+                raise BoostDomainError("in-domain probability %r " % first + (
+                    "exceeds 1 beyond the %g tolerance" % UNITY_EXCESS_TOL
+                    if math.isfinite(first) else "is not finite"))
 
         return BoostedEvaluation._make([maybe_scalar(v, t) for v in
                                         (tt, K_sum, Phi_term, P_p, valid, P_p > 1.0)])

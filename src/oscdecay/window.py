@@ -112,13 +112,15 @@ def _xi_values(modes: RestModeSet, ctx: BoostContext) -> tuple:
     # the gate parameter of every mode, branch-cut background over its pole term,
     #   xi'_j = sqrt(Gamma_j/(pi M) * sqrt(1 - 1/gamma^2))
     #           * sum_l w_l Gamma_l W(M, Omega_l, a_l) / (2 M w_j (1 - 2 a_j)),
-    # in one pass over Python floats; the background sum, common to every
-    # mode, is taken once, left to right
+    # in one pass over Python floats; the background sum, common to every mode,
+    # is taken once, left to right: from Python 3.12 on, sum() compensates
     M, w, G, O, a = modes.M, modes.w, modes.Gamma, modes.Omega, modes.a
     for aj in a:
         if aj >= 0.5:
             raise WindowError("gate diverges as a -> 1/2, got a=%r" % aj)
-    background = sum(wl * gl * w_fn(M, ol, al) for wl, gl, ol, al in zip(w, G, O, a))
+    background = 0.0
+    for wl, gl, ol, al in zip(w, G, O, a):
+        background += wl * gl * w_fn(M, ol, al)
     # sqrt(1 - 1/gamma^2) read from p; from the rounded gamma it loses eps/(gamma - 1)
     velocity = ctx.p / (ctx.gamma * M)
     return tuple(math.sqrt(gj / (math.pi * M) * velocity) * background

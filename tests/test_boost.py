@@ -9,7 +9,8 @@ from hypothesis import given, settings
 
 import oscdecay as od
 from oscdecay import boost, kinematics, specfun
-from oscdecay.boost import BoostDomainError, k_fn, phi_fn
+from oscdecay.boost import (BoostDomainError, boosted_split, k_fn, phi_fn,
+                            survival_boosted_window_approx)
 from oscdecay.specfun import upsilon
 from oscdecay.window import w_fn
 
@@ -345,7 +346,7 @@ def test_envelope_bounded_on_window():
 def test_window_approx_all_active_equals_scaled_rest():
     modes, ctx = make_boosted("p200_m80")
     t = np.linspace(0.5, 20.0, 80)
-    approx = od.survival_boosted_window_approx(modes, ctx, t, [0])
+    approx = survival_boosted_window_approx(modes, ctx, t, [0])
     rest = od.survival_rest(modes, t / ctx.gamma)
     assert np.array_equal(np.asarray(approx), np.asarray(rest))
 
@@ -360,7 +361,7 @@ def test_window_approx_deviation_from_closed_form():
     worst = 0.0
     for t in np.linspace(max(lo, 0.2), hi, 400):
         pb = od.survival_boosted(modes, ctx, float(t)).P_p
-        wa = od.survival_boosted_window_approx(modes, ctx, float(t), win.admitted)
+        wa = survival_boosted_window_approx(modes, ctx, float(t), win.admitted)
         worst = max(worst, abs(pb - wa) / wa)
     assert worst <= 0.25
 
@@ -374,7 +375,7 @@ def test_window_approx_tight_in_scaling_regime(heavy_scaling_set):
     worst = 0.0
     for t in np.linspace(max(lo, 1e-2), hi, 300):
         pb = od.survival_boosted(modes, ctx, float(t)).P_p
-        wa = od.survival_boosted_window_approx(modes, ctx, float(t), win.admitted)
+        wa = survival_boosted_window_approx(modes, ctx, float(t), win.admitted)
         worst = max(worst, abs(pb - wa) / wa)
     assert worst <= 5e-2
 
@@ -382,7 +383,7 @@ def test_window_approx_tight_in_scaling_regime(heavy_scaling_set):
 def test_window_approx_empty_active_set_rejected():
     modes, ctx = make_boosted("p200_m80")
     with pytest.raises(BoostDomainError):
-        od.survival_boosted_window_approx(modes, ctx, 5.0, [])
+        survival_boosted_window_approx(modes, ctx, 5.0, [])
 
 
 @pytest.mark.parametrize("active", [[0.9], [True], [0, 0.0]], ids=["fraction", "bool", "float"])
@@ -390,32 +391,32 @@ def test_window_approx_refuses_an_index_that_is_not_an_integer(active):
     # int() would read 0.9 as mode 0 and True as mode 1
     modes, ctx = make_boosted("p200_m80")
     with pytest.raises(BoostDomainError, match="mode index must be an integer"):
-        od.survival_boosted_window_approx(modes, ctx, 5.0, active)
+        survival_boosted_window_approx(modes, ctx, 5.0, active)
     with pytest.raises(BoostDomainError, match="mode index must be an integer"):
-        od.boosted_split(modes, ctx, 5.0, active)
+        boosted_split(modes, ctx, 5.0, active)
 
 
 def test_window_approx_reads_numpy_integers_and_refuses_out_of_range():
     modes, ctx = make_boosted("p200_m80")
     t = np.linspace(0.5, 20.0, 9)
-    got = od.survival_boosted_window_approx(modes, ctx, t, np.array([0, 0]))
-    assert np.array_equal(got, od.survival_boosted_window_approx(modes, ctx, t, [0]))
+    got = survival_boosted_window_approx(modes, ctx, t, np.array([0, 0]))
+    assert np.array_equal(got, survival_boosted_window_approx(modes, ctx, t, [0]))
     with pytest.raises(BoostDomainError, match="mode index 1 out of range 0..0"):
-        od.survival_boosted_window_approx(modes, ctx, t, [0, 1])
+        survival_boosted_window_approx(modes, ctx, t, [0, 1])
 
 
 def test_boosted_split_adds_up():
     modes, ctx = make_boosted("p200_m80")
     t = np.linspace(0.5, 20.0, 100)
-    e, o = od.boosted_split(modes, ctx, t, [0])
-    total = od.survival_boosted_window_approx(modes, ctx, t, [0])
+    e, o = boosted_split(modes, ctx, t, [0])
+    total = survival_boosted_window_approx(modes, ctx, t, [0])
     assert np.max(np.abs(e + o - total)) <= 1e-12
 
 
 def test_boosted_split_matches_rest_split_at_scaled_time():
     modes, ctx = make_boosted("p200_m80")
     t = np.linspace(0.5, 20.0, 60)
-    e, o = od.boosted_split(modes, ctx, t, [0])
+    e, o = boosted_split(modes, ctx, t, [0])
     re_, ro_ = od.survival_rest_split(modes, t / ctx.gamma)
     assert np.max(np.abs(e - re_)) == 0.0
     assert np.max(np.abs(o - ro_)) == 0.0
@@ -425,5 +426,5 @@ def test_boosted_split_no_oscillation_zero_part():
     modes = make_single_mode(100.0, 0.0, 0.0)
     ctx = od.shifted_kinematics(modes, 210.0)
     t = np.linspace(0.5, 10.0, 30)
-    _, o = od.boosted_split(modes, ctx, t, [0])
+    _, o = boosted_split(modes, ctx, t, [0])
     assert np.max(np.abs(o)) == 0.0

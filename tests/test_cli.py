@@ -789,22 +789,23 @@ def test_a_valid_config_the_closed_form_refuses_exits_2(tmp_path, capsys, comman
 
 
 # ROADMAP item 16's edges, pinned as they stand, not endorsed. At p = 1e155,
-# p * p overflows in the pole energies, so every boosted value is NaN and
-# NaN passes the overshoot refusal; from t = 1e-300 at p = 40, P_p overflows
-# to inf outside the closed form's domain
+# p * p overflows in the pole energies, so every boosted value is NaN, which
+# the closed form refuses as it refuses an overshoot; from t = 1e-300 at
+# p = 40, P_p overflows to inf outside the closed form's domain
 HUGE_P = dict(CURVE_B, p=1e155, grid={"t_min": 1.0, "t_max": 5.0, "points": 11})
 TINY_T = dict(CURVE_B, p=40.0,
               grid={"t_min": 1e-300, "t_max": 1.0, "points": 11, "spacing": "log"})
 HUGE_P_WARNINGS = ["overflow encountered in square", "invalid value encountered in multiply"]
+HUGE_P_REFUSAL = "in-domain probability nan is not finite"
 TINY_T_WARNINGS = ["overflow encountered in multiply"]
 
 
 @pytest.mark.parametrize("config, command, code, message, warned", [
     (HUGE_P, "validate", 0, None, []),
     (HUGE_P, "window", 0, None, []),
-    (HUGE_P, "curve --which boosted", 0, None, HUGE_P_WARNINGS),
-    (HUGE_P, "phi", 2, "target probability must lie in (0, 1], got nan", HUGE_P_WARNINGS),
-    (HUGE_P, "compare", 2, "math domain error", HUGE_P_WARNINGS),
+    (HUGE_P, "curve --which boosted", 2, HUGE_P_REFUSAL, HUGE_P_WARNINGS),
+    (HUGE_P, "phi", 2, HUGE_P_REFUSAL, HUGE_P_WARNINGS),
+    (HUGE_P, "compare", 2, HUGE_P_REFUSAL, HUGE_P_WARNINGS),
     (TINY_T, "curve --which boosted", 0, None, TINY_T_WARNINGS),
     (TINY_T, "phi", 2, "boosted survival inf exceeds 1 at t=1e-300; the time map is undefined "
      "there", TINY_T_WARNINGS),
@@ -825,15 +826,13 @@ def test_overflowing_configs_are_pinned(tmp_path, capsys, config, command, code,
     assert [str(w.message) for w in caught] == warned
     err = capsys.readouterr().err
     assert err == ("" if message is None else "oscdecay: invalid config or model: %s\n" % message)
-    if command != "curve --which boosted":
+    assert out.exists() == (code == 0)
+    if command != "curve --which boosted" or code:
         return
     header, rows = read_csv(str(out))
     assert header == "t,gamma_t,value,valid"
-    if config is HUGE_P:
-        assert {(value, valid) for _, _, value, valid in rows} == {("nan", "true")}
-    else:
-        assert rows[0] == ["1e-300", "1e-300", "inf", "false"]
-        assert rows[-1][3] == "true"
+    assert rows[0] == ["1e-300", "1e-300", "inf", "false"]
+    assert rows[-1][3] == "true"
 
 
 def test_compare_parallel_flag_is_a_no_op(tmp_path):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oscdecay as od
-from oscdecay.kinematics import ModeValidationError, mode_terms, pole_energies
+from oscdecay.kinematics import ModeValidationError, RestModeSet, mode_terms, pole_energies
 
 from conftest import BOOST_SETS, GAMMA_TABLE, make_single_mode
 
@@ -257,6 +257,17 @@ THREE_MODES = {"M": 200.0, "w": [0.4, 0.3, 0.3], "Gamma": [1.0, 2.0, 3.5],
                "Omega": [10.0, 20.0, 40.0], "a": [0.04, 0.04, 0.04]}
 
 
+def test_validate_modes_reads_an_existing_set():
+    # README documents a RestModeSet as a candidate: each check runs again on it
+    modes = od.validate_modes(CURVE_B)
+    again = od.validate_modes(modes)
+    assert again == modes and type(again) is RestModeSet
+    with pytest.raises(ModeValidationError) as err:
+        od.validate_modes(modes, narrow_width_threshold=1e-2)
+    assert err.value.violations == [
+        "narrow-width check failed for mode 0: Gamma/(M-Omega)=0.014285714285714285 > 0.01"]
+
+
 def test_validated_set_cannot_be_mutated():
     modes = od.validate_modes(THREE_MODES)
     with pytest.raises(TypeError):
@@ -292,7 +303,7 @@ def test_a_field_compares_with_a_number_entry_by_entry():
         with pytest.raises(TypeError, match="compares only with a number"):
             modes.Gamma < other
     # a set built directly, as the window's mode subsets are, compares alike
-    direct = od.RestModeSet(M=200.0, w=(1.0,), Gamma=(1.0,), Omega=(10.0,), a=(0.04,))
+    direct = RestModeSet(M=200.0, w=(1.0,), Gamma=(1.0,), Omega=(10.0,), a=(0.04,))
     assert (direct.a > 0.0) == (True,)
 
 

@@ -19,6 +19,7 @@ from oscdecay.oracle import (
     direct_survival,
     oracle_compare,
 )
+from oscdecay.restframe import amplitude_rest
 
 from conftest import DATA, NEAR_REST_SETS, make_single_mode
 from realaxis import realaxis_amplitude
@@ -40,7 +41,7 @@ def test_rest_amplitude_matches_analytic_model():
     modes = make_single_mode(100.0, 10.0, 0.04)
     for t in (0.5, 2.0, 5.0, 10.0):
         amp = direct_boosted_amplitude(modes, 0.0, t, FAST)
-        assert abs(abs(amp) - od.amplitude_rest(modes, t)) <= 1e-4
+        assert abs(abs(amp) - amplitude_rest(modes, t)) <= 1e-4
 
 
 def test_rest_amplitude_reality_up_to_global_phase():

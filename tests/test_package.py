@@ -82,13 +82,11 @@ def test_every_export_is_its_home_modules_object():
         "print(json.dumps(homes))"))
     assert sorted(homes) == sorted(oscdecay.__all__) == [
         "BoostDomainError", "BoostedLaw", "CurveSeries", "ModeValidationError",
-        "OracleConvergenceError", "QuadratureSpec", "RestModeSet", "SpecialFunctionDomainError",
-        "TimeMapError", "WindowError", "WindowParams", "amplitude_rest", "boosted_split",
-        "constraint_report", "decay_rate_rest", "direct_boosted_amplitude", "direct_survival",
-        "exponential_windows", "invert_survival_rest", "linearity_fit", "lorentz_factor",
+        "OracleConvergenceError", "QuadratureSpec", "SpecialFunctionDomainError",
+        "TimeMapError", "WindowError", "WindowParams", "constraint_report", "decay_rate_rest",
+        "direct_survival", "exponential_windows", "linearity_fit", "lorentz_factor",
         "mdd_analytic", "oracle_compare", "periods", "phi_p", "shifted_kinematics",
-        "survival_boosted", "survival_boosted_window_approx", "survival_rest",
-        "survival_rest_split", "validate_modes",
+        "survival_boosted", "survival_rest", "survival_rest_split", "validate_modes",
     ]
     assert homes == {name: "oscdecay." + home for name, home in oscdecay._HOMES.items()}
 
@@ -104,10 +102,64 @@ def test_no_module_keeps_its_own_list_of_public_names():
                        for target in node.targets), path
 
 
-# the return types and kernels that are not public names, by home module
-UNEXPORTED = {"kinematics": ["BoostContext"], "boost": ["BoostedEvaluation"],
-              "window": ["TimeWindow", "w_fn"], "timemap": ["LinearityFit"],
-              "oracle": ["ComparisonReport"], "specfun": ["bessel_j1", "bessel_y1", "struve_h1"]}
+def _tree(path):
+    with open(path) as fh:
+        return ast.parse(fh.read())
+
+
+def _imported(tree, package):
+    """The names a tree imports from package and from its submodules."""
+    return {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+            and (node.module or "").split(".")[0] == package for alias in node.names}
+
+
+def _reads(tree, alias):
+    """The attributes a tree reads on the name alias."""
+    return {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == alias}
+
+
+def _reached():
+    """The names a command, a demo or the benchmark reaches, and the classes src/ raises."""
+    cli_tree = _tree(cli.__file__)
+    reached = _reads(cli_tree, "_cli") | {alias.name for node in ast.walk(cli_tree)
+                                          if isinstance(node, ast.ImportFrom) and node.level
+                                          for alias in node.names}
+    for path in glob.glob(os.path.join(ROOT, "demos", "*.py")):
+        tree = _tree(path)
+        aliases = {alias.asname or alias.name for node in ast.walk(tree)
+                   if isinstance(node, ast.Import) for alias in node.names
+                   if alias.name == "oscdecay"}
+        reached |= _imported(tree, "oscdecay").union(*(_reads(tree, a) for a in aliases))
+    for path in glob.glob(os.path.join(ROOT, "perfbench", "*.py")):
+        reached |= _imported(_tree(path), "oscdecay")
+    spans = _tree(os.path.join(ROOT, "perfbench", "spans.py"))
+    wrapped, = (node.value for node in spans.body if isinstance(node, ast.Assign)
+                and ast.unparse(node.targets[0]) == "WRAPPED")
+    reached |= set(ast.literal_eval(wrapped)["cli"])
+    for path in glob.glob(os.path.join(SRC, "oscdecay", "*.py")):
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    reached.add(exc.id)
+    return reached
+
+
+def test_every_export_is_reached_by_a_command_a_demo_or_the_benchmark():
+    # a name only tests reach is imported from its home module
+    assert sorted(set(oscdecay.__all__) - _reached()) == []
+    assert set(oscdecay.__all__) <= set(dir(oscdecay))
+
+
+# the return types, kernels and test-only functions that are not public names,
+# by home module
+UNEXPORTED = {"kinematics": ["BoostContext", "RestModeSet"],
+              "boost": ["BoostedEvaluation", "boosted_split", "survival_boosted_window_approx"],
+              "restframe": ["amplitude_rest"], "window": ["TimeWindow", "w_fn"],
+              "timemap": ["LinearityFit", "invert_survival_rest"],
+              "oracle": ["ComparisonReport", "direct_boosted_amplitude"],
+              "specfun": ["bessel_j1", "bessel_y1", "struve_h1"]}
 
 
 def test_return_types_and_kernels_stay_in_their_home_modules():

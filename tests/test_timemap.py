@@ -8,14 +8,16 @@ import pytest
 from hypothesis import given, settings
 
 import oscdecay as od
-from oscdecay.timemap import TimeMapError
+from oscdecay.kinematics import RestModeSet
+from oscdecay.restframe import amplitude_rest
+from oscdecay.timemap import TimeMapError, invert_survival_rest
 
 from conftest import NEAR_REST_SETS, boosted_grids, make_boosted, make_single_mode
 
 
 def test_invert_full_probability_is_zero():
     modes = make_single_mode(100.0, 10.0, 0.04)
-    assert od.invert_survival_rest(modes, 1.0) == 0.0
+    assert invert_survival_rest(modes, 1.0) == 0.0
 
 
 def test_invert_pure_exponential_analytic():
@@ -23,14 +25,14 @@ def test_invert_pure_exponential_analytic():
         {"M": 100.0, "w": [1.0], "Gamma": [2.0], "Omega": [0.0], "a": [0.0]}
     )
     for r in (0.9, 0.5, 0.1, 1e-3, 1e-12):
-        t = od.invert_survival_rest(modes, r)
+        t = invert_survival_rest(modes, r)
         assert t == pytest.approx(-math.log(r) / 2.0, rel=1e-12)
 
 
 @pytest.mark.parametrize("r", [0.9, 0.5, 0.1, 1e-3])
 def test_invert_round_trip(r):
     modes = make_single_mode(100.0, 10.0, 0.04)
-    t = od.invert_survival_rest(modes, r)
+    t = invert_survival_rest(modes, r)
     assert abs(od.survival_rest(modes, t) - r) <= 1e-12 * r
 
 
@@ -40,7 +42,7 @@ def test_invert_round_trip_two_mode():
          "Omega": [10.0, 0.0], "a": [0.04, 0.0]}
     )
     for r in (0.8, 0.3, 1e-2, 1e-6):
-        t = od.invert_survival_rest(modes, r)
+        t = invert_survival_rest(modes, r)
         assert abs(od.survival_rest(modes, t) - r) <= 1e-12 * r
 
 
@@ -48,8 +50,8 @@ def test_invert_deep_tail():
     # r = 1e-100: the solve works on log P0, which stays well conditioned
     # in the deep tail, so the round trip is exact
     modes = make_single_mode(100.0, 10.0, 0.04)
-    t = od.invert_survival_rest(modes, 1e-100)
-    log_p = 2.0 * math.log(od.amplitude_rest(modes, t))
+    t = invert_survival_rest(modes, 1e-100)
+    log_p = 2.0 * math.log(amplitude_rest(modes, t))
     assert abs(log_p - math.log(1e-100)) <= 1e-12
 
 
@@ -57,7 +59,7 @@ def test_invert_rejects_out_of_range():
     modes = make_single_mode(100.0, 10.0, 0.04)
     for bad in (0.0, -0.5, 1.5):
         with pytest.raises((TimeMapError, ValueError)):
-            od.invert_survival_rest(modes, bad)
+            invert_survival_rest(modes, bad)
 
 
 def test_invert_domain_is_total_down_to_subnormal_floor():
@@ -65,8 +67,8 @@ def test_invert_domain_is_total_down_to_subnormal_floor():
     # 1e4/Gamma_1 tail cap is a pure safety net; targets below the float
     # floor arrive as 0.0 and are rejected by the range check
     modes = make_single_mode(100.0, 10.0, 0.04)
-    t = od.invert_survival_rest(modes, 5e-324)
-    log_p = 2.0 * math.log(od.amplitude_rest(modes, t))
+    t = invert_survival_rest(modes, 5e-324)
+    log_p = 2.0 * math.log(amplitude_rest(modes, t))
     assert abs(log_p - math.log(5e-324)) <= 1e-12
     assert t < od.timemap.TAIL_CAP_OVER_GAMMA1 / modes.Gamma[0]
 
@@ -80,14 +82,14 @@ def test_invert_array_keeps_every_contract():
          "Omega": [10.0, 0.0], "a": [0.04, 0.0]}
     )
     r = np.array([1.0, 0.999999, 0.5, 1e-2, 0.00999, 1e-6, 1e-100, 5e-324])
-    t = od.invert_survival_rest(modes, r)
+    t = invert_survival_rest(modes, r)
     assert t[0] == 0.0
     for ti, ri in zip(t[1:], r[1:]):
         if ri >= 1e-2:
             assert abs(od.survival_rest(modes, ti) - ri) <= 1e-12 * ri
         else:
-            assert abs(2.0 * math.log(od.amplitude_rest(modes, ti)) - math.log(ri)) <= 1e-12
-        assert ti == pytest.approx(od.invert_survival_rest(modes, float(ri)), rel=1e-12)
+            assert abs(2.0 * math.log(amplitude_rest(modes, ti)) - math.log(ri)) <= 1e-12
+        assert ti == pytest.approx(invert_survival_rest(modes, float(ri)), rel=1e-12)
 
 
 SUBNORMAL_TARGETS = [1e-310, 3e-320, 1e-315, 5e-324]
@@ -111,7 +113,7 @@ ALL_SETS = {"one_mode": ONE_MODE, "two_mode": TWO_MODE, **MULTI_MODE}
 def test_invert_round_trip_multi_mode(cfg):
     modes = od.validate_modes(cfg)
     for r in (0.8, 0.3, 1e-2, 1e-6):
-        t = od.invert_survival_rest(modes, r)
+        t = invert_survival_rest(modes, r)
         assert abs(od.survival_rest(modes, t) - r) <= 1e-12 * r
 
 
@@ -124,12 +126,12 @@ def test_invert_round_trip_on_doubling_bracket_ends(cfg):
     modes = od.validate_modes(cfg)
     t0 = 2.0 ** np.arange(-3, 8) / modes.Gamma[0]
     r = od.survival_rest(modes, t0)
-    t_arr = od.invert_survival_rest(modes, r)
+    t_arr = invert_survival_rest(modes, r)
     for ti, ri, t_expect in zip(t_arr, r, t0):
-        t = od.invert_survival_rest(modes, float(ri))
+        t = invert_survival_rest(modes, float(ri))
         assert t == ti
         assert t == pytest.approx(t_expect, rel=1e-12)
-        assert abs(2.0 * math.log(od.amplitude_rest(modes, t)) - math.log(ri)) <= 1e-12
+        assert abs(2.0 * math.log(amplitude_rest(modes, t)) - math.log(ri)) <= 1e-12
 
 
 @pytest.mark.parametrize("cfg", ALL_SETS.values(), ids=ALL_SETS.keys())
@@ -207,7 +209,7 @@ def test_solve_evaluates_the_amplitude_once(monkeypatch, cfg):
     od.timemap._solve(modes, r, np.full_like(r, 1.0 / modes.Gamma[0]))
     assert calls == [r.shape]
     calls.clear()
-    od.invert_survival_rest(modes, 0.5)
+    invert_survival_rest(modes, 0.5)
     assert calls == [(1,)]
 
 
@@ -215,7 +217,7 @@ def test_target_beyond_the_cap_of_an_unvalidated_set_is_refused():
     # a width below Gamma_1, which validate_modes refuses, puts P0 at the
     # cap far above 0; the root of a target below it lies beyond the cap,
     # and the solve, held at the cap, misses the residual check
-    modes = od.RestModeSet(M=100.0, w=(0.5, 0.5), Gamma=(1.0, 1e-6),
+    modes = RestModeSet(M=100.0, w=(0.5, 0.5), Gamma=(1.0, 1e-6),
                            Omega=(0.0, 0.0), a=(0.0, 0.0))
     cap = od.timemap.TAIL_CAP_OVER_GAMMA1 / modes.Gamma[0]
     r = od.survival_rest(modes, 2.0 * cap)
@@ -223,7 +225,7 @@ def test_target_beyond_the_cap_of_an_unvalidated_set_is_refused():
     message = r"inversion residual .* exceeds 1e-12 in log space at r=%s$" % re.escape(repr(r))
     for target in (r, np.array([0.5, r])):
         with pytest.raises(TimeMapError, match=message):
-            od.invert_survival_rest(modes, target)
+            invert_survival_rest(modes, target)
 
 
 @pytest.mark.parametrize("start", [1e-3, 1.0, 5.0, 7.0, 8.0])
@@ -244,18 +246,18 @@ def test_invert_subnormal_targets_scalar_and_array(cfg):
     # P0 itself is subnormal at these roots; the amplitude and the log
     # slope are not, so every point converges to its log-residual contract
     modes = od.validate_modes(cfg)
-    t_arr = od.invert_survival_rest(modes, np.array(SUBNORMAL_TARGETS + [0.5]))
+    t_arr = invert_survival_rest(modes, np.array(SUBNORMAL_TARGETS + [0.5]))
     for ri, ti in zip(SUBNORMAL_TARGETS, t_arr):
-        t = od.invert_survival_rest(modes, ri)
+        t = invert_survival_rest(modes, ri)
         assert type(t) is float and math.isfinite(t)
-        assert abs(2.0 * math.log(od.amplitude_rest(modes, t)) - math.log(ri)) <= 1e-12
+        assert abs(2.0 * math.log(amplitude_rest(modes, t)) - math.log(ri)) <= 1e-12
         assert ti == pytest.approx(t, rel=1e-12)
 
 
 def test_invert_array_rejects_any_bad_target():
     modes = make_single_mode(100.0, 10.0, 0.04)
     with pytest.raises(TimeMapError, match="1.5"):
-        od.invert_survival_rest(modes, np.array([0.5, 1.5, 0.0]))
+        invert_survival_rest(modes, np.array([0.5, 1.5, 0.0]))
 
 
 @settings(max_examples=25, deadline=None)
@@ -270,7 +272,7 @@ def test_phi_array_matches_per_point(case):
         if ri >= 1e-2:
             assert abs(od.survival_rest(modes, phi_i) - ri) <= 1e-12 * ri
         else:
-            assert abs(2.0 * math.log(od.amplitude_rest(modes, phi_i)) - math.log(ri)) <= 1e-12
+            assert abs(2.0 * math.log(amplitude_rest(modes, phi_i)) - math.log(ri)) <= 1e-12
 
 
 def test_phi_refuses_an_underflowed_boosted_survival():

@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oscdecay as od
-from oscdecay.window import WindowError, w_fn
+from oscdecay.kinematics import RestModeSet
+from oscdecay.window import WindowError, _xi_values, w_fn
 
 from conftest import make_single_mode
 
@@ -63,6 +64,23 @@ def test_xi_prime_frozen_spot(mode_p200_m80, frozen_spots):
         frozen_spots["xi_prime_M80_G1_Om10_a004_p200"], rel=1e-13
     )
     assert got <= 1e-3
+
+
+def test_xi_prime_background_is_summed_left_to_right():
+    # background terms 1.0, 9e-17, 1e-16: left to right they sum to 1.0, a
+    # compensated sum (math.fsum; sum() from Python 3.12) to 1.0000000000000002
+    modes = od.validate_modes({"M": 100.0, "w": [1.0, 6e-17, 5e-17], "Gamma": [1.0, 1.5, 2.0],
+                               "Omega": [10.0, 10.0, 10.0], "a": [0.0, 0.0, 0.0]})
+    ctx = od.shifted_kinematics(modes, 200.0)
+    terms = [wl * gl * w_fn(100.0, 10.0, 0.0) for wl, gl in zip(modes.w, modes.Gamma)]
+    background = 0.0
+    for term in terms:
+        background += term
+    assert background == 1.0 and math.fsum(terms) == 1.0000000000000002
+    velocity = ctx.p / (ctx.gamma * modes.M)
+    assert _xi_values(modes, ctx) == tuple(
+        math.sqrt(gj / (math.pi * modes.M) * velocity) * background / (2.0 * modes.M * wj)
+        for wj, gj in zip(modes.w, modes.Gamma))
 
 
 def test_xi_prime_monotone_in_weight():
@@ -376,7 +394,7 @@ def test_periods_require_oscillating_mode():
 
 def test_gate_diverges_on_an_unvalidated_set_at_half_amplitude():
     # validate_modes refuses a = 1/2; a set built directly reaches the gate
-    modes = od.RestModeSet(M=80.0, w=(1.0,), Gamma=(1.0,), Omega=(10.0,), a=(0.5,))
+    modes = RestModeSet(M=80.0, w=(1.0,), Gamma=(1.0,), Omega=(10.0,), a=(0.5,))
     ctx = od.shifted_kinematics(modes, 200.0)
     with pytest.raises(WindowError) as err:
         od.exponential_windows(modes, ctx)
