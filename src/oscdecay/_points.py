@@ -12,11 +12,12 @@ def as_points(x, ok, requirement, error=ValueError):
     """x as a 1-d float array; raises error naming the first point where ok fails."""
     xx = np.atleast_1d(np.asarray(x, dtype=float))
     bad = ~ok(xx)
-    if bad.any():
+    if np.count_nonzero(bad):
         raise error("%s, got %r" % (requirement, float(xx[bad][0])))
     return xx
 
 
 def maybe_scalar(result, x):
     """result's one element as a Python scalar when x is a scalar, else result."""
-    return result[0].item() if np.ndim(x) == 0 else result
+    # np.ndim makes an array of a float first, so a float takes the short test
+    return result[0].item() if type(x) is float or np.ndim(x) == 0 else result

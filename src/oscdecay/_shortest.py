@@ -14,8 +14,8 @@ trailing ".0" or an exponent such as "e-05". A CSV block is its rows of
 cells and separators with the NULs dropped. Zeros, subnormals,
 infinities and NaN take repr itself, one value at a time.
 
-Every uint64 operand is a uint64 array or an np.uint64 scalar, so that
-numpy's legacy and NEP 50 promotion rules give the same dtypes.
+Every uint64 operand is a uint64 array or np.uint64 scalar: under NEP 50
+a bool array times a Python int is int64, and uint64 + int64 is float64.
 """
 
 import numpy as np

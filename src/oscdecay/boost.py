@@ -157,7 +157,7 @@ class BoostedLaw:
             P_p = amp * amp
             valid = np.ones(tt.shape, dtype=bool)
         else:
-            if (tt == 0.0).any():
+            if np.count_nonzero(tt == 0.0):
                 raise BoostDomainError("t = 0 is outside the moving-frame closed form (p > 0)")
             K_sum = pole_sum(self.weight, self.energy, tt)
             A, B = branch_cut(self.ctx.p * tt)
@@ -166,7 +166,7 @@ class BoostedLaw:
             P_p = amp.real * amp.real + amp.imag * amp.imag
             valid = (self.gap * tt >= VALIDITY_THRESHOLD) | (tt > self.short_time)
             over = valid & ~(P_p <= 1.0 + UNITY_EXCESS_TOL)  # NaN fails <= too
-            if over.any():
+            if np.count_nonzero(over):
                 first = float(P_p[over][0])
                 raise BoostDomainError("in-domain probability %r " % first + (
                     "exceeds 1 beyond the %g tolerance" % UNITY_EXCESS_TOL

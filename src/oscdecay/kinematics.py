@@ -234,11 +234,10 @@ def mode_indices(modes: RestModeSet, indices, error=ValueError) -> list:
     """The distinct mode indices in indices, ascending; error names the first
     entry that is not an integer in 0..N-1. An integer is what operator.index
     reads, numpy's included; a bool, 0.9 or np.float64(1.0) is not one. A
-    bool is told by its type's name, since numpy 1.x's bool_ still has an
-    __index__ that reads np.True_ as 1."""
+    bool is told by its type's name, "bool" for Python's and numpy's alike."""
     idx = set()
     for i in indices:
-        if type(i).__name__ in ("bool", "bool_"):
+        if type(i).__name__ == "bool":
             raise error("mode index must be an integer, got %r" % (i,))
         try:
             j = operator.index(i)

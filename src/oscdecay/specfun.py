@@ -169,10 +169,9 @@ def _split(x, seam, small, large, *extra):
     # of arrays, and so does the split. Each array is merged on its own: one
     # (2, n) masked assignment costs five times as much
     lo = x <= seam
-    if not lo.any():
-        return large(x, *extra)
-    if lo.all():
-        return small(x, *extra)
+    n_lo = np.count_nonzero(lo)
+    if n_lo in (0, x.size):
+        return (small if n_lo else large)(x, *extra)
     hi = ~lo
     below = small(x[lo], *(e[lo] for e in extra))
     above = large(x[hi], *(e[hi] for e in extra))

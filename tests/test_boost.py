@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -250,6 +251,19 @@ def test_a_valid_set_at_large_p_over_m_squared_is_refused():
     with pytest.raises(BoostDomainError, match=r"^in-domain probability 1\.0020\d+ "
                                                r"exceeds 1 beyond the 1e-06 tolerance$"):
         law(np.linspace(0.05, 5.0, 50))
+
+
+@pytest.mark.parametrize("p, t", [(1e-9, 5e-324), (1e75, 1e240)], ids=["underflow", "overflow"])
+@pytest.mark.parametrize("grid", [False, True], ids=["point", "grid"])
+def test_law_refuses_a_p_t_that_is_not_a_finite_positive_float(p, t, grid):
+    # t passes the law's own check, but p t rounds to 0.0 or overflows to
+    # inf, which the branch cut refuses
+    modes = od.validate_modes(NEAR_REST_SETS["curve_b"])
+    law = od.BoostedLaw(modes, od.shifted_kinematics(modes, p))
+    with np.errstate(all="ignore"), pytest.raises(
+            specfun.SpecialFunctionDomainError,
+            match=re.escape("branch_cut requires finite z > 0, got %r" % (p * t))):
+        law(np.array([2.0, t]) if grid else t)
 
 
 def test_boosted_spot_against_frozen_background(frozen_spots):

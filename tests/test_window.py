@@ -345,16 +345,9 @@ THREE_MODES = {"M": 200.0, "w": [0.4, 0.3, 0.3], "Gamma": [1.0, 2.0, 3.5],
                "Omega": [10.0, 20.0, 40.0], "a": [0.04, 0.04, 0.04]}
 
 
-class bool_:
-    """Stands for numpy 1.x's bool_, whose __index__ still reads np.True_ as 1."""
-
-    def __index__(self):
-        return 1
-
-
-@pytest.mark.parametrize("j", [0.9, True, 1.0, "1", np.True_, bool_(), np.float64(1.0)],
+@pytest.mark.parametrize("j", [0.9, True, 1.0, "1", np.True_, np.float64(1.0)],
                          ids=["fraction", "bool", "float", "string", "numpy_bool",
-                              "numpy1_bool", "numpy_float"])
+                              "numpy_float"])
 def test_periods_refuse_an_index_that_is_not_an_integer(j):
     # int() would read 0.9 as mode 0 and True as mode 1
     modes = od.validate_modes(THREE_MODES)

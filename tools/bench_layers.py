@@ -209,21 +209,12 @@ def cli_cases(od, tmp):
 def cli_io_cases(od, tmp):
     """name -> callable of the CLI's fixed work in package od, on the 181-point
     config: reading each subcommand's argv, and writing the window report,
-    phi's fit sidecar and the compare report as JSON text. A tree from
-    before the table reader and the report writer reads argv with argparse
-    and writes reports with json.dumps(indent=2)."""
+    phi's fit sidecar and the compare report as JSON text."""
     cli = od.cli
     path, out = cli_config(tmp, 181), os.path.join(tmp, "out")
-    parse = getattr(cli, "_args", None) or (lambda argv: cli._parser().parse_args(argv))
     cases = {"cli.parse[%s]" % name: lambda argv=list(args) + ["--config", path, "--out", out,
-                                                                "--quiet"]: parse(argv)
+                                                                "--quiet"]: cli._args(argv)
              for name, args in CLI_COMMANDS.items()}
-    if hasattr(cli, "_json_text"):
-        def write(report):
-            return cli._json_text(report, "\n")
-    else:
-        def write(report):
-            return json.dumps(report, indent=2, default=cli._json_default)
     for name, command in (("window", "window"), ("fit", "phi"), ("compare", "compare")):
         reports = []
         emit, cli._emit_json = cli._emit_json, lambda report, _: reports.append(report)
@@ -231,7 +222,8 @@ def cli_io_cases(od, tmp):
             cli.main([command, "--config", path, "--out", out, "--quiet"])
         finally:
             cli._emit_json = emit
-        cases["cli.report_json[%s]" % name] = lambda report=reports[0]: write(report)
+        cases["cli.report_json[%s]" % name] = \
+            lambda report=reports[0]: cli._json_text(report, "\n")
     return cases
 
 
