@@ -19,5 +19,4 @@ def as_points(x, ok, requirement, error=ValueError):
 
 def maybe_scalar(result, x):
     """result's one element as a Python scalar when x is a scalar, else result."""
-    # np.ndim makes an array of a float first, so a float takes the short test
-    return result[0].item() if type(x) is float or np.ndim(x) == 0 else result
+    return result[0].item() if np.ndim(x) == 0 else result

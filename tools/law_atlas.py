@@ -14,8 +14,6 @@ p = 5, 40 and 200. The package is the one in this checkout's src/.
 Run from the root of a source checkout:
 
     python3 tools/law_atlas.py --out bench/ATLAS_33.json
-
---sets, --momenta and --points run a slice of the atlas.
 """
 
 import argparse
@@ -77,15 +75,9 @@ def atlas(sets, momenta, points):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", required=True, help="the ATLAS_<n>.json to write")
-    parser.add_argument("--sets", nargs="+", choices=sorted(SETS), default=list(SETS),
-                        help="the mode sets to measure (default: all)")
-    parser.add_argument("--momenta", nargs="+", type=float, default=list(MOMENTA),
-                        help="the momenta p (default: %s)" % " ".join("%g" % p for p in MOMENTA))
-    parser.add_argument("--points", type=int, default=POINTS,
-                        help="times in each band (default: %d)" % POINTS)
     args = parser.parse_args(argv)
 
-    record = atlas(args.sets, args.momenta, args.points)
+    record = atlas(list(SETS), MOMENTA, POINTS)
     os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
     with open(args.out, "w") as fh:
         json.dump(record, fh, indent=2)
