@@ -24,7 +24,7 @@ _EXPORTS = {
                    "validate_modes"),
     "restframe": ("CurveSeries", "decay_rate_rest", "mdd_analytic", "survival_rest",
                   "survival_rest_split"),
-    "specfun": ("SpecialFunctionDomainError",),
+    "specfun": (),
     "boost": ("BoostDomainError", "BoostedLaw", "survival_boosted"),
     "window": ("WindowError", "WindowParams", "constraint_report", "exponential_windows",
                "periods"),

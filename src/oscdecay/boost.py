@@ -43,27 +43,15 @@ class BoostedEvaluation(namedtuple("BoostedEvaluation", "t K_sum Phi_term P_p in
     __slots__ = ()
 
 
-def _check_mode(name, M, Omega, a):
-    # written so that NaN fails it
-    if not (0.0 <= a < 0.5 and 0.0 <= Omega < M):
-        raise BoostDomainError(
-            "%s requires 0 <= a < 1/2 and 0 <= Omega < M, got a=%r, Omega=%r, M=%r"
-            % (name, a, Omega, M))
-
-
 def k_fn(M: float, Gamma: float, p: float, Omega: float, a: float, t: float) -> complex:
     """Pole part of one boosted mode: an unexported reference kernel for the tests.
 
     (1-a) e^{-Y(M) t/2} + (a/2)[e^{-Y(M-Omega) t/2} + e^{-Y(M+Omega) t/2}]
     where Y(m) = upsilon(m, Gamma, p). At p = 0 this reduces to the
     rest-frame phase e^{-i M t} times the damped cosine factor. t must be
-    finite and >= 0, a in [0, 1/2) and Omega in [0, M). Kept until ROADMAP item 7.
+    finite and >= 0, unchecked, like the mode. Kept until ROADMAP item 7.
     """
     t = float(t)
-    # written so that NaN fails it
-    if not (0.0 <= t < math.inf):
-        raise BoostDomainError("k_fn requires finite t >= 0, got %r" % t)
-    _check_mode("k_fn", M, Omega, a)
     out = (1.0 - a) * cmath.exp(-0.5 * t * upsilon(M, Gamma, p))
     if a > 0.0:
         out += 0.5 * a * (
@@ -77,16 +65,10 @@ def phi_fn(M: float, p: float, Omega: float, a: float, t: float) -> complex:
     """Branch-cut part of one boosted mode: an unexported reference kernel for the tests.
 
     (1-a) Xi(M) + (a/2)[Xi(M-Omega)/(1-Omega/M)^2 + Xi(M+Omega)/(1+Omega/M)^2]
-    with Xi = xi_fn(., p, t). p and t must be finite and > 0, a in [0, 1/2)
-    and Omega in [0, M); the p = 0 limit is handled by the rest branch of
-    survival_boosted, not here. Kept until ROADMAP item 7 moves it to tests/.
+    with Xi = xi_fn(., p, t). p and t must be finite and > 0, unchecked, like
+    the mode; p = 0 is BoostedLaw's rest branch. Kept until ROADMAP item 7
+    moves it to tests/.
     """
-    # written so that NaN fails them
-    if not (0.0 < p < math.inf):
-        raise BoostDomainError("phi_fn requires finite p > 0, got %r" % p)
-    if not (0.0 < t < math.inf):
-        raise BoostDomainError("phi_fn requires finite t > 0, got %r" % t)
-    _check_mode("phi_fn", M, Omega, a)
     out = (1.0 - a) * xi_fn(M, p, t)
     if a > 0.0:
         rm = 1.0 - Omega / M
@@ -121,9 +103,9 @@ class BoostedLaw:
     curve B at t = 1, P0 = 0.31574569, the exact law gives 0.31569009 at
     p = 0 and 1e-3 and this law 0.31569003 at p = 1e-10: P_p jumps by
     1.76e-4 relative at the hand-over. Times must be finite and >= 0, and
-    > 0 when p > 0. An in-domain probability above 1 + UNITY_EXCESS_TOL,
-    or not finite, raises BoostDomainError naming the first such point;
-    smaller overshoot is flagged per point.
+    p t finite and > 0 when p > 0. A bad time, or an in-domain probability
+    above 1 + UNITY_EXCESS_TOL or not finite, raises BoostDomainError
+    naming the first such point; smaller overshoot is flagged per point.
     """
 
     def __init__(self, modes: RestModeSet, ctx: BoostContext):
@@ -160,7 +142,9 @@ class BoostedLaw:
             if np.count_nonzero(tt == 0.0):
                 raise BoostDomainError("t = 0 is outside the moving-frame closed form (p > 0)")
             K_sum = pole_sum(self.weight, self.energy, tt)
-            A, B = branch_cut(self.ctx.p * tt)
+            # p t can overflow to inf, or round to 0, at a valid p and t
+            A, B = branch_cut(as_points(self.ctx.p * tt, lambda v: np.isfinite(v) & (v > 0.0),
+                                        "p t must be finite and > 0", BoostDomainError))
             Phi_term = 1j * self.prefactor * (self.C_A * A + self.C_B * B)
             amp = K_sum + Phi_term
             P_p = amp.real * amp.real + amp.imag * amp.imag

@@ -70,7 +70,7 @@ class RestModeSet(namedtuple("RestModeSet", "M w Gamma Omega a")):
     M: resonance mass (energy units); w, Gamma, Omega, a: per-mode tuples
     of floats, so a set is immutable and hashable; each compares with a
     number entry by entry. Use validate_modes() to construct one from
-    unchecked input.
+    unchecked input: the functions that take a set do not check it again.
     """
 
     __slots__ = ()
@@ -227,7 +227,8 @@ def shifted_kinematics(modes: RestModeSet, p: float) -> BoostContext:
     p = float(p)
     if not (math.isfinite(p) and p >= 0.0):
         raise ValueError("shifted_kinematics requires finite p >= 0, got %r" % p)
-    return BoostContext(p=p, gamma=lorentz_factor(modes.M, p))
+    # lorentz_factor's arithmetic; a RestModeSet's M is already a finite float > 0
+    return BoostContext(p=p, gamma=math.hypot(1.0, p / modes.M))
 
 
 def mode_indices(modes: RestModeSet, indices, error=ValueError) -> list:

@@ -7,15 +7,16 @@ the boosted amplitude; the scalar pole exponent upsilon = 2i
 kinematics.pole_energies and the tail kernel xi are test reference kernels.
 
 Accuracy contract for J1, Y1, H1: 1e-10 relative, 1e-12 absolute near
-zeros, on [1e-8, 1e4]. The test suite checks this against frozen
-arbitrary-precision references.
+zeros, on [1e-8, 1e4], checked against frozen arbitrary-precision
+references. The domain is the caller's: no function here checks its
+arguments, which boost.BoostedLaw and validate_modes have checked.
 """
 
 import math
 
 import numpy as np
 
-from ._points import as_points, maybe_scalar
+from ._points import maybe_scalar
 from .kinematics import pole_energies
 
 SQ2OPI = 7.9788456080286535587989e-1   # sqrt(2/pi)
@@ -26,10 +27,6 @@ THPIO4 = 2.35619449019234492885        # 3*pi/4
 BESSEL_SEAM = 5.0
 # H1 switches from the power series to the Chebyshev fit here.
 STRUVE_SEAM = 9.0
-
-
-class SpecialFunctionDomainError(ValueError):
-    """Argument outside the supported domain."""
 
 
 def _polevl(x, coef):
@@ -220,8 +217,7 @@ def bessel_j1(x):
 
     Accepts a scalar (returns a float) or an array (returns an array).
     """
-    xx = as_points(x, lambda v: np.isfinite(v) & (v >= 0.0), "bessel_j1 requires finite x >= 0",
-                   SpecialFunctionDomainError)
+    xx = np.atleast_1d(np.asarray(x, dtype=float))
     # J1 is the first row of either branch; _small_fits, unlike _bessel_small,
     # is finite at x = 0
     return maybe_scalar(_split(xx, BESSEL_SEAM, _small_fits, _bessel_large)[0], x)
@@ -232,8 +228,7 @@ def bessel_y1(x):
 
     Accepts a scalar (returns a float) or an array (returns an array).
     """
-    xx = as_points(x, lambda v: np.isfinite(v) & (v > 0.0), "bessel_y1 requires finite x > 0",
-                   SpecialFunctionDomainError)
+    xx = np.atleast_1d(np.asarray(x, dtype=float))
     return maybe_scalar(_split(xx, BESSEL_SEAM, _bessel_small, _bessel_large)[1], x)
 
 
@@ -273,8 +268,7 @@ def struve_h1(x):
 
     Accepts a scalar (returns a float) or an array (returns an array).
     """
-    xx = as_points(x, lambda v: np.isfinite(v) & (v >= 0.0), "struve_h1 requires finite x >= 0",
-                   SpecialFunctionDomainError)
+    xx = np.atleast_1d(np.asarray(x, dtype=float))
     return maybe_scalar(_split(xx, STRUVE_SEAM, _h1_series, _h1_far), x)
 
 
@@ -288,15 +282,8 @@ def upsilon(M: float, Gamma: float, p: float) -> complex:
     Gamma <= 2M) upsilon = Gamma + 2iM. M, Gamma and p must be finite,
     M and Gamma > 0 and p >= 0. Kept until ROADMAP item 7 deletes it.
     """
-    M, Gamma, p = float(M), float(Gamma), float(p)
-    # written so that NaN fails it
-    if not (0.0 < M < math.inf and 0.0 < Gamma < math.inf and 0.0 <= p < math.inf):
-        raise SpecialFunctionDomainError(
-            "upsilon requires finite M > 0, Gamma > 0, p >= 0, got M=%r Gamma=%r p=%r"
-            % (M, Gamma, p)
-        )
     # numpy's complex square root, the one the grid law takes, not cmath's
-    return complex(2j * pole_energies(np.array([M]), np.array([Gamma]), p)[0])
+    return complex(2j * pole_energies(np.array([float(M)]), np.array([float(Gamma)]), float(p))[0])
 
 
 def xi_mass_factor(M, p):
@@ -313,8 +300,7 @@ def branch_cut(z):
     share one evaluation of each fit per point, and equal bessel_j1,
     bessel_y1 and struve_h1 exactly.
     """
-    zz = as_points(z, lambda v: np.isfinite(v) & (v > 0.0), "branch_cut requires finite z > 0",
-                   SpecialFunctionDomainError)
+    zz = np.atleast_1d(np.asarray(z, dtype=float))
     j1, y1 = _split(zz, BESSEL_SEAM, _bessel_small, _bessel_large)
     h1 = _split(zz, STRUVE_SEAM, _h1_series, _h1_far, y1)
     A = (0.5 * math.pi * h1 - 1.0) - 1j * (0.5 * math.pi * j1)
@@ -328,17 +314,10 @@ def xi_fn(M: float, p: float, t: float) -> complex:
     xi = A(pt) + c B(pt), with (A, B) = branch_cut(pt) and
     c = xi_mass_factor(M, p).
 
-    M, p and t must be finite. Both p = 0 and t = 0 are rejected: Y1 is
-    singular at zero argument and the p -> 0 limit is handled upstream by
-    a dedicated branch. Kept until ROADMAP item 7 moves it to tests/.
+    M, p and t must be finite and > 0: Y1 is singular at zero argument, and
+    the p -> 0 limit is the rest branch of boost.BoostedLaw. Kept until
+    ROADMAP item 7 moves it to tests/.
     """
     M, p, t = float(M), float(p), float(t)
-    # written so that NaN fails them
-    if not (0.0 < M < math.inf):
-        raise SpecialFunctionDomainError("xi_fn requires finite M > 0, got %r" % M)
-    if not (0.0 < p < math.inf and 0.0 < t < math.inf):
-        raise SpecialFunctionDomainError(
-            "xi_fn requires finite p > 0 and t > 0, got p=%r t=%r" % (p, t)
-        )
     A, B = branch_cut(p * t)
     return A + xi_mass_factor(M, p) * B

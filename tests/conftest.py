@@ -1,6 +1,7 @@
 """Shared fixtures: canonical parameter sets and frozen reference data."""
 
 import json
+import math
 import os
 
 import numpy as np
@@ -38,6 +39,14 @@ NEAR_REST_SETS = {
     "three_modes": {"M": 80.0, "w": [1 / 3, 1 / 3, 1 / 3], "Gamma": [1.0, 1.5, 2.0],
                     "Omega": [10.0, 5.0, 2.5], "a": [0.04, 0.04, 0.04]},
 }
+
+
+def branch_cut_formula(j1, y1, h1):
+    """(A, B) of specfun.branch_cut composed from J1, Y1 and H1 evaluated on
+    their own, scalars or arrays: the tests' one spelling of the formula."""
+    A = (0.5 * math.pi * h1 - 1.0) - 1j * (0.5 * math.pi * j1)
+    B = 1.0 + 0.5 * math.pi * (y1 - h1)
+    return A, B
 
 
 def make_single_mode(M, Omega, a, Gamma=1.0, w=1.0):

@@ -60,7 +60,7 @@ def test_invalid_model_reports_violations(tmp_path):
 
 @pytest.mark.parametrize("error", [
     cli.ConfigError, oscdecay.ModeValidationError, oscdecay.BoostDomainError,
-    oscdecay.SpecialFunctionDomainError, oscdecay.WindowError, oscdecay.TimeMapError,
+    oscdecay.WindowError, oscdecay.TimeMapError,
 ])
 def test_domain_errors_are_value_errors(error):
     # main maps every ValueError to the invalid-input exit code

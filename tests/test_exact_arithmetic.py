@@ -19,6 +19,8 @@ from oscdecay.restframe import amplitude_rest, decay_rate_rest, survival_rest_sp
 from oscdecay.specfun import bessel_j1, bessel_y1, branch_cut, struve_h1
 from oscdecay.window import exponential_windows, w_fn
 
+from conftest import branch_cut_formula
+
 
 def _polevl(x, coef):
     ans = coef[0]
@@ -135,8 +137,9 @@ def test_j1_y1_h1_and_branch_cut_equal_the_per_fit_reference():
     assert np.array_equal(bessel_y1(SWEEP), y1)
     assert np.array_equal(struve_h1(SWEEP), h1)
     A, B = branch_cut(SWEEP)
-    assert np.array_equal(A, (0.5 * math.pi * h1 - 1.0) - 1j * (0.5 * math.pi * j1))
-    assert np.array_equal(B, 1.0 + 0.5 * math.pi * (y1 - h1))
+    A_ref, B_ref = branch_cut_formula(j1, y1, h1)
+    assert np.array_equal(A, A_ref)
+    assert np.array_equal(B, B_ref)
 
 
 def test_j1_and_h1_at_zero():

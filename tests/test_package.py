@@ -82,11 +82,11 @@ def test_every_export_is_its_home_modules_object():
         "print(json.dumps(homes))"))
     assert sorted(homes) == sorted(oscdecay.__all__) == [
         "BoostDomainError", "BoostedLaw", "CurveSeries", "ModeValidationError",
-        "OracleConvergenceError", "QuadratureSpec", "SpecialFunctionDomainError",
-        "TimeMapError", "WindowError", "WindowParams", "constraint_report", "decay_rate_rest",
-        "direct_survival", "exponential_windows", "linearity_fit", "lorentz_factor",
-        "mdd_analytic", "oracle_compare", "periods", "phi_p", "shifted_kinematics",
-        "survival_boosted", "survival_rest", "survival_rest_split", "validate_modes",
+        "OracleConvergenceError", "QuadratureSpec", "TimeMapError", "WindowError",
+        "WindowParams", "constraint_report", "decay_rate_rest", "direct_survival",
+        "exponential_windows", "linearity_fit", "lorentz_factor", "mdd_analytic",
+        "oracle_compare", "periods", "phi_p", "shifted_kinematics", "survival_boosted",
+        "survival_rest", "survival_rest_split", "validate_modes",
     ]
     assert homes == {name: "oscdecay." + home for name, home in oscdecay._HOMES.items()}
 

@@ -30,6 +30,9 @@ spread evenly over [2, 11] (one point is t = 2):
   points, and branch_cut at 181 points on z in [0.5, 20], across both
   fit seams;
 * oracle.direct_survival at 1, 20 and 181 points;
+* BoostedLaw (call), boost.survival_boosted, timemap.phi_p and
+  oracle.direct_survival on one time passed as a Python float ([float]),
+  which takes each evaluator's scalar path;
 * kinematics.validate_modes (from the config's lists),
   kinematics.mode_terms and window.exponential_windows plus
   window.constraint_report, on curve B and on a four-mode set, and
@@ -165,6 +168,13 @@ def library_cases(od):
         t = _times(n)
         cases["oracle.direct_survival[%d]" % n] = \
             lambda t=t: od.oracle.direct_survival(modes, P, t, spec)
+    # one point as a Python float, the scalar path of each evaluator
+    point = float(_times(1)[0])
+    cases["boost.BoostedLaw.call[float]"] = lambda: law(point)
+    cases["boost.survival_boosted[float]"] = lambda: od.boost.survival_boosted(modes, ctx, point)
+    cases["timemap.phi_p[float]"] = lambda: od.timemap.phi_p(modes, ctx, point)
+    cases["oracle.direct_survival[float]"] = \
+        lambda: od.oracle.direct_survival(modes, P, point, spec)
     for label, (raw, m, c) in (("curve_b", (CURVE_B, modes, ctx)),
                                ("four_modes", (FOUR_MODES, four, four_ctx))):
         cases["kinematics.validate_modes.%s" % label] = lambda raw=raw: km.validate_modes(raw)

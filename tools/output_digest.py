@@ -5,13 +5,13 @@ master seed and runs every command on every config: validate, window,
 curve --which rest/rate/split/boosted, phi (with its fit sidecar) and
 compare. A fixed edge set follows the pools, under the name edge: the
 paths the pools never draw, where gamma_t is not t, the window is empty
-or the periods are unavailable, and two configs whose arithmetic
-overflows (ROADMAP item 16). The commands run through oscdecay.cli.main
-in this process, on the package in ./src. Each prints one line: workload
-(or edge), config index, command, exit code, the sha256 of each output
-file and the stderr text. A warning in that text is shown once per
-command, as in a fresh interpreter, and without the file, line and
-source it was raised at, which differ between checkouts.
+or the periods are unavailable, two configs whose arithmetic overflows
+(ROADMAP item 16) and one whose p t overflows. The commands run through
+oscdecay.cli.main in this process, on the package in ./src. Each prints
+one line: workload (or edge), config index, command, exit code, the
+sha256 of each output file and the stderr text. A warning in that text
+is shown once per command, as in a fresh interpreter, and without the
+file, line and source it was raised at, which differ between checkouts.
 
 With --cold, only the pools of the cold workloads (cli_cold) are drawn,
 and each command runs as `python -m oscdecay.cli` in a fresh interpreter,
@@ -88,6 +88,8 @@ EDGE = [
     dict(CURVE_B, p=1e155, grid={"t_min": 1.0, "t_max": 5.0, "points": 11}),
     # times so short that P_p overflows: inf cells, phi and compare exit 2
     dict(CURVE_B, p=40.0, grid={"t_min": 1e-300, "t_max": 1.0, "points": 11, "spacing": "log"}),
+    # p t overflows at a valid p and t: the boosted law refuses it, exit 2
+    dict(CURVE_B, p=1e75, grid={"t_min": 1.0, "t_max": 1e240, "points": 11, "spacing": "log"}),
 ]
 
 # a warning as warnings.formatwarning writes it: where, what, and the source line
