@@ -1,8 +1,8 @@
 """Scalar-or-array point handling shared by the evaluation layers.
 
 Every evaluator takes one point (and returns a Python scalar) or an array
-of points (and returns an array of the same length): it checks its input
-with as_points and hands its result back through maybe_scalar.
+of points (and returns an array of the same length): a public entry checks
+its input with as_points, and each hands its result back through maybe_scalar.
 """
 
 import numpy as np
