@@ -141,10 +141,13 @@ class BoostedLaw:
         else:
             if np.count_nonzero(tt == 0.0):
                 raise BoostDomainError("t = 0 is outside the moving-frame closed form (p > 0)")
+            # p t can overflow to inf, or round to 0, at a valid p and t:
+            # refused before any work, without a warning
+            with np.errstate(over="ignore"):
+                pt = as_points(self.ctx.p * tt, lambda v: np.isfinite(v) & (v > 0.0),
+                               "p t must be finite and > 0", BoostDomainError)
             K_sum = pole_sum(self.weight, self.energy, tt)
-            # p t can overflow to inf, or round to 0, at a valid p and t
-            A, B = branch_cut(as_points(self.ctx.p * tt, lambda v: np.isfinite(v) & (v > 0.0),
-                                        "p t must be finite and > 0", BoostDomainError))
+            A, B = branch_cut(pt)
             Phi_term = 1j * self.prefactor * (self.C_A * A + self.C_B * B)
             amp = K_sum + Phi_term
             P_p = amp.real * amp.real + amp.imag * amp.imag

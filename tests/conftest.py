@@ -12,6 +12,10 @@ import oscdecay as od
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
+# 50-digit amplitude and density spots (tools/gen_oracle_spots.py)
+with open(os.path.join(DATA, "oracle_spots.json")) as f:
+    ORACLE_SPOTS = json.load(f)
+
 # Single-mode benchmark sets, keyed by (p, M) in units of Gamma = 1.
 # These are the parameter combinations exercised throughout the suite.
 BOOST_SETS = {

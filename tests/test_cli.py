@@ -798,6 +798,11 @@ TINY_T = dict(CURVE_B, p=40.0,
 HUGE_P_WARNINGS = ["overflow encountered in square", "invalid value encountered in multiply"]
 HUGE_P_REFUSAL = "in-domain probability nan is not finite"
 TINY_T_WARNINGS = ["overflow encountered in multiply"]
+# output_digest's edge config 9: at p = 1e75, p t overflows at t = 1e240, and
+# the closed form refuses it before any work, without a warning
+HUGE_PT = dict(CURVE_B, p=1e75,
+               grid={"t_min": 1.0, "t_max": 1e240, "points": 11, "spacing": "log"})
+HUGE_PT_REFUSAL = "p t must be finite and > 0, got inf"
 
 
 @pytest.mark.parametrize("config, command, code, message, warned", [
@@ -810,8 +815,12 @@ TINY_T_WARNINGS = ["overflow encountered in multiply"]
     (TINY_T, "phi", 2, "boosted survival inf exceeds 1 at t=1e-300; the time map is undefined "
      "there", TINY_T_WARNINGS),
     (TINY_T, "compare", 2, "closed-form values must be finite", TINY_T_WARNINGS),
+    (HUGE_PT, "curve --which boosted", 2, HUGE_PT_REFUSAL, []),
+    (HUGE_PT, "phi", 2, HUGE_PT_REFUSAL, []),
+    (HUGE_PT, "compare", 2, HUGE_PT_REFUSAL, []),
 ], ids=["huge_p-validate", "huge_p-window", "huge_p-boosted", "huge_p-phi", "huge_p-compare",
-        "tiny_t-boosted", "tiny_t-phi", "tiny_t-compare"])
+        "tiny_t-boosted", "tiny_t-phi", "tiny_t-compare", "huge_pt-boosted", "huge_pt-phi",
+        "huge_pt-compare"])
 def test_overflowing_configs_are_pinned(tmp_path, capsys, config, command, code, message,
                                         warned):
     path = tmp_path / "edge.json"

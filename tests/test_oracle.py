@@ -1,10 +1,10 @@
 """Steepest-descent oracle for the boosted survival law, checked against
-the real-axis quadrature in tests/realaxis.py and 50-digit mpmath spots."""
+50-digit mpmath spots of the real-axis mass integral."""
 
 import cmath
-import json
 import math
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -21,8 +21,12 @@ from oscdecay.oracle import (
 )
 from oscdecay.restframe import amplitude_rest
 
-from conftest import DATA, NEAR_REST_SETS, make_single_mode
-from realaxis import realaxis_amplitude
+from conftest import NEAR_REST_SETS, ORACLE_SPOTS, make_single_mode
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                                "tools"))
+
+import gen_oracle_spots  # noqa: E402
 
 
 FAST = QuadratureSpec(abs_tol=1e-7, rel_tol=1e-5)
@@ -45,17 +49,12 @@ def test_rest_amplitude_matches_analytic_model():
 
 
 def test_rest_amplitude_reality_up_to_global_phase():
-    # on a symmetric all-positive mass domain of the real-axis quadrature
-    # the density is even about M, so e^{iMt} A_0(t) is real; the whole
-    # line reaches m < 0 where the energy |m| folds the phase, leaving an
-    # imaginary part of order density(0)/t ~ Gamma/(2 pi M^2 t)
+    # the density is even about M, so e^{iMt} A_0(t) would be real on a
+    # domain symmetric about M; the whole line reaches m < 0 where the
+    # energy |m| folds the phase, leaving an imaginary part of order
+    # density(0)/t ~ Gamma/(2 pi M^2 t)
     modes = make_single_mode(100.0, 10.0, 0.04)
-    positive = QuadratureSpec(abs_tol=1e-10, rel_tol=1e-8)
     for t in (1.0, 4.0):
-        amp = complex(realaxis_amplitude(modes, 0.0, t, positive, halfwidth_multiple=9.0))
-        rotated = amp * cmath.exp(1j * modes.M * t)
-        assert abs(rotated.imag) <= 1e-12 * abs(rotated)
-
         full = complex(direct_boosted_amplitude(modes, 0.0, t, FAST))
         fold_scale = modes.Gamma[0] / (2.0 * math.pi * modes.M**2 * t)
         assert abs((full * cmath.exp(1j * modes.M * t)).imag) <= 10.0 * fold_scale
@@ -102,19 +101,6 @@ def test_reported_error_bounds_tolerance_halving(mode_p200_m80):
         assert abs(v1 - v2) <= e1
 
 
-def test_realaxis_error_is_dominated_by_tail_bound(mode_p200_m80):
-    # the real-axis quadrature truncates the mass domain: its reported
-    # error bounds the move under a tighter budget, and is dominated by
-    # the analytic tail bound
-    modes, _ = mode_p200_m80
-    loose = QuadratureSpec(abs_tol=1e-6, rel_tol=1e-4)
-    tight = QuadratureSpec(abs_tol=5e-8, rel_tol=5e-6)
-    v1, e1 = realaxis_amplitude(modes, 200.0, 5.0, loose, return_error=True)
-    v2 = realaxis_amplitude(modes, 200.0, 5.0, tight)
-    assert abs(v1 - v2) <= e1
-    assert e1 > 1e-4
-
-
 def test_rejects_negative_inputs(mode_p200_m80):
     modes, _ = mode_p200_m80
     with pytest.raises(ValueError):
@@ -152,8 +138,11 @@ def test_nonconvergence_carries_best_estimate(mode_p200_m80):
     assert info.value.error_estimate is not None
 
 
-THREE_MODES = {"M": 80.0, "w": [0.5, 0.3, 0.2], "Gamma": [1.0, 1.5, 2.0],
-               "Omega": [10.0, 5.0, 2.5], "a": [0.04, 0.04, 0.04]}
+# the spot generator's sets: curve B, three modes, and three modes with an
+# Omega = 0 mode
+CURVE_B = gen_oracle_spots.CURVE_B
+THREE_MODES = gen_oracle_spots.THREE_MODES
+SHIFTED_THREE_MODES = gen_oracle_spots.SHIFTED_THREE_MODES
 
 ORACLE_GRIDS = {
     "linspace": np.linspace(2.0, 11.0, 70),
@@ -302,44 +291,41 @@ def test_direct_envelope_stays_bounded(mode_p200_m80):
         assert math.exp(t / od.lorentz_factor(modes.M - modes.Omega[0], ctx.p)) * val <= 1.0
 
 
-# sets the closed form is judged on: curve B, the three-mode set above,
-# and a three-mode set with an Omega = 0 mode
-CURVE_B = {"M": 80.0, "w": [1.0], "Gamma": [1.0], "Omega": [10.0], "a": [0.04]}
-SHIFTED_THREE_MODES = {"M": 100.0, "w": [0.5, 0.3, 0.2], "Gamma": [1.0, 1.5, 2.0],
-                       "Omega": [0.0, 5.0, 8.0], "a": [0.1, 0.0, 0.03]}
 TIGHT = QuadratureSpec(abs_tol=1e-11, rel_tol=1e-9)
+SPOT_BY_NAME = {spot["name"]: spot for spot in ORACLE_SPOTS["amplitude"]}
 
 
-@pytest.mark.parametrize("modes, p", [
-    (CURVE_B, 1.0), (CURVE_B, 5.0), (CURVE_B, 40.0), (CURVE_B, 200.0), (CURVE_B, 400.0),
-    (SHIFTED_THREE_MODES, 150.0), (THREE_MODES, 200.0),
-], ids=["curve_b-p1", "curve_b-p5", "curve_b-p40", "curve_b-p200", "curve_b-p400",
-        "shifted_three_mode-p150", "three_mode-p200"])
-def test_agrees_with_realaxis_quadrature(modes, p):
-    # the tight real-axis quadrature and the steepest-descent sums agree
-    # within the quadrature's own reported error (tail bound included),
-    # and to 1e-6 of the amplitude, far below that bound
-    modes = od.validate_modes(modes)
-    t = np.linspace(2.0, 11.0, 10)
-    want, err = realaxis_amplitude(modes, p, t, TIGHT, return_error=True)
-    got = direct_boosted_amplitude(modes, p, t, TIGHT)
-    assert np.all(np.abs(got - want) <= err)
-    assert np.all(np.abs(got - want) <= 1e-6)
+def test_spot_data_holds_its_generators_inputs():
+    # regenerating the spots takes minutes, so only their inputs are
+    # checked against the generator's tables: entry for entry, in order
+    assert sorted(ORACLE_SPOTS) == ["amplitude", "mdd"]
+    assert [(s["name"], s["modes"], s["p"], s["t"], s["negative_mass"])
+            for s in ORACLE_SPOTS["amplitude"]] == gen_oracle_spots.SPOTS
+    assert [(s["name"], s["modes"], s["m"])
+            for s in ORACLE_SPOTS["mdd"]] == gen_oracle_spots.MDD_SPOTS
 
 
-def _spots():
-    with open(os.path.join(DATA, "oracle_spots.json")) as f:
-        return json.load(f)
+def _spot_spec(negative_mass=True):
+    return QuadratureSpec(abs_tol=1e-14, rel_tol=1e-13, include_negative_mass=negative_mass)
 
 
-@pytest.mark.parametrize("spot", _spots(), ids=lambda s: s["name"])
+@pytest.mark.parametrize("spot", ORACLE_SPOTS["amplitude"], ids=lambda s: s["name"])
 def test_matches_mpmath_realaxis_spot(spot):
-    # 50-digit real-axis integrals (tools/gen_oracle_spots.py)
     modes = od.validate_modes(spot["modes"])
-    spec = QuadratureSpec(abs_tol=1e-14, rel_tol=1e-13,
-                          include_negative_mass=spot["negative_mass"])
-    got = direct_boosted_amplitude(modes, spot["p"], spot["t"], spec)
+    got = direct_boosted_amplitude(modes, spot["p"], spot["t"], _spot_spec(spot["negative_mass"]))
     assert abs(got - complex(*spot["amplitude"])) <= 1e-12
+
+
+@pytest.mark.parametrize("name, p", gen_oracle_spots.GRID_ENDS,
+                         ids=["%s-p%g" % end for end in gen_oracle_spots.GRID_ENDS])
+def test_agrees_with_realaxis_quadrature(name, p):
+    # the sets and momenta the closed form is judged on: one grid call lays
+    # out its panels from the grid's ends, and both ends land on their spots
+    first, last = (SPOT_BY_NAME["%s_p%g_t%g" % (name, p, t)] for t in (2.0, 11.0))
+    got = direct_boosted_amplitude(od.validate_modes(first["modes"]), p,
+                                   np.linspace(2.0, 11.0, 10), _spot_spec())
+    assert abs(got[0] - complex(*first["amplitude"])) <= 1e-12
+    assert abs(got[9] - complex(*last["amplitude"])) <= 1e-12
 
 
 # ROADMAP item 17: once the pole part has decayed, the background's leading
@@ -408,17 +394,14 @@ def test_rest_branch_seam():
 @pytest.mark.parametrize("negative_mass", [True, False])
 @pytest.mark.parametrize("t", [0.02, 0.05, 0.2])
 def test_short_times(t, negative_mass):
-    # short times stretch the path to tau = 40 / t; the sums converge and
-    # agree with a wide real-axis quadrature, over the whole line and over
-    # m >= 0
+    # short times stretch the path to tau = 40 / t; the sums converge within
+    # their budget and land on the spots, over the whole line and over m >= 0
+    spot = SPOT_BY_NAME["curve_b_p200_t%g%s" % (t, "" if negative_mass else "_positive_mass")]
     modes = od.validate_modes(CURVE_B)
     spec = QuadratureSpec(abs_tol=1e-11, rel_tol=1e-9, include_negative_mass=negative_mass)
     got, err = direct_boosted_amplitude(modes, 200.0, t, spec, return_error=True)
-    want, want_err = realaxis_amplitude(modes, 200.0, t, spec, return_error=True,
-                                        halfwidth_multiple=2000.0)
     assert err <= 1e-11
-    assert abs(got - want) <= want_err
-    assert abs(got - want) <= 1e-7
+    assert abs(got - complex(*spot["amplitude"])) <= 1e-12
 
 
 def test_starved_spec_names_a_short_grid_time():

@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 import oscdecay as od
 from oscdecay.restframe import _RestLaw
 
-from conftest import make_single_mode
-from realaxis import mdd_numeric
+from conftest import ORACLE_SPOTS, make_single_mode
 
 
 TWO_MODE = {
@@ -208,26 +207,12 @@ def test_mdd_nonnegative_without_abs(a, Omega, off):
 
 
 def test_mdd_numeric_matches_analytic():
-    sets = [
-        make_single_mode(100.0, 10.0, 0.04),
-        # an a = 0 mode has no side terms
-        od.validate_modes({"M": 100.0, "w": [0.6, 0.4], "Gamma": [1.0, 2.0],
-                           "Omega": [10.0, 6.0], "a": [0.04, 0.0]}),
-        # an Omega = 0, a > 0 mode puts its three terms on one centre
-        od.validate_modes({"M": 100.0, "w": [0.5, 0.3, 0.2], "Gamma": [1.0, 1.5, 2.0],
-                           "Omega": [0.0, 5.0, 8.0], "a": [0.1, 0.0, 0.03]}),
-    ]
-    for modes in sets:
-        for m in (100.0, 95.0, 103.0, 110.0, 92.0):
-            num = mdd_numeric(modes, m)
-            ana = od.mdd_analytic(modes, m)
-            assert num == pytest.approx(ana, abs=1e-6, rel=1e-6)
-
-
-def test_mdd_numeric_rejects_short_cutoff():
-    modes = make_single_mode(100.0, 10.0, 0.04)
-    with pytest.raises(ValueError):
-        mdd_numeric(modes, 100.0, t_cut=10.0)
+    # the defining cosine transform of sqrt(P0), integrated with mpmath at
+    # 50 digits (tools/gen_oracle_spots.py): one mode, an a = 0 mode without
+    # side terms, and an Omega = 0, a > 0 mode whose three terms share a centre
+    for spot in ORACLE_SPOTS["mdd"]:
+        ana = od.mdd_analytic(od.validate_modes(spot["modes"]), spot["m"])
+        assert ana == pytest.approx(spot["mdd"], abs=0.0, rel=1e-12)
 
 
 def test_curve_series_requires_increasing_grid():

@@ -1,6 +1,7 @@
-"""Generate frozen spot values of the boosted survival amplitude.
+"""Generate frozen spot values of the boosted survival amplitude and of the
+mass distribution density.
 
-Each spot is the real-axis mass integral
+Each amplitude spot is the real-axis mass integral
 
     A(t) = integral rho(m) e^{-i sqrt(p^2+m^2) t} dm
 
@@ -10,11 +11,21 @@ m >= 0 as rho(m) + rho(-m)), or over m >= 0 alone where a spot says
 "negative_mass": false. The inner part runs to 60 beyond the largest
 Lorentzian center, split at every phase half-period and along a width
 ladder around each center; the oscillating tail beyond it goes to
-mpmath.quadosc, summed between the zeros of the phase. Nothing here
-shares code with oscdecay, so the spots are an independent check of its
-steepest-descent oracle.
+mpmath.quadosc, summed between the zeros of the phase.
 
-Run from the repository root (about a minute):
+Each density spot is the half-line cosine transform that defines the
+density,
+
+    rho(m) = (1/pi) |integral_0^inf sqrt(P0(t)) cos((m - M) t) dt|,
+
+of the rest amplitude sqrt(P0(t)) = sum_j w_j e^{-Gamma_j t/2}
+(1 - a_j + a_j cos(Omega_j t)), split at the half-periods of the
+integrand's fastest cosine and cut at t = 300, where e^{-Gamma t/2} is
+below 1e-65. Nothing here shares code with oscdecay, so the spots are an
+independent check of its steepest-descent oracle and of its closed-form
+density.
+
+Run from the repository root (about five minutes):
 
     python3 tools/gen_oracle_spots.py > tests/data/oracle_spots.json
 """
@@ -23,25 +34,51 @@ import json
 
 import mpmath as mp
 
-mp.mp.dps = 50
-
 CURVE_B = {"M": 80.0, "w": [1.0], "Gamma": [1.0], "Omega": [10.0], "a": [0.04]}
 THREE_MODES = {"M": 80.0, "w": [0.5, 0.3, 0.2], "Gamma": [1.0, 1.5, 2.0],
                "Omega": [10.0, 5.0, 2.5], "a": [0.04, 0.04, 0.04]}
 SHIFTED_THREE_MODES = {"M": 100.0, "w": [0.5, 0.3, 0.2], "Gamma": [1.0, 1.5, 2.0],
                        "Omega": [0.0, 5.0, 8.0], "a": [0.1, 0.0, 0.03]}
+SETS = {"curve_b": CURVE_B, "three_mode": THREE_MODES,
+        "shifted_three_mode": SHIFTED_THREE_MODES}
 
-# (name, modes, p, t, negative_mass)
+
+def _spot(set_name, p, t, negative_mass=True):
+    name = "%s_p%g_t%g%s" % (set_name, p, t, "" if negative_mass else "_positive_mass")
+    return (name, SETS[set_name], p, t, negative_mass)
+
+
+# (name, modes, p, t, negative_mass): single times across p, p = 0 and 1e-3
+# at rest's edge, then short times, where the path reaches tau = 40 / t
 SPOTS = [
-    ("curve_b_p200_t1", CURVE_B, 200.0, 1.0, True),
-    ("curve_b_p200_t5", CURVE_B, 200.0, 5.0, True),
-    ("curve_b_p40_t3", CURVE_B, 40.0, 3.0, True),
-    ("curve_b_p0_t1", CURVE_B, 0.0, 1.0, True),
-    ("curve_b_p0.001_t1", CURVE_B, 1e-3, 1.0, True),
-    ("curve_b_p200_t1_positive_mass", CURVE_B, 200.0, 1.0, False),
-    ("three_mode_p200_t2", THREE_MODES, 200.0, 2.0, True),
-    ("shifted_three_mode_p150_t4", SHIFTED_THREE_MODES, 150.0, 4.0, True),
-]
+    _spot("curve_b", 200.0, 1.0),
+    _spot("curve_b", 200.0, 5.0),
+    _spot("curve_b", 40.0, 3.0),
+    _spot("curve_b", 0.0, 1.0),
+    _spot("curve_b", 1e-3, 1.0),
+    _spot("curve_b", 200.0, 1.0, False),
+    _spot("three_mode", 200.0, 2.0),
+    _spot("shifted_three_mode", 150.0, 4.0),
+] + [_spot("curve_b", 200.0, t, negative_mass)
+     for t in (0.02, 0.05, 0.2) for negative_mass in (True, False)]
+
+# (set, p) where the closed form is judged: the two ends t = 2 and t = 11 of
+# np.linspace(2, 11, 10), on which one oracle call lays out its panels
+GRID_ENDS = [("curve_b", p) for p in (1.0, 5.0, 40.0, 200.0, 400.0)] + [
+    ("shifted_three_mode", 150.0), ("three_mode", 200.0)]
+SPOTS += [spot for spot in (_spot(s, p, t) for s, p in GRID_ENDS for t in (2.0, 11.0))
+          if spot not in SPOTS]
+
+TWO_MODES = {"M": 100.0, "w": [0.6, 0.4], "Gamma": [1.0, 2.0],
+             "Omega": [10.0, 6.0], "a": [0.04, 0.0]}
+ONE_MODE = dict(CURVE_B, M=100.0)
+# (name, modes, m): one mode; an a = 0 mode without side terms; an
+# Omega = 0, a > 0 mode whose three terms share one centre
+MDD_SPOTS = [("%s_m%g" % (name, m), modes, m)
+             for name, modes in (("one_mode", ONE_MODE), ("two_mode", TWO_MODES),
+                                 ("shifted_three_mode", SHIFTED_THREE_MODES))
+             for m in (100.0, 95.0, 103.0, 110.0, 92.0)]
+MDD_T_END = 300
 
 
 def terms(modes):
@@ -89,13 +126,30 @@ def amplitude(modes, p, t, negative_mass):
     return inner + tail
 
 
+def mdd(modes, m):
+    x = mp.mpf(m) - mp.mpf(modes["M"])
+    rest = [(mp.mpf(w), mp.mpf(g) / 2, mp.mpf(om), mp.mpf(a))
+            for w, g, om, a in zip(modes["w"], modes["Gamma"], modes["Omega"], modes["a"])]
+
+    def integrand(t):
+        amp = sum(w * mp.exp(-h * t) * (1 - a + a * mp.cos(om * t)) for w, h, om, a in rest)
+        return amp * mp.cos(x * t)
+
+    step = mp.pi / (abs(x) + max(om for _, _, om, _ in rest))
+    points = [k * step for k in range(int(MDD_T_END / step) + 1)] + [mp.mpf(MDD_T_END)]
+    return abs(mp.quad(integrand, points)) / mp.pi
+
+
 def main():
-    spots = []
+    mp.mp.dps = 50
+    spots = {"amplitude": [], "mdd": []}
     for name, modes, p, t, negative_mass in SPOTS:
         value = amplitude(modes, p, t, negative_mass)
-        spots.append({"name": name, "modes": modes, "p": p, "t": t,
-                      "negative_mass": negative_mass,
-                      "amplitude": [float(value.real), float(value.imag)]})
+        spots["amplitude"].append({"name": name, "modes": modes, "p": p, "t": t,
+                                   "negative_mass": negative_mass,
+                                   "amplitude": [float(value.real), float(value.imag)]})
+    for name, modes, m in MDD_SPOTS:
+        spots["mdd"].append({"name": name, "modes": modes, "m": m, "mdd": float(mdd(modes, m))})
     print(json.dumps(spots, indent=1))
 
 
