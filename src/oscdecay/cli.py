@@ -94,6 +94,10 @@ def _load_config(path):
             raise ConfigError("config %s is not valid JSON: %s" % (path, exc))
     if not isinstance(config, dict):
         raise ConfigError("config root must be a JSON object")
+    for key in config:
+        if key not in ("modes", "p", "grid", "window", "oracle", "compare",
+                       "narrow_width_threshold"):
+            raise ConfigError("config[%r] is not a section or setting" % key)
     # reports echo every section, and strict JSON has no NaN or Infinity
     where = _non_finite(config)
     if where:
@@ -107,9 +111,15 @@ def _build_modes(config):
     raw = config["modes"]
     if not isinstance(raw, dict):
         raise ConfigError("'modes' section must be an object")
-    for key in ("M", "w", "Gamma", "Omega", "a"):
+    fields = ("M", "w", "Gamma", "Omega", "a")
+    for key in raw:
+        if key not in fields:
+            raise ConfigError("config['modes'][%r] is not a modes setting" % key)
+    for key in fields:
+        if key not in raw:
+            raise ConfigError("modes lacks key %r" % key)
         path = "config['modes'][%r]" % key
-        values = raw.get(key, [])
+        values = raw[key]
         if isinstance(values, list):
             for i, value in enumerate(values):
                 _number(value, path, i)

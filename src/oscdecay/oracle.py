@@ -25,10 +25,9 @@ from collections import namedtuple
 import numpy as np
 
 from ._points import as_points, maybe_scalar
-# adaptive_gauss and mdd_analytic are unused here but stay bound:
-# perfbench/spans.py traces calls through these module attributes
-from ._quad import adaptive_gauss  # noqa: F401
 from .kinematics import RestModeSet, mode_terms, pole_energies, pole_sum
+# mdd_analytic is unused here but stays bound: perfbench/spans.py traces
+# calls through this module attribute
 from .restframe import CurveSeries, mdd_analytic  # noqa: F401
 
 _FIRST_NODES = 16
@@ -47,6 +46,13 @@ _STILL = 1e-16
 _MAX_PANELS = 160
 # entries per (times, nodes) array: sizes the chunks of times
 _CHUNK_ENTRIES = 1 << 18
+
+
+def adaptive_gauss(*args, **kwargs):
+    """Retired: the adaptive Gauss-Kronrod rule of this name is gone, and
+    nothing calls it. The name stays bound only for perfbench/spans.py's
+    strict lookup of it; ROADMAP item 7 removes both."""
+    raise NotImplementedError("adaptive_gauss is retired")
 
 
 class OracleConvergenceError(RuntimeError):

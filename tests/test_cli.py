@@ -174,14 +174,33 @@ def test_log_grid_spacing(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_grid_rejects_an_unknown_key(tmp_path, capsys):
+GRID5 = {"t_min": 2.0, "t_max": 6.0, "points": 5}
+
+
+@pytest.mark.parametrize("config, message", [
     # a misspelt spacing would otherwise give a linear grid
-    cfg = write_config(tmp_path, "typo.json", {
-        "grid": {"t_min": 1.0, "t_max": 100.0, "points": 3, "spacng": "log"},
-    })
+    (dict(CURVE_B, grid=dict(GRID5, spacng="log")),
+     "config['grid']['spacng'] is not a grid setting"),
+    # a misspelt p would otherwise give the law at rest
+    ({"modes": CURVE_B["modes"], "P": 200.0, "grid": GRID5},
+     "config['P'] is not a section or setting"),
+    ({"modes": {("omega" if k == "Omega" else k): v for k, v in CURVE_B["modes"].items()},
+      "p": 200.0, "grid": GRID5},
+     "config['modes']['omega'] is not a modes setting"),
+    # a misspelt copy beside the right key would otherwise pass unread
+    (dict(CURVE_B, modes=dict(CURVE_B["modes"], Omgea=[5.0]), grid=GRID5),
+     "config['modes']['Omgea'] is not a modes setting"),
+    ({"modes": {k: v for k, v in CURVE_B["modes"].items() if k != "Omega"},
+      "p": 200.0, "grid": GRID5},
+     "modes lacks key 'Omega'"),
+], ids=["grid", "top_level", "modes_misspelt", "modes_extra", "modes_missing"])
+def test_config_refuses_an_unknown_or_missing_key(tmp_path, capsys, config, message):
+    cfg = tmp_path / "typo.json"
+    cfg.write_text(json.dumps(config))
     out = tmp_path / "typo.csv"
-    assert main(["curve", "--which", "rest", "--config", cfg, "--out", str(out), "--quiet"]) == 2
-    assert "config['grid']['spacng'] is not a grid setting" in capsys.readouterr().err
+    assert main(["curve", "--which", "boosted", "--config", str(cfg), "--out", str(out),
+                 "--quiet"]) == 2
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -273,12 +273,12 @@ def _as_dicts(obj):
 @given(st.lists(report_records, max_size=4)
        | st.dictionaries(texts, report_records, max_size=3)
        | report_records)
-def test_writer_writes_a_dataclass_as_asdict_then_json(obj):
+def test_writer_writes_a_record_as_the_dict_of_its_fields(obj):
     assert cli._json_text(obj, "\n") == _dumps(_as_dicts(obj))
 
 
 @pytest.mark.parametrize("command", ["validate", "window", "phi", "compare"])
-def test_reports_hold_dataclasses_written_as_their_fields(tmp_path, monkeypatch, command):
+def test_reports_hold_records_written_as_their_fields(tmp_path, monkeypatch, command):
     path = tmp_path / "c.json"
     path.write_text(json.dumps(CURVE_B))
     reports = []

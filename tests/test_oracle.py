@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 import oscdecay as od
-from oscdecay._quad import adaptive_gauss
 from oscdecay.oracle import (
     OracleConvergenceError,
     QuadratureSpec,
@@ -185,23 +184,6 @@ def test_grid_nonconvergence_names_a_grid_time(mode_p200_m80):
     # the estimate carried is that time's own
     assert abs(info.value.value - direct_boosted_amplitude(modes, 200.0, named, FAST)) <= 1e-4
     assert info.value.error_estimate > 0.0
-
-
-def test_kronrod_rule_exactness_and_shared_nodes():
-    # QK15 is exact through degree 23 on one panel; the G7 error
-    # estimate vanishes through degree 13
-    # (one value per abscissa is one integrand: arrays of one come back)
-    (value,), (err,) = adaptive_gauss(lambda x: x**13, [0.0, 1.0], 1e-3, 0.0)
-    assert value == pytest.approx(1.0 / 14.0, rel=1e-14)
-    assert err <= 1e-16
-    (value,), _ = adaptive_gauss(lambda x: x**23 + x**22, [0.0, 1.0], 1.0, 0.0)
-    assert value == pytest.approx(1.0 / 24.0 + 1.0 / 23.0, rel=1e-14)
-    # two integrands on the same nodes: the oscillating one forces
-    # refinement, and each meets its own budget
-    values, errs = adaptive_gauss(lambda x: np.stack([x * x, np.cos(200.0 * x)]),
-                                  [0.0, 1.0], 1e-12, 1e-12)
-    assert values == pytest.approx([1.0 / 3.0, math.sin(200.0) / 200.0], rel=1e-11, abs=1e-13)
-    assert np.all(errs <= np.maximum(1e-12, 1e-12 * np.abs(values)))
 
 
 @pytest.mark.parametrize("field, value", [

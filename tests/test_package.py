@@ -42,7 +42,7 @@ LOADED = {
     "curve --which split": REST_ROW,
     "curve --which boosted": BOOSTED_ROW,
     "phi": BOOSTED_ROW | {"window", "timemap"},
-    "compare": BOOSTED_ROW | {"oracle", "_quad"},
+    "compare": BOOSTED_ROW | {"oracle"},
 }
 
 

@@ -52,7 +52,9 @@ spread evenly over [2, 11] (one point is t = 2):
   `python -m oscdecay.cli` on the 181-point config, timed from outside
   (start-up included). Cold runs of the trees alternate like the rounds,
   and their ratios are medians of back-to-back ratios too. The machine
-  block records sys.flags.dont_write_bytecode: where it is true
+  block records the numpy build (tools/numpy_build.py: version, baseline
+  and found dispatch CPU features, OpenBLAS kernel) and
+  sys.flags.dont_write_bytecode: where it is true
   (PYTHONDONTWRITEBYTECODE is set) and a checkout has no __pycache__,
   every cold run compiles each module it loads, and the cold figures
   include that compile time;
@@ -88,6 +90,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 ROOT = os.getcwd()
 
 import numpy as np  # noqa: E402
+from numpy_build import numpy_build  # noqa: E402
 
 # best of ROUNDS batches of about ROUND_S seconds; median of COLD_RUNS
 # fresh interpreters; each figure the median over PASSES passes
@@ -312,8 +315,8 @@ def machine():
         with open("/proc/cpuinfo") as fh:
             model = next((line.split(":", 1)[1].strip() for line in fh
                           if line.startswith("model name")), model)
-    return {"cpu": model, "cpus": os.cpu_count(), "python": platform.python_version(),
-            "numpy": np.__version__, "dont_write_bytecode": bool(sys.flags.dont_write_bytecode)}
+    return dict({"cpu": model, "cpus": os.cpu_count(), "python": platform.python_version()},
+                **numpy_build(), dont_write_bytecode=bool(sys.flags.dont_write_bytecode))
 
 
 def _median_ratios(readings, label, base):

@@ -13,13 +13,18 @@ sha256 of each output file and the stderr text. A warning in that text
 is shown once per command, as in a fresh interpreter, and without the
 file, line and source it was raised at, which differ between checkouts.
 
+A header line, starting with "# ", comes first in both modes. It names
+the numpy build the bytes depend on (tools/numpy_build.py): numpy's
+version, its baseline and found dispatch CPU features, and the OpenBLAS
+kernel.
+
 With --cold, only the pools of the cold workloads (cli_cold) are drawn,
 and each command runs as `python -m oscdecay.cli` in a fresh interpreter,
 the way users run it: its lines must equal the in-process lines of the
 same pool, so that the process's own exit changes no output, exit code
 or message:
 
-    python3 tools/output_digest.py --cold > cold.txt
+    python3 tools/output_digest.py --cold | grep '^cli_cold ' > cold.txt
     python3 tools/output_digest.py | grep '^cli_cold ' | diff - cold.txt
 
 Run it from the root of each of two source checkouts; they give
@@ -46,6 +51,7 @@ ROOT = os.getcwd()
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
 import configs  # noqa: E402
+from numpy_build import numpy_build  # noqa: E402
 from oscdecay.cli import main as cli_main  # noqa: E402
 
 COMMANDS = {
@@ -139,6 +145,8 @@ def main():
              if workload.cold or not cold]
     if not cold:
         pools.append(("edge", EDGE))
+    print("# " + "; ".join("%s %s" % (key, value or "none")
+                           for key, value in numpy_build().items()), flush=True)
     with tempfile.TemporaryDirectory() as tmp:
         config_path = os.path.join(tmp, "config.json")
         for name, pool in pools:
