@@ -7,7 +7,6 @@ K + i (p Gamma / (pi M^2)) Phi. The squared modulus of the weighted sum
 over modes is the survival probability at momentum p.
 """
 
-import cmath
 import math
 from collections import namedtuple
 
@@ -17,7 +16,7 @@ from ._points import as_points, maybe_scalar
 from .kinematics import (VALIDITY_THRESHOLD, BoostContext, RestModeSet, mode_indices,
                          mode_terms, pole_energies, pole_sum)
 from .restframe import amplitude_rest, survival_rest, survival_rest_split
-from .specfun import branch_cut, upsilon, xi_fn, xi_mass_factor
+from .specfun import branch_cut, xi_mass_factor
 
 # momenta below P_ZERO_REL * M take the exact rest-frame branch
 P_ZERO_REL = 1e-12
@@ -43,40 +42,15 @@ class BoostedEvaluation(namedtuple("BoostedEvaluation", "t K_sum Phi_term P_p in
     __slots__ = ()
 
 
-def k_fn(M: float, Gamma: float, p: float, Omega: float, a: float, t: float) -> complex:
-    """Pole part of one boosted mode: an unexported reference kernel for the tests.
-
-    (1-a) e^{-Y(M) t/2} + (a/2)[e^{-Y(M-Omega) t/2} + e^{-Y(M+Omega) t/2}]
-    where Y(m) = upsilon(m, Gamma, p). At p = 0 this reduces to the
-    rest-frame phase e^{-i M t} times the damped cosine factor. t must be
-    finite and >= 0, unchecked, like the mode. Kept until ROADMAP item 7.
-    """
-    t = float(t)
-    out = (1.0 - a) * cmath.exp(-0.5 * t * upsilon(M, Gamma, p))
-    if a > 0.0:
-        out += 0.5 * a * (
-            cmath.exp(-0.5 * t * upsilon(M - Omega, Gamma, p))
-            + cmath.exp(-0.5 * t * upsilon(M + Omega, Gamma, p))
-        )
-    return out
+def _retired(*args, **kwargs):
+    """Retired: the scalar per-mode kernels upsilon, xi_fn, k_fn and phi_fn
+    are gone from the package (the tests keep k_fn, phi_fn and xi_fn), and
+    nothing calls this. The names stay bound only for perfbench/spans.py's
+    strict lookup of them; ROADMAP item 7 deletes this with those entries."""
+    raise NotImplementedError("the scalar per-mode kernels are retired")
 
 
-def phi_fn(M: float, p: float, Omega: float, a: float, t: float) -> complex:
-    """Branch-cut part of one boosted mode: an unexported reference kernel for the tests.
-
-    (1-a) Xi(M) + (a/2)[Xi(M-Omega)/(1-Omega/M)^2 + Xi(M+Omega)/(1+Omega/M)^2]
-    with Xi = xi_fn(., p, t). p and t must be finite and > 0, unchecked, like
-    the mode; p = 0 is BoostedLaw's rest branch. Kept until ROADMAP item 7
-    moves it to tests/.
-    """
-    out = (1.0 - a) * xi_fn(M, p, t)
-    if a > 0.0:
-        rm = 1.0 - Omega / M
-        rp = 1.0 + Omega / M
-        out += 0.5 * a * (
-            xi_fn(M - Omega, p, t) / (rm * rm) + xi_fn(M + Omega, p, t) / (rp * rp)
-        )
-    return out
+upsilon = xi_fn = k_fn = phi_fn = _retired
 
 
 class BoostedLaw:
@@ -92,7 +66,8 @@ class BoostedLaw:
         sum_j w_j Gamma_j phi_fn_j = C_A A(pt) + C_B B(pt),
 
     with (A, B) = specfun.branch_cut(pt), which holds because xi_fn is
-    A + xi_mass_factor B and depends on the mass only through that factor.
+    A + xi_mass_factor B and depends on the mass only through that factor
+    (phi_fn and xi_fn are the per-mode reference kernels in tests/conftest.py).
     Calling the law on lab times evaluates one J1/Y1/H1 triple per time,
     whatever the mode count, and returns a BoostedEvaluation: of floats
     for a scalar time, of arrays for an array.

@@ -22,7 +22,7 @@ from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 
 from . import __version__
-from .kinematics import ModeValidationError, shifted_kinematics, validate_modes
+from .kinematics import ModeValidationError, RestModeSet, shifted_kinematics, validate_modes
 
 # this module, also when it runs as __main__: a bare global would not reach
 # __getattr__, and a wrapper set on the module is what a read through it calls
@@ -111,11 +111,10 @@ def _build_modes(config):
     raw = config["modes"]
     if not isinstance(raw, dict):
         raise ConfigError("'modes' section must be an object")
-    fields = ("M", "w", "Gamma", "Omega", "a")
     for key in raw:
-        if key not in fields:
+        if key not in RestModeSet._fields:
             raise ConfigError("config['modes'][%r] is not a modes setting" % key)
-    for key in fields:
+    for key in RestModeSet._fields:
         if key not in raw:
             raise ConfigError("modes lacks key %r" % key)
         path = "config['modes'][%r]" % key

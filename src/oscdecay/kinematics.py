@@ -98,12 +98,6 @@ class BoostContext(namedtuple("BoostContext", "p gamma")):
 _FIELDS = RestModeSet._fields
 
 
-def _as_mode_fields(candidate):
-    if isinstance(candidate, RestModeSet):
-        return list(candidate)
-    return [candidate[key] for key in _FIELDS]
-
-
 def _entry(x):
     # float() would read a one-entry array row whole
     if getattr(x, "ndim", 0):
@@ -128,18 +122,25 @@ def _floats(value):
 def validate_modes(candidate, narrow_width_threshold: float = NARROW_WIDTH_DEFAULT) -> RestModeSet:
     """Check every mode-set invariant; return the validated set.
 
-    candidate is a mapping with keys M, w, Gamma, Omega, a (or an existing
-    RestModeSet); each per-mode field may be a sequence, an array or a
-    single number. All violations are collected and raised together as a
-    ModeValidationError, never only the first one. A narrow_width_threshold
-    that is not finite and > 0 raises ValueError.
+    candidate is a mapping with exactly the keys M, w, Gamma, Omega, a (or
+    an existing RestModeSet); each per-mode field may be a sequence, an
+    array or a single number. All violations, a missing or unknown key
+    among them, are collected and raised together as a ModeValidationError,
+    never only the first one. A narrow_width_threshold that is not finite
+    and > 0 raises ValueError.
     """
     if not (0.0 < narrow_width_threshold < math.inf):
         raise ValueError("narrow_width_threshold must be finite and > 0, got %r"
                          % narrow_width_threshold)
+    if isinstance(candidate, RestModeSet):
+        candidate = candidate._asdict()
+    violations = ["%r is not a mode field" % (key,) for key in candidate if key not in _FIELDS]
     read = []
-    violations = []
-    for name, value in zip(_FIELDS, _as_mode_fields(candidate)):
+    for name in _FIELDS:
+        if name not in candidate:
+            violations.append("mode field %r is missing" % name)
+            continue
+        value = candidate[name]
         try:
             read.append(float(value) if name == "M" else _floats(value))
         except (TypeError, ValueError, OverflowError):

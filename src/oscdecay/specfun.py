@@ -3,8 +3,8 @@
 Double precision implementations of the order-one Bessel functions J1 and
 Y1 (rational approximations from the Cephes library, public domain), the
 order-one Struve function H1, and the branch-cut combinations (A, B) of
-the boosted amplitude; the scalar pole exponent upsilon = 2i
-kinematics.pole_energies and the tail kernel xi are test reference kernels.
+the boosted amplitude. The per-mode tail kernel xi = A + xi_mass_factor B
+that the paper writes is a reference kernel in tests/conftest.py.
 
 Accuracy contract for J1, Y1, H1: 1e-10 relative, 1e-12 absolute near
 zeros, on [1e-8, 1e4], checked against frozen arbitrary-precision
@@ -17,7 +17,6 @@ import math
 import numpy as np
 
 from ._points import maybe_scalar
-from .kinematics import pole_energies
 
 SQ2OPI = 7.9788456080286535587989e-1   # sqrt(2/pi)
 TWOOPI = 6.36619772367581343075535e-1  # 2/pi
@@ -272,22 +271,8 @@ def struve_h1(x):
     return maybe_scalar(_split(xx, STRUVE_SEAM, _h1_series, _h1_far), x)
 
 
-def upsilon(M: float, Gamma: float, p: float) -> complex:
-    """Decay exponent upsilon = 2i E of one pole: an unexported reference kernel for the tests.
-
-    E = kinematics.pole_energies(M, Gamma, p), so exp(-upsilon t / 2) =
-    exp(-i E t) is the pole contribution of a resonance of mass M and
-    width Gamma at momentum p; the real part -2 Im E sets the damping and
-    the imaginary part 2 Re E the phase advance. At p = 0 (and
-    Gamma <= 2M) upsilon = Gamma + 2iM. M, Gamma and p must be finite,
-    M and Gamma > 0 and p >= 0. Kept until ROADMAP item 7 deletes it.
-    """
-    # numpy's complex square root, the one the grid law takes, not cmath's
-    return complex(2j * pole_energies(np.array([float(M)]), np.array([float(Gamma)]), float(p))[0])
-
-
 def xi_mass_factor(M, p):
-    """c = (1 - p^2/M^2) / (1 + p^2/M^2)^2, the only way xi_fn depends on M."""
+    """c = (1 - p^2/M^2) / (1 + p^2/M^2)^2, the only way the tail kernel xi depends on M."""
     r = (p / M) ** 2
     return (1.0 - r) / (1.0 + r) ** 2
 
@@ -306,18 +291,3 @@ def branch_cut(z):
     A = (0.5 * math.pi * h1 - 1.0) - 1j * (0.5 * math.pi * j1)
     B = 1.0 + 0.5 * math.pi * (y1 - h1)
     return maybe_scalar(A, z), maybe_scalar(B, z)
-
-
-def xi_fn(M: float, p: float, t: float) -> complex:
-    """Oscillatory tail kernel of one mass: an unexported reference kernel for the tests.
-
-    xi = A(pt) + c B(pt), with (A, B) = branch_cut(pt) and
-    c = xi_mass_factor(M, p).
-
-    M, p and t must be finite and > 0: Y1 is singular at zero argument, and
-    the p -> 0 limit is the rest branch of boost.BoostedLaw. Kept until
-    ROADMAP item 7 moves it to tests/.
-    """
-    M, p, t = float(M), float(p), float(t)
-    A, B = branch_cut(p * t)
-    return A + xi_mass_factor(M, p) * B

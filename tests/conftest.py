@@ -1,5 +1,6 @@
 """Shared fixtures: canonical parameter sets and frozen reference data."""
 
+import cmath
 import json
 import math
 import os
@@ -9,6 +10,8 @@ import pytest
 from hypothesis import strategies as st
 
 import oscdecay as od
+from oscdecay.kinematics import pole_energies
+from oscdecay.specfun import branch_cut, xi_mass_factor
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
@@ -44,6 +47,9 @@ NEAR_REST_SETS = {
                     "Omega": [10.0, 5.0, 2.5], "a": [0.04, 0.04, 0.04]},
 }
 
+# a valid single mode whose closed form passes 1 in-domain at p = 80
+M15_SET = {"M": 15.0, "w": [1.0], "Gamma": [0.5], "Omega": [0.0], "a": [0.0]}
+
 
 def branch_cut_formula(j1, y1, h1):
     """(A, B) of specfun.branch_cut composed from J1, Y1 and H1 evaluated on
@@ -51,6 +57,58 @@ def branch_cut_formula(j1, y1, h1):
     A = (0.5 * math.pi * h1 - 1.0) - 1j * (0.5 * math.pi * j1)
     B = 1.0 + 0.5 * math.pi * (y1 - h1)
     return A, B
+
+
+def xi_fn(M: float, p: float, t: float) -> complex:
+    """Oscillatory tail kernel of one mass: xi = A(pt) + c B(pt), with
+    (A, B) = specfun.branch_cut(pt) and c = specfun.xi_mass_factor(M, p).
+
+    M, p and t must be finite and > 0: Y1 is singular at zero argument, and
+    the p -> 0 limit is the rest branch of boost.BoostedLaw.
+    """
+    M, p, t = float(M), float(p), float(t)
+    A, B = branch_cut(p * t)
+    return A + xi_mass_factor(M, p) * B
+
+
+def k_fn(M: float, Gamma: float, p: float, Omega: float, a: float, t: float) -> complex:
+    """Pole part of one boosted mode, the per-mode reference for BoostedLaw.
+
+    (1-a) e^{-Y(M) t/2} + (a/2)[e^{-Y(M-Omega) t/2} + e^{-Y(M+Omega) t/2}]
+    where Y(m) = 2i kinematics.pole_energies(m, Gamma, p). At p = 0 this
+    reduces to the rest-frame phase e^{-i M t} times the damped cosine
+    factor. t must be finite and >= 0.
+    """
+    t = float(t)
+
+    def pole(m):
+        # 2i E from one-entry arrays: numpy's complex square root, the one
+        # the grid law takes, not cmath's
+        y = complex(2j * pole_energies(np.array([float(m)]), np.array([float(Gamma)]),
+                                       float(p))[0])
+        return cmath.exp(-0.5 * t * y)
+
+    out = (1.0 - a) * pole(M)
+    if a > 0.0:
+        out += 0.5 * a * (pole(M - Omega) + pole(M + Omega))
+    return out
+
+
+def phi_fn(M: float, p: float, Omega: float, a: float, t: float) -> complex:
+    """Branch-cut part of one boosted mode, the per-mode reference for BoostedLaw.
+
+    (1-a) Xi(M) + (a/2)[Xi(M-Omega)/(1-Omega/M)^2 + Xi(M+Omega)/(1+Omega/M)^2]
+    with Xi = xi_fn(., p, t). p and t must be finite and > 0; p = 0 is
+    BoostedLaw's rest branch.
+    """
+    out = (1.0 - a) * xi_fn(M, p, t)
+    if a > 0.0:
+        rm = 1.0 - Omega / M
+        rp = 1.0 + Omega / M
+        out += 0.5 * a * (
+            xi_fn(M - Omega, p, t) / (rm * rm) + xi_fn(M + Omega, p, t) / (rp * rp)
+        )
+    return out
 
 
 def make_single_mode(M, Omega, a, Gamma=1.0, w=1.0):

@@ -14,14 +14,14 @@ import numpy as np
 from scipy.signal import find_peaks
 
 import oscdecay as od
-from oscdecay.boost import phi_fn
 from oscdecay.cli import main
+from oscdecay.kinematics import pole_energies
 from oscdecay.oracle import QuadratureSpec, direct_survival
-from oscdecay.specfun import bessel_j1, bessel_y1, struve_h1, upsilon
+from oscdecay.specfun import bessel_j1, bessel_y1, struve_h1
 from oscdecay.window import WindowParams, w_fn
 
 import conftest
-from conftest import BOOST_SETS, make_single_mode
+from conftest import BOOST_SETS, make_single_mode, phi_fn
 
 
 def _report(num, name, ok, detail):
@@ -160,8 +160,9 @@ def test_06_root_identities():
         if Gamma >= M / 5.0:
             continue
         p = float(rng.uniform(0.0, 1e4))
-        # lam_minus and lam_plus are the real and imaginary parts of upsilon
-        y = upsilon(M, Gamma, p)
+        # lam_minus and lam_plus are the real and imaginary parts of the
+        # pole exponent 2i E
+        y = complex(2j * pole_energies(np.array([M]), np.array([Gamma]), p)[0])
         lm, lp = y.real, y.imag
         worst = max(worst, abs(lp * lm - 2.0 * M * Gamma) / (2.0 * M * Gamma))
         rhs = 4.0 * (M * M - Gamma * Gamma / 4.0 + p * p)

@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line surface."""
 
+import collections
 import csv
 import json
 import os
@@ -16,7 +17,7 @@ import oscdecay
 from oscdecay import cli
 from oscdecay.cli import main
 
-from conftest import DATA
+from conftest import DATA, M15_SET, NEAR_REST_SETS
 
 
 CURVE_B = {
@@ -861,6 +862,63 @@ def test_overflowing_configs_are_pinned(tmp_path, capsys, config, command, code,
     assert header == "t,gamma_t,value,valid"
     assert rows[0] == ["1e-300", "1e-300", "inf", "false"]
     assert rows[-1][3] == "true"
+
+
+def test_boosted_commands_exit_0_or_2_over_the_float_range(tmp_path, capsys):
+    # ROADMAP item 16's sweep through the CLI: p/M log-uniform in
+    # [1e-15, 1e300] and log grids from t_min in [1e-300, 1], every other
+    # draw over the whole range and the rest nearer the closed form's domain
+    # (p/M <= 100, t_min >= 1e-3), where phi also succeeds. Every run exits 0
+    # with finite valid cells and finite phi_p, or 2 with one message line
+    # and no file. Draws that print numpy RuntimeWarnings are item 16's open
+    # part: counted, not failed
+    rng = np.random.default_rng(38)
+    sets = (*NEAR_REST_SETS.values(), M15_SET)
+    codes = collections.Counter()
+    warned = 0
+    for draw in range(100):
+        edge = draw % 2 == 0
+        modes = sets[rng.integers(len(sets))]
+        t_min = 10.0 ** rng.uniform(-300.0 if edge else -3.0, 0.0)
+        config = {"modes": modes,
+                  "p": modes["M"] * 10.0 ** rng.uniform(-15.0, 300.0 if edge else 2.0),
+                  "grid": {"t_min": t_min,
+                           "t_max": t_min * 10.0 ** rng.uniform(1.0, 300.0 if edge else 4.0),
+                           "points": int(rng.integers(2, 12)), "spacing": "log"}}
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(config))
+        caught_any = False
+        for command in ("curve --which boosted", "phi"):
+            out_dir = tmp_path / ("%d-%s" % (draw, command.split()[-1]))
+            out_dir.mkdir()
+            out = out_dir / "out.csv"
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = main(command.split() + ["--config", str(path), "--out", str(out),
+                                               "--quiet"])
+            assert all(w.category is RuntimeWarning for w in caught), (config, command)
+            caught_any |= bool(caught)
+            err = capsys.readouterr().err
+            codes[command, code] += 1
+            assert code in (0, 2), (config, command, err)
+            if code == 2:
+                assert err.startswith("oscdecay: ") and err.count("\n") == 1, (config, err)
+                assert list(out_dir.iterdir()) == [], (config, command)
+                continue
+            assert err == ""
+            header, rows = read_csv(str(out))
+            cells = np.array(rows)
+            if command == "phi":
+                assert header.startswith("t,phi_p,")
+                assert np.all(np.isfinite(cells[:, 1].astype(float))), (config, rows)
+            else:
+                assert header == "t,gamma_t,value,valid"
+                valid = cells[:, 3] == "true"
+                assert np.all(np.isfinite(cells[valid, :3].astype(float))), (config, rows)
+        warned += caught_any
+    # both commands reach both endings, and some draws still warn (item 16)
+    assert sorted(codes) == [("curve --which boosted", 0), ("curve --which boosted", 2),
+                             ("phi", 0), ("phi", 2)] and 0 < warned < 100, (codes, warned)
 
 
 def test_compare_parallel_flag_is_a_no_op(tmp_path):

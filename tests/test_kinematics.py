@@ -257,6 +257,21 @@ THREE_MODES = {"M": 200.0, "w": [0.4, 0.3, 0.3], "Gamma": [1.0, 2.0, 3.5],
                "Omega": [10.0, 20.0, 40.0], "a": [0.04, 0.04, 0.04]}
 
 
+@pytest.mark.parametrize("change, violations", [
+    ({"Omega": None}, ["mode field 'Omega' is missing"]),
+    ({"Omgea": [5.0]}, ["'Omgea' is not a mode field"]),
+    ({"omega": [10.0], "Omega": None, "a": ["x"]},
+     ["'omega' is not a mode field", "mode field 'Omega' is missing",
+      "a must be a number or a list of numbers, got ['x']"]),
+], ids=["missing", "extra", "misspelt_and_unreadable"])
+def test_validate_names_a_missing_or_unknown_field(change, violations):
+    # collected with the other violations, not raised as a bare KeyError
+    candidate = {key: value for key, value in {**CURVE_B, **change}.items() if value is not None}
+    with pytest.raises(ModeValidationError) as err:
+        od.validate_modes(candidate)
+    assert err.value.violations == violations
+
+
 def test_validate_modes_reads_an_existing_set():
     # README documents a RestModeSet as a candidate: each check runs again on it
     modes = od.validate_modes(CURVE_B)

@@ -7,10 +7,12 @@ test process has long since loaded every module.
 import ast
 import glob
 import importlib
+import inspect
 import json
 import os
 import subprocess
 import sys
+import textwrap
 import types
 
 import pytest
@@ -119,6 +121,14 @@ def _reads(tree, alias):
             and isinstance(node.value, ast.Name) and node.value.id == alias}
 
 
+def _wrapped():
+    """perfbench/spans.py's WRAPPED, read from its source: module -> traced names."""
+    spans = _tree(os.path.join(ROOT, "perfbench", "spans.py"))
+    wrapped, = (node.value for node in spans.body if isinstance(node, ast.Assign)
+                and ast.unparse(node.targets[0]) == "WRAPPED")
+    return ast.literal_eval(wrapped)
+
+
 def _reached():
     """The names a command, a demo or the benchmark reaches, and the classes src/ raises."""
     cli_tree = _tree(cli.__file__)
@@ -133,10 +143,7 @@ def _reached():
         reached |= _imported(tree, "oscdecay").union(*(_reads(tree, a) for a in aliases))
     for path in glob.glob(os.path.join(ROOT, "perfbench", "*.py")):
         reached |= _imported(_tree(path), "oscdecay")
-    spans = _tree(os.path.join(ROOT, "perfbench", "spans.py"))
-    wrapped, = (node.value for node in spans.body if isinstance(node, ast.Assign)
-                and ast.unparse(node.targets[0]) == "WRAPPED")
-    reached |= set(ast.literal_eval(wrapped)["cli"])
+    reached |= set(_wrapped()["cli"])
     for path in glob.glob(os.path.join(SRC, "oscdecay", "*.py")):
         for node in ast.walk(_tree(path)):
             if isinstance(node, ast.Raise) and node.exc is not None:
@@ -144,6 +151,34 @@ def _reached():
                 if isinstance(exc, ast.Name):
                     reached.add(exc.id)
     return reached
+
+
+def _is_stand_in(fn):
+    """Whether fn's whole body, past its docstring, raises NotImplementedError."""
+    node, = ast.parse(textwrap.dedent(inspect.getsource(fn))).body
+    body = node.body[1:] if ast.get_docstring(node) else node.body
+    return (len(body) == 1 and isinstance(body[0], ast.Raise)
+            and ast.unparse(body[0].exc).startswith("NotImplementedError("))
+
+
+# the retired names bound only for the tracer's lookup: ROADMAP item 7
+# deletes them with their WRAPPED entries
+STAND_INS = {"boost.upsilon", "boost.xi_fn", "boost.k_fn", "boost.phi_fn",
+             "oracle.adaptive_gauss"}
+
+
+def test_every_traced_name_resolves_and_only_item_7s_are_stand_ins():
+    stand_ins = set()
+    for home, names in _wrapped().items():
+        module = importlib.import_module("oscdecay." + home)
+        for name in names:
+            # spans.installed()'s strict lookup
+            fn = getattr(module, name)
+            if _is_stand_in(fn):
+                stand_ins.add("%s.%s" % (home, name))
+                with pytest.raises(NotImplementedError):
+                    fn()
+    assert stand_ins == STAND_INS
 
 
 def test_every_export_is_reached_by_a_command_a_demo_or_the_benchmark():

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oscdecay.specfun import bessel_j1, bessel_y1, branch_cut, struve_h1, upsilon, xi_fn
+from oscdecay.kinematics import pole_energies
+from oscdecay.specfun import bessel_j1, bessel_y1, branch_cut, struve_h1
 
-from conftest import branch_cut_formula
+from conftest import branch_cut_formula, xi_fn
 
 
 def _max_rel_err(got, ref):
@@ -117,9 +118,15 @@ def test_small_x_series_values():
     assert bessel_j1(x) == pytest.approx(x / 2, rel=1e-9)
 
 
+def _pole_exponent(M, Gamma, p):
+    # 2i E from one-entry arrays, as the grid law evaluates E
+    return complex(2j * pole_energies(np.array([M]), np.array([Gamma]), p)[0])
+
+
 def _lambda_pm(M, Gamma, p):
-    # (lam_minus, lam_plus): the real and imaginary parts of upsilon
-    u = upsilon(M, Gamma, p)
+    # (lam_minus, lam_plus): the real and imaginary parts of the pole
+    # exponent 2i E
+    u = _pole_exponent(M, Gamma, p)
     return u.real, u.imag
 
 
@@ -151,9 +158,9 @@ def test_lambda_difference_identity(triple):
 @settings(max_examples=500, deadline=None)
 @given(valid_triples)
 def test_upsilon_quadratic_root(triple):
-    # (Upsilon/2)^2 + p^2 + (M - i Gamma/2)^2 = 0
+    # (Upsilon/2)^2 + p^2 + (M - i Gamma/2)^2 = 0 for Upsilon = 2i E
     M, Gamma, p = triple
-    u = upsilon(M, Gamma, p)
+    u = _pole_exponent(M, Gamma, p)
     residual = (u / 2) ** 2 + p * p + (M - 1j * Gamma / 2) ** 2
     scale = abs(p * p + (M - 1j * Gamma / 2) ** 2)
     assert abs(residual) <= 1e-10 * scale
