@@ -104,14 +104,12 @@ def _solve(modes, r, start):
 
 
 def _invert(modes, r, start):
-    # rest-frame times where P0 = r (r = 1 maps to 0), each root's solve
-    # started at its entry of start (a float or an array shaped like r)
-    rr = as_points(r, lambda v: (v > 0.0) & (v <= 1.0), "target probability must lie in (0, 1]",
-                   TimeMapError)
-    out = np.zeros_like(rr)
-    below = np.flatnonzero(rr < 1.0)
-    target = rr[below]
-    root, resid = _solve(modes, target, np.broadcast_to(start, rr.shape)[below])
+    # rest-frame times where P0 = r, for a 1-d array r in (0, 1] (1 maps to 0),
+    # each root's solve started at its entry of start (a float or shaped like r)
+    out = np.zeros_like(r)
+    below = np.flatnonzero(r < 1.0)
+    target = r[below]
+    root, resid = _solve(modes, target, np.broadcast_to(start, r.shape)[below])
     failed = np.flatnonzero(np.abs(resid) > INVERT_REL_TOL)
     if len(failed):
         i = failed[0]
@@ -137,7 +135,9 @@ def invert_survival_rest(modes: RestModeSet, r):
     1e-12, so |P0(t) - r| <= ~1e-12 r. Errors name the first offending
     target.
     """
-    return maybe_scalar(_invert(modes, r, 1.0 / modes.Gamma[0]), r)
+    rr = as_points(r, lambda v: (v > 0.0) & (v <= 1.0), "target probability must lie in (0, 1]",
+                   TimeMapError)
+    return maybe_scalar(_invert(modes, rr, 1.0 / modes.Gamma[0]), r)
 
 
 def phi_p(modes: RestModeSet, ctx: BoostContext, t):
@@ -146,26 +146,25 @@ def phi_p(modes: RestModeSet, ctx: BoostContext, t):
     phi_p(t) = P0^{-1}(P_p(t)), for a scalar t (returns a float) or an
     array of times (returns an array). Each root is solved as in
     invert_survival_rest, started at the paper's approximation t / gamma
-    instead of 1/Gamma_1. The boosted probability must fall
-    in (0, 1]; rounding-level overshoot above 1 (at most 1e-12) is
-    clamped, anything larger, and underflow to 0, raises TimeMapError
-    naming the first offending point. BoostedLaw's own domain errors are
-    raised first.
+    instead of 1/Gamma_1. The boosted probability must fall in (0, 1];
+    rounding-level overshoot above 1 (at most 1e-12) is clamped. Anything
+    larger, underflow to 0 and NaN raise TimeMapError naming the first
+    offending point. BoostedLaw's own domain errors are raised first.
     """
-    ev = BoostedLaw(modes, ctx)(t)
-    tt = np.atleast_1d(ev.t)
-    r = np.atleast_1d(ev.P_p)
-    bad = np.flatnonzero((r > 1.0 + 1e-12) | (r <= 0.0))
+    ev = BoostedLaw(modes, ctx)(np.atleast_1d(t))
+    r = ev.P_p
+    bad = np.flatnonzero(~((r > 0.0) & (r <= 1.0 + 1e-12)))  # NaN fails both
     if len(bad):
         i = bad[0]
-        at = float(tt[i])
+        at = float(ev.t[i])
         if r[i] > 1.0:
             raise TimeMapError(
                 "boosted survival %r exceeds 1 at t=%r; the time map is undefined there"
                 % (float(r[i]), at)
             )
-        raise TimeMapError("boosted survival %r underflowed at t=%r" % (float(r[i]), at))
-    phi = _invert(modes, np.minimum(r, 1.0), tt / ctx.gamma)
+        raise TimeMapError("boosted survival %r %s at t=%r" % (
+            float(r[i]), "underflowed" if r[i] <= 0.0 else "is not finite", at))
+    phi = _invert(modes, np.minimum(r, 1.0), ev.t / ctx.gamma)
     return maybe_scalar(phi, t)
 
 

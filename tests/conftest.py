@@ -149,6 +149,15 @@ def heavy_scaling_set():
     return modes, ctx
 
 
+def _omega_cap(M, g, a):
+    # the largest Omega that keeps a mode valid: narrow width,
+    # Gamma/(M - Omega) <= 0.05, and rate positivity, Gamma > 2 a Omega / sqrt(1 - 2a)
+    cap = M - 20.0 * g
+    if 2.0 * a * cap > g * np.sqrt(1.0 - 2.0 * a):
+        cap = g * np.sqrt(1.0 - 2.0 * a) / (2.0 * a)
+    return cap
+
+
 @st.composite
 def boosted_grids(draw, max_modes=4, points=40):
     """A valid mode set of up to max_modes modes, a boost p in [0.5 M, 3 M]
@@ -160,19 +169,32 @@ def boosted_grids(draw, max_modes=4, points=40):
                                   min_size=n, max_size=n, unique=True)))
     raw_w = draw(st.lists(st.floats(min_value=0.1, max_value=1.0), min_size=n, max_size=n))
     a = draw(st.lists(st.floats(min_value=0.0, max_value=0.45), min_size=n, max_size=n))
-    omega = []
-    for g, aj in zip(gammas, a):
-        # narrow width: Gamma/(M - Omega) <= 0.05; rate positivity:
-        # Gamma > 2 a Omega / sqrt(1 - 2a)
-        cap = M - 20.0 * g
-        if 2.0 * aj * cap > g * np.sqrt(1.0 - 2.0 * aj):
-            cap = g * np.sqrt(1.0 - 2.0 * aj) / (2.0 * aj)
-        omega.append(0.99 * cap * draw(st.floats(min_value=0.0, max_value=1.0)))
+    omega = [0.99 * _omega_cap(M, g, aj) * draw(st.floats(min_value=0.0, max_value=1.0))
+             for g, aj in zip(gammas, a)]
     modes = od.validate_modes({"M": M, "w": list(np.array(raw_w) / sum(raw_w)),
                                "Gamma": gammas, "Omega": omega, "a": a})
     ctx = od.shifted_kinematics(modes, draw(st.floats(min_value=0.5, max_value=3.0)) * M)
     t = np.linspace(0.5 / gammas[0], 12.0 * ctx.gamma / gammas[0], points)
     return modes, ctx, t
+
+
+def wide_boost_draw(rng, points=40):
+    """One seeded draw that reaches p/M^2 ~ 1, where the closed form can pass
+    1 in-domain (ROADMAP item 12): 1-3 valid modes, M log-uniform in
+    [10, 300], widths up to 0.04 M, p/M log-uniform in [1e-6, 30], and a log
+    grid from the start of the validity domain to 50 times it."""
+    n = int(rng.integers(1, 4))
+    M = 10.0 ** rng.uniform(1.0, math.log10(300.0))
+    gammas = np.sort(0.04 * M * rng.uniform(0.01, 1.0, n))
+    a = rng.uniform(0.0, 0.45, n)
+    omega = [0.99 * _omega_cap(M, g, aj) * rng.uniform() for g, aj in zip(gammas, a)]
+    w = rng.uniform(0.1, 1.0, n)
+    modes = od.validate_modes({"M": M, "w": list(w / w.sum()), "Gamma": list(gammas),
+                               "Omega": omega, "a": list(a)})
+    ctx = od.shifted_kinematics(modes, M * 10.0 ** rng.uniform(-6.0, math.log10(30.0)))
+    # the domain starts where (M - Omega_max) t reaches 10 or t passes 1/(10 Gamma_1)
+    start = min(10.0 / (M - max(omega)), 0.1 / gammas[0])
+    return modes, ctx, np.geomspace(start, 50.0 * start, points)
 
 
 # one printed line per acceptance check, flushed after the test summary so

@@ -4,6 +4,7 @@ import cmath
 import collections
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from oscdecay.kinematics import pole_energies
 from oscdecay.window import w_fn
 
 from conftest import (M15_SET, NEAR_REST_SETS, boosted_grids, k_fn, make_boosted,
-                      make_single_mode, phi_fn, xi_fn)
+                      make_single_mode, phi_fn, wide_boost_draw, xi_fn)
 
 
 def test_reference_kernels_are_not_package_exports():
@@ -207,6 +208,31 @@ def test_a_valid_set_at_large_p_over_m_squared_is_refused():
     with pytest.raises(BoostDomainError, match=r"^in-domain probability 1\.0020\d+ "
                                                r"exceeds 1 beyond the 1e-06 tolerance$"):
         law(np.linspace(0.05, 5.0, 50))
+
+
+def test_law_keeps_its_contract_up_to_p_over_m_squared_one():
+    # ROADMAP item 12's pinning step: seeded draws up to p/M^2 ~ 3, on grids
+    # from the domain's start. A draw gives finite in-domain P_p <= 1 + 1e-6,
+    # or the law refuses the overshoot; nothing else is raised and nothing
+    # warns. The refusals are item 12's open defect: counted, not failed
+    rng = np.random.default_rng(12)
+    refused = []
+    reach = 0.0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for _ in range(400):
+            modes, ctx, t = wide_boost_draw(rng)
+            reach = max(reach, ctx.p / modes.M ** 2)
+            try:
+                ev = od.BoostedLaw(modes, ctx)(t)
+            except BoostDomainError as exc:
+                assert str(exc).startswith("in-domain probability "), exc
+                refused.append(float(str(exc).split()[2]))
+                continue
+            P = ev.P_p[ev.in_validity_domain]
+            assert np.all(np.isfinite(P)) and np.all(P <= 1.0 + 1e-6), (modes, ctx.p)
+    assert caught == []
+    assert reach > 1.0 and len(refused) < 400, (reach, len(refused), max(refused, default=1.0))
 
 
 @pytest.mark.parametrize("p, t", [(1e-9, 5e-324), (1e75, 1e240)], ids=["underflow", "overflow"])

@@ -1,5 +1,6 @@
 """Survival-law inversion and the frame time map."""
 
+import json
 import math
 import re
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 
 import oscdecay as od
+from oscdecay.cli import main
 from oscdecay.kinematics import RestModeSet
 from oscdecay.restframe import amplitude_rest
 from oscdecay.timemap import TimeMapError, invert_survival_rest
@@ -283,6 +285,35 @@ def test_phi_refuses_an_underflowed_boosted_survival():
         with pytest.raises(TimeMapError) as err:
             od.phi_p(modes, ctx, t)
         assert str(err.value) == "boosted survival 0.0 underflowed at t=800.0"
+
+
+def test_phi_refuses_a_nan_boosted_survival_once(tmp_path, capsys):
+    # at this p, p * p overflows and the law is NaN at every (out-of-domain)
+    # time: phi_p's own screen refuses it, naming the lab time. The target
+    # check, which phi_p's screened values never reach, guards
+    # invert_survival_rest alone
+    config = {"modes": NEAR_REST_SETS["curve_b"], "p": 6.655143227265858e+213,
+              "grid": {"t_min": 8.332162274235253e-226, "t_max": 4.681074917944925e-35,
+                       "points": 6, "spacing": "log"}}
+    message = "boosted survival nan is not finite at t=8.332162274235253e-226"
+    modes = od.validate_modes(config["modes"])
+    ctx = od.shifted_kinematics(modes, config["p"])
+    t = np.geomspace(config["grid"]["t_min"], config["grid"]["t_max"], 6)
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "nan.csv"
+    with np.errstate(all="ignore"):
+        for times in (t, t[0]):
+            with pytest.raises(TimeMapError) as err:
+                od.phi_p(modes, ctx, times)
+            assert str(err.value) == message
+        assert main(["phi", "--config", str(path), "--out", str(out), "--quiet"]) == 2
+    assert capsys.readouterr().err == "oscdecay: invalid config or model: %s\n" % message
+    assert list(tmp_path.iterdir()) == [path]
+    for bad in (math.nan, 0.0, 1.5):
+        with pytest.raises(TimeMapError) as err:
+            invert_survival_rest(modes, bad)
+        assert str(err.value) == "target probability must lie in (0, 1], got %r" % bad
 
 
 def test_phi_array_reports_first_bad_point(mode_p200_m80):

@@ -5,7 +5,7 @@ master seed and runs every command on every config: validate, window,
 curve --which rest/rate/split/boosted, phi (with its fit sidecar) and
 compare. A fixed edge set follows the pools, under the name edge: the
 paths the pools never draw, where gamma_t is not t, the window is empty
-or the periods are unavailable, two configs whose arithmetic overflows
+or the periods are unavailable, three configs whose arithmetic overflows
 (ROADMAP item 16) and one whose p t overflows. The commands run through
 oscdecay.cli.main in this process, on the package in ./src. Each prints
 one line: workload (or edge), config index, command, exit code, the
@@ -90,12 +90,17 @@ EDGE = [
     # a long log grid, whose CSVs cli formats whole-array: cells in exponent
     # notation in every curve and in phi, negative ones in rate, split and phi
     dict(CURVE_B, grid={"t_min": 0.2, "t_max": 60.0, "points": 2000, "spacing": "log"}),
-    # p * p overflows: nan cells flagged valid, phi and compare exit 2
+    # p * p overflows: boosted, phi and compare refuse the nan in-domain probability, exit 2
     dict(CURVE_B, p=1e155, grid={"t_min": 1.0, "t_max": 5.0, "points": 11}),
     # times so short that P_p overflows: inf cells, phi and compare exit 2
     dict(CURVE_B, p=40.0, grid={"t_min": 1e-300, "t_max": 1.0, "points": 11, "spacing": "log"}),
     # p t overflows at a valid p and t: the boosted law refuses it, exit 2
     dict(CURVE_B, p=1e75, grid={"t_min": 1.0, "t_max": 1e240, "points": 11, "spacing": "log"}),
+    # p * p overflows on a grid that ends before the domain starts: boosted writes
+    # nan cells flagged invalid; phi and compare exit 2
+    dict(CURVE_B, p=6.655143227265858e+213,
+         grid={"t_min": 8.332162274235253e-226, "t_max": 4.681074917944925e-35, "points": 6,
+               "spacing": "log"}),
 ]
 
 # a warning as warnings.formatwarning writes it: where, what, and the source line
