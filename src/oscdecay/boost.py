@@ -12,7 +12,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from ._points import as_points, maybe_scalar
+from ._points import as_points, as_times, maybe_scalar
 from .kinematics import (VALIDITY_THRESHOLD, BoostContext, RestModeSet, mode_indices,
                          mode_terms, pole_energies, pole_sum)
 from .restframe import amplitude_rest, survival_rest, survival_rest_split
@@ -102,8 +102,7 @@ class BoostedLaw:
         self.short_time = 0.1 / modes.Gamma[0]
 
     def __call__(self, t) -> BoostedEvaluation:
-        tt = as_points(t, lambda v: np.isfinite(v) & (v >= 0.0), "time must be finite and >= 0",
-                       BoostDomainError)
+        tt = as_times(t, BoostDomainError)
         modes = self.modes
         M = modes.M
 

@@ -13,7 +13,6 @@ model; 3 I/O failure; 4 oracle non-convergence.
 
 import atexit
 import functools
-import itertools
 import json
 import math
 import os
@@ -75,14 +74,13 @@ def _non_finite(obj, path="config"):
     return None
 
 
-def _number(value, path, index=None):
+def _number(value, *keys):
     """value, if it is a JSON number a double can hold (an int or a float, not
-    a bool), else a ConfigError that names its path, path[index] if indexed."""
+    a bool), else a ConfigError naming its path, config[keys[0]][keys[1]]..."""
     if (isinstance(value, bool) or not isinstance(value, (int, float))
             or abs(value) > sys.float_info.max):
-        if index is not None:
-            path = "%s[%d]" % (path, index)
-        raise ConfigError("%s must be a number, got %r" % (path, value))
+        raise ConfigError("config%s must be a number, got %r"
+                          % ("".join("[%r]" % key for key in keys), value))
     return value
 
 
@@ -105,57 +103,61 @@ def _load_config(path):
     return config
 
 
-def _build_modes(config):
-    if "modes" not in config:
-        raise ConfigError("config lacks the 'modes' section")
-    raw = config["modes"]
+def _settings(config, name, defaults) -> dict:
+    """Section name of config over its defaults, a dict of every key the
+    section may set. A key whose default is None is required, and so is the
+    section then; one whose default is a bool takes true or false, one whose
+    default is a float a JSON number, read as a float, and any other key's
+    value is read as it is. A key not in defaults is a ConfigError."""
+    if name not in config and None in defaults.values():
+        raise ConfigError("config lacks the %r section" % name)
+    raw = config.get(name, {})
     if not isinstance(raw, dict):
-        raise ConfigError("'modes' section must be an object")
+        raise ConfigError("'%s' section must be an object" % name)
     for key in raw:
-        if key not in RestModeSet._fields:
-            raise ConfigError("config['modes'][%r] is not a modes setting" % key)
-    for key in RestModeSet._fields:
+        if key not in defaults:
+            raise ConfigError("config[%r][%r] is not %s %s setting"
+                              % (name, key, "an" if name[0] in "aeiou" else "a", name))
+    settings = dict(defaults)
+    for key, default in defaults.items():
         if key not in raw:
-            raise ConfigError("modes lacks key %r" % key)
-        path = "config['modes'][%r]" % key
-        values = raw[key]
+            if default is None:
+                raise ConfigError("%s lacks key %r" % (name, key))
+            continue
+        value = raw[key]
+        if isinstance(default, bool):
+            if not isinstance(value, bool):
+                raise ConfigError("config[%r][%r] must be true or false, got %r"
+                                  % (name, key, value))
+        elif isinstance(default, float):
+            value = float(_number(value, name, key))
+        settings[key] = value
+    return settings
+
+
+def _build_modes(config):
+    fields = _settings(config, "modes", dict.fromkeys(RestModeSet._fields))
+    for key, values in fields.items():
         if isinstance(values, list):
             for i, value in enumerate(values):
-                _number(value, path, i)
+                _number(value, "modes", key, i)
         else:
-            _number(values, path)
+            _number(values, "modes", key)
     kwargs = {}
     if "narrow_width_threshold" in config:
         kwargs["narrow_width_threshold"] = float(
-            _number(config["narrow_width_threshold"], "config['narrow_width_threshold']"))
-    return validate_modes(raw, **kwargs)
-
-
-def _momentum(config) -> float:
-    p = float(_number(config.get("p", 0.0), "config['p']"))
-    if p < 0.0:
-        raise ConfigError("momentum p must be finite and >= 0, got %r" % p)
-    return p
+            _number(config["narrow_width_threshold"], "narrow_width_threshold"))
+    return validate_modes(fields, **kwargs)
 
 
 def _grid(config):
     import numpy as np
 
-    if "grid" not in config:
-        raise ConfigError("config lacks the 'grid' section")
-    grid = config["grid"]
-    if not isinstance(grid, dict):
-        raise ConfigError("'grid' section must be an object")
-    try:
-        t_min = float(_number(grid["t_min"], "config['grid']['t_min']"))
-        t_max = float(_number(grid["t_max"], "config['grid']['t_max']"))
-        points = grid["points"]
-    except KeyError as exc:
-        raise ConfigError("grid lacks key %s" % exc)
-    for key in grid:
-        if key not in ("t_min", "t_max", "points", "spacing"):
-            raise ConfigError("config['grid'][%r] is not a grid setting" % key)
-    spacing = grid.get("spacing", "linear")
+    grid = _settings(config, "grid",
+                     {"t_min": None, "t_max": None, "points": None, "spacing": "linear"})
+    t_min = float(_number(grid["t_min"], "grid", "t_min"))
+    t_max = float(_number(grid["t_max"], "grid", "t_max"))
+    points, spacing = grid["points"], grid["spacing"]
     # 3.0 is an integer, 40.7 and "40" are not
     if not (isinstance(points, (int, float)) and points == int(points) >= 2):
         raise ConfigError("grid points must be an integer >= 2, got %r" % (points,))
@@ -178,27 +180,10 @@ def _grid(config):
     return t
 
 
-def _settings(config, name, defaults) -> dict:
-    """Section name of config over its defaults, a dict of every key the
-    section may set: one whose default is a bool takes true or false, any
-    other a JSON number, read as a float. Any other key is a ConfigError."""
-    raw = config.get(name, {})
-    if not isinstance(raw, dict):
-        raise ConfigError("'%s' section must be an object" % name)
-    for key in raw:
-        if key not in defaults:
-            raise ConfigError("config[%r][%r] is not %s %s setting"
-                              % (name, key, "an" if name[0] in "aeiou" else "a", name))
-    settings = dict(defaults)
-    for key, value in raw.items():
-        path = "config[%r][%r]" % (name, key)
-        if isinstance(defaults[key], bool):
-            if not isinstance(value, bool):
-                raise ConfigError("%s must be true or false, got %r" % (path, value))
-            settings[key] = value
-        else:
-            settings[key] = float(_number(value, path))
-    return settings
+def _law_inputs(config):
+    """The mode set, its boost context and the time grid of config, read in this order."""
+    modes = _build_modes(config)
+    return modes, shifted_kinematics(modes, _number(config.get("p", 0.0), "p")), _grid(config)
 
 
 def _window_params(config):
@@ -298,7 +283,7 @@ def _report_skeleton(config):
 def _window_report(config, modes):
     """The report with its window and constraints sections, the boost context
     and the window, read from the config's p and window section."""
-    ctx = shifted_kinematics(modes, _momentum(config))
+    ctx = shifted_kinematics(modes, _number(config.get("p", 0.0), "p"))
     window = _cli.exponential_windows(modes, ctx, _window_params(config))
     checks = _cli.constraint_report(modes, ctx, window)
     report = _report_skeleton(config)
@@ -350,23 +335,18 @@ def _csv_text(header, *columns):
     cells = []
     for i, (same, col) in enumerate(zip(first, arrays)):
         if same < i:
-            # zip reads the two copies in step, so tee buffers one cell at most
-            cells[same], twin = itertools.tee(cells[same])
-            cells.append(twin)
-            continue
-        if col.dtype == bool:
+            cells.append(cells[same])
+        elif col.dtype == bool:
             cells.append(np.where(col, "true", "false").tolist())
         else:
-            cells.append(map(repr, col.astype(float, copy=False).tolist()))
+            cells.append(list(map(repr, col.astype(float, copy=False).tolist())))
     lines = [header]
     lines.extend(map(",".join, zip(*cells)))
     return "\n".join(lines) + "\n"
 
 
 def cmd_curve(config, args):
-    modes = _build_modes(config)
-    p = _momentum(config)
-    t = _grid(config)
+    modes, ctx, t = _law_inputs(config)
     # 1.0 * t is t bit for bit; passing t itself lets the CSV share its cells
     gamma_t = t if modes.Gamma[0] == 1.0 else modes.Gamma[0] * t
     which = args.which
@@ -380,7 +360,7 @@ def cmd_curve(config, args):
         text = _csv_text("t,gamma_t,value,value_exp,value_osc", t, gamma_t,
                          exp_part + osc_part, exp_part, osc_part)
     else:  # "boosted": the reader and argparse admit only the four kinds
-        ev = _cli.BoostedLaw(modes, shifted_kinematics(modes, p))(t)
+        ev = _cli.BoostedLaw(modes, ctx)(t)
         text = _csv_text("t,gamma_t,value,valid", t, gamma_t, ev.P_p, ev.in_validity_domain)
 
     _emit_text(text, args.out)
@@ -406,10 +386,7 @@ def cmd_window(config, args):
 def cmd_phi(config, args):
     if args.out is None:
         raise ConfigError("phi writes a CSV plus a fit sidecar and needs --out")
-    modes = _build_modes(config)
-    p = _momentum(config)
-    ctx = shifted_kinematics(modes, p)
-    t = _grid(config)
+    modes, ctx, t = _law_inputs(config)
     params = _window_params(config)
 
     values = _cli.phi_p(modes, ctx, t)
@@ -431,17 +408,14 @@ def cmd_phi(config, args):
 
 
 def cmd_compare(config, args):
-    modes = _build_modes(config)
-    p = _momentum(config)
-    ctx = shifted_kinematics(modes, p)
-    t = _grid(config)
+    modes, ctx, t = _law_inputs(config)
     spec = _quad_spec(config)
     bound = _bound(config)
 
     # the closed form may leave [0, 1] outside its domain; the oracle may not
     closed_vals = _cli.BoostedLaw(modes, ctx)(t).P_p
     try:
-        exact = _cli.direct_survival(modes, p, t, spec)
+        exact = _cli.direct_survival(modes, ctx.p, t, spec)
     except _cli.OracleConvergenceError as exc:
         print("oscdecay: oracle did not converge: %s (value=%r, error=%r)"
               % (exc, exc.value, exc.error_estimate), file=sys.stderr)

@@ -212,22 +212,26 @@ def validate_modes(candidate, narrow_width_threshold: float = NARROW_WIDTH_DEFAU
     return RestModeSet(M=M, w=w, Gamma=Gamma, Omega=Omega, a=a)
 
 
+def _momentum(p) -> float:
+    """p as a float, if it is a momentum (finite and >= 0), else ValueError:
+    the one rule every entry that takes a momentum reads."""
+    p = float(p)
+    if not 0.0 <= p < math.inf:  # NaN fails too
+        raise ValueError("momentum p must be finite and >= 0, got %r" % p)
+    return p
+
+
 def lorentz_factor(M: float, p: float) -> float:
     """gamma = sqrt(1 + p^2/M^2) for a system of mass M at momentum p."""
     M = float(M)
-    p = float(p)
     if not (0.0 < M < math.inf):
         raise ValueError("lorentz_factor requires finite M > 0, got %r" % M)
-    if not (math.isfinite(p) and p >= 0.0):
-        raise ValueError("lorentz_factor requires finite p >= 0, got %r" % p)
-    return math.hypot(1.0, p / M)
+    return math.hypot(1.0, _momentum(p) / M)
 
 
 def shifted_kinematics(modes: RestModeSet, p: float) -> BoostContext:
     """The boost context of the mode set at momentum p: p and gamma(M, p)."""
-    p = float(p)
-    if not (math.isfinite(p) and p >= 0.0):
-        raise ValueError("shifted_kinematics requires finite p >= 0, got %r" % p)
+    p = _momentum(p)
     # lorentz_factor's arithmetic; a RestModeSet's M is already a finite float > 0
     return BoostContext(p=p, gamma=math.hypot(1.0, p / modes.M))
 

@@ -24,8 +24,8 @@ from collections import namedtuple
 
 import numpy as np
 
-from ._points import as_points, maybe_scalar
-from .kinematics import RestModeSet, mode_terms, pole_energies, pole_sum
+from ._points import as_times, maybe_scalar
+from .kinematics import RestModeSet, _momentum, mode_terms, pole_energies, pole_sum
 # mdd_analytic is unused here but stays bound: perfbench/spans.py traces
 # calls through this module attribute
 from .restframe import CurveSeries, mdd_analytic  # noqa: F401
@@ -115,13 +115,22 @@ class _Path:
         mass, width, weight, _ = mode_terms(modes)
         self.p, self.fold, self.weight = p, fold, weight
         mu = mass + 0.5j * width
-        # E_k of the pole conj(mu_k) = c_k - i Gamma_k/2 that the path crosses
+        # E_k of the pole conj(mu_k) = c_k - i Gamma_k/2
         self.energy = pole_energies(mass, width, p)
+        # the largest energy scale, which sets how soon any phase moves
+        self.reach = max(p, float(np.max(np.abs(self.energy))))
+        if not math.isfinite(self.reach):  # p * p overflows from 1.34e154 on
+            raise ValueError("momentum p = %r overflows the pole energies %r"
+                             % (p, self.energy.tolist()))
+        # the path crosses E_k where Re E_k > p, which rounds to false at large p
+        # (Re E_k - p ~ (c_k^2 - Gamma_k^2/4) / 2p): exactly where p^2 (4 c_k^2 -
+        # Gamma_k^2) + c_k^2 Gamma_k^2 > 0, so always where 2 c_k > Gamma_k; the
+        # sign holds in Python floats, which overflow without a warning
+        self.crossed = [2.0 * c > g or p * p * (4.0 * c * c - g * g) + (c * g) * (c * g) > 0.0
+                        for c, g in zip(mass.tolist(), width.tolist())]
         # G has poles at i (E_k - p) and a branch point at -2ip
         self.gap = float(np.min(np.abs(mu * mu) / np.abs(self.energy + p)))
         self.scale = min(2.0 * p, self.gap)
-        # the largest energy scale, which sets how soon any phase moves
-        self.reach = max(p, float(np.max(np.abs(self.energy))))
         # A(0) = sum_k weight_k (1/2 + arctan(c_k / (Gamma_k/2)) / pi) over m >= 0
         self.normalization = float(np.sum(weight * (1.0 if fold else 1.0 - np.angle(mu) / math.pi)))
         # the density is sum_j coef_j / (z - at_j), over mu_k and conj(mu_k):
@@ -131,9 +140,9 @@ class _Path:
         self.coef = np.concatenate([coef, np.conj(coef)])
 
     def poles(self, t):
-        # the path crosses the poles with Re E_k > p: all when Gamma_k/2 < c_k
-        crossed = self.energy.real > self.p
-        return pole_sum(self.weight[crossed], self.energy[crossed], t)
+        if all(self.crossed):  # the usual case, which needs no copies
+            return pole_sum(self.weight, self.energy, t)
+        return pole_sum(self.weight[self.crossed], self.energy[self.crossed], t)
 
     def integrand(self, tau):
         # conj(sqrt(-tau + 2ip)) is sqrt(-tau - 2ip) in the fourth quadrant,
@@ -168,15 +177,12 @@ def direct_boosted_amplitude(modes: RestModeSet, p, t, spec: QuadratureSpec = No
     OracleConvergenceError, carrying that time's best value and change,
     names the earliest time still over its budget at 512 nodes, or the
     shortest time of a grid that spans more than 160 doubling panels of
-    the path.
+    the path. A p whose pole energies overflow (p * p does) is a ValueError.
     """
     if spec is None:
         spec = QuadratureSpec()
-    p = float(p)
-    if not (math.isfinite(p) and p >= 0.0):
-        raise ValueError("momentum must be finite and >= 0, got %r" % p)
-    tt = as_points(t, lambda x: np.isfinite(x) & (x >= 0.0), "time must be finite and >= 0")
-
+    p = _momentum(p)
+    tt = as_times(t)
     # + 0.0 maps p = -0.0 to +0.0, whose branch the path takes at p = 0
     path = _Path(modes, p + 0.0, spec.include_negative_mass)
     amp = np.full(tt.shape, path.normalization, dtype=complex)

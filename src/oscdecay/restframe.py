@@ -14,7 +14,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from ._points import as_points, maybe_scalar
+from ._points import as_points, as_times, maybe_scalar
 from .kinematics import RestModeSet, mode_terms
 
 
@@ -40,10 +40,6 @@ class CurveSeries(namedtuple("CurveSeries", "t values")):
     def _make(cls, iterable):
         # _replace builds through _make: convert and check its fields too
         return cls(*iterable)
-
-
-def _check_times(t):
-    return as_points(t, lambda v: np.isfinite(v) & (v >= 0.0), "times must be finite and >= 0")
 
 
 class _RestLaw:
@@ -94,7 +90,7 @@ class _RestLaw:
 
 def amplitude_rest(modes: RestModeSet, t):
     """sqrt(P0(t)): the rest-frame survival amplitude modulus."""
-    return maybe_scalar(_RestLaw(modes).amplitude(_check_times(t)), t)
+    return maybe_scalar(_RestLaw(modes).amplitude(as_times(t)), t)
 
 
 def survival_rest(modes: RestModeSet, t):
@@ -124,7 +120,7 @@ def survival_rest_split(modes: RestModeSet, t):
     the sums above since cos(x) cos(y) = [cos(x+y) + cos(x-y)] / 2.
     """
     law = _RestLaw(modes)
-    damp, phase = law._terms(_check_times(t))
+    damp, phase = law._terms(as_times(t))
     wave = damp * law.a
     F = (damp * law.flat).sum(axis=0)
     S = (wave * np.cos(phase)).sum(axis=0)
@@ -137,7 +133,7 @@ def survival_rest_split(modes: RestModeSet, t):
 
 def decay_rate_rest(modes: RestModeSet, t):
     """dP0/dt in closed form; nonpositive for every valid mode set."""
-    amp, rate = _RestLaw(modes)(_check_times(t))
+    amp, rate = _RestLaw(modes)(as_times(t))
     return maybe_scalar(-amp * rate, t)
 
 

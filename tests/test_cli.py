@@ -672,8 +672,34 @@ GRID = {"t_min": 2.0, "t_max": 6.0, "points": 5}
     ("compare", dict(CURVE_B, grid=GRID, oracle={"abs_tol": 0.0}),
      "bad oracle parameters: tolerances must be finite, abs_tol > 0 and rel_tol >= 0, "
      "got abs_tol=0.0, rel_tol=1e-06"),
+    # one momentum rule, kinematics', whichever command reads p
+    ("validate", dict(CURVE_B, p=-1.0), "momentum p must be finite and >= 0, got -1.0"),
+    ("phi", dict(CURVE_B, p=-1.0, grid=GRID), "momentum p must be finite and >= 0, got -1.0"),
+    ("compare", dict(CURVE_B, p=-1.0, grid=GRID),
+     "momentum p must be finite and >= 0, got -1.0"),
+    # strict JSON has neither: the reader refuses them as it does anywhere
+    ("window", dict(CURVE_B, p=float("nan")), "config['p'] is not a finite number"),
+    ("compare", dict(CURVE_B, p=float("inf"), grid=GRID), "config['p'] is not a finite number"),
+    # one section reader: an unknown key in each of the five sections
+    ("compare", dict(CURVE_B, modes=dict(CURVE_B["modes"], phase=0.0), grid=GRID),
+     "config['modes']['phase'] is not a modes setting"),
+    ("compare", dict(CURVE_B, grid=dict(GRID, step=1.0)),
+     "config['grid']['step'] is not a grid setting"),
+    ("phi", dict(CURVE_B, grid=GRID, window={"zeta": 1.0}),
+     "config['window']['zeta'] is not a window setting"),
+    ("compare", dict(CURVE_B, grid=GRID, oracle={"tol": 1e-8}),
+     "config['oracle']['tol'] is not an oracle setting"),
+    ("compare", dict(CURVE_B, grid=GRID, compare={"bound": 0.1}),
+     "config['compare']['bound'] is not a compare setting"),
+    ("compare", dict(CURVE_B, modes={k: v for k, v in CURVE_B["modes"].items() if k != "M"},
+                     grid=GRID), "modes lacks key 'M'"),
+    ("compare", dict(CURVE_B, grid={"t_min": 2.0, "t_max": 6.0}), "grid lacks key 'points'"),
+    ("compare", dict(CURVE_B, grid=GRID, oracle=[1e-8]), "'oracle' section must be an object"),
 ], ids=["root_not_object", "no_modes", "p_negative", "no_grid", "grid_key_missing",
-        "t_min_not_below_t_max", "bad_spacing", "bad_oracle_parameters"])
+        "t_min_not_below_t_max", "bad_spacing", "bad_oracle_parameters", "validate_p_negative",
+        "phi_p_negative", "compare_p_negative", "p_nan", "p_inf", "modes_unknown_key",
+        "grid_unknown_key", "window_unknown_key", "oracle_unknown_key", "compare_unknown_key",
+        "modes_key_missing", "grid_points_missing", "oracle_not_object"])
 def test_config_errors_exit_2_with_their_message(tmp_path, capsys, command, config, message):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(config))

@@ -1,6 +1,7 @@
 """Kinematics: Lorentz factors, shifted-mode quantities, model validation."""
 
 import math
+import re
 import warnings
 
 import mpmath
@@ -40,13 +41,15 @@ def test_lorentz_factor_rejects_nonfinite_mass(M):
         od.lorentz_factor(M, 10.0)
 
 
-@pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf, -1.0])
 def test_nonfinite_momentum_rejected(p):
+    # and a negative one: every entry that takes p reads one rule, one message
     modes = make_single_mode(80.0, 10.0, 0.04)
-    with pytest.raises(ValueError):
-        od.lorentz_factor(80.0, p)
-    with pytest.raises(ValueError):
-        od.shifted_kinematics(modes, p)
+    message = "^momentum p must be finite and >= 0, got %s$" % re.escape(repr(p))
+    for call in (lambda: od.lorentz_factor(80.0, p), lambda: od.shifted_kinematics(modes, p),
+                 lambda: od.direct_survival(modes, p, 1.0)):
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 def test_large_finite_momentum_accepted():

@@ -340,6 +340,40 @@ def test_pole_sum_is_closed_form_pole_part(modes, p):
     assert np.array_equal(_Path(modes, p, True).poles(t), k_sum)
 
 
+def test_poles_are_kept_at_any_momentum():
+    # at p = 1e10, Re E_k - p ~ (c_k^2 - Gamma_k^2/4) / 2p is below an ulp of
+    # p, yet the path crosses all three poles: the oracle's pole part is the
+    # closed form's, and the two laws agree over [2 gamma, 11 gamma]
+    modes = od.validate_modes(CURVE_B)
+    ctx = od.shifted_kinematics(modes, 1e10)
+    t = np.linspace(2.0 * ctx.gamma, 11.0 * ctx.gamma, 19)
+    path = _Path(modes, ctx.p, True)
+    assert not np.any(path.energy.real > ctx.p) and np.all(path.crossed)
+    law = od.BoostedLaw(modes, ctx)(t)
+    assert np.array_equal(path.poles(t), law.K_sum)
+    assert np.max(np.abs(direct_survival(modes, ctx.p, t) / law.P_p - 1.0)) <= 0.2
+
+
+@pytest.mark.parametrize("p, crossed", [(0.2, True), (1.0, False)])
+def test_pole_with_c_below_half_its_width_is_crossed_at_small_momentum(p, crossed):
+    # admitted under a loose narrow-width threshold, the M - Omega term has
+    # c = 0.3 < Gamma/2 = 0.5: the path crosses its pole only for p < 0.375
+    modes = od.validate_modes({"M": 10.0, "w": [1.0], "Gamma": [1.0], "Omega": [9.7],
+                               "a": [0.01]}, narrow_width_threshold=4.0)
+    path = _Path(modes, p, True)
+    assert path.crossed == [True, crossed, True]
+    assert np.array_equal(path.crossed, path.energy.real > p)
+
+
+def test_momentum_whose_pole_energies_overflow_is_refused():
+    # p * p overflows from p ~ 1.34e154 on: refused before any quadrature
+    modes = od.validate_modes(CURVE_B)
+    assert np.all(np.isfinite(_Path(modes, 1.3e154, True).energy))
+    with pytest.raises(ValueError, match=r"^momentum p = 1\.4e\+154 overflows the pole "
+                                         r"energies \[\(inf-0j\), "):
+        direct_survival(modes, 1.4e154, 1.0)
+
+
 def test_zero_time_is_exact_normalization():
     modes = od.validate_modes(SHIFTED_THREE_MODES)
     for p in (0.0, 150.0):

@@ -13,6 +13,19 @@ from oscdecay.restframe import _RestLaw
 from conftest import ORACLE_SPOTS, make_single_mode
 
 
+@pytest.mark.parametrize("t", [-1.0, math.nan])
+def test_every_entry_refuses_a_time_with_one_message(t):
+    modes = make_single_mode(80.0, 10.0, 0.04)
+    message = "^time must be finite and >= 0, got %r$" % t
+    law = od.BoostedLaw(modes, od.shifted_kinematics(modes, 200.0))
+    with pytest.raises(od.BoostDomainError, match=message):
+        law([1.0, t])
+    for call in (od.survival_rest, od.decay_rate_rest, od.survival_rest_split,
+                 lambda m, tt: od.direct_survival(m, 200.0, tt)):
+        with pytest.raises(ValueError, match=message):
+            call(modes, [1.0, t])
+
+
 TWO_MODE = {
     "M": 100.0,
     "w": [0.7, 0.3],

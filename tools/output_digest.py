@@ -6,9 +6,11 @@ curve --which rest/rate/split/boosted, phi (with its fit sidecar) and
 compare. A fixed edge set follows the pools, under the name edge: the
 paths the pools never draw, where gamma_t is not t, the window is empty
 or the periods are unavailable, three configs whose arithmetic overflows
-(ROADMAP item 16) and one whose p t overflows. The commands run through
-oscdecay.cli.main in this process, on the package in ./src. Each prints
-one line: workload (or edge), config index, command, exit code, the
+(ROADMAP item 16), one whose p t overflows, and one at a momentum so
+large that each pole energy's real part lies within an ulp of p, where
+the oracle must still keep every pole its path crosses. The commands run
+through oscdecay.cli.main in this process, on the package in ./src. Each
+prints one line: workload (or edge), config index, command, exit code, the
 sha256 of each output file and the stderr text. A warning in that text
 is shown once per command, as in a fresh interpreter, and without the
 file, line and source it was raised at, which differ between checkouts.
@@ -101,6 +103,9 @@ EDGE = [
     dict(CURVE_B, p=6.655143227265858e+213,
          grid={"t_min": 8.332162274235253e-226, "t_max": 4.681074917944925e-35, "points": 6,
                "spacing": "log"}),
+    # Re E_k - p rounds to 0, yet the oracle's path crosses all three poles:
+    # compare reads a deviation of 0.1, exit 1; t in [2 gamma, 11 gamma]
+    dict(CURVE_B, p=1e10, grid={"t_min": 2.5e8, "t_max": 1.375e9, "points": 19}),
 ]
 
 # a warning as warnings.formatwarning writes it: where, what, and the source line
