@@ -106,9 +106,9 @@ def _load_config(path):
 def _settings(config, name, defaults) -> dict:
     """Section name of config over its defaults, a dict of every key the
     section may set. A key whose default is None is required, and so is the
-    section then; one whose default is a bool takes true or false, one whose
-    default is a float a JSON number, read as a float, and any other key's
-    value is read as it is. A key not in defaults is a ConfigError."""
+    section then; one whose default is None or a str is read as it is, one
+    whose default is a bool takes true or false, and any other a JSON
+    number, read as a float. A key not in defaults is a ConfigError."""
     if name not in config and None in defaults.values():
         raise ConfigError("config lacks the %r section" % name)
     raw = config.get(name, {})
@@ -129,7 +129,7 @@ def _settings(config, name, defaults) -> dict:
             if not isinstance(value, bool):
                 raise ConfigError("config[%r][%r] must be true or false, got %r"
                                   % (name, key, value))
-        elif isinstance(default, float):
+        elif not isinstance(default, (str, type(None))):
             value = float(_number(value, name, key))
         settings[key] = value
     return settings
@@ -180,10 +180,15 @@ def _grid(config):
     return t
 
 
+def _context(config, modes):
+    """The boost context of modes at the config's momentum p (default 0)."""
+    return shifted_kinematics(modes, _number(config.get("p", 0.0), "p"))
+
+
 def _law_inputs(config):
     """The mode set, its boost context and the time grid of config, read in this order."""
     modes = _build_modes(config)
-    return modes, shifted_kinematics(modes, _number(config.get("p", 0.0), "p")), _grid(config)
+    return modes, _context(config, modes), _grid(config)
 
 
 def _window_params(config):
@@ -281,9 +286,8 @@ def _report_skeleton(config):
 
 
 def _window_report(config, modes):
-    """The report with its window and constraints sections, the boost context
-    and the window, read from the config's p and window section."""
-    ctx = shifted_kinematics(modes, _number(config.get("p", 0.0), "p"))
+    """The report with its window and constraints sections, ctx and the window."""
+    ctx = _context(config, modes)
     window = _cli.exponential_windows(modes, ctx, _window_params(config))
     checks = _cli.constraint_report(modes, ctx, window)
     report = _report_skeleton(config)

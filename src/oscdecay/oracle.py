@@ -122,12 +122,12 @@ class _Path:
         if not math.isfinite(self.reach):  # p * p overflows from 1.34e154 on
             raise ValueError("momentum p = %r overflows the pole energies %r"
                              % (p, self.energy.tolist()))
-        # the path crosses E_k where Re E_k > p, which rounds to false at large p
-        # (Re E_k - p ~ (c_k^2 - Gamma_k^2/4) / 2p): exactly where p^2 (4 c_k^2 -
-        # Gamma_k^2) + c_k^2 Gamma_k^2 > 0, so always where 2 c_k > Gamma_k; the
-        # sign holds in Python floats, which overflow without a warning
-        self.crossed = [2.0 * c > g or p * p * (4.0 * c * c - g * g) + (c * g) * (c * g) > 0.0
-                        for c, g in zip(mass.tolist(), width.tolist())]
+        # the path crosses E_k where Re E_k > p, so where p^2 (4 c_k^2 - Gamma_k^2)
+        # + c_k^2 Gamma_k^2 > 0 (always where 2 c_k > Gamma_k): a sign free of the
+        # cancellation in Re E_k - p, wrong only within rounding of the crossing p;
+        # Python floats overflow here without a warning
+        self.crossed = np.array([p * p * (4.0 * c * c - g * g) + (c * g) * (c * g) > 0.0
+                                 for c, g in zip(mass.tolist(), width.tolist())])
         # G has poles at i (E_k - p) and a branch point at -2ip
         self.gap = float(np.min(np.abs(mu * mu) / np.abs(self.energy + p)))
         self.scale = min(2.0 * p, self.gap)
@@ -140,8 +140,6 @@ class _Path:
         self.coef = np.concatenate([coef, np.conj(coef)])
 
     def poles(self, t):
-        if all(self.crossed):  # the usual case, which needs no copies
-            return pole_sum(self.weight, self.energy, t)
         return pole_sum(self.weight[self.crossed], self.energy[self.crossed], t)
 
     def integrand(self, tau):

@@ -709,6 +709,14 @@ def test_config_errors_exit_2_with_their_message(tmp_path, capsys, command, conf
     assert not out.exists()
 
 
+def test_settings_reads_as_is_only_where_the_default_is_none_or_a_string():
+    defaults = {"need": None, "kind": "linear", "count": 3, "flag": False}
+    raw = {"need": [1], "kind": "log", "count": 4, "flag": True}
+    assert cli._settings({"s": raw}, "s", defaults) == dict(raw, count=4.0)
+    with pytest.raises(cli.ConfigError, match=r"config\['s'\]\['count'\] must be a number"):
+        cli._settings({"s": dict(raw, count="4")}, "s", defaults)
+
+
 def test_config_that_is_not_json_exits_2(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text('{"modes": ')

@@ -361,7 +361,7 @@ def test_pole_with_c_below_half_its_width_is_crossed_at_small_momentum(p, crosse
     modes = od.validate_modes({"M": 10.0, "w": [1.0], "Gamma": [1.0], "Omega": [9.7],
                                "a": [0.01]}, narrow_width_threshold=4.0)
     path = _Path(modes, p, True)
-    assert path.crossed == [True, crossed, True]
+    assert path.crossed.tolist() == [True, crossed, True]
     assert np.array_equal(path.crossed, path.energy.real > p)
 
 
