@@ -12,9 +12,8 @@ from collections import namedtuple
 
 import numpy as np
 
-from ._points import as_points, as_times, maybe_scalar
-from .kinematics import (VALIDITY_THRESHOLD, BoostContext, RestModeSet, mode_indices,
-                         mode_terms, pole_energies, pole_sum)
+from .kinematics import (VALIDITY_THRESHOLD, BoostContext, RestModeSet, as_points, as_times,
+                         maybe_scalar, mode_indices, mode_terms, pole_energies, pole_sum)
 from .restframe import amplitude_rest, survival_rest, survival_rest_split
 from .specfun import branch_cut, xi_mass_factor
 
@@ -133,8 +132,7 @@ class BoostedLaw:
                     "exceeds 1 beyond the %g tolerance" % UNITY_EXCESS_TOL
                     if math.isfinite(first) else "is not finite"))
 
-        return BoostedEvaluation._make([maybe_scalar(v, t) for v in
-                                        (tt, K_sum, Phi_term, P_p, valid, P_p > 1.0)])
+        return BoostedEvaluation(*maybe_scalar(t, tt, K_sum, Phi_term, P_p, valid, P_p > 1.0))
 
 
 def survival_boosted(modes: RestModeSet, ctx: BoostContext, t) -> BoostedEvaluation:
@@ -150,13 +148,8 @@ def _mask_modes(modes: RestModeSet, active_modes) -> RestModeSet:
     idx = mode_indices(modes, active_modes, BoostDomainError)
     if not idx:
         raise BoostDomainError("outside exponential window: no active modes")
-    return RestModeSet(
-        M=modes.M,
-        w=tuple(modes.w[j] for j in idx),
-        Gamma=tuple(modes.Gamma[j] for j in idx),
-        Omega=tuple(modes.Omega[j] for j in idx),
-        a=tuple(modes.a[j] for j in idx),
-    )
+    # M, then the active entries of each per-mode field
+    return RestModeSet(modes.M, *(tuple(field[j] for j in idx) for field in modes[1:]))
 
 
 def survival_boosted_window_approx(modes: RestModeSet, ctx: BoostContext, t, active_modes):
@@ -164,10 +157,10 @@ def survival_boosted_window_approx(modes: RestModeSet, ctx: BoostContext, t, act
 
     |sum_l w_l e^{-Gamma_l t/(2 gamma)} (1 - a_l + a_l cos(Omega_l t/gamma))|^2
     over the active index set; with every mode active this is exactly
-    survival_rest(modes, t/gamma).
+    survival_rest(modes, t/gamma). A bad lab time raises BoostDomainError.
     """
     sub = _mask_modes(modes, active_modes)
-    return survival_rest(sub, np.asarray(t, dtype=float) / ctx.gamma)
+    return maybe_scalar(t, survival_rest(sub, as_times(t, BoostDomainError) / ctx.gamma))
 
 
 def boosted_split(modes: RestModeSet, ctx: BoostContext, t, active_modes):
@@ -177,4 +170,4 @@ def boosted_split(modes: RestModeSet, ctx: BoostContext, t, active_modes):
     t/gamma; their sum reproduces survival_boosted_window_approx.
     """
     sub = _mask_modes(modes, active_modes)
-    return survival_rest_split(sub, np.asarray(t, dtype=float) / ctx.gamma)
+    return maybe_scalar(t, *survival_rest_split(sub, as_times(t, BoostDomainError) / ctx.gamma))

@@ -8,8 +8,10 @@ each with its complex pole energy at momentum p (pole_energies); their
 pole_sum is the pole part that the closed form and the oracle share. A
 boost with momentum p is described by p and the Lorentz factor of M.
 
-A validated mode set holds tuples of Python floats, so that validation and
-the window need no numpy; only the three term functions import it.
+Every input rule lives here: _momentum, validate_modes, mode_indices, and
+as_points and as_times, whose results go back through maybe_scalar. A
+validated mode set holds tuples of Python floats, so that validation and
+the window need no numpy; only the functions that take points import it.
 """
 
 import math
@@ -64,6 +66,14 @@ class _FloatTuple(tuple):
         return self._each(other, operator.ge)
 
 
+def _checked_replace(cls):
+    """Class decorator for a record whose __new__ converts or checks its
+    fields: _replace builds through _make, which then builds through cls too."""
+    cls._make = classmethod(lambda cls, iterable: cls(*iterable))
+    return cls
+
+
+@_checked_replace
 class RestModeSet(namedtuple("RestModeSet", "M w Gamma Omega a")):
     """Validated parameters of the rest-frame decay law.
 
@@ -78,11 +88,6 @@ class RestModeSet(namedtuple("RestModeSet", "M w Gamma Omega a")):
     def __new__(cls, M, w, Gamma, Omega, a):
         return tuple.__new__(cls, (M, _FloatTuple(w), _FloatTuple(Gamma), _FloatTuple(Omega),
                                    _FloatTuple(a)))
-
-    @classmethod
-    def _make(cls, iterable):
-        # _replace builds through _make: wrap its fields too
-        return cls(*iterable)
 
     @property
     def N(self) -> int:
@@ -219,6 +224,35 @@ def _momentum(p) -> float:
     if not 0.0 <= p < math.inf:  # NaN fails too
         raise ValueError("momentum p must be finite and >= 0, got %r" % p)
     return p
+
+
+def as_points(x, ok, requirement, error=ValueError):
+    """x as a 1-d float array; raises error naming the first point where ok fails."""
+    import numpy as np
+
+    xx = np.atleast_1d(np.asarray(x, dtype=float))
+    bad = ~ok(xx)
+    if np.count_nonzero(bad):
+        raise error("%s, got %r" % (requirement, float(xx[bad][0])))
+    return xx
+
+
+def as_times(t, error=ValueError):
+    """t as a 1-d float array of times; raises error naming the first time
+    that is not finite and >= 0: the one rule every entry that takes times reads."""
+    import numpy as np
+
+    return as_points(t, lambda v: np.isfinite(v) & (v >= 0.0), "time must be finite and >= 0",
+                     error)
+
+
+def maybe_scalar(x, *results):
+    """results as Python scalars if x is a scalar: one result alone, several as a tuple."""
+    import numpy as np
+
+    if np.ndim(x) == 0:
+        results = tuple(r[0].item() for r in results)
+    return results[0] if len(results) == 1 else results
 
 
 def lorentz_factor(M: float, p: float) -> float:

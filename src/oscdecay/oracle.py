@@ -24,8 +24,8 @@ from collections import namedtuple
 
 import numpy as np
 
-from ._points import as_times, maybe_scalar
-from .kinematics import RestModeSet, _momentum, mode_terms, pole_energies, pole_sum
+from .kinematics import (RestModeSet, _checked_replace, _momentum, as_times, maybe_scalar,
+                         mode_terms, pole_energies, pole_sum)
 # mdd_analytic is unused here but stays bound: perfbench/spans.py traces
 # calls through this module attribute
 from .restframe import CurveSeries, mdd_analytic  # noqa: F401
@@ -64,6 +64,7 @@ class OracleConvergenceError(RuntimeError):
         self.error_estimate = error_estimate
 
 
+@_checked_replace
 class QuadratureSpec(namedtuple("QuadratureSpec", "include_negative_mass abs_tol rel_tol",
                                 defaults=(True, 1e-8, 1e-6))):
     """Tolerances of the direct evaluation.
@@ -86,11 +87,6 @@ class QuadratureSpec(namedtuple("QuadratureSpec", "include_negative_mass abs_tol
                 "abs_tol=%r, rel_tol=%r" % (self.abs_tol, self.rel_tol)
             )
         return self
-
-    @classmethod
-    def _make(cls, iterable):
-        # _replace builds through _make: check its fields too
-        return cls(*iterable)
 
 
 class ComparisonReport(namedtuple("ComparisonReport", "interval n_points max_abs_deviation "
@@ -177,6 +173,12 @@ def direct_boosted_amplitude(modes: RestModeSet, p, t, spec: QuadratureSpec = No
     shortest time of a grid that spans more than 160 doubling panels of
     the path. A p whose pole energies overflow (p * p does) is a ValueError.
     """
+    amp, err = _amplitude(modes, p, t, spec)
+    return maybe_scalar(t, amp, err) if return_error else maybe_scalar(t, amp)
+
+
+def _amplitude(modes, p, t, spec):
+    # direct_boosted_amplitude's amplitude and error arrays, on the times t as read
     if spec is None:
         spec = QuadratureSpec()
     p = _momentum(p)
@@ -188,9 +190,7 @@ def direct_boosted_amplitude(modes: RestModeSet, p, t, spec: QuadratureSpec = No
     live = tt * path.reach >= _STILL
     if live.any():
         amp[live], err[live] = _converge(path, tt[live], spec)
-    if return_error:
-        return maybe_scalar(amp, t), maybe_scalar(err, t)
-    return maybe_scalar(amp, t)
+    return amp, err
 
 
 def _converge(path, times, spec):
@@ -231,8 +231,8 @@ def _converge(path, times, spec):
 
 def direct_survival(modes: RestModeSet, p, t, spec: QuadratureSpec = None):
     """|direct_boosted_amplitude|^2, at one time or on an array of times."""
-    amp = np.atleast_1d(direct_boosted_amplitude(modes, p, t, spec))
-    return maybe_scalar(amp.real * amp.real + amp.imag * amp.imag, t)
+    amp, _ = _amplitude(modes, p, t, spec)
+    return maybe_scalar(t, amp.real * amp.real + amp.imag * amp.imag)
 
 
 def oracle_compare(closed, direct: CurveSeries) -> ComparisonReport:

@@ -14,12 +14,13 @@ from collections import namedtuple
 
 import numpy as np
 
-from ._points import as_points, as_times, maybe_scalar
-from .kinematics import RestModeSet, mode_terms
+from .kinematics import (RestModeSet, _checked_replace, as_points, as_times, maybe_scalar,
+                         mode_terms)
 
 
+@_checked_replace
 class CurveSeries(namedtuple("CurveSeries", "t values")):
-    """A sampled curve: strictly increasing time grid plus finite values."""
+    """A sampled curve: strictly increasing times, finite and >= 0, plus finite values."""
 
     __slots__ = ()
 
@@ -28,6 +29,7 @@ class CurveSeries(namedtuple("CurveSeries", "t values")):
         values = np.asarray(values, dtype=float)
         if t.ndim != 1 or len(t) < 1:
             raise ValueError("t must be a non-empty 1-d array")
+        as_times(t)
         if values.shape != t.shape:
             raise ValueError("values shape %r != t shape %r" % (values.shape, t.shape))
         if len(t) > 1 and not np.all(np.diff(t) > 0):
@@ -35,11 +37,6 @@ class CurveSeries(namedtuple("CurveSeries", "t values")):
         if not np.all(np.isfinite(values)):
             raise ValueError("values must be finite")
         return tuple.__new__(cls, (t, values))
-
-    @classmethod
-    def _make(cls, iterable):
-        # _replace builds through _make: convert and check its fields too
-        return cls(*iterable)
 
 
 class _RestLaw:
@@ -90,7 +87,7 @@ class _RestLaw:
 
 def amplitude_rest(modes: RestModeSet, t):
     """sqrt(P0(t)): the rest-frame survival amplitude modulus."""
-    return maybe_scalar(_RestLaw(modes).amplitude(as_times(t)), t)
+    return maybe_scalar(t, _RestLaw(modes).amplitude(as_times(t)))
 
 
 def survival_rest(modes: RestModeSet, t):
@@ -128,13 +125,13 @@ def survival_rest_split(modes: RestModeSet, t):
     Q = 0.5 * (wave * (same_freq @ wave)).sum(axis=0)
     exp_part = F * F + Q
     osc_part = (2.0 * F + S) * S - Q
-    return maybe_scalar(exp_part, t), maybe_scalar(osc_part, t)
+    return maybe_scalar(t, exp_part, osc_part)
 
 
 def decay_rate_rest(modes: RestModeSet, t):
     """dP0/dt in closed form; nonpositive for every valid mode set."""
     amp, rate = _RestLaw(modes)(as_times(t))
-    return maybe_scalar(-amp * rate, t)
+    return maybe_scalar(t, -amp * rate)
 
 
 def mdd_analytic(modes: RestModeSet, m):
@@ -160,4 +157,4 @@ def mdd_analytic(modes: RestModeSet, m):
     x = mm - mass[:, None]
     total = (weight[:, None] * half / (half * half + x * x)).sum(axis=0)
     out = np.abs(total) / math.pi
-    return maybe_scalar(out, m)
+    return maybe_scalar(m, out)

@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from ._points import maybe_scalar
+from .kinematics import maybe_scalar
 
 SQ2OPI = 7.9788456080286535587989e-1   # sqrt(2/pi)
 TWOOPI = 6.36619772367581343075535e-1  # 2/pi
@@ -219,7 +219,7 @@ def bessel_j1(x):
     xx = np.atleast_1d(np.asarray(x, dtype=float))
     # J1 is the first row of either branch; _small_fits, unlike _bessel_small,
     # is finite at x = 0
-    return maybe_scalar(_split(xx, BESSEL_SEAM, _small_fits, _bessel_large)[0], x)
+    return maybe_scalar(x, _split(xx, BESSEL_SEAM, _small_fits, _bessel_large)[0])
 
 
 def bessel_y1(x):
@@ -228,7 +228,7 @@ def bessel_y1(x):
     Accepts a scalar (returns a float) or an array (returns an array).
     """
     xx = np.atleast_1d(np.asarray(x, dtype=float))
-    return maybe_scalar(_split(xx, BESSEL_SEAM, _bessel_small, _bessel_large)[1], x)
+    return maybe_scalar(x, _split(xx, BESSEL_SEAM, _bessel_small, _bessel_large)[1])
 
 
 # H1(x) = q sum_k c_k q^k with q = x^2/4 and
@@ -268,7 +268,7 @@ def struve_h1(x):
     Accepts a scalar (returns a float) or an array (returns an array).
     """
     xx = np.atleast_1d(np.asarray(x, dtype=float))
-    return maybe_scalar(_split(xx, STRUVE_SEAM, _h1_series, _h1_far), x)
+    return maybe_scalar(x, _split(xx, STRUVE_SEAM, _h1_series, _h1_far))
 
 
 def xi_mass_factor(M, p):
@@ -290,4 +290,4 @@ def branch_cut(z):
     h1 = _split(zz, STRUVE_SEAM, _h1_series, _h1_far, y1)
     A = (0.5 * math.pi * h1 - 1.0) - 1j * (0.5 * math.pi * j1)
     B = 1.0 + 0.5 * math.pi * (y1 - h1)
-    return maybe_scalar(A, z), maybe_scalar(B, z)
+    return maybe_scalar(z, A, B)

@@ -17,12 +17,10 @@ from collections import namedtuple
 
 import numpy as np
 
-from ._points import as_points, maybe_scalar
-
 # amplitude_rest, survival_boosted and survival_rest are unused here but stay bound:
 # perfbench/spans.py traces calls through these module attributes
 from .boost import BoostedLaw, survival_boosted  # noqa: F401
-from .kinematics import BoostContext, RestModeSet
+from .kinematics import BoostContext, RestModeSet, as_points, maybe_scalar
 from .restframe import CurveSeries, _RestLaw, amplitude_rest, survival_rest  # noqa: F401
 from .window import TimeWindow
 
@@ -137,7 +135,7 @@ def invert_survival_rest(modes: RestModeSet, r):
     """
     rr = as_points(r, lambda v: (v > 0.0) & (v <= 1.0), "target probability must lie in (0, 1]",
                    TimeMapError)
-    return maybe_scalar(_invert(modes, rr, 1.0 / modes.Gamma[0]), r)
+    return maybe_scalar(r, _invert(modes, rr, 1.0 / modes.Gamma[0]))
 
 
 def phi_p(modes: RestModeSet, ctx: BoostContext, t):
@@ -165,7 +163,7 @@ def phi_p(modes: RestModeSet, ctx: BoostContext, t):
         raise TimeMapError("boosted survival %r %s at t=%r" % (
             float(r[i]), "underflowed" if r[i] <= 0.0 else "is not finite", at))
     phi = _invert(modes, np.minimum(r, 1.0), ev.t / ctx.gamma)
-    return maybe_scalar(phi, t)
+    return maybe_scalar(t, phi)
 
 
 def linearity_fit(series: CurveSeries, window: TimeWindow, ctx: BoostContext) -> LinearityFit:

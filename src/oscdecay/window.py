@@ -10,7 +10,8 @@ whose union is the usable window.
 import math
 from collections import namedtuple
 
-from .kinematics import VALIDITY_THRESHOLD, BoostContext, RestModeSet, mode_indices
+from .kinematics import (VALIDITY_THRESHOLD, BoostContext, RestModeSet, _checked_replace,
+                         mode_indices)
 
 COMMENSURATE_REL_TOL = 1e-9
 _WARN_THRESHOLD = 3.0  # a graded check warns from here, passes from VALIDITY_THRESHOLD
@@ -20,6 +21,7 @@ class WindowError(ValueError):
     """Window construction was requested outside its domain."""
 
 
+@_checked_replace
 class WindowParams(namedtuple("WindowParams", "zeta_min zeta_max xi_gate",
                               defaults=(1e-4, 5.4645, 1e-3))):
     """Dimensionless window bounds.
@@ -41,11 +43,6 @@ class WindowParams(namedtuple("WindowParams", "zeta_min zeta_max xi_gate",
         if not (0.0 < self.xi_gate < math.inf):
             raise WindowError("xi_gate must be finite and > 0, got %r" % self.xi_gate)
         return self
-
-    @classmethod
-    def _make(cls, iterable):
-        # _replace builds through _make: check its fields too
-        return cls(*iterable)
 
 
 class ExcludedMode(namedtuple("ExcludedMode", "mode xi")):

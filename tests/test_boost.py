@@ -440,6 +440,26 @@ def test_window_approx_reads_numpy_integers_and_refuses_out_of_range():
         survival_boosted_window_approx(modes, ctx, t, [0, 1])
 
 
+@pytest.mark.parametrize("entry", [survival_boosted_window_approx, boosted_split])
+@pytest.mark.parametrize("t, bad", [(-1.0, -1.0), ([1.0, -2.0], -2.0)], ids=["point", "grid"])
+def test_window_forms_read_the_lab_time_through_the_time_rule(entry, t, bad):
+    # the lab time is checked before it is divided by gamma, so the message
+    # names the time the caller passed, not t/gamma
+    modes, ctx = make_boosted("p200_m80")
+    message = "time must be finite and >= 0, got %r" % bad
+    with pytest.raises(BoostDomainError) as err:
+        entry(modes, ctx, t, [0])
+    assert str(err.value) == message
+
+
+def test_window_forms_return_a_float_for_a_scalar_time():
+    modes, ctx = make_boosted("p200_m80")
+    assert type(survival_boosted_window_approx(modes, ctx, 5.0, [0])) is float
+    assert [type(part) for part in boosted_split(modes, ctx, 5.0, [0])] == [float, float]
+    assert survival_boosted_window_approx(modes, ctx, 5.0, [0]) \
+        == survival_boosted_window_approx(modes, ctx, [5.0], [0])[0]
+
+
 def test_boosted_split_adds_up():
     modes, ctx = make_boosted("p200_m80")
     t = np.linspace(0.5, 20.0, 100)

@@ -33,7 +33,7 @@ CURVE_B = {
 WINDOW_ROW = {"cli", "kinematics", "window"}
 # the commands that evaluate no time grid, and so load no numpy
 WITHOUT_NUMPY = {"validate", "window"}
-REST_ROW = {"cli", "kinematics", "restframe", "_points"}
+REST_ROW = {"cli", "kinematics", "restframe"}
 BOOSTED_ROW = REST_ROW | {"boost", "specfun"}
 # oscdecay.* modules (prefix dropped) each command loads in a fresh interpreter
 LOADED = {

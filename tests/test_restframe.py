@@ -248,6 +248,14 @@ def test_curve_series_refusals(fields, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("t, bad", [([math.nan], math.nan), ([0.0, math.inf], math.inf),
+                                    ([-2.0, -1.0], -2.0)], ids=["nan", "inf", "negative"])
+def test_curve_series_reads_its_times_through_the_time_rule(t, bad):
+    with pytest.raises(ValueError) as err:
+        od.CurveSeries(t=t, values=[0.5] * len(t))
+    assert str(err.value) == "time must be finite and >= 0, got %r" % bad
+
+
 def test_negative_times_rejected():
     modes = make_single_mode(100.0, 10.0, 0.04)
     with pytest.raises(ValueError):
