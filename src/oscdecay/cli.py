@@ -12,7 +12,6 @@ model; 3 I/O failure; 4 oracle non-convergence.
 """
 
 import atexit
-import functools
 import json
 import math
 import os
@@ -457,9 +456,8 @@ _COMMANDS = {
 }
 
 
-@functools.lru_cache(maxsize=None)
 def _parser():
-    """The argument parser, built on first use and reused by every later call."""
+    """The argument parser, for the spellings _read_argv leaves to argparse."""
     import argparse
 
     parser = argparse.ArgumentParser(

@@ -266,8 +266,7 @@ def lorentz_factor(M: float, p: float) -> float:
 def shifted_kinematics(modes: RestModeSet, p: float) -> BoostContext:
     """The boost context of the mode set at momentum p: p and gamma(M, p)."""
     p = _momentum(p)
-    # lorentz_factor's arithmetic; a RestModeSet's M is already a finite float > 0
-    return BoostContext(p=p, gamma=math.hypot(1.0, p / modes.M))
+    return BoostContext(p, lorentz_factor(modes.M, p))
 
 
 def mode_indices(modes: RestModeSet, indices, error=ValueError) -> list:

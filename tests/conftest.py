@@ -1,10 +1,14 @@
-"""Shared fixtures: canonical parameter sets and frozen reference data."""
+"""Shared fixtures: canonical parameter sets, the tests' reference laws and
+reference data. The frozen spots of composite formulas are computed here
+with mpmath at 50 digits; the oracle spots and the special-function table
+are read from tests/data/."""
 
 import cmath
 import json
 import math
 import os
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -51,11 +55,12 @@ NEAR_REST_SETS = {
 M15_SET = {"M": 15.0, "w": [1.0], "Gamma": [0.5], "Omega": [0.0], "a": [0.0]}
 
 
-def branch_cut_formula(j1, y1, h1):
+def branch_cut_formula(j1, y1, h1, pi=math.pi):
     """(A, B) of specfun.branch_cut composed from J1, Y1 and H1 evaluated on
-    their own, scalars or arrays: the tests' one spelling of the formula."""
-    A = (0.5 * math.pi * h1 - 1.0) - 1j * (0.5 * math.pi * j1)
-    B = 1.0 + 0.5 * math.pi * (y1 - h1)
+    their own, scalars or arrays, or mpmath numbers with pi=mpmath.pi: the
+    tests' one spelling of the formula."""
+    A = (0.5 * pi * h1 - 1.0) - 1j * (0.5 * pi * j1)
+    B = 1.0 + 0.5 * pi * (y1 - h1)
     return A, B
 
 
@@ -126,8 +131,51 @@ def make_boosted(key):
 
 @pytest.fixture(scope="session")
 def frozen_spots():
-    with open(os.path.join(DATA, "frozen_spots.json")) as f:
-        return json.load(f)
+    """Eight reference values of composite formulas, computed with mpmath at
+    50 digits and rounded to doubles, complex ones as [re, im] pairs. The
+    branch-cut values read branch_cut_formula on mpmath's J1, Y1 and H1, so
+    the formula is not spelt here a second time."""
+    mpf = mpmath.mpf
+
+    def xi(M, p, t):
+        z = p * t
+        A, B = branch_cut_formula(mpmath.besselj(1, z), mpmath.bessely(1, z),
+                                  mpmath.struveh(1, z), pi=mpmath.pi)
+        r = (p / M) ** 2
+        return A + (1 - r) / (1 + r) ** 2 * B
+
+    def phi(M, p, Omega, a, t):
+        lo = xi(M - Omega, p, t) / (1 - Omega / M) ** 2
+        hi = xi(M + Omega, p, t) / (1 + Omega / M) ** 2
+        return (1 - a) * xi(M, p, t) + (a / 2) * (lo + hi)
+
+    def W(M, Omega, a):
+        r = (Omega / M) ** 2
+        return 1 + a * r * (3 - r) / (1 - r) ** 2
+
+    def xi_prime(M, Gamma, Omega, a, p):
+        v = p / mpmath.sqrt(p ** 2 + M ** 2)
+        return (mpmath.sqrt(Gamma / (mpmath.pi * M) * v) * Gamma * W(M, Omega, a)
+                / (2 * M * (1 - 2 * a)))
+
+    def c2(z):
+        return [float(z.real), float(z.imag)]
+
+    with mpmath.workdps(50):
+        a = mpf("0.04")
+        # sqrt(p^2 + (M - i Gamma/2)^2) = (lambda_+ - i lambda_-)/2
+        root = mpmath.sqrt(mpf(210) ** 2 + (mpf(100) - 0.5j * mpf("0.1")) ** 2)
+        return {
+            "xi_M100_p210_t1": c2(xi(mpf(100), mpf(210), mpf(1))),
+            "phi_M80_p200_Om10_a004_t5": c2(phi(mpf(80), mpf(200), mpf(10), a, mpf(5))),
+            "lambda_pm_M100_G01_p210": [float(-2 * root.imag), float(2 * root.real)],
+            "W_M100_Om10_a004": float(W(mpf(100), mpf(10), a)),
+            "W_M80_Om10_a004": float(W(mpf(80), mpf(10), a)),
+            "W_endpoint_29_18": float(W(mpf(2), mpf(1), mpf("0.5"))),
+            "xi_prime_M80_G1_Om10_a004_p200": float(xi_prime(mpf(80), mpf(1), mpf(10), a,
+                                                             mpf(200))),
+            "j1_first_zero": float(mpmath.findroot(lambda x: mpmath.besselj(1, x), mpf("3.83"))),
+        }
 
 
 @pytest.fixture(scope="session")

@@ -293,7 +293,7 @@ def test_curve_determinism_including_parallel(tmp_path):
     assert outs[0] == outs[1] == outs[2]
 
 
-def test_cached_parser_keeps_no_state_between_calls(tmp_path, capsys):
+def test_repeated_main_calls_give_what_fresh_calls_give(tmp_path, capsys):
     cfg = write_config(tmp_path, "reuse.json", {
         "grid": {"t_min": 0.5, "t_max": 25.0, "points": 40},
         "window": {"zeta_min": 0.05},
@@ -318,15 +318,12 @@ def test_cached_parser_keeps_no_state_between_calls(tmp_path, capsys):
         files = [f.read_bytes() if f.exists() else None for f in (out, sidecar)]
         return code, files, capsys.readouterr().err
 
-    in_sequence = [run(n, argv, "seq") for n, argv in enumerate(sequence)]
-    alone = []
-    for n, argv in enumerate(sequence):
-        cli._parser.cache_clear()
-        alone.append(run(n, argv, "alone"))
-    assert [r[0] for r in in_sequence] == [0, 0, 0, 0, 0, 2, 0]
-    assert in_sequence[1][1][0].startswith(b"t,gamma_t,value\n")
-    assert in_sequence[3][2] == "validate: ok\n" and in_sequence[4][2] == ""
-    assert in_sequence == alone
+    fresh = [run(n, argv, "fresh") for n, argv in enumerate(sequence)]
+    repeated = [run(n, argv, "repeated") for n, argv in enumerate(sequence)]
+    assert [r[0] for r in fresh] == [0, 0, 0, 0, 0, 2, 0]
+    assert fresh[1][1][0].startswith(b"t,gamma_t,value\n")
+    assert fresh[3][2] == "validate: ok\n" and fresh[4][2] == ""
+    assert fresh == repeated
 
 
 @pytest.mark.parametrize("column", [
