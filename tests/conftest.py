@@ -1,12 +1,15 @@
-"""Shared fixtures: canonical parameter sets, the tests' reference laws and
-reference data. The frozen spots of composite formulas are computed here
-with mpmath at 50 digits; the oracle spots and the special-function table
-are read from tests/data/."""
+"""Shared fixtures: canonical parameter sets, the tests' reference laws,
+reference data and the in-process CLI runner. The frozen spots of
+composite formulas are computed here with mpmath at 50 digits; the oracle
+spots and the special-function table are read from tests/data/."""
 
 import cmath
+import contextlib
+import io
 import json
 import math
 import os
+import warnings
 
 import mpmath
 import numpy as np
@@ -14,6 +17,7 @@ import pytest
 from hypothesis import strategies as st
 
 import oscdecay as od
+from oscdecay import cli
 from oscdecay.kinematics import pole_energies
 from oscdecay.specfun import branch_cut, xi_mass_factor
 
@@ -53,6 +57,44 @@ NEAR_REST_SETS = {
 
 # a valid single mode whose closed form passes 1 in-domain at p = 80
 M15_SET = {"M": 15.0, "w": [1.0], "Gamma": [0.5], "Omega": [0.0], "a": [0.0]}
+
+# tools/output_digest.py's edge configs 7 to 10, by their index there: curve
+# B where p * p overflows; at times so short that P_p overflows; where p t
+# overflows at a valid p and t; where p * p overflows on a grid that ends
+# before the closed form's domain starts
+DIGEST_EDGES = {
+    7: {"modes": NEAR_REST_SETS["curve_b"], "p": 1e155,
+        "grid": {"t_min": 1.0, "t_max": 5.0, "points": 11}},
+    8: {"modes": NEAR_REST_SETS["curve_b"], "p": 40.0,
+        "grid": {"t_min": 1e-300, "t_max": 1.0, "points": 11, "spacing": "log"}},
+    9: {"modes": NEAR_REST_SETS["curve_b"], "p": 1e75,
+        "grid": {"t_min": 1.0, "t_max": 1e240, "points": 11, "spacing": "log"}},
+    10: {"modes": NEAR_REST_SETS["curve_b"], "p": 6.655143227265858e+213,
+         "grid": {"t_min": 8.332162274235253e-226, "t_max": 4.681074917944925e-35,
+                  "points": 6, "spacing": "log"}},
+}
+
+
+def run_cli(tmp_path, config, command):
+    """Run `oscdecay <command> --config <config> --out <out>` through
+    cli.main in this process, with config written to tmp_path/config.json
+    and out at tmp_path/out. Returns the exit code, the stderr text, the
+    warnings' messages, each shown once as a fresh interpreter shows it,
+    and the text of out and of out.fit.json (None where absent); stale
+    outputs of an earlier run are removed first."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    files = [out, tmp_path / "out.fit.json"]
+    for f in files:
+        if f.exists():
+            f.unlink()
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
+        code = cli.main(command.split() + ["--config", str(path), "--out", str(out)])
+    texts = tuple(f.read_text() if f.exists() else None for f in files)
+    return code, err.getvalue(), [str(w.message) for w in caught], texts
 
 
 def branch_cut_formula(j1, y1, h1, pi=math.pi):
@@ -131,10 +173,10 @@ def make_boosted(key):
 
 @pytest.fixture(scope="session")
 def frozen_spots():
-    """Eight reference values of composite formulas, computed with mpmath at
-    50 digits and rounded to doubles, complex ones as [re, im] pairs. The
-    branch-cut values read branch_cut_formula on mpmath's J1, Y1 and H1, so
-    the formula is not spelt here a second time."""
+    """Four reference values of composite formulas that no other test checks,
+    computed with mpmath at 50 digits and rounded to doubles, complex ones as
+    [re, im] pairs. The branch-cut values read branch_cut_formula on
+    mpmath's J1, Y1 and H1, so the formula is not spelt here a second time."""
     mpf = mpmath.mpf
 
     def xi(M, p, t):
@@ -153,27 +195,15 @@ def frozen_spots():
         r = (Omega / M) ** 2
         return 1 + a * r * (3 - r) / (1 - r) ** 2
 
-    def xi_prime(M, Gamma, Omega, a, p):
-        v = p / mpmath.sqrt(p ** 2 + M ** 2)
-        return (mpmath.sqrt(Gamma / (mpmath.pi * M) * v) * Gamma * W(M, Omega, a)
-                / (2 * M * (1 - 2 * a)))
-
     def c2(z):
         return [float(z.real), float(z.imag)]
 
     with mpmath.workdps(50):
         a = mpf("0.04")
-        # sqrt(p^2 + (M - i Gamma/2)^2) = (lambda_+ - i lambda_-)/2
-        root = mpmath.sqrt(mpf(210) ** 2 + (mpf(100) - 0.5j * mpf("0.1")) ** 2)
         return {
             "xi_M100_p210_t1": c2(xi(mpf(100), mpf(210), mpf(1))),
             "phi_M80_p200_Om10_a004_t5": c2(phi(mpf(80), mpf(200), mpf(10), a, mpf(5))),
-            "lambda_pm_M100_G01_p210": [float(-2 * root.imag), float(2 * root.real)],
             "W_M100_Om10_a004": float(W(mpf(100), mpf(10), a)),
-            "W_M80_Om10_a004": float(W(mpf(80), mpf(10), a)),
-            "W_endpoint_29_18": float(W(mpf(2), mpf(1), mpf("0.5"))),
-            "xi_prime_M80_G1_Om10_a004_p200": float(xi_prime(mpf(80), mpf(1), mpf(10), a,
-                                                             mpf(200))),
             "j1_first_zero": float(mpmath.findroot(lambda x: mpmath.besselj(1, x), mpf("3.83"))),
         }
 

@@ -7,29 +7,28 @@ multiplies every mass and rate by lam. For lam a power of 4 (so that lam^2
 has an exact square root) every floating-point step scales exactly, so the
 relation holds bit for bit: the check needs no tolerance and no oracle.
 
-Each config runs through cli.main as given and at lam = 4^3 and 4^-3, on
-linear grids only (np.geomspace does not scale exactly). A constant
-written in absolute units where a relative one belongs (a tolerance, a
-seam, a time cap) breaks the relation on the configs that reach it.
+Each config runs through cli.main (conftest.run_cli) as given and at
+lam = 4^3 and 4^-3, on linear grids only (np.geomspace does not scale
+exactly). A constant written in absolute units where a relative one
+belongs (a tolerance, a seam, a time cap) breaks the relation on the
+configs that reach it.
 """
 
-import contextlib
-import io
 import json
 import math
 import os
 import re
 import sys
-import warnings
 
 import pytest
 
-from oscdecay import boost, cli, timemap
+from oscdecay import boost, timemap
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                                 "perfbench"))
 
 import configs  # noqa: E402
+from conftest import run_cli  # noqa: E402
 
 # every output field and config key that carries a unit, by its name: a
 # time divides by lam, a mass or a rate multiplies by lam, and every other
@@ -47,14 +46,14 @@ MASS_FIELDS = frozenset({"M", "Gamma", "Omega", "p", "omega_max"})
 RATE_COLUMNS = frozenset({("rate", "value")})
 
 COMMANDS = {
-    "validate": ["validate"],
-    "window": ["window"],
-    "rest": ["curve", "--which", "rest"],
-    "rate": ["curve", "--which", "rate"],
-    "split": ["curve", "--which", "split"],
-    "boosted": ["curve", "--which", "boosted"],
-    "phi": ["phi"],
-    "compare": ["compare"],
+    "validate": "validate",
+    "window": "window",
+    "rest": "curve --which rest",
+    "rate": "curve --which rate",
+    "split": "curve --which split",
+    "boosted": "curve --which boosted",
+    "phi": "phi",
+    "compare": "compare",
 }
 
 CURVE_B = {"modes": {"M": 80.0, "w": [1.0], "Gamma": [1.0], "Omega": [10.0], "a": [0.04]},
@@ -105,23 +104,6 @@ def _scaled(config, lam):
     out["grid"]["t_min"] /= lam
     out["grid"]["t_max"] /= lam
     return out
-
-
-def _run(tmp_path, config, args):
-    """exit code, stderr, the warnings raised, and each output file's text."""
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(config))
-    out = tmp_path / "out"
-    files = [out, tmp_path / "out.fit.json"]
-    for f in files:
-        if f.exists():
-            f.unlink()
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        code = cli.main(args + ["--config", str(path), "--out", str(out)])
-    texts = [f.read_text() if f.exists() else None for f in files]
-    return code, err.getvalue(), [str(w.message) for w in caught], texts
 
 
 def _same_number(base, got, factor):
@@ -191,8 +173,8 @@ def test_every_command_is_exactly_unit_covariant(tmp_path, name, lam):
     config = CONFIGS[name]
     scaled = _scaled(config, lam)
     for command, args in COMMANDS.items():
-        code, stderr, caught, texts = _run(tmp_path, config, args)
-        code_s, stderr_s, caught_s, texts_s = _run(tmp_path, scaled, args)
+        code, stderr, caught, texts = run_cli(tmp_path, config, args)
+        code_s, stderr_s, caught_s, texts_s = run_cli(tmp_path, scaled, args)
         assert code_s == code, (command, stderr, stderr_s)
         assert _message_agrees(stderr, stderr_s, lam), (command, stderr, stderr_s)
         assert caught_s == caught, command
@@ -209,12 +191,12 @@ def test_every_command_is_exactly_unit_covariant(tmp_path, name, lam):
 
 def test_the_edge_configs_reach_their_edges(tmp_path):
     # each edge config takes the path it is named for
-    code, _, _, (curve, _) = _run(tmp_path, CONFIGS["validity_start"], COMMANDS["boosted"])
+    code, _, _, (curve, _) = run_cli(tmp_path, CONFIGS["validity_start"], COMMANDS["boosted"])
     assert code == 0
     assert {row.split(",")[3] for row in curve.splitlines()[1:]} == {"true", "false"}
-    code, stderr, _, _ = _run(tmp_path, CONFIGS["validity_start"], COMMANDS["phi"])
+    code, stderr, _, _ = run_cli(tmp_path, CONFIGS["validity_start"], COMMANDS["phi"])
     assert code == 2 and "at t=" in stderr
-    code, stderr, _, _ = _run(tmp_path, CONFIGS["panel_limit"], COMMANDS["compare"])
+    code, stderr, _, _ = run_cli(tmp_path, CONFIGS["panel_limit"], COMMANDS["compare"])
     assert code == 4 and "doubling panels of the path, over 160" in stderr
     assert CONFIGS["below_rest_seam"]["p"] < boost.P_ZERO_REL * 80.0 \
         < CONFIGS["above_rest_seam"]["p"]

@@ -401,11 +401,14 @@ def test_mode_terms_split():
     assert scale == pytest.approx((100.0 / mass) ** 2, rel=1e-15)
 
 
-@pytest.mark.parametrize("p_over_M", [0.0, 1e-10, 1.0, 1e6])
-def test_pole_energies_match_mpmath(p_over_M):
-    # curve B's three terms against sqrt(p^2 + (c - i Gamma/2)^2) at 50 digits
-    modes = od.validate_modes({"M": 80.0, "w": [1.0], "Gamma": [1.0], "Omega": [10.0],
-                               "a": [0.04]})
+@pytest.mark.parametrize("fields, p_over_M", [
+    (CURVE_B, 0.0), (CURVE_B, 1e-10), (CURVE_B, 1.0), (CURVE_B, 1e6),
+    # a narrow mode, Gamma/M = 1e-3, at p = 210
+    ({"M": 100.0, "w": [1.0], "Gamma": [0.1], "Omega": [0.0], "a": [0.0]}, 2.1),
+], ids=["0.0", "1e-10", "1.0", "1000000.0", "M100_G01_p210"])
+def test_pole_energies_match_mpmath(fields, p_over_M):
+    # each term against sqrt(p^2 + (c - i Gamma/2)^2) at 50 digits
+    modes = od.validate_modes(fields)
     mass, width, _, _ = mode_terms(modes)
     p = p_over_M * modes.M
     got = pole_energies(mass, width, p)

@@ -1,26 +1,25 @@
 """The defect ledger: one test per open defect, each checking the intended
 behaviour and failing on today's code.
 
-Each test is a strict xfail that names its ROADMAP item, so `pytest -rxX`
-lists every open defect. A fix makes its test pass unexpectedly, which
-fails the run until the fix removes the marker.
+Each test is a strict xfail that names its ROADMAP item, so a plain
+`pytest` (pyproject.toml's addopts hold -rxX) lists every open defect. A
+fix makes its test pass unexpectedly, which fails the run until the fix
+removes the marker.
 """
 
 import json
 import math
-import warnings
 
 import mpmath
 import numpy as np
 import pytest
 
 import oscdecay as od
-from oscdecay import cli
 from oscdecay.boost import survival_boosted_window_approx
 from oscdecay.oracle import QuadratureSpec
 from oscdecay.specfun import BESSEL_SEAM, STRUVE_SEAM, branch_cut
 
-from conftest import NEAR_REST_SETS
+from conftest import DIGEST_EDGES, NEAR_REST_SETS, run_cli
 
 TIGHT = QuadratureSpec(abs_tol=1e-13, rel_tol=1e-11)
 
@@ -31,20 +30,6 @@ CURVE_B = {"modes": NEAR_REST_SETS["curve_b"], "p": 200.0,
 def _ledger(item, what):
     return pytest.mark.xfail(strict=True, raises=AssertionError,
                              reason="ROADMAP item %s: %s" % (item, what))
-
-
-def _cli_run(tmp_path, config, command):
-    """Exit code, output text and the RuntimeWarnings of one command on config."""
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(config))
-    out = tmp_path / "out"
-    if out.exists():
-        out.unlink()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", RuntimeWarning)
-        code = cli.main(command.split() + ["--config", str(path), "--out", str(out), "--quiet"])
-    text = out.read_text() if out.exists() else None
-    return code, text, [str(w.message) for w in caught if w.category is RuntimeWarning]
 
 
 @_ledger(1, "the closed form's branch-cut term has the wrong sign")
@@ -70,23 +55,13 @@ def test_branch_cut_is_a_hankel_function_of_the_second_kind():
         assert abs((A + B) - want) <= 1e-13 * abs(want), z
 
 
-# digest edges 7, 8 and 10 (tools/output_digest.py): p * p overflows; times
-# so short that P_p overflows; p * p overflows before the domain starts
-OVERFLOW_EDGES = [
-    dict(CURVE_B, p=1e155, grid={"t_min": 1.0, "t_max": 5.0, "points": 11}),
-    dict(CURVE_B, p=40.0, grid={"t_min": 1e-300, "t_max": 1.0, "points": 11, "spacing": "log"}),
-    dict(CURVE_B, p=6.655143227265858e+213,
-         grid={"t_min": 8.332162274235253e-226, "t_max": 4.681074917944925e-35, "points": 6,
-               "spacing": "log"}),
-]
-
-
 @_ledger(16, "boosted commands print numpy RuntimeWarnings at overflowing edges")
 def test_no_boosted_command_warns_at_the_overflow_edges(tmp_path):
     warned = {}
-    for edge, config in zip((7, 8, 10), OVERFLOW_EDGES):
+    # edge 9 is refused before any work, without a warning
+    for edge in (7, 8, 10):
         for command in ("curve --which boosted", "phi", "compare"):
-            caught = _cli_run(tmp_path, config, command)[2]
+            caught = run_cli(tmp_path, DIGEST_EDGES[edge], command)[2]
             if caught:
                 warned[edge, command] = caught
     assert warned == {}
@@ -97,7 +72,7 @@ def test_an_empty_window_report_is_strict_json(tmp_path):
     # digest edge 1: a gate that admits no mode
     constants = {}
     for command in ("validate", "window"):
-        text = _cli_run(tmp_path, dict(CURVE_B, window={"xi_gate": 1e-12}), command)[1]
+        text = run_cli(tmp_path, dict(CURVE_B, window={"xi_gate": 1e-12}), command)[3][0]
         json.loads(text, parse_constant=lambda name: constants.setdefault(command, name))
     assert constants == {}
 
@@ -105,7 +80,7 @@ def test_an_empty_window_report_is_strict_json(tmp_path):
 @_ledger(16, "compare warns before the oracle refuses the momentum (CHANGES.md FOUND line 85)")
 def test_compare_refuses_an_overflowing_momentum_before_any_warning(tmp_path):
     config = dict(CURVE_B, p=1.4e154, grid={"t_min": 1.0, "t_max": 5.0, "points": 11})
-    code, _, caught = _cli_run(tmp_path, config, "compare")
+    code, _, caught, _ = run_cli(tmp_path, config, "compare")
     assert (code, caught) == (2, [])
 
 

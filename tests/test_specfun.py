@@ -175,13 +175,6 @@ def test_lambda_signs_and_ordering(triple):
     assert lp > lm
 
 
-def test_lambda_pm_frozen_spot(frozen_spots):
-    lm, lp = _lambda_pm(100.0, 0.1, 210.0)
-    ref_m, ref_p = frozen_spots["lambda_pm_M100_G01_p210"]
-    assert lm == pytest.approx(ref_m, rel=1e-13)
-    assert lp == pytest.approx(ref_p, rel=1e-13)
-
-
 def test_lambda_minus_no_cancellation():
     # small Gamma/M: naive subtraction would lose ~10 digits here
     M, Gamma, p = 1e4, 1e-3, 1e4

@@ -44,15 +44,6 @@ def test_w_bounds_on_open_ranges(M, frac, a):
     assert 1.0 < val < 29.0 / 18.0
 
 
-def test_xi_prime_frozen_spot(mode_p200_m80, frozen_spots):
-    modes, ctx = mode_p200_m80
-    (got,) = od.exponential_windows(modes, ctx).xi_values
-    assert got == pytest.approx(
-        frozen_spots["xi_prime_M80_G1_Om10_a004_p200"], rel=1e-13
-    )
-    assert got <= 1e-3
-
-
 def test_xi_prime_background_is_summed_left_to_right():
     # background terms 1.0, 9e-17, 1e-16: left to right they sum to 1.0, a
     # compensated sum (math.fsum; sum() from Python 3.12) to 1.0000000000000002
